@@ -1,7 +1,9 @@
 """Command-line pipeline: reconstruct features, check classifier agreement, hide and reveal messages.
 
 Every run writes ``run.json`` with the fully resolved configuration,
-including all seeds, so any output can be reproduced byte for byte.
+including all seeds, so any output can be reproduced byte for byte, with one
+exception: ``hide`` stamps the creation time into ``meta.created`` of
+``archive.json``.
 """
 from __future__ import annotations
 
@@ -80,14 +82,35 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _check_file_value(key: str, value, default) -> None:
+    """Reject a config-file value whose JSON type does not match the option's.
+
+    An option's type is that of its default; options that default to None
+    take a number (training keys) or a string (paths and sample lists), or null.
+    """
+    if default is None:
+        if value is None:
+            return
+        expected = float if key in TRAIN_KEYS else str
+    else:
+        expected = type(default)
+    accepted = (int, float) if expected is float else expected
+    if not isinstance(value, accepted) or isinstance(value, bool):
+        raise ValueError(f"config key {key!r} must be of type {expected.__name__}, got {value!r}")
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Defaults < config-file values < explicit command-line flags."""
     cfg = dict(defaults)
     if getattr(args, "config", None):
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _check_file_value(key, value, defaults[key])
         cfg.update(file_cfg)
     for key in defaults:
         value = getattr(args, key, None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -150,7 +151,15 @@ def _state_from_pairs(pairs, node_count: int, path) -> StateVector:
     return StateVector(node_count, amps)
 
 
+def _sample_from_dict(sample, node_count: int, t_max: float, path) -> TimeEvolvedSample:
+    t = float(sample["t"])
+    if not (math.isfinite(t) and 0 < t <= t_max):
+        raise ArchiveFormatError(f"{path}: sample time t must lie in (0, t_max={t_max}], got {t}")
+    return TimeEvolvedSample(t, _state_from_pairs(sample["state"], node_count, path))
+
+
 def load_archive(path) -> StateArchive:
+    """Read and validate an archive: shapes, norms, t_max and every sample time t."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -163,11 +172,12 @@ def load_archive(path) -> StateArchive:
     try:
         node_count = int(payload["node_count"])
         t_max = float(payload["t_max"])
+        if not (math.isfinite(t_max) and t_max > 0):
+            raise ArchiveFormatError(f"{path}: t_max must be finite and > 0, got {t_max}")
         initial = _state_from_pairs(payload["initial"], node_count, path)
-        samples = tuple(
-            TimeEvolvedSample(float(s["t"]), _state_from_pairs(s["state"], node_count, path))
-            for s in payload["samples"]
-        )
+        samples = tuple(_sample_from_dict(s, node_count, t_max, path) for s in payload["samples"])
+        if not samples:
+            raise ArchiveFormatError(f"{path}: samples is empty")
         meta = payload["meta"]
         created, note = str(meta["created"]), str(meta["note"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -195,8 +205,10 @@ def reveal_message(
 ) -> RevealResult:
     """Relearn the node weights from the archived states and snap them to words.
 
-    Node parameters are initialized over the dictionary range unless the
-    config pins its own range, since the hidden values span that range.
+    Training starts from the linear inversion of the archived states. The
+    fallback restarts, run only when that attempt misses ``accept_cost``,
+    draw node parameters over the dictionary range unless the config pins
+    its own range, since the hidden values span that range.
     """
     if config.node_init_low is None and config.node_init_high is None:
         config = replace(config, node_init_low=dictionary.lo, node_init_high=dictionary.hi)

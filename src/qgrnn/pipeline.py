@@ -9,7 +9,7 @@ from . import seeding
 from .ising import IsingGraph, TimeEvolvedSample, draw_times, random_complete_graph, sample_evolution
 from .metrics import MetricReport, evaluate
 from .statevector import StateVector, random_state
-from .training import TrainConfig, TrainResult, train_qgrnn
+from .training import TrainConfig, TrainResult, linear_inversion_start, train_qgrnn
 
 DEFAULT_RESTARTS = 10
 ACCEPT_COST = -0.99
@@ -43,27 +43,24 @@ def learn_from_states(
     restarts: int = DEFAULT_RESTARTS,
     accept_cost: float = ACCEPT_COST,
 ) -> tuple[TrainResult, int]:
-    """Train with deterministic re-initialization until the fit converges.
+    """Train from the linear-inversion warm start, then from random draws until the fit converges.
 
-    Attempt r > 0 re-draws the initial parameters from a seed derived from
-    (config.seed, r); the first result whose final cost reaches
-    ``accept_cost`` wins, otherwise the lowest-cost attempt is returned.
-    Returns (result, attempts used).
+    The first attempt starts from ``linear_inversion_start`` of the samples.
+    Fallback attempt r = 1 .. restarts - 1 draws its initial parameters over
+    the config's init ranges, from a seed derived from (config.seed, r). The
+    first result whose final cost reaches ``accept_cost`` wins, otherwise the
+    lowest-cost attempt is returned. Returns (result, attempts used).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    best: TrainResult | None = None
-    for attempt in range(restarts):
-        seed = (
-            config.seed
-            if attempt == 0
-            else seeding.derive_seed(config.seed, seeding.RESTART, attempt)
-        )
-        result = train_qgrnn(initial, samples, config.with_seed(seed))
-        if best is None or result.final_cost < best.final_cost:
-            best = result
+    best = train_qgrnn(initial, samples, config, start=linear_inversion_start(initial, samples))
+    for attempt in range(1, restarts):
         if best.final_cost <= accept_cost:
-            return best, attempt + 1
+            return best, attempt
+        seed = seeding.derive_seed(config.seed, seeding.RESTART, attempt)
+        result = train_qgrnn(initial, samples, config.with_seed(seed))
+        if result.final_cost < best.final_cost:
+            best = result
     return best, restarts
 
 
