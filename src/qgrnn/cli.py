@@ -43,7 +43,6 @@ TRAIN_KEYS = (
     "epochs",
     "trotter_delta",
     "t_max",
-    "fd_step",
     "adam_beta1",
     "adam_beta2",
     "adam_epsilon",

@@ -1,4 +1,4 @@
-"""Fidelity cost, SWAP-test verification, finite-difference gradients, Adam, and the training loop.
+"""Fidelity cost, SWAP-test verification, exact adjoint gradients, Adam, and the training loop.
 
 Training recovers the node and edge coefficients of a hidden graph
 Hamiltonian from one initial state plus a batch of time-evolved states, by
@@ -26,6 +26,15 @@ from .statevector import (
     prob_zero,
 )
 
+# Most Trotter layers one sample may ask for: 2000 times the 50 layers of the
+# default t_max (0.5) and trotter_delta (0.01). A larger count comes only
+# from an archive or config with a huge t, whose training would not finish.
+MAX_LAYERS = 100_000
+# The transverse layer is applied in qubit blocks of at most this size. Of
+# sizes 2 to 6, 4 (16 x 16 matmuls) was the fastest or within 10 % of it at
+# n = 4 to 10: smaller blocks pay for more calls, larger ones for more flops.
+TRANSVERSE_BLOCK_QUBITS = 4
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -37,6 +46,10 @@ class TrainConfig:
     the shared init range; pipelines that know the embedding range of the
     node weights set them to that range, which is where the fallback draws
     then search. Every field is type- and range-checked on construction.
+
+    ``fd_step`` is not used by training, whose gradient is exact. It stays
+    because the benchmark's kernel scan passes it to
+    ``CostEvaluator.gradient``.
     """
 
     batch_size: int = 15
@@ -148,82 +161,122 @@ def batch_cost(
     return -total / len(samples)
 
 
-def grad_central(
-    params: AnsatzParams,
-    initial: StateVector,
-    samples: list[TimeEvolvedSample],
-    delta: float,
-    fd_step: float,
-) -> np.ndarray:
-    """Central finite-difference gradient of batch_cost over the flattened parameters."""
-    if fd_step <= 0:
-        raise ValueError("fd_step must be > 0")
-    flat = params.flatten()
-    n = params.node_count
-    grad = np.empty(flat.size)
-    for k in range(flat.size):
-        bumped = flat.copy()
-        bumped[k] += fd_step
-        c_plus = batch_cost(AnsatzParams.from_flat(n, bumped), initial, samples, delta)
-        bumped[k] -= 2 * fd_step
-        c_minus = batch_cost(AnsatzParams.from_flat(n, bumped), initial, samples, delta)
-        grad[k] = (c_plus - c_minus) / (2 * fd_step)
-    return grad
-
-
 class CostEvaluator:
-    """Batched cost/gradient evaluation for one (initial state, sample set, delta).
+    """Cost and exact adjoint gradient for one (initial state, sample set, delta).
 
-    Evaluating M parameter vectors at once runs M circuit columns through the
-    shared per-sample layer sequence: one elementwise phase multiply and one
-    transverse-layer matmul per layer, independent of M at the Python level.
-    Per-sample layer counts and transverse matrices are precomputed.
+    The B samples are the rows of one ``(B, 2^n)`` array, sorted by depth,
+    deepest first. Sample b runs ``layer_count(t_b, delta)`` layers of step
+    ``d_b = t_b / depth_b``; every row ends at the last layer, so a shallower
+    row starts late and the rows active at any layer are a prefix. A layer
+    is an elementwise phase multiply followed by ``exp(-i d_b sum_i X_i)``,
+    which is applied in blocks of at most ``TRANSVERSE_BLOCK_QUBITS`` qubits
+    as batched ``(B, 2^k, 2^k)`` matmuls over reshaped views. The evaluator
+    holds O(B 2^n) memory and no 2^n x 2^n matrix.
+
+    The gradient is reverse-mode: one forward pass, then one backward pass
+    that walks the state and the bra back through the inverse layers, which
+    needs no tape because every layer is unitary.
     """
 
     def __init__(self, initial: StateVector, samples: list[TimeEvolvedSample], delta: float):
         _check_batch(initial, samples)
         if delta <= 0:
             raise ValueError("delta must be > 0")
+        depths = [layer_count(s.time, delta) for s in samples]
+        deepest = max(depths)
+        if deepest > MAX_LAYERS:
+            raise ValueError(
+                f"sample time {samples[depths.index(deepest)].time:g} needs {deepest} layers "
+                f"of step {delta:g}, more than the limit of {MAX_LAYERS}"
+            )
+        order = np.argsort(depths, kind="stable")[::-1]
         self.node_count = initial.qubit_count
+        self.batch_size = len(samples)
         self.columns = coupling_columns(self.node_count)
         self.psi0 = initial.amplitudes
-        self._per_sample = []
-        for s in samples:
-            depth = layer_count(s.time, delta)
-            d_eff = s.time / depth
-            self._per_sample.append(
-                (depth, d_eff, transverse_layer_matrix(self.node_count, d_eff),
-                 s.state.amplitudes.conj())
-            )
-        self.batch_size = len(samples)
+        self.depths = np.array(depths)[order]
+        self.steps = np.array([samples[b].time for b in order]) / self.depths
+        self.bras = np.array([samples[b].state.amplitudes.conj() for b in order])
+        # the layer on which each row starts; ascending, since rows run deepest first
+        self._starts = self.depths[0] - self.depths
+        # (lowest qubit, qubit count) of each block of the transverse layer
+        self._blocks = [
+            (low, min(TRANSVERSE_BLOCK_QUBITS, self.node_count - low))
+            for low in range(0, self.node_count, TRANSVERSE_BLOCK_QUBITS)
+        ]
+        self._transverse = {
+            k: np.array([transverse_layer_matrix(k, d) for d in self.steps])
+            for k in {k for _, k in self._blocks}
+        }
+        # exp(+i d sum X) is the elementwise conjugate, as every block matrix is symmetric
+        self._inverse = {k: m.conj() for k, m in self._transverse.items()}
 
     @property
     def param_count(self) -> int:
         return self.columns.shape[1]
 
+    def _active(self, layer: int) -> int:
+        """Number of leading rows that have started by ``layer``."""
+        return int(np.searchsorted(self._starts, layer, side="right"))
+
+    def _apply_blocks(self, x: np.ndarray, matrices: dict) -> np.ndarray:
+        """Apply each row's block matrices to an ``(rows, ..., 2^n)`` array; returns a new array."""
+        rows = x.shape[0]
+        shape = x.shape
+        for low, k in self._blocks:
+            m = matrices[k][:rows]
+            if low == 0:
+                # x @ m applies m to the last axis because m is symmetric
+                x = x.reshape(rows, -1, 1 << k) @ m
+            else:
+                x = m[:, None] @ x.reshape(rows, -1, 1 << k, 1 << low)
+        return x.reshape(shape)
+
+    def _phases(self, diag: np.ndarray) -> np.ndarray:
+        """Per-row diagonal layer exp(-i d_b diag) for diag of shape (..., 2^n): (B, ..., 2^n)."""
+        return np.exp(-1j * self.steps.reshape((-1,) + (1,) * diag.ndim) * diag)
+
+    def _evolve(self, phases: np.ndarray) -> np.ndarray:
+        """Final states of every row for per-row phases of shape (B, ..., 2^n)."""
+        psi = np.broadcast_to(self.psi0, phases.shape).copy()
+        for layer in range(self.depths[0]):
+            rows = self._active(layer)
+            psi[:rows] = self._apply_blocks(phases[:rows] * psi[:rows], self._transverse)
+        return psi
+
     def costs(self, flat_matrix: np.ndarray) -> np.ndarray:
         """Costs for each column of a (param_count, M) matrix of flattened parameters."""
-        diag = self.columns @ flat_matrix
-        total = np.zeros(flat_matrix.shape[1])
-        for depth, d_eff, transverse, bra in self._per_sample:
-            phases = np.exp(-1j * d_eff * diag)
-            psi = np.broadcast_to(self.psi0[:, None], phases.shape).copy()
-            for _ in range(depth):
-                psi = transverse @ (phases * psi)
-            total += np.minimum(np.abs(bra @ psi) ** 2, 1.0)
-        return -total / self.batch_size
+        psi = self._evolve(self._phases((self.columns @ flat_matrix).T))
+        overlaps = np.einsum("bn,bmn->bm", self.bras, psi)
+        return -np.minimum(np.abs(overlaps) ** 2, 1.0).sum(axis=0) / self.batch_size
 
     def cost(self, flat: np.ndarray) -> float:
         return float(self.costs(np.asarray(flat, dtype=np.float64)[:, None])[0])
 
     def gradient(self, flat: np.ndarray, fd_step: float) -> np.ndarray:
-        """Central differences, all 2P probes evaluated as one batch."""
-        p = flat.size
-        probes = np.repeat(flat[:, None], 2 * p, axis=1)
-        probes[np.arange(p), np.arange(p)] += fd_step
-        probes[np.arange(p), p + np.arange(p)] -= fd_step
-        c = self.costs(probes)
-        return (c[:p] - c[p:]) / (2 * fd_step)
+        """Exact gradient of ``cost`` by one forward and one backward pass.
+
+        With a_b = <phi_b|psi_L>, chi_l the state after layer l's phases and
+        lambda_l the bra carried back to the same point, the gradient is
+        -(1/B) sum_b 2 Re(conj(a_b) (-i d_b) columns.T g_b) with
+        g_b = sum_l conj(lambda_l) * chi_l. ``fd_step`` is unused; it stays
+        in the signature because the benchmark's kernel scan passes
+        ``TrainConfig.fd_step``.
+        """
+        phases = self._phases(self.columns @ np.asarray(flat, dtype=np.float64))
+        psi = self._evolve(phases)
+        overlaps = np.einsum("bn,bn->b", self.bras, psi)
+        # row b holds [state, bra as a ket], both walked back one layer at a time
+        pair = np.stack([psi, self.bras.conj()], axis=1)
+        back = phases.conj()[:, None]
+        g = np.zeros_like(psi)
+        for layer in range(self.depths[0] - 1, -1, -1):
+            rows = self._active(layer)
+            chi = self._apply_blocks(pair[:rows], self._inverse)
+            g[:rows] += chi[:, 1].conj() * chi[:, 0]
+            pair[:rows] = back[:rows] * chi
+        weights = overlaps.conj() * (-1j * self.steps)
+        return -2.0 * np.real((weights @ g) @ self.columns) / self.batch_size
 
 
 @dataclass

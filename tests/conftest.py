@@ -7,6 +7,9 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from qgrnn.ansatz import AnsatzParams
+from qgrnn.training import batch_cost
+
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 IDENTITY = np.eye(2)
@@ -54,6 +57,30 @@ def fine_trotter_evolve(h: np.ndarray, psi: np.ndarray, t: float, dt: float = 1e
     transverse = reduce(np.kron, [rx] * n)
     step = half @ transverse @ half
     return np.linalg.matrix_power(step, steps) @ psi
+
+
+def grad_central(params, initial, samples, delta: float, fd_step: float) -> np.ndarray:
+    """Central finite-difference gradient of batch_cost over the flattened parameters."""
+    if fd_step <= 0:
+        raise ValueError("fd_step must be > 0")
+    flat = params.flatten()
+    n = params.node_count
+    grad = np.empty(flat.size)
+    for k in range(flat.size):
+        bumped = flat.copy()
+        bumped[k] += fd_step
+        c_plus = batch_cost(AnsatzParams.from_flat(n, bumped), initial, samples, delta)
+        bumped[k] -= 2 * fd_step
+        c_minus = batch_cost(AnsatzParams.from_flat(n, bumped), initial, samples, delta)
+        grad[k] = (c_plus - c_minus) / (2 * fd_step)
+    return grad
+
+
+def grad_richardson(params, initial, samples, delta: float, fd_step: float = 1e-3) -> np.ndarray:
+    """Richardson extrapolation (4 g(h/2) - g(h)) / 3 of grad_central, which cancels its h^2 error."""
+    coarse = grad_central(params, initial, samples, delta, fd_step)
+    fine = grad_central(params, initial, samples, delta, fd_step / 2)
+    return (4 * fine - coarse) / 3
 
 
 def random_state_array(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -61,6 +62,31 @@ class TestConfigValidation:
         assert hide(dict_file, tmp_path / "out", *flags) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+    def test_fd_step_is_not_an_option(self, tmp_path, dict_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            hide(dict_file, tmp_path / "flag", "--fd-step", "1e-3")
+        assert exit_info.value.code == 2
+        assert "--fd-step" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fd_step": 1e-3}))
+        assert hide(dict_file, tmp_path / "file", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config keys") and "fd_step" in err
+
+    def test_huge_archive_time_fails_fast(self, tmp_path, dict_file, capsys):
+        assert hide(dict_file, tmp_path / "hide") == 0
+        archive = tmp_path / "hide" / "archive.json"
+        payload = json.loads(archive.read_text())
+        payload["t_max"] = payload["samples"][0]["t"] = 1e9
+        archive.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        code = cli.main(["reveal", "--archive", str(archive), "--dict", str(dict_file),
+                         "--out", str(tmp_path / "reveal")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "layers" in err
 
     def test_bad_archive_time_is_an_error(self, tmp_path, dict_file, capsys):
         assert hide(dict_file, tmp_path / "hide") == 0

@@ -5,6 +5,7 @@ from qgrnn.ansatz import AnsatzParams, apply_qgrnn
 from qgrnn.ising import draw_times, random_complete_graph, sample_evolution, TimeEvolvedSample
 from qgrnn.statevector import StateVector, basis_state, random_state
 from qgrnn.training import (
+    MAX_LAYERS,
     AdamState,
     CostEvaluator,
     TrainConfig,
@@ -12,12 +13,11 @@ from qgrnn.training import (
     batch_cost,
     fidelity_direct,
     fidelity_swap_test,
-    grad_central,
     initial_params,
     train_qgrnn,
 )
 
-from conftest import random_state_array
+from conftest import grad_central, grad_richardson, random_state_array
 
 
 def make_instance(n, seed, node_scale=5.0, batch=15, t_max=0.5):
@@ -148,9 +148,69 @@ class TestCostEvaluator:
         evaluator = CostEvaluator(initial, samples, 0.02)
         rng = np.random.default_rng(17)
         params = AnsatzParams(2, rng.uniform(-1, 1, 1), rng.uniform(0, 5, 2))
-        reference = grad_central(params, initial, samples, 0.02, 1e-3)
+        reference = grad_richardson(params, initial, samples, 0.02)
         fast = evaluator.gradient(params.flatten(), 1e-3)
         assert np.max(np.abs(fast - reference)) <= 1e-10
+
+
+def retained_arrays(obj) -> list[np.ndarray]:
+    """Every numpy array an object holds in its attributes, directly or in dicts, lists and tuples."""
+    found, stack = [], list(vars(obj).values())
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+    return found
+
+
+class TestAdjointKernel:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "times", [(0.31, 0.012, 0.47, 0.137), (0.26,)], ids=["mixed-depths", "one-sample"]
+    )
+    def test_matches_references(self, n, times):
+        # the mixed batch has depths 31, 1, 47 and 14 at delta 0.01: unsorted, and
+        # every row but the deepest starts late
+        rng = np.random.default_rng(30 + n)
+        graph = random_complete_graph(rng.uniform(-4, 5, n), rng)
+        initial = random_state(n, 40 + n)
+        samples = sample_evolution(graph, initial, np.array(times))
+        evaluator = CostEvaluator(initial, samples, 0.01)
+        params = AnsatzParams.from_flat(n, rng.uniform(-1, 1, n * (n + 1) // 2))
+        flat = params.flatten()
+        assert abs(evaluator.cost(flat) - batch_cost(params, initial, samples, 0.01)) <= 1e-12
+        oracle = grad_richardson(params, initial, samples, 0.01)
+        assert np.max(np.abs(evaluator.gradient(flat, 1e-3) - oracle)) <= 1e-10
+
+    def test_costs_evaluates_each_column(self):
+        _, initial, samples = make_instance(3, 26, batch=5)
+        evaluator = CostEvaluator(initial, samples, 0.01)
+        rng = np.random.default_rng(27)
+        flat_matrix = rng.uniform(-1, 1, (evaluator.param_count, 3))
+        costs = evaluator.costs(flat_matrix)
+        assert costs.shape == (3,)
+        for column, cost in zip(flat_matrix.T, costs):
+            reference = batch_cost(AnsatzParams.from_flat(3, column), initial, samples, 0.01)
+            assert abs(cost - reference) <= 1e-12
+
+    def test_retains_no_dense_matrix(self):
+        # a dense transverse matrix per sample would hold 15 x 4^8 entries, 15.7 MB
+        _, initial, samples = make_instance(8, 28, batch=15)
+        arrays = retained_arrays(CostEvaluator(initial, samples, 0.01))
+        assert sum(a.nbytes for a in arrays) <= 500_000
+        assert max(a.size for a in arrays) < 4**8
+
+    def test_bounds_the_layer_count(self):
+        _, initial, samples = make_instance(2, 29, batch=1)
+        state = samples[0].state
+        CostEvaluator(initial, [TimeEvolvedSample(MAX_LAYERS * 0.01, state)], 0.01)
+        for t in ((MAX_LAYERS + 1) * 0.01, 1e9):
+            with pytest.raises(ValueError, match="layers"):
+                CostEvaluator(initial, [TimeEvolvedSample(t, state)], 0.01)
 
 
 class TestAdamStep:
