@@ -1,9 +1,9 @@
 """Graph-embedded feature reconstruction from quantum time evolution, plus information hiding."""
 
 from .statevector import StateVector, basis_state, random_state
-from .ising import IsingGraph, TimeEvolvedSample, build_hamiltonian, evolve_exact, sample_evolution
+from .ising import IsingGraph, TimeEvolvedSample, sample_evolution
 from .ansatz import AnsatzParams, apply_qgrnn, apply_trotter_layer
-from .training import TrainConfig, TrainResult, batch_cost, fidelity_direct, fidelity_swap_test, train_qgrnn
+from .training import TrainConfig, TrainResult, fidelity_direct, fidelity_swap_test, train_qgrnn
 from .metrics import MetricReport, evaluate
 
 __version__ = "0.1.0"
@@ -14,15 +14,12 @@ __all__ = [
     "random_state",
     "IsingGraph",
     "TimeEvolvedSample",
-    "build_hamiltonian",
-    "evolve_exact",
     "sample_evolution",
     "AnsatzParams",
     "apply_qgrnn",
     "apply_trotter_layer",
     "TrainConfig",
     "TrainResult",
-    "batch_cost",
     "fidelity_direct",
     "fidelity_swap_test",
     "train_qgrnn",

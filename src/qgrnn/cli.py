@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import classifiers, seeding
+from .ansatz import AnsatzParams
 from .datasets import (
-    Dataset,
     bundled_iris_path,
     load_iris_csv,
     load_mnist_idx,
@@ -33,7 +33,7 @@ from .hiding import (
     reveal_message,
     save_archive,
 )
-from .ising import build_hamiltonian
+from .ising import complete_pairs
 from .pipeline import DEFAULT_IRIS_ROWS, DEFAULT_RESTARTS, reconstruct_sample
 from .training import TrainConfig
 
@@ -185,16 +185,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             sample_dir / "result.json",
         )
         _write_csv(sample_dir / "cost_history.csv", "epoch,cost", outcome.train_result.cost_history)
-        target = build_hamiltonian(outcome.target_graph).real
-        learned = build_hamiltonian(outcome.train_result.learned_params.to_graph()).real
+        n = outcome.actual.size
+        terms = [f"Z{i}Z{j}" for i, j in complete_pairs(n)] + [f"Z{i}" for i in range(n)]
+        target = AnsatzParams.from_graph(outcome.target_graph).flatten()
+        learned = outcome.train_result.learned_params.flatten()
         _write_csv(
-            sample_dir / "hamiltonian.csv",
-            "row,col,target,learned",
-            (
-                (r, c, float(target[r, c]), float(learned[r, c]))
-                for r in range(target.shape[0])
-                for c in range(target.shape[1])
-            ),
+            sample_dir / "coefficients.csv",
+            "term,target,learned",
+            zip(terms, target.tolist(), learned.tolist()),
         )
         print(
             f"sample {i}: mse={outcome.report.mse:.6f} cosine={outcome.report.cosine:.6f} "
@@ -320,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         "reconstruct",
         help="embed dataset features and learn them back",
         epilog="Writes per sample: result.json, cost_history.csv (epoch,cost), "
-        "hamiltonian.csv (row,col,target,learned; row-major real parts).",
+        "coefficients.csv (term,target,learned; one row per Hamiltonian coefficient, "
+        "the ZZ couplings then the Z node weights).",
     )
     _add_common(p)
     _add_dataset(p)

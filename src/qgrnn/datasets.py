@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .ising import hermitian_eigendecompose
 
 MNIST_IMAGE_MAGIC = 2051
 MNIST_LABEL_MAGIC = 2049
@@ -156,6 +155,9 @@ class PcaModel:
 def pca_fit(features, k: int) -> PcaModel:
     """Principal components from the sample covariance (divisor N - 1).
 
+    The covariance is symmetric by construction, so ``np.linalg.eigh``
+    decomposes it directly.
+
     Components are ordered by descending eigenvalue; each component's
     largest-magnitude entry is made positive so the fit is deterministic.
     """
@@ -167,9 +169,9 @@ def pca_fit(features, k: int) -> PcaModel:
     mean = x.mean(axis=0)
     centered = x - mean
     cov = (centered.T @ centered) / (x.shape[0] - 1)
-    eigenvalues, eigenvectors = hermitian_eigendecompose(cov)
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1][:k]
-    components = np.real(eigenvectors[:, order].T).copy()
+    components = eigenvectors[:, order].T.copy()
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .ising import TimeEvolvedSample
-from .pipeline import ACCEPT_COST, DEFAULT_RESTARTS, embed_and_sample, learn_from_states
+from .pipeline import ACCEPT_COST, DEFAULT_RESTARTS, MAX_QUBITS, embed_and_sample, learn_from_states
 from .statevector import StateVector
 from .training import TrainConfig, TrainResult
 
@@ -159,7 +159,7 @@ def _sample_from_dict(sample, node_count: int, t_max: float, path) -> TimeEvolve
 
 
 def load_archive(path) -> StateArchive:
-    """Read and validate an archive: shapes, norms, t_max and every sample time t."""
+    """Read and validate an archive: node_count (up to MAX_QUBITS), shapes, norms, t_max, times."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -171,6 +171,10 @@ def load_archive(path) -> StateArchive:
         )
     try:
         node_count = int(payload["node_count"])
+        if not 1 <= node_count <= MAX_QUBITS:
+            raise ArchiveFormatError(
+                f"{path}: node_count must lie in [1, {MAX_QUBITS}], got {node_count}"
+            )
         t_max = float(payload["t_max"])
         if not (math.isfinite(t_max) and t_max > 0):
             raise ArchiveFormatError(f"{path}: t_max must be finite and > 0, got {t_max}")

@@ -13,6 +13,11 @@ from .training import TrainConfig, TrainResult, linear_inversion_start, train_qg
 
 DEFAULT_RESTARTS = 10
 ACCEPT_COST = -0.99
+# Largest register accepted from user data. At 14 qubits the largest arrays are
+# the least-squares system of linear_inversion_start, 2 * 2^14 x 105 float64
+# (27.5 MB), and its complex design matrix; a training attempt peaks near 70 MB
+# and an epoch takes about 0.8 s on 2 cores. Each further qubit doubles both.
+MAX_QUBITS = 14
 
 # Rows used by default for the Iris demonstration: two correctly-classified
 # samples per class, spread across the feature range.
@@ -25,9 +30,15 @@ def embed_and_sample(
     """Embed weights into a complete graph and generate the evolution data.
 
     Edge couplings, the initial state, and the evolution times come from
-    independent streams derived from ``config.seed``.
+    independent streams derived from ``config.seed``. More than
+    ``MAX_QUBITS`` weights are rejected before any 2^n array exists.
     """
     weights = np.asarray(node_weights, dtype=np.float64)
+    if weights.size > MAX_QUBITS:
+        raise ValueError(
+            f"{weights.size} node weights need a {weights.size}-qubit register, "
+            f"more than the limit of {MAX_QUBITS}"
+        )
     graph = random_complete_graph(weights, seeding.derive_rng(config.seed, seeding.EDGE_WEIGHTS))
     initial = random_state(weights.size, seeding.derive_seed(config.seed, seeding.INITIAL_STATE))
     times = draw_times(

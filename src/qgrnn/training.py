@@ -16,8 +16,8 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import seeding
-from .ansatz import AnsatzParams, apply_qgrnn, coupling_columns, layer_count, transverse_layer_matrix
-from .ising import TimeEvolvedSample
+from .ansatz import AnsatzParams, coupling_columns, layer_count, transverse_layer_matrix
+from .ising import TimeEvolvedSample, apply_hamiltonian
 from .statevector import (
     StateVector,
     apply_cswap,
@@ -45,7 +45,9 @@ class TrainConfig:
     random draws of the fallback restarts. ``node_init_low/high`` default to
     the shared init range; pipelines that know the embedding range of the
     node weights set them to that range, which is where the fallback draws
-    then search. Every field is type- and range-checked on construction.
+    then search. Every field is type- and range-checked on construction,
+    and ``t_max`` may need at most ``MAX_LAYERS`` layers of ``trotter_delta``,
+    so a run that could not finish fails before any data is generated.
 
     ``fd_step`` is not used by training, whose gradient is exact. It stays
     because the benchmark's kernel scan passes it to
@@ -86,6 +88,14 @@ class TrainConfig:
         for name in ("adam_beta1", "adam_beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must lie in [0, 1)")
+        # t_max / trotter_delta can overflow to inf, which layer_count cannot round
+        if math.isinf(self.t_max / self.trotter_delta) or (
+            layer_count(self.t_max, self.trotter_delta) > MAX_LAYERS
+        ):
+            raise ValueError(
+                f"t_max {self.t_max:g} needs more than {MAX_LAYERS} layers of step "
+                f"{self.trotter_delta:g}"
+            )
         if self.init_low >= self.init_high:
             raise ValueError("init_low must be < init_high")
         low, high = self.node_init_range
@@ -141,24 +151,6 @@ def _check_batch(initial: StateVector, samples) -> None:
             raise ValueError(
                 f"sample state has {s.state.qubit_count} qubits, initial has {initial.qubit_count}"
             )
-
-
-def batch_cost(
-    params: AnsatzParams,
-    initial: StateVector,
-    samples: list[TimeEvolvedSample],
-    delta: float,
-) -> float:
-    """Average negative fidelity between evolved samples and circuit outputs.
-
-    Reference implementation: one circuit run per sample. The training loop
-    evaluates the same quantity through CostEvaluator.
-    """
-    _check_batch(initial, samples)
-    total = 0.0
-    for s in samples:
-        total += fidelity_direct(s.state, apply_qgrnn(initial, params, s.time, delta))
-    return -total / len(samples)
 
 
 class CostEvaluator:
@@ -339,9 +331,8 @@ def linear_inversion_start(
     vandermonde = (times / scale)[:, None] ** np.arange(1, degree + 1)
     drift = np.array([s.state.amplitudes for s in samples]) - psi0
     slope = np.linalg.lstsq(vandermonde, drift, rcond=None)[0][0] / scale
-    idx = np.arange(psi0.size)
-    transverse = sum(psi0[idx ^ (1 << q)] for q in range(n))
-    rhs = 1j * slope - transverse
+    # a zero diagonal leaves the unit transverse field alone
+    rhs = 1j * slope - apply_hamiltonian(np.zeros(psi0.size), psi0)
     design = coupling_columns(n) * psi0[:, None]
     return np.linalg.lstsq(
         np.vstack([design.real, design.imag]), np.concatenate([rhs.real, rhs.imag]), rcond=None

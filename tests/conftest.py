@@ -7,12 +7,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qgrnn.ansatz import AnsatzParams
-from qgrnn.training import batch_cost
+from qgrnn.ansatz import AnsatzParams, apply_qgrnn
+from qgrnn.training import fidelity_direct
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 IDENTITY = np.eye(2)
+HERMITIAN_TOL = 1e-10
 
 
 def kron_operator(n: int, site_mats: dict[int, np.ndarray]) -> np.ndarray:
@@ -30,6 +31,31 @@ def kron_hamiltonian(n: int, edges: dict[tuple[int, int], float], node_weights) 
         h += w * kron_operator(n, {q: PAULI_Z})
         h += kron_operator(n, {q: PAULI_X})
     return h
+
+
+def graph_hamiltonian(graph) -> np.ndarray:
+    """kron_hamiltonian of an IsingGraph."""
+    return kron_hamiltonian(graph.node_count, graph.edge_weights, graph.node_weights)
+
+
+def hermitian_eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
+    h = np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return np.linalg.eigh(h)
+
+
+def eigh_evolve(graph, psi: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t H) psi through a full eigendecomposition of the dense kron_hamiltonian of graph."""
+    if np.shape(psi) != (1 << graph.node_count,):
+        raise ValueError(f"state shape {np.shape(psi)} does not fit {graph.node_count} qubits")
+    if t < 0:
+        raise ValueError(f"time must be >= 0, got {t}")
+    vals, vecs = hermitian_eigendecompose(graph_hamiltonian(graph))
+    return vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ psi))
 
 
 def split_diagonal_transverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -57,6 +83,19 @@ def fine_trotter_evolve(h: np.ndarray, psi: np.ndarray, t: float, dt: float = 1e
     transverse = reduce(np.kron, [rx] * n)
     step = half @ transverse @ half
     return np.linalg.matrix_power(step, steps) @ psi
+
+
+def batch_cost(params, initial, samples, delta: float) -> float:
+    """Average negative fidelity between the samples and apply_qgrnn outputs, one circuit per sample.
+
+    The reference for CostEvaluator.cost.
+    """
+    if not samples:
+        raise ValueError("sample batch is empty")
+    total = 0.0
+    for s in samples:
+        total += fidelity_direct(s.state, apply_qgrnn(initial, params, s.time, delta))
+    return -total / len(samples)
 
 
 def grad_central(params, initial, samples, delta: float, fd_step: float) -> np.ndarray:

@@ -9,10 +9,10 @@ from qgrnn.ansatz import (
     coupling_columns,
     layer_count,
 )
-from qgrnn.ising import build_hamiltonian, evolve_exact, random_complete_graph
+from qgrnn.ising import random_complete_graph
 from qgrnn.statevector import StateVector, apply_rx, random_state
 
-from conftest import fidelity, split_diagonal_transverse
+from conftest import eigh_evolve, fidelity, graph_hamiltonian, split_diagonal_transverse
 
 
 def random_params(n, seed, node_scale=5.0):
@@ -75,7 +75,7 @@ class TestTrotterLayer:
         state = random_state(3, 7)
         delta = 0.05
         diagonal, transverse = split_diagonal_transverse(
-            build_hamiltonian(params.to_graph())
+            graph_hamiltonian(params.to_graph())
         )
         expected = (
             scipy.linalg.expm(-1j * delta * transverse)
@@ -132,9 +132,9 @@ class TestApplyQgrnn:
         graph = random_complete_graph(rng.uniform(0, 5, 3), rng)
         params = AnsatzParams.from_graph(graph)
         state = random_state(3, 13)
-        exact = evolve_exact(build_hamiltonian(graph), state, 0.5)
+        exact = eigh_evolve(graph, state.amplitudes, 0.5)
         approx = apply_qgrnn(state, params, 0.5, 1e-4)
-        assert fidelity(approx.amplitudes, exact.amplitudes) >= 1 - 1e-6
+        assert fidelity(approx.amplitudes, exact) >= 1 - 1e-6
 
     def test_nonpositive_time(self):
         with pytest.raises(ValueError):
@@ -151,11 +151,11 @@ class TestTrotterConvergence:
         graph = random_complete_graph(rng.uniform(0, 5, 4), rng)
         params = AnsatzParams.from_graph(graph)
         state = random_state(4, 15)
-        exact = evolve_exact(build_hamiltonian(graph), state, 0.5)
+        exact = eigh_evolve(graph, state.amplitudes, 0.5)
         deficits = []
         for delta in (0.04, 0.02, 0.01, 0.005):
             approx = apply_qgrnn(state, params, 0.5, delta)
-            deficits.append(1.0 - fidelity(approx.amplitudes, exact.amplitudes))
+            deficits.append(1.0 - fidelity(approx.amplitudes, exact))
         assert all(a - b > -1e-12 for a, b in zip(deficits, deficits[1:]))
 
     def test_high_fidelity_at_default_step(self):
@@ -164,9 +164,9 @@ class TestTrotterConvergence:
             graph = random_complete_graph(rng.uniform(0, 5, n), rng)
             params = AnsatzParams.from_graph(graph)
             state = random_state(n, 200 + n)
-            exact = evolve_exact(build_hamiltonian(graph), state, 0.5)
+            exact = eigh_evolve(graph, state.amplitudes, 0.5)
             approx = apply_qgrnn(state, params, 0.5, 0.01)
-            assert fidelity(approx.amplitudes, exact.amplitudes) >= 0.999
+            assert fidelity(approx.amplitudes, exact) >= 0.999
 
     def test_deterministic_and_norm_preserving(self):
         params = random_params(3, 16)
@@ -180,7 +180,7 @@ class TestTrotterConvergence:
 class TestCouplingColumns:
     def test_diagonal_reconstruction(self):
         params = random_params(3, 18)
-        diagonal, _ = split_diagonal_transverse(build_hamiltonian(params.to_graph()))
+        diagonal, _ = split_diagonal_transverse(graph_hamiltonian(params.to_graph()))
         assert np.allclose(
             coupling_columns(3) @ params.flatten(), np.real(np.diag(diagonal)), atol=1e-12
         )

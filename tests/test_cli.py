@@ -1,9 +1,13 @@
+import csv
 import json
 import time
 
 import pytest
 
 from qgrnn import cli
+from qgrnn.ansatz import AnsatzParams
+from qgrnn.pipeline import embed_and_sample
+from qgrnn.training import TrainConfig
 
 WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet")
 
@@ -98,6 +102,54 @@ class TestConfigValidation:
                          "--out", str(tmp_path / "reveal")])
         assert code == 1
         assert "sample time t" in capsys.readouterr().err
+
+
+def fails_fast(capsys, argv, field):
+    start = time.perf_counter()
+    code = cli.main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+class TestFailFast:
+    def test_hide_rejects_a_t_max_beyond_the_layer_limit(self, tmp_path, dict_file, capsys):
+        fails_fast(capsys, ["hide", "--seed", "4", "--message", "golf charlie", "--dict",
+                            str(dict_file), "--out", str(tmp_path), "--t-max", "1e9"], "t_max")
+        assert not (tmp_path / "archive.json").exists()
+
+    def test_reconstruct_rejects_a_t_max_beyond_the_layer_limit(self, tmp_path, capsys):
+        fails_fast(capsys, ["reconstruct", "--samples", "18", "--out", str(tmp_path),
+                            "--t-max", "1e9"], "t_max")
+        assert not list(tmp_path.glob("sample_*"))
+
+    def test_hide_rejects_a_register_beyond_the_qubit_limit(self, tmp_path, dict_file, capsys):
+        message = " ".join(WORDS * 2)
+        fails_fast(capsys, ["hide", "--message", message, "--dict", str(dict_file),
+                            "--out", str(tmp_path)], "limit")
+        assert not (tmp_path / "archive.json").exists()
+
+
+class TestReconstructOutput:
+    def test_coefficients_csv(self, tmp_path):
+        code = cli.main(["reconstruct", "--samples", "18", "--epochs", "2", "--restarts", "1",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        sample_dir = tmp_path / "sample_00018"
+        assert not (sample_dir / "hamiltonian.csv").exists()
+        with open(sample_dir / "coefficients.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        # P = n(n + 1) / 2 rows for the 4 Iris features: 6 couplings, then 4 node weights
+        assert [r["term"] for r in rows] == [
+            "Z0Z1", "Z0Z2", "Z0Z3", "Z1Z2", "Z1Z3", "Z2Z3", "Z0", "Z1", "Z2", "Z3"
+        ]
+        result = json.loads((sample_dir / "result.json").read_text())
+        graph, _, _ = embed_and_sample(result["actual"], TrainConfig(seed=result["seed"]))
+        target = AnsatzParams.from_graph(graph).flatten()
+        assert [float(r["target"]) for r in rows] == target.tolist()
+        assert [float(r["target"]) for r in rows[6:]] == result["actual"]
+        assert [float(r["learned"]) for r in rows[6:]] == result["predicted"]
 
 
 class TestDeterminism:

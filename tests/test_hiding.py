@@ -13,6 +13,7 @@ from qgrnn.hiding import (
     reveal_message,
     save_archive,
 )
+from qgrnn.pipeline import MAX_QUBITS
 from qgrnn.training import TrainConfig
 
 WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet")
@@ -91,6 +92,14 @@ class TestLoadArchive:
         payload = valid_payload(dictionary, tmp_path)
         payload["samples"][0]["t"] = payload["t_max"]
         assert load_payload(payload, tmp_path).samples[0].time == payload["t_max"]
+
+    @pytest.mark.parametrize("node_count", [0, -3, MAX_QUBITS + 1, 10**9])
+    def test_rejects_node_count_outside_the_register_limit(self, dictionary, tmp_path, node_count):
+        payload = valid_payload(dictionary, tmp_path)
+        payload["node_count"] = node_count
+        # the message, not the path (tmp_path holds the test name), must name the field
+        with pytest.raises(ArchiveFormatError, match="node_count must lie in"):
+            load_payload(payload, tmp_path)
 
     def test_rejects_empty_samples(self, dictionary, tmp_path):
         payload = valid_payload(dictionary, tmp_path)

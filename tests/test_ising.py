@@ -1,24 +1,43 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qgrnn.ising import (
-    ExactEvolver,
     IsingGraph,
-    build_hamiltonian,
+    apply_hamiltonian,
     draw_times,
-    evolve_exact,
-    hermitian_eigendecompose,
+    hamiltonian_diagonal,
     random_complete_graph,
     sample_evolution,
 )
-from qgrnn.statevector import StateVector, basis_state, random_state
+from qgrnn.statevector import basis_state, random_state
 
-from conftest import fidelity, fine_trotter_evolve, kron_hamiltonian, random_state_array
+from conftest import (
+    eigh_evolve,
+    fidelity,
+    fine_trotter_evolve,
+    graph_hamiltonian,
+    hermitian_eigendecompose,
+    kron_hamiltonian,
+    random_state_array,
+)
 
 
 def random_graph(n, seed):
     rng = np.random.default_rng(seed)
     return random_complete_graph(rng.uniform(0, 5, n), rng)
+
+
+def action_matrix(graph):
+    """The matrix of apply_hamiltonian, one basis vector per column."""
+    diag = hamiltonian_diagonal(graph)
+    basis = np.eye(1 << graph.node_count, dtype=complex)
+    return np.column_stack([apply_hamiltonian(diag, e) for e in basis])
+
+
+def evolve(graph, state, t):
+    return sample_evolution(graph, state, [t])[0].state
 
 
 class TestIsingGraph:
@@ -36,12 +55,14 @@ class TestIsingGraph:
 
 
 class TestBuildHamiltonian:
+    """The Hamiltonian as apply_hamiltonian applies it."""
+
     def test_single_node_is_pauli_x(self):
-        h = build_hamiltonian(IsingGraph(1, [0.0]))
+        h = action_matrix(IsingGraph(1, [0.0]))
         assert np.allclose(h, [[0, 1], [1, 0]])
 
     def test_two_node_coupling(self):
-        h = build_hamiltonian(IsingGraph(2, [0.0, 0.0], {(0, 1): 1.0}))
+        h = action_matrix(IsingGraph(2, [0.0, 0.0], {(0, 1): 1.0}))
         expected = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         expected += np.kron(np.eye(2), x) + np.kron(x, np.eye(2))
@@ -50,15 +71,17 @@ class TestBuildHamiltonian:
     def test_matches_kronecker_oracle(self):
         graph = random_graph(3, 7)
         oracle = kron_hamiltonian(3, graph.edge_weights, graph.node_weights)
-        assert np.allclose(build_hamiltonian(graph), oracle, atol=1e-12)
+        assert np.allclose(action_matrix(graph), oracle, atol=1e-12)
 
     def test_hermitian_and_real(self):
-        h = build_hamiltonian(random_graph(3, 11))
+        h = action_matrix(random_graph(3, 11))
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
         assert np.max(np.abs(h.imag)) <= 1e-15
 
 
 class TestEigendecompose:
+    """The eigendecomposition under the eigh_evolve oracle."""
+
     def test_diagonal_matrix(self):
         vals, vecs = hermitian_eigendecompose(np.diag([2.0, -1.0]).astype(complex))
         assert np.allclose(vals, [-1.0, 2.0])
@@ -86,32 +109,33 @@ class TestEigendecompose:
 
 
 class TestEvolveExact:
+    """The eigh_evolve oracle against independent references."""
+
     def test_zero_time_identity(self):
         graph = random_graph(2, 1)
         state = random_state(2, 2)
-        out = evolve_exact(build_hamiltonian(graph), state, 0.0)
-        assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-12)
+        out = eigh_evolve(graph, state.amplitudes, 0.0)
+        assert np.allclose(out, state.amplitudes, atol=1e-12)
 
     def test_rabi_rotation(self):
-        h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        out = evolve_exact(h, basis_state(1), np.pi / 2)
-        assert np.allclose(out.amplitudes, [0, -1j], atol=1e-9)
+        # one node of weight zero leaves H = X
+        out = eigh_evolve(IsingGraph(1, [0.0]), basis_state(1).amplitudes, np.pi / 2)
+        assert np.allclose(out, [0, -1j], atol=1e-9)
 
     def test_matches_fine_trotter_reference(self):
         graph = random_graph(3, 13)
-        h = build_hamiltonian(graph)
         psi = random_state_array(np.random.default_rng(3), 3)
-        out = evolve_exact(h, StateVector(3, psi), 0.3)
-        reference = fine_trotter_evolve(h, psi, 0.3)
-        assert 1.0 - fidelity(out.amplitudes, reference) <= 1e-6
+        out = eigh_evolve(graph, psi, 0.3)
+        reference = fine_trotter_evolve(graph_hamiltonian(graph), psi, 0.3)
+        assert 1.0 - fidelity(out, reference) <= 1e-6
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            evolve_exact(np.eye(4), basis_state(1), 0.1)
+            eigh_evolve(random_graph(2, 1), basis_state(1).amplitudes, 0.1)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            evolve_exact(np.eye(2), basis_state(1), -0.1)
+            eigh_evolve(IsingGraph(1, [0.0]), basis_state(1).amplitudes, -0.1)
 
 
 class TestSampleEvolution:
@@ -132,13 +156,54 @@ class TestSampleEvolution:
             assert 0 < s.time <= 0.5
             assert abs(np.linalg.norm(s.state.amplitudes) - 1.0) < 1e-9
 
-    def test_consistent_with_evolve_exact(self):
+    def test_consistent_with_eigh_oracle(self):
         graph = random_graph(2, 9)
         state = random_state(2, 10)
-        h = build_hamiltonian(graph)
         for s in sample_evolution(graph, state, [0.1, 0.25]):
-            direct = evolve_exact(h, state, s.time)
-            assert np.allclose(s.state.amplitudes, direct.amplitudes, atol=1e-12)
+            direct = eigh_evolve(graph, state.amplitudes, s.time)
+            assert np.allclose(s.state.amplitudes, direct, atol=1e-12)
+
+    def test_rabi_rotation(self):
+        # a zero diagonal leaves H = X, so the step count rests on the transverse field alone
+        out = evolve(IsingGraph(1, [0.0]), basis_state(1), np.pi / 2)
+        assert np.allclose(out.amplitudes, [0, -1j], atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_eigh_oracle(self, n):
+        # node weights over the dictionary range, times up to four default t_max
+        rng = np.random.default_rng(50 + n)
+        graph = random_complete_graph(rng.uniform(-4.0, 5.0, n), rng)
+        state = random_state(n, 60 + n)
+        times = draw_times(15, 2.0, rng)
+        for s in sample_evolution(graph, state, times):
+            oracle = eigh_evolve(graph, state.amplitudes, s.time)
+            assert np.max(np.abs(s.state.amplitudes - oracle)) <= 1e-12
+
+    def test_input_order_repeats_and_zero(self):
+        graph = random_graph(3, 14)
+        state = random_state(3, 15)
+        times = [0.4, 0.0, 0.15, 0.4, 0.05, 0.0]
+        samples = sample_evolution(graph, state, times)
+        assert [s.time for s in samples] == times
+        for s in samples:
+            oracle = eigh_evolve(graph, state.amplitudes, s.time)
+            assert np.max(np.abs(s.state.amplitudes - oracle)) <= 1e-12
+        assert np.array_equal(samples[0].state.amplitudes, samples[3].state.amplitudes)
+        assert np.array_equal(samples[1].state.amplitudes, state.amplitudes)
+
+    def test_memory_is_linear_in_the_state(self):
+        # a dense 2^10 x 2^10 Hamiltonian alone would take 16.8 MB
+        rng = np.random.default_rng(16)
+        graph = random_complete_graph(rng.uniform(-4.0, 5.0, 10), rng)
+        state = random_state(10, 17)
+        times = draw_times(15, 0.5, rng)
+        tracemalloc.start()
+        try:
+            sample_evolution(graph, state, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -151,28 +216,27 @@ class TestSampleEvolution:
 
 class TestEvolutionProperties:
     def test_unitary(self):
-        evolver = ExactEvolver(build_hamiltonian(random_graph(3, 21)))
+        graph = random_graph(3, 21)
         state = random_state(3, 22)
         for t in (0.1, 0.5, 2.0):
-            out = evolver.evolve(state, t)
+            out = evolve(graph, state, t)
             assert abs(fidelity(out.amplitudes, out.amplitudes) - 1.0) < 1e-9
 
     def test_energy_conserved(self):
         graph = random_graph(3, 31)
-        h = build_hamiltonian(graph)
-        evolver = ExactEvolver(h)
+        h = graph_hamiltonian(graph)
         state = random_state(3, 32)
         initial_energy = np.real(np.vdot(state.amplitudes, h @ state.amplitudes))
         for t in (0.07, 0.31, 0.5):
-            psi = evolver.evolve(state, t).amplitudes
+            psi = evolve(graph, state, t).amplitudes
             energy = np.real(np.vdot(psi, h @ psi))
             assert abs(energy - initial_energy) <= 1e-8
 
     def test_composition(self):
-        h = build_hamiltonian(random_graph(2, 41))
+        graph = random_graph(2, 41)
         state = random_state(2, 42)
-        once = evolve_exact(h, state, 0.45)
-        stepped = evolve_exact(h, evolve_exact(h, state, 0.2), 0.25)
+        once = evolve(graph, state, 0.45)
+        stepped = evolve(graph, evolve(graph, state, 0.2), 0.25)
         assert np.allclose(once.amplitudes, stepped.amplitudes, atol=1e-9)
 
 

@@ -10,14 +10,13 @@ from qgrnn.training import (
     CostEvaluator,
     TrainConfig,
     adam_step,
-    batch_cost,
     fidelity_direct,
     fidelity_swap_test,
     initial_params,
     train_qgrnn,
 )
 
-from conftest import grad_central, grad_richardson, random_state_array
+from conftest import batch_cost, grad_central, grad_richardson, random_state_array
 
 
 def make_instance(n, seed, node_scale=5.0, batch=15, t_max=0.5):
@@ -257,6 +256,16 @@ class TestTrainConfig:
             TrainConfig(t_max=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(fd_step=0.0)
+
+    def test_bounds_the_layers_of_t_max(self):
+        assert TrainConfig(t_max=MAX_LAYERS * 0.01).t_max == MAX_LAYERS * 0.01
+        with pytest.raises(ValueError, match="t_max"):
+            TrainConfig(t_max=(MAX_LAYERS + 1) * 0.01)
+        with pytest.raises(ValueError, match="t_max"):
+            TrainConfig(t_max=1e9)
+        # 0.5 / 1e-320 overflows to inf
+        with pytest.raises(ValueError, match="t_max"):
+            TrainConfig(trotter_delta=1e-320)
 
     def test_node_init_falls_back_to_shared_range(self):
         assert TrainConfig().node_init_range == (-1.0, 1.0)
