@@ -2,7 +2,7 @@
 
 from .statevector import StateVector, basis_state, random_state
 from .ising import IsingGraph, TimeEvolvedSample, sample_evolution
-from .ansatz import AnsatzParams, apply_qgrnn, apply_trotter_layer
+from .ansatz import AnsatzParams
 from .training import TrainConfig, TrainResult, fidelity_direct, fidelity_swap_test, train_qgrnn
 from .metrics import MetricReport, evaluate
 
@@ -16,8 +16,6 @@ __all__ = [
     "TimeEvolvedSample",
     "sample_evolution",
     "AnsatzParams",
-    "apply_qgrnn",
-    "apply_trotter_layer",
     "TrainConfig",
     "TrainResult",
     "fidelity_direct",

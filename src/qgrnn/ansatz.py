@@ -1,9 +1,13 @@
-"""Trotterized recurrent circuit: alternating diagonal (ZZ + Z) and transverse (X) exponentials.
+"""Trotterized recurrent circuit: diagonal (ZZ + Z) exponentials between transverse (X) half-steps.
 
-One layer with step d applies, in order, ZZ(d*w_ij) on every pair, RZ(2*d*w_i)
-on every node, then RX(2*d) on every node; that is exp(-i d H_transverse)
-composed after exp(-i d H_diagonal). Repeating the layer t/d times
-approximates evolution under the full graph Hamiltonian.
+This extends the paper's first-order QGRNN circuit (Verdon et al.,
+arXiv:1909.12264) to second order with the same gates: ZZ(d*w_ij) on every
+pair, RZ(2*d*w_i) on every node, RX(2*d) on every node. A layer of step d is
+the Strang product T(d/2) P(d) T(d/2) of the transverse exponential T and the
+diagonal one P, and D layers equal T(-d/2) [T(d) P(d)]^D T(d/2): the paper's D
+layers, plus two outer half-layers that do not depend on the coefficients.
+The error per unit time is of order d^2 instead of d (Childs et al., PRX 11,
+011020, 2021).
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from .ising import IsingGraph, complete_pairs, _z_columns
-from .statevector import StateVector, apply_rx, apply_rz, apply_zz, rx_matrix
+from .statevector import rx_matrix
 
 
 @dataclass(frozen=True)
@@ -68,23 +72,6 @@ class AnsatzParams:
         return cls(graph.node_count, edges, graph.node_weights.copy())
 
 
-def apply_trotter_layer(state: StateVector, params: AnsatzParams, delta: float) -> StateVector:
-    """One first-order splitting layer, gate by gate."""
-    if state.qubit_count != params.node_count:
-        raise ValueError(
-            f"state has {state.qubit_count} qubits, params describe {params.node_count} nodes"
-        )
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    for pair, w in zip(complete_pairs(params.node_count), params.edge_params):
-        state = apply_zz(state, pair[0], pair[1], delta * w)
-    for q, w in enumerate(params.node_params):
-        state = apply_rz(state, q, 2.0 * delta * w)
-    for q in range(params.node_count):
-        state = apply_rx(state, q, 2.0 * delta)
-    return state
-
-
 def layer_count(t: float, delta: float) -> int:
     """Number of layers D = round(t / delta), at least 1."""
     if t <= 0:
@@ -110,25 +97,3 @@ def coupling_columns(node_count: int) -> np.ndarray:
 def transverse_layer_matrix(node_count: int, delta: float) -> np.ndarray:
     """Dense matrix of exp(-i delta sum_i X_i) = RX(2*delta) on every qubit."""
     return reduce(np.kron, [rx_matrix(2.0 * delta)] * node_count)
-
-
-def apply_qgrnn(state: StateVector, params: AnsatzParams, t: float, delta: float) -> StateVector:
-    """Apply D = round(t/delta) layers with uniform effective step t/D.
-
-    The layers tile [0, t] exactly; composition is mathematically identical
-    to repeated apply_trotter_layer but precomputes the diagonal phase vector
-    and the transverse-layer matrix once, which is what makes training loops
-    affordable.
-    """
-    if state.qubit_count != params.node_count:
-        raise ValueError(
-            f"state has {state.qubit_count} qubits, params describe {params.node_count} nodes"
-        )
-    depth = layer_count(t, delta)
-    d_eff = t / depth
-    phases = np.exp(-1j * d_eff * (coupling_columns(params.node_count) @ params.flatten()))
-    transverse = transverse_layer_matrix(params.node_count, d_eff)
-    psi = state.amplitudes
-    for _ in range(depth):
-        psi = transverse @ (phases * psi)
-    return StateVector(state.qubit_count, psi)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -122,8 +123,19 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
     return TrainConfig(seed=seed, **{key: cfg[key] for key in TRAIN_KEYS})
 
 
+def _check_dataset_options(cfg: dict) -> None:
+    """Range-check the dataset options; _resolve checks only their types."""
+    lo, hi = cfg["scale_lo"], cfg["scale_hi"]
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite scale_lo < scale_hi, got {lo!r} and {hi!r}")
+    for key, low in (("pca_components", 1), ("pca_fit_count", 2)):
+        if cfg[key] < low:
+            raise ValueError(f"{key} must be >= {low}, got {cfg[key]!r}")
+
+
 def _load_scaled_dataset(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     """Scaled feature matrix (and labels) in the frame used for embedding."""
+    _check_dataset_options(cfg)
     if cfg["dataset"] == "iris":
         ds = load_iris_csv(cfg["iris_csv"] or bundled_iris_path())
         scaled, _ = minmax_scale(ds.features, cfg["scale_lo"], cfg["scale_hi"])

@@ -11,7 +11,6 @@ SIAM J. Sci. Comput. 33, 2011), exact to rounding with O(2^n) memory.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,9 @@ from .statevector import StateVector
 # Terms of the Taylor series per step; with tau ||H|| <= 1 the first term
 # dropped is at most 1/19! (about 8e-18), below double rounding.
 TAYLOR_ORDER = 18
+# Most Taylor steps one evolution may take: about 30 s at n = 4 on 2 cores.
+# Default data (t_max 0.5, weights in [-4, 5], 15 times) need at most 103 at 14 qubits.
+MAX_TAYLOR_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,8 @@ def sample_evolution(graph: IsingGraph, initial: StateVector, times) -> list[Tim
     into ceil(s ||H||) steps, where ||H|| = max|diag| + n is the Gershgorin
     bound, so each step tau has tau ||H|| <= 1 and its Taylor series of order
     TAYLOR_ORDER truncates at most 1/19! (about 8e-18) of the state. Samples
-    come back in the order of ``times``.
+    come back in the order of ``times``. More than ``MAX_TAYLOR_STEPS``
+    steps in all are rejected before the first one.
     """
     if initial.qubit_count != graph.node_count:
         raise ValueError(
@@ -124,10 +127,18 @@ def sample_evolution(graph: IsingGraph, initial: StateVector, times) -> list[Tim
         raise ValueError("times must be >= 0")
     diag = hamiltonian_diagonal(graph)
     norm = np.max(np.abs(diag)) + graph.node_count
+    grid = sorted(set(times))
+    counts = np.ceil(np.diff(grid, prepend=0.0) * norm)
+    # written so that an inf or nan count is rejected too
+    if not counts.sum() <= MAX_TAYLOR_STEPS:
+        raise ValueError(
+            f"evolving to t = {grid[-1]:g} with Hamiltonian norm bound {norm:g} needs "
+            f"{counts.sum():g} Taylor steps, more than the limit of {MAX_TAYLOR_STEPS}"
+        )
     psi, now = initial.amplitudes, 0.0
     states = {}
-    for t in sorted(set(times)):
-        steps = math.ceil((t - now) * norm)
+    # Python ints: numpy integer step counts change the last bits of the states
+    for t, steps in zip(grid, counts.astype(int).tolist()):
         for _ in range(steps):
             term, psi = psi, psi.copy()
             for k in range(1, TAYLOR_ORDER + 1):

@@ -1,4 +1,4 @@
-"""Dense statevector simulator with the minimal gate set the ansatz and SWAP test need.
+"""Dense statevector simulator with the gates of the SWAP test and the RX matrix of the ansatz.
 
 Basis convention: basis index b assigns qubit q the bit ``(b >> q) & 1``,
 i.e. qubit 0 is the least significant bit of the amplitude index.
@@ -95,30 +95,6 @@ def rx_matrix(theta: float) -> np.ndarray:
 
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-
-
-def apply_rx(state: StateVector, qubit: int, theta: float) -> StateVector:
-    _check_qubit(state, qubit)
-    return _apply_one_qubit(state, qubit, rx_matrix(theta))
-
-
-def apply_rz(state: StateVector, qubit: int, theta: float) -> StateVector:
-    """RZ(theta) = diag(exp(-i theta/2), exp(+i theta/2)) on the target qubit."""
-    _check_qubit(state, qubit)
-    bits = _bits(state.dim, qubit)
-    phase = np.exp(1j * (theta / 2) * (2 * bits - 1))
-    return StateVector(state.qubit_count, state.amplitudes * phase)
-
-
-def apply_zz(state: StateVector, qubit_i: int, qubit_j: int, phi: float) -> StateVector:
-    """ZZ(phi) = exp(-i phi Z_i Z_j): phase exp(-i phi) where bits agree, exp(+i phi) where they differ."""
-    if qubit_i == qubit_j:
-        raise ValueError("apply_zz requires two distinct qubits")
-    _check_qubit(state, qubit_i)
-    _check_qubit(state, qubit_j)
-    agree = _bits(state.dim, qubit_i) == _bits(state.dim, qubit_j)
-    phase = np.where(agree, np.exp(-1j * phi), np.exp(1j * phi))
-    return StateVector(state.qubit_count, state.amplitudes * phase)
 
 
 def apply_hadamard(state: StateVector, qubit: int) -> StateVector:

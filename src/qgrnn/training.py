@@ -3,9 +3,10 @@
 Training recovers the node and edge coefficients of a hidden graph
 Hamiltonian from one initial state plus a batch of time-evolved states, by
 minimizing the average negative fidelity between each evolved state and the
-Trotterized circuit output at the matching time. The first attempt can start
-from ``linear_inversion_start``, a closed-form estimate of the coefficients
-from the short-time slope of the same states.
+second-order Trotterized circuit output at the matching time, with Adam on a
+cosine-annealed step size. The first attempt can start from
+``linear_inversion_start``, a closed-form estimate of the coefficients from
+the short-time slope of the same states.
 """
 from __future__ import annotations
 
@@ -48,6 +49,10 @@ class TrainConfig:
     then search. Every field is type- and range-checked on construction,
     and ``t_max`` may need at most ``MAX_LAYERS`` layers of ``trotter_delta``,
     so a run that could not finish fails before any data is generated.
+
+    ``learning_rate`` is the peak of Adam's step size: ``train_qgrnn``
+    anneals it over the epochs on a half cosine, from ``learning_rate`` at
+    the first epoch towards 0 at the last.
 
     ``fd_step`` is not used by training, whose gradient is exact. It stays
     because the benchmark's kernel scan passes it to
@@ -165,6 +170,13 @@ class CostEvaluator:
     as batched ``(B, 2^k, 2^k)`` matmuls over reshaped views. The evaluator
     holds O(B 2^n) memory and no 2^n x 2^n matrix.
 
+    The circuit is second order (see ``ansatz``): D Strang layers equal
+    T(-d/2) [T(d) P]^D T(d/2), and the two end factors do not depend on the
+    coefficients. So the layers above run in a changed frame: row b starts
+    from its own ket T(d_b/2) psi0 and is scored against the bra of
+    T(d_b/2) phi_b, both computed once here. Cost, gradient and the work per
+    layer are those of the first-order circuit.
+
     The gradient is reverse-mode: one forward pass, then one backward pass
     that walks the state and the bra back through the inverse layers, which
     needs no tape because every layer is unitary.
@@ -185,10 +197,8 @@ class CostEvaluator:
         self.node_count = initial.qubit_count
         self.batch_size = len(samples)
         self.columns = coupling_columns(self.node_count)
-        self.psi0 = initial.amplitudes
         self.depths = np.array(depths)[order]
         self.steps = np.array([samples[b].time for b in order]) / self.depths
-        self.bras = np.array([samples[b].state.amplitudes.conj() for b in order])
         # the layer on which each row starts; ascending, since rows run deepest first
         self._starts = self.depths[0] - self.depths
         # (lowest qubit, qubit count) of each block of the transverse layer
@@ -196,12 +206,19 @@ class CostEvaluator:
             (low, min(TRANSVERSE_BLOCK_QUBITS, self.node_count - low))
             for low in range(0, self.node_count, TRANSVERSE_BLOCK_QUBITS)
         ]
+        sizes = {k for _, k in self._blocks}
         self._transverse = {
-            k: np.array([transverse_layer_matrix(k, d) for d in self.steps])
-            for k in {k for _, k in self._blocks}
+            k: np.array([transverse_layer_matrix(k, d) for d in self.steps]) for k in sizes
         }
         # exp(+i d sum X) is the elementwise conjugate, as every block matrix is symmetric
         self._inverse = {k: m.conj() for k, m in self._transverse.items()}
+        # the Strang frame: row b starts from T(d_b/2) psi0 and ends on the bra of T(d_b/2) phi_b
+        half = {k: np.array([transverse_layer_matrix(k, d / 2) for d in self.steps]) for k in sizes}
+        psi0 = np.broadcast_to(initial.amplitudes, (self.batch_size, initial.dim))
+        self.kets = self._apply_blocks(psi0, half)
+        self.bras = self._apply_blocks(
+            np.array([samples[b].state.amplitudes for b in order]), half
+        ).conj()
 
     @property
     def param_count(self) -> int:
@@ -230,7 +247,8 @@ class CostEvaluator:
 
     def _evolve(self, phases: np.ndarray) -> np.ndarray:
         """Final states of every row for per-row phases of shape (B, ..., 2^n)."""
-        psi = np.broadcast_to(self.psi0, phases.shape).copy()
+        kets = self.kets.reshape((self.batch_size,) + (1,) * (phases.ndim - 2) + (-1,))
+        psi = np.broadcast_to(kets, phases.shape).copy()
         for layer in range(self.depths[0]):
             rows = self._active(layer)
             psi[:rows] = self._apply_blocks(phases[:rows] * psi[:rows], self._transverse)
@@ -248,8 +266,9 @@ class CostEvaluator:
     def gradient(self, flat: np.ndarray, fd_step: float) -> np.ndarray:
         """Exact gradient of ``cost`` by one forward and one backward pass.
 
-        With a_b = <phi_b|psi_L>, chi_l the state after layer l's phases and
-        lambda_l the bra carried back to the same point, the gradient is
+        With a_b = <bra_b|psi_L> (both in the Strang frame), chi_l the state
+        after layer l's phases and lambda_l the bra carried back to the same
+        point, the gradient is
         -(1/B) sum_b 2 Re(conj(a_b) (-i d_b) columns.T g_b) with
         g_b = sum_l conj(lambda_l) * chi_l. ``fd_step`` is unused; it stays
         in the signature because the benchmark's kernel scan passes
@@ -283,9 +302,13 @@ class AdamState:
 
 
 def adam_step(
-    state: AdamState, params_flat: np.ndarray, grads: np.ndarray, config: TrainConfig
+    state: AdamState,
+    params_flat: np.ndarray,
+    grads: np.ndarray,
+    config: TrainConfig,
+    rate: float | None = None,
 ) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam update."""
+    """One bias-corrected Adam update of step size ``rate``, by default ``config.learning_rate``."""
     if params_flat.shape != grads.shape:
         raise ValueError(f"shape mismatch: params {params_flat.shape} vs grads {grads.shape}")
     b1, b2 = config.adam_beta1, config.adam_beta2
@@ -294,7 +317,9 @@ def adam_step(
     v = b2 * state.v + (1 - b2) * grads**2
     m_hat = m / (1 - b1**t)
     v_hat = v / (1 - b2**t)
-    updated = params_flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+    if rate is None:
+        rate = config.learning_rate
+    updated = params_flat - rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
     return AdamState(m, v, t), updated
 
 
@@ -347,6 +372,11 @@ def train_qgrnn(
 ) -> TrainResult:
     """Full-batch training loop: exactly ``config.epochs`` gradient + Adam steps.
 
+    Epoch e of E takes an Adam step of size
+    ``learning_rate * (1 + cos(pi (e - 1) / E)) / 2``: the full
+    ``learning_rate`` first, then a half cosine towards 0, so the last steps
+    settle into the minimum instead of circling it at a fixed step size.
+
     Training starts from the flat vector ``start`` when given, otherwise from
     the seeded draw of ``initial_params``. The cost recorded for epoch k is
     evaluated at the parameters produced by that epoch's update, so the last
@@ -366,7 +396,8 @@ def train_qgrnn(
     history: list[tuple[int, float]] = []
     for epoch in range(1, config.epochs + 1):
         grads = evaluator.gradient(params, config.fd_step)
-        opt, params = adam_step(opt, params, grads, config)
+        rate = config.learning_rate * (1 + math.cos(math.pi * (epoch - 1) / config.epochs)) / 2
+        opt, params = adam_step(opt, params, grads, config, rate)
         history.append((epoch, evaluator.cost(params)))
     return TrainResult(
         learned_params=AnsatzParams.from_flat(evaluator.node_count, params),

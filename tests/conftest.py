@@ -7,7 +7,9 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qgrnn.ansatz import AnsatzParams, apply_qgrnn
+from qgrnn.ansatz import AnsatzParams, coupling_columns, layer_count, transverse_layer_matrix
+from qgrnn.ising import complete_pairs
+from qgrnn.statevector import StateVector, _apply_one_qubit, _bits, _check_qubit, rx_matrix
 from qgrnn.training import fidelity_direct
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -85,16 +87,116 @@ def fine_trotter_evolve(h: np.ndarray, psi: np.ndarray, t: float, dt: float = 1e
     return np.linalg.matrix_power(step, steps) @ psi
 
 
-def batch_cost(params, initial, samples, delta: float) -> float:
-    """Average negative fidelity between the samples and apply_qgrnn outputs, one circuit per sample.
+def apply_rx(state: StateVector, qubit: int, theta: float) -> StateVector:
+    _check_qubit(state, qubit)
+    return _apply_one_qubit(state, qubit, rx_matrix(theta))
 
-    The reference for CostEvaluator.cost.
+
+def apply_rz(state: StateVector, qubit: int, theta: float) -> StateVector:
+    """RZ(theta) = diag(exp(-i theta/2), exp(+i theta/2)) on the target qubit."""
+    _check_qubit(state, qubit)
+    bits = _bits(state.dim, qubit)
+    phase = np.exp(1j * (theta / 2) * (2 * bits - 1))
+    return StateVector(state.qubit_count, state.amplitudes * phase)
+
+
+def apply_zz(state: StateVector, qubit_i: int, qubit_j: int, phi: float) -> StateVector:
+    """ZZ(phi) = exp(-i phi Z_i Z_j): phase exp(-i phi) where bits agree, exp(+i phi) where they differ."""
+    if qubit_i == qubit_j:
+        raise ValueError("apply_zz requires two distinct qubits")
+    _check_qubit(state, qubit_i)
+    _check_qubit(state, qubit_j)
+    agree = _bits(state.dim, qubit_i) == _bits(state.dim, qubit_j)
+    phase = np.where(agree, np.exp(-1j * phi), np.exp(1j * phi))
+    return StateVector(state.qubit_count, state.amplitudes * phase)
+
+
+def apply_trotter_layer(state: StateVector, params: AnsatzParams, delta: float) -> StateVector:
+    """One first-order splitting layer, gate by gate: the QGRNN layer of the paper."""
+    if state.qubit_count != params.node_count:
+        raise ValueError(
+            f"state has {state.qubit_count} qubits, params describe {params.node_count} nodes"
+        )
+    if delta <= 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    for pair, w in zip(complete_pairs(params.node_count), params.edge_params):
+        state = apply_zz(state, pair[0], pair[1], delta * w)
+    for q, w in enumerate(params.node_params):
+        state = apply_rz(state, q, 2.0 * delta * w)
+    for q in range(params.node_count):
+        state = apply_rx(state, q, 2.0 * delta)
+    return state
+
+
+def apply_qgrnn(state: StateVector, params: AnsatzParams, t: float, delta: float) -> StateVector:
+    """Apply D = round(t/delta) first-order layers with uniform effective step t/D.
+
+    The layers tile [0, t] exactly; composition is mathematically identical
+    to repeated apply_trotter_layer but precomputes the diagonal phase vector
+    and the transverse-layer matrix once.
+    """
+    if state.qubit_count != params.node_count:
+        raise ValueError(
+            f"state has {state.qubit_count} qubits, params describe {params.node_count} nodes"
+        )
+    depth = layer_count(t, delta)
+    d_eff = t / depth
+    phases = np.exp(-1j * d_eff * (coupling_columns(params.node_count) @ params.flatten()))
+    transverse = transverse_layer_matrix(params.node_count, d_eff)
+    psi = state.amplitudes
+    for _ in range(depth):
+        psi = transverse @ (phases * psi)
+    return StateVector(state.qubit_count, psi)
+
+
+def apply_strang_layer(state: StateVector, params: AnsatzParams, delta: float) -> StateVector:
+    """One second-order (Strang) splitting layer, gate by gate.
+
+    RX(delta) on every qubit (half the transverse step), the ZZ and RZ gates of
+    apply_trotter_layer, then RX(delta) on every qubit again.
+    """
+    for q in range(params.node_count):
+        state = apply_rx(state, q, delta)
+    for pair, w in zip(complete_pairs(params.node_count), params.edge_params):
+        state = apply_zz(state, pair[0], pair[1], delta * w)
+    for q, w in enumerate(params.node_params):
+        state = apply_rz(state, q, 2.0 * delta * w)
+    for q in range(params.node_count):
+        state = apply_rx(state, q, delta)
+    return state
+
+
+def apply_strang_qgrnn(state: StateVector, params: AnsatzParams, t: float, delta: float) -> StateVector:
+    """Apply D = round(t/delta) Strang layers of step t/D: the circuit training fits.
+
+    The same product as repeated apply_strang_layer, with the diagonal phase
+    vector and the half-step transverse matrix computed once.
+    """
+    if state.qubit_count != params.node_count:
+        raise ValueError(
+            f"state has {state.qubit_count} qubits, params describe {params.node_count} nodes"
+        )
+    depth = layer_count(t, delta)
+    d_eff = t / depth
+    phases = np.exp(-1j * d_eff * (coupling_columns(params.node_count) @ params.flatten()))
+    half = reduce(np.kron, [rx_matrix(d_eff)] * params.node_count)
+    psi = state.amplitudes
+    for _ in range(depth):
+        psi = half @ (phases * (half @ psi))
+    return StateVector(state.qubit_count, psi)
+
+
+def batch_cost(params, initial, samples, delta: float, circuit=apply_strang_qgrnn) -> float:
+    """Average negative fidelity between the samples and the circuit outputs, one circuit per sample.
+
+    The reference for CostEvaluator.cost; ``circuit=apply_qgrnn`` gives the
+    first-order cost.
     """
     if not samples:
         raise ValueError("sample batch is empty")
     total = 0.0
     for s in samples:
-        total += fidelity_direct(s.state, apply_qgrnn(initial, params, s.time, delta))
+        total += fidelity_direct(s.state, circuit(initial, params, s.time, delta))
     return -total / len(samples)
 
 

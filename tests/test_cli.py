@@ -124,6 +124,35 @@ class TestFailFast:
                             "--t-max", "1e9"], "t_max")
         assert not list(tmp_path.glob("sample_*"))
 
+    def test_reconstruct_rejects_an_evolution_beyond_the_step_limit(self, tmp_path, capsys):
+        # node weights up to 1e9 need about 6.6e8 Taylor steps for t_max 0.5
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scale_hi": 1e9}))
+        fails_fast(capsys, ["reconstruct", "--samples", "18", "--config", str(config),
+                            "--out", str(tmp_path / "out")], "Taylor steps")
+        assert not list((tmp_path / "out").glob("sample_*"))
+
+    @pytest.mark.parametrize(
+        "file_text, field",
+        [
+            ('{"scale_lo": -1e400}', "scale_lo"),
+            ('{"scale_hi": 1e400}', "scale_hi"),
+            ('{"scale_hi": NaN}', "scale_hi"),
+            ('{"scale_lo": 5.0}', "scale_lo < scale_hi"),
+            ('{"scale_lo": 3.0, "scale_hi": 1.0}', "scale_lo < scale_hi"),
+            ('{"pca_components": 0}', "pca_components"),
+            ('{"pca_fit_count": -3}', "pca_fit_count"),
+            ('{"pca_fit_count": 1}', "pca_fit_count"),
+        ],
+    )
+    def test_reconstruct_rejects_an_out_of_range_dataset_option(self, tmp_path, capsys,
+                                                                file_text, field):
+        config = tmp_path / "config.json"
+        config.write_text(file_text)
+        fails_fast(capsys, ["reconstruct", "--samples", "18", "--config", str(config),
+                            "--out", str(tmp_path / "out")], field)
+        assert not list((tmp_path / "out").glob("sample_*"))
+
     def test_hide_rejects_a_register_beyond_the_qubit_limit(self, tmp_path, dict_file, capsys):
         message = " ".join(WORDS * 2)
         fails_fast(capsys, ["hide", "--message", message, "--dict", str(dict_file),

@@ -72,7 +72,7 @@ class TestLoadArchive:
     def test_rejects_bad_t_max(self, dictionary, tmp_path, t_max):
         payload = valid_payload(dictionary, tmp_path)
         payload["t_max"] = t_max
-        with pytest.raises(ArchiveFormatError, match="t_max"):
+        with pytest.raises(ArchiveFormatError, match="t_max must be finite and > 0"):
             load_payload(payload, tmp_path)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -0.1, "late"])
@@ -104,7 +104,7 @@ class TestLoadArchive:
     def test_rejects_empty_samples(self, dictionary, tmp_path):
         payload = valid_payload(dictionary, tmp_path)
         payload["samples"] = []
-        with pytest.raises(ArchiveFormatError, match="samples"):
+        with pytest.raises(ArchiveFormatError, match="samples is empty"):
             load_payload(payload, tmp_path)
 
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qgrnn import ising
 from qgrnn.ising import (
     IsingGraph,
     apply_hamiltonian,
@@ -204,6 +205,25 @@ class TestSampleEvolution:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+    def test_bounds_the_step_count(self, monkeypatch):
+        # zero weights: the norm bound is n = 2, so times 1.0 and 2.5 take 2 + 3 steps
+        graph, state = IsingGraph(2, np.zeros(2)), random_state(2, 18)
+        monkeypatch.setattr(ising, "MAX_TAYLOR_STEPS", 5)
+        sample_evolution(graph, state, [2.5, 1.0])
+        monkeypatch.setattr(ising, "MAX_TAYLOR_STEPS", 4)
+        with pytest.raises(ValueError, match="5 Taylor steps"):
+            sample_evolution(graph, state, [2.5, 1.0])
+
+    @pytest.mark.parametrize("weight", [1e9, np.inf, np.nan])
+    def test_rejects_a_huge_norm_before_any_product(self, monkeypatch, weight):
+        def no_product(diag, psi):
+            raise AssertionError("H psi computed")
+
+        monkeypatch.setattr(ising, "apply_hamiltonian", no_product)
+        graph = IsingGraph(2, np.array([weight, 1.0]))
+        with pytest.raises(ValueError, match="Taylor steps"):
+            sample_evolution(graph, random_state(2, 19), [0.5])
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):

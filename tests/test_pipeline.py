@@ -54,7 +54,7 @@ class TestLearnFromStates:
             return result
 
         monkeypatch.setattr(pipeline, "train_qgrnn", recording_train)
-        config = TrainConfig(epochs=2, seed=9)
+        config = TrainConfig(epochs=2, seed=8)
         result, attempts = learn_from_states(initial, samples, config, restarts=4, accept_cost=-1.01)
         assert attempts == 4
         assert [warm for _, warm, _ in calls] == [True, False, False, False]

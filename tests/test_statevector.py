@@ -5,16 +5,13 @@ from qgrnn.statevector import (
     StateVector,
     apply_cswap,
     apply_hadamard,
-    apply_rx,
-    apply_rz,
-    apply_zz,
     basis_state,
     inner_product,
     prob_zero,
     random_state,
 )
 
-from conftest import random_state_array
+from conftest import apply_rx, apply_rz, apply_zz, random_state_array
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
