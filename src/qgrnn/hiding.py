@@ -8,7 +8,8 @@ the node weights from the states and snap them back to dictionary values.
 """
 from __future__ import annotations
 
-import hashlib
+import base64
+import binascii
 import json
 import math
 from dataclasses import dataclass, replace
@@ -19,10 +20,14 @@ import numpy as np
 
 from .ising import TimeEvolvedSample
 from .pipeline import ACCEPT_COST, DEFAULT_RESTARTS, MAX_QUBITS, embed_and_sample, learn_from_states
-from .statevector import StateVector
+from .statevector import NORM_TOL, StateVector
 from .training import TrainConfig, TrainResult
 
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
+# Version 1 stored each amplitude as a [re, im] pair of decimal floats. It is
+# still read: a version-1 file is the only copy of its hidden message.
+READABLE_VERSIONS = (1, ARCHIVE_VERSION)
+AMPLITUDE_DTYPE = np.dtype("<c16")
 DICTIONARY_LO = -4.0
 DICTIONARY_HI = 5.0
 
@@ -82,17 +87,11 @@ def load_dictionary(path) -> Dictionary:
 class StateArchive:
     """The hiding carrier: initial state plus time-evolved states, nothing else."""
 
-    format_version: int
     node_count: int
     initial_state: StateVector
     samples: tuple[TimeEvolvedSample, ...]
     t_max: float
     created: str
-    note: str
-
-
-def _seed_fingerprint(seed: int) -> str:
-    return hashlib.sha256(f"seed:{seed}".encode()).hexdigest()[:16]
 
 
 def encode_message(
@@ -113,62 +112,92 @@ def encode_message(
     values = np.array([dictionary.value_of(w) for w in words])
     _, initial, samples = embed_and_sample(values, config)
     return StateArchive(
-        format_version=ARCHIVE_VERSION,
         node_count=len(words),
         initial_state=initial,
         samples=tuple(samples),
         t_max=config.t_max,
         created=created or datetime.now(timezone.utc).isoformat(),
-        note=f"carrier {_seed_fingerprint(config.seed)}",
     )
 
 
-def _pairs(amps: np.ndarray) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in amps]
+def _encode_state(state: StateVector) -> str:
+    return base64.b64encode(state.amplitudes.astype(AMPLITUDE_DTYPE).tobytes()).decode("ascii")
+
+
+def encoded_state_length(node_count: int) -> int:
+    """Characters in the base64 of 2^node_count complex128 amplitudes."""
+    return 4 * math.ceil(AMPLITUDE_DTYPE.itemsize * (1 << node_count) / 3)
 
 
 def save_archive(archive: StateArchive, path) -> None:
+    """Write the archive as JSON in format version 2.
+
+    Each state (``initial`` and ``samples[i].state``) is one ASCII string:
+    the base64 of its 2^node_count amplitudes as little-endian complex128
+    bytes, so the round trip through ``load_archive`` is bit-exact.
+    ``meta`` holds the creation time only.
+    """
     payload = {
-        "version": archive.format_version,
+        "version": ARCHIVE_VERSION,
         "node_count": archive.node_count,
         "t_max": archive.t_max,
-        "initial": _pairs(archive.initial_state.amplitudes),
-        "samples": [
-            {"t": s.time, "state": _pairs(s.state.amplitudes)} for s in archive.samples
-        ],
-        "meta": {"created": archive.created, "note": archive.note},
+        "initial": _encode_state(archive.initial_state),
+        "samples": [{"t": s.time, "state": _encode_state(s.state)} for s in archive.samples],
+        "meta": {"created": archive.created},
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def _state_from_pairs(pairs, node_count: int, path) -> StateVector:
-    arr = np.asarray(pairs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] != 1 << node_count:
-        raise ArchiveFormatError(f"{path}: state array has wrong shape {arr.shape}")
-    amps = arr[:, 0] + 1j * arr[:, 1]
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
+def _decode_state(field, version: int, node_count: int, path) -> StateVector:
+    if version == 1:
+        arr = np.asarray(field, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] != 1 << node_count:
+            raise ArchiveFormatError(f"{path}: state array has wrong shape {arr.shape}")
+        amps = arr[:, 0] + 1j * arr[:, 1]
+    else:
+        # the length check bounds the decoding work by MAX_QUBITS
+        length = encoded_state_length(node_count)
+        if not isinstance(field, str) or len(field) != length:
+            raise ArchiveFormatError(
+                f"{path}: state must be a base64 string of {length} characters "
+                f"for node_count {node_count}"
+            )
+        try:
+            raw = base64.b64decode(field, validate=True)
+        except binascii.Error as exc:
+            raise ArchiveFormatError(f"{path}: state is not valid base64: {exc}") from None
+        if len(raw) != AMPLITUDE_DTYPE.itemsize << node_count:
+            raise ArchiveFormatError(f"{path}: state array has wrong shape ({len(raw)} bytes)")
+        amps = np.frombuffer(raw, dtype=AMPLITUDE_DTYPE)
+    # written so that a NaN or infinite norm fails too
+    if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
         raise ArchiveFormatError(f"{path}: state norm deviates from 1")
     return StateVector(node_count, amps)
 
 
-def _sample_from_dict(sample, node_count: int, t_max: float, path) -> TimeEvolvedSample:
+def _sample_from_dict(sample, version: int, node_count: int, t_max: float, path) -> TimeEvolvedSample:
     t = float(sample["t"])
     if not (math.isfinite(t) and 0 < t <= t_max):
         raise ArchiveFormatError(f"{path}: sample time t must lie in (0, t_max={t_max}], got {t}")
-    return TimeEvolvedSample(t, _state_from_pairs(sample["state"], node_count, path))
+    return TimeEvolvedSample(t, _decode_state(sample["state"], version, node_count, path))
 
 
 def load_archive(path) -> StateArchive:
-    """Read and validate an archive: node_count (up to MAX_QUBITS), shapes, norms, t_max, times."""
+    """Read and validate an archive: node_count (up to MAX_QUBITS), shapes, norms, t_max, times.
+
+    Reads format version 2 (see ``save_archive``) and version 1, where each
+    state is a list of [re, im] decimal pairs; version 1 is never written.
+    A version-2 state string must have exactly the length that node_count
+    implies before it is decoded. A version-1 ``meta.note`` is ignored.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ArchiveFormatError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("version") != ARCHIVE_VERSION:
-        raise ArchiveFormatError(
-            f"{path}: unsupported archive version {payload.get('version')!r}"
-        )
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version not in READABLE_VERSIONS:
+        raise ArchiveFormatError(f"{path}: unsupported archive version {version!r}")
     try:
         node_count = int(payload["node_count"])
         if not 1 <= node_count <= MAX_QUBITS:
@@ -178,17 +207,18 @@ def load_archive(path) -> StateArchive:
         t_max = float(payload["t_max"])
         if not (math.isfinite(t_max) and t_max > 0):
             raise ArchiveFormatError(f"{path}: t_max must be finite and > 0, got {t_max}")
-        initial = _state_from_pairs(payload["initial"], node_count, path)
-        samples = tuple(_sample_from_dict(s, node_count, t_max, path) for s in payload["samples"])
+        initial = _decode_state(payload["initial"], version, node_count, path)
+        samples = tuple(
+            _sample_from_dict(s, version, node_count, t_max, path) for s in payload["samples"]
+        )
         if not samples:
             raise ArchiveFormatError(f"{path}: samples is empty")
-        meta = payload["meta"]
-        created, note = str(meta["created"]), str(meta["note"])
+        created = str(payload["meta"]["created"])
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ArchiveFormatError):
             raise
         raise ArchiveFormatError(f"{path}: malformed archive: {exc}") from None
-    return StateArchive(ARCHIVE_VERSION, node_count, initial, samples, t_max, created, note)
+    return StateArchive(node_count, initial, samples, t_max, created)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ class StateVector:
                 f"expected {1 << qubit_count} amplitudes for {qubit_count} qubits, got {amps.size}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # a NaN or infinite norm fails too
             raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
         amps = amps.copy()
         amps.setflags(write=False)

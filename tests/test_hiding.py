@@ -1,5 +1,7 @@
+import base64
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from qgrnn.hiding import (
     ArchiveFormatError,
     build_dictionary,
     encode_message,
+    encoded_state_length,
     load_archive,
     retrieval_accuracy,
     reveal_message,
@@ -16,6 +19,7 @@ from qgrnn.hiding import (
 from qgrnn.pipeline import MAX_QUBITS
 from qgrnn.training import TrainConfig
 
+V1_ARCHIVE = Path(__file__).parent / "data" / "archive_v1.json"
 WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet")
 
 
@@ -59,6 +63,18 @@ def load_payload(payload, tmp_path):
     return load_archive(path)
 
 
+def b64_state(amplitudes):
+    return base64.b64encode(np.asarray(amplitudes, dtype="<c16").tobytes()).decode("ascii")
+
+
+def replace_padding(text):
+    """Same length, but the last group is all padding, so it decodes to fewer bytes."""
+    return text[:-4] + "===="
+
+
+BAD_AMPLITUDES = {"nan": [math.nan, 0.0, 0.0, 0.0], "inf": [math.inf, 0.0, 0.0, 0.0]}
+
+
 class TestLoadArchive:
     def test_round_trip(self, dictionary, tmp_path):
         payload = valid_payload(dictionary, tmp_path)
@@ -67,6 +83,22 @@ class TestLoadArchive:
         assert archive.t_max == payload["t_max"]
         assert [s.time for s in archive.samples] == [s["t"] for s in payload["samples"]]
         assert archive.created == "fixed"
+
+    def test_writes_version_2_without_a_seed_fingerprint(self, dictionary, tmp_path):
+        payload = valid_payload(dictionary, tmp_path)
+        assert payload["version"] == 2
+        assert payload["meta"] == {"created": "fixed"}
+        states = [payload["initial"]] + [s["state"] for s in payload["samples"]]
+        assert all(isinstance(x, str) and len(x) == encoded_state_length(2) for x in states)
+
+    def test_round_trip_is_bit_exact(self, dictionary, tmp_path):
+        archive = encode_message(["alpha", "juliet"], dictionary, TrainConfig(seed=3, batch_size=4))
+        save_archive(archive, tmp_path / "archive.json")
+        loaded = load_archive(tmp_path / "archive.json")
+        assert np.array_equal(loaded.initial_state.amplitudes, archive.initial_state.amplitudes)
+        for a, b in zip(loaded.samples, archive.samples, strict=True):
+            assert a.time == b.time
+            assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
 
     @pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan, 0.0, -0.5])
     def test_rejects_bad_t_max(self, dictionary, tmp_path, t_max):
@@ -108,23 +140,93 @@ class TestLoadArchive:
             load_payload(payload, tmp_path)
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, match",
         [
-            lambda p: p.pop("samples"),
-            lambda p: p.__setitem__("version", 2),
-            lambda p: p.__setitem__("initial", p["initial"][:-1]),
-            lambda p: p["samples"][0].__setitem__("state", [[2.0, 0.0]] * 4),
+            (lambda p: p.pop("samples"), "malformed archive"),
+            (lambda p: p.__setitem__("version", 3), "unsupported archive version 3"),
+            (lambda p: p.__setitem__("initial", p["initial"][:-1]), "base64 string of 88 characters"),
+            (lambda p: p.__setitem__("initial", "*" + p["initial"][1:]), "not valid base64"),
+            (lambda p: p["samples"][0].__setitem__("state", [[0.5, 0.0]] * 4),
+             "base64 string of 88 characters"),
+            (lambda p: p.__setitem__("initial", replace_padding(p["initial"])), "wrong shape"),
+            (lambda p: p["samples"][0].__setitem__("state", b64_state([2.0, 0.0, 0.0, 0.0])),
+             "state norm deviates from 1"),
         ],
-        ids=["missing-samples", "wrong-version", "short-initial", "unnormalized-state"],
+        ids=["missing-samples", "wrong-version", "short-initial", "non-base64-initial",
+             "list-state", "padding-only-group", "unnormalized-state"],
     )
-    def test_rejects_malformed_fields(self, dictionary, tmp_path, edit):
+    def test_rejects_malformed_fields(self, dictionary, tmp_path, edit, match):
         payload = valid_payload(dictionary, tmp_path)
         edit(payload)
-        with pytest.raises(ArchiveFormatError):
+        with pytest.raises(ArchiveFormatError, match=match):
             load_payload(payload, tmp_path)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_AMPLITUDES))
+    def test_rejects_non_finite_amplitudes_in_version_2(self, dictionary, tmp_path, bad):
+        payload = valid_payload(dictionary, tmp_path)
+        payload["samples"][1]["state"] = b64_state(BAD_AMPLITUDES[bad])
+        with pytest.raises(ArchiveFormatError, match="state norm deviates from 1"):
+            load_payload(payload, tmp_path)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_AMPLITUDES))
+    def test_rejects_non_finite_amplitudes_in_version_1(self, tmp_path, bad):
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        payload = json.loads(V1_ARCHIVE.read_text())
+        payload["samples"][1]["state"] = [[a, 0.0] for a in BAD_AMPLITUDES[bad]]
+        with pytest.raises(ArchiveFormatError, match="state norm deviates from 1"):
+            load_payload(payload, tmp_path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", '"archive"'])
+    def test_rejects_a_payload_that_is_not_an_object(self, tmp_path, text):
+        path = tmp_path / "list.json"
+        path.write_text(text)
+        with pytest.raises(ArchiveFormatError, match="unsupported archive version None"):
+            load_archive(path)
 
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "truncated.json"
         path.write_text('{"version": 1, "node_count"')
         with pytest.raises(ArchiveFormatError, match="not valid JSON"):
             load_archive(path)
+
+
+class TestVersion1Archive:
+    """tests/data/archive_v1.json: n = 2, batch_size 4, written by the version-1 save_archive."""
+
+    def test_amplitudes_equal_the_decimal_pairs(self):
+        payload = json.loads(V1_ARCHIVE.read_text())
+        archive = load_archive(V1_ARCHIVE)
+        assert payload["version"] == 1 and archive.node_count == 2
+        assert archive.created == "fixed"
+        states = [archive.initial_state] + [s.state for s in archive.samples]
+        pairs = [payload["initial"]] + [s["state"] for s in payload["samples"]]
+        assert len(states) == 5
+        for state, rows in zip(states, pairs):
+            rows = np.array(rows)
+            assert np.array_equal(state.amplitudes.real, rows[:, 0])
+            assert np.array_equal(state.amplitudes.imag, rows[:, 1])
+        assert [s.time for s in archive.samples] == [s["t"] for s in payload["samples"]]
+
+    def test_resaved_as_version_2_round_trips_exactly(self, tmp_path):
+        archive = load_archive(V1_ARCHIVE)
+        save_archive(archive, tmp_path / "v2.json")
+        assert json.loads((tmp_path / "v2.json").read_text())["version"] == 2
+        again = load_archive(tmp_path / "v2.json")
+        assert np.array_equal(again.initial_state.amplitudes, archive.initial_state.amplitudes)
+        for a, b in zip(again.samples, archive.samples, strict=True):
+            assert a.time == b.time
+            assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
+
+
+def test_archive_size_stays_binary(dictionary, tmp_path):
+    """One n = 8 message with B = 15 samples fits (B + 1) base64 states plus 2 KB of JSON.
+
+    A decimal encoding of the amplitudes is more than twice as large.
+    """
+    words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
+    config = TrainConfig(seed=5, batch_size=15)
+    path = tmp_path / "archive.json"
+    save_archive(encode_message(words, dictionary, config, created="fixed"), path)
+    limit = (config.batch_size + 1) * encoded_state_length(len(words)) + 2048
+    assert encoded_state_length(8) == 4 * math.ceil(16 * 2**8 / 3)
+    assert path.stat().st_size <= limit

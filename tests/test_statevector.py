@@ -29,6 +29,12 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(1, [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        # the norm is then NaN or infinite, which a `> tol` comparison lets through
+        with pytest.raises(ValueError, match="state norm"):
+            StateVector(2, [bad, 0.0, 0.0, 0.0])
+
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):
             StateVector(0, [1.0])
