@@ -192,6 +192,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                 "predicted": outcome.predicted.tolist(),
                 "metrics": outcome.report.to_dict(),
                 "final_cost": outcome.train_result.final_cost,
+                "stop_reason": outcome.train_result.stop_reason,
                 "attempts": outcome.attempts,
             },
             sample_dir / "result.json",
@@ -286,6 +287,7 @@ def cmd_reveal(args: argparse.Namespace) -> int:
         "learned_values": result.learned_values.tolist(),
         "snap_distances": result.snap_distances.tolist(),
         "final_cost": result.train_result.final_cost,
+        "stop_reason": result.train_result.stop_reason,
         "attempts": result.attempts,
     }
     print("message:", " ".join(result.words))
@@ -329,9 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reconstruct",
         help="embed dataset features and learn them back",
-        epilog="Writes per sample: result.json, cost_history.csv (epoch,cost), "
-        "coefficients.csv (term,target,learned; one row per Hamiltonian coefficient, "
-        "the ZZ couplings then the Z node weights).",
+        epilog="Writes per sample: result.json, cost_history.csv (epoch,cost; one row "
+        "per epoch run, which can be fewer than --epochs when training converges "
+        "early, as result.json's stop_reason then says), coefficients.csv "
+        "(term,target,learned; one row per Hamiltonian coefficient, the ZZ couplings "
+        "then the Z node weights).",
     )
     _add_common(p)
     _add_dataset(p)
@@ -365,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reveal",
         help="recover a message from a state archive",
-        epilog="Writes cost_history.csv (epoch,cost) and reveal.json; prints the "
+        epilog="Writes cost_history.csv (epoch,cost; one row per epoch run, which can "
+        "be fewer than --epochs when training converges early, as reveal.json's "
+        "stop_reason then says) and reveal.json; prints the "
         "message, per-word snap distances, and accuracy when --truth is given.",
     )
     _add_common(p)

@@ -175,15 +175,29 @@ def _decode_state(field, version: int, node_count: int, path) -> StateVector:
     return StateVector(node_count, amps)
 
 
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_json_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _sample_from_dict(sample, version: int, node_count: int, t_max: float, path) -> TimeEvolvedSample:
-    t = float(sample["t"])
+    t = sample["t"]
+    if not _is_json_number(t):
+        raise ArchiveFormatError(f"{path}: sample time t must be a JSON number, got {t!r}")
     if not (math.isfinite(t) and 0 < t <= t_max):
         raise ArchiveFormatError(f"{path}: sample time t must lie in (0, t_max={t_max}], got {t}")
-    return TimeEvolvedSample(t, _decode_state(sample["state"], version, node_count, path))
+    return TimeEvolvedSample(float(t), _decode_state(sample["state"], version, node_count, path))
 
 
 def load_archive(path) -> StateArchive:
     """Read and validate an archive: node_count (up to MAX_QUBITS), shapes, norms, t_max, times.
+
+    ``version`` and ``node_count`` must be JSON integers, and ``t_max`` and
+    each sample's ``t`` JSON numbers; a boolean or a string is rejected
+    rather than coerced.
 
     Reads format version 2 (see ``save_archive``) and version 1, where each
     state is a list of [re, im] decimal pairs; version 1 is never written.
@@ -196,15 +210,22 @@ def load_archive(path) -> StateArchive:
     except json.JSONDecodeError as exc:
         raise ArchiveFormatError(f"{path}: not valid JSON: {exc}") from None
     version = payload.get("version") if isinstance(payload, dict) else None
-    if version not in READABLE_VERSIONS:
+    if not _is_json_int(version) or version not in READABLE_VERSIONS:
         raise ArchiveFormatError(f"{path}: unsupported archive version {version!r}")
     try:
-        node_count = int(payload["node_count"])
+        node_count = payload["node_count"]
+        if not _is_json_int(node_count):
+            raise ArchiveFormatError(
+                f"{path}: node_count must be a JSON integer, got {node_count!r}"
+            )
         if not 1 <= node_count <= MAX_QUBITS:
             raise ArchiveFormatError(
                 f"{path}: node_count must lie in [1, {MAX_QUBITS}], got {node_count}"
             )
-        t_max = float(payload["t_max"])
+        t_max = payload["t_max"]
+        if not _is_json_number(t_max):
+            raise ArchiveFormatError(f"{path}: t_max must be a JSON number, got {t_max!r}")
+        t_max = float(t_max)
         if not (math.isfinite(t_max) and t_max > 0):
             raise ArchiveFormatError(f"{path}: t_max must be finite and > 0, got {t_max}")
         initial = _decode_state(payload["initial"], version, node_count, path)
@@ -214,7 +235,7 @@ def load_archive(path) -> StateArchive:
         if not samples:
             raise ArchiveFormatError(f"{path}: samples is empty")
         created = str(payload["meta"]["created"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ArchiveFormatError):
             raise
         raise ArchiveFormatError(f"{path}: malformed archive: {exc}") from None

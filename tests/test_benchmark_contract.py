@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qgrnn import pipeline, training
 
@@ -28,3 +29,27 @@ def test_kernel_scan_calls():
     grad = evaluator.gradient(flat, config.fd_step)
     assert -1.0 <= cost <= 0.0
     assert grad.shape == flat.shape and np.all(np.isfinite(grad))
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 3, 60])
+def test_training_calls_every_traced_layer(monkeypatch, epochs):
+    # benchmarks/trace_layers.py times these three bindings and the selftest
+    # requires a span of each, so every training run must reach all of them
+    calls = {"adam_step": 0, "cost": 0, "gradient": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(training, "adam_step", counted("adam_step", training.adam_step))
+    for name in ("cost", "gradient"):
+        monkeypatch.setattr(training.CostEvaluator, name,
+                            counted(name, getattr(training.CostEvaluator, name)))
+    config = training.TrainConfig(seed=0, epochs=epochs, batch_size=5)
+    _, initial, samples = pipeline.embed_and_sample(np.array([1.0, -2.0, 3.0]), config)
+    training.train_qgrnn(initial, samples, config)
+    assert calls["adam_step"] == -(-epochs // 3), "train_qgrnn no longer calls training.adam_step"
+    assert calls["cost"] >= 1, "train_qgrnn no longer calls CostEvaluator.cost"
+    assert calls["gradient"] >= 1, "train_qgrnn no longer calls CostEvaluator.gradient"

@@ -179,6 +179,25 @@ class TestReconstructOutput:
         assert [float(r["target"]) for r in rows] == target.tolist()
         assert [float(r["target"]) for r in rows[6:]] == result["actual"]
         assert [float(r["learned"]) for r in rows[6:]] == result["predicted"]
+        # two epochs leave the BFGS phase one step, too few to converge
+        assert result["stop_reason"] == "epochs"
+
+
+class TestStopReason:
+    def test_reveal_reports_an_early_stop(self, tmp_path, dict_file):
+        assert hide(dict_file, tmp_path / "h") == 0
+        code = cli.main(["reveal", "--seed", "4", "--restarts", "1", "--archive",
+                         str(tmp_path / "h" / "archive.json"), "--dict", str(dict_file),
+                         "--out", str(tmp_path / "v")])
+        assert code == 0
+        payload = json.loads((tmp_path / "v" / "reveal.json").read_text())
+        with open(tmp_path / "v" / "cost_history.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert payload["stop_reason"] == "converged"
+        # one row per epoch run, fewer than the 150 of --epochs
+        assert [int(r["epoch"]) for r in rows] == list(range(1, len(rows) + 1))
+        assert len(rows) < 150
+        assert float(rows[-1]["cost"]) == payload["final_cost"]
 
 
 class TestDeterminism:

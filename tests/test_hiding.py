@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,18 @@ class TestRoundTrip:
         result = reveal_message(archive, dictionary, config)
         assert result.attempts == 1
         assert retrieval_accuracy(words, result.words) == 100.0
+
+
+class TestWideRegister:
+    def test_eight_word_reveal_reaches_the_trotter_floor_in_60_epochs(self, dictionary):
+        # one attempt of 60 epochs, as in the wide-register benchmark workload;
+        # Adam alone ended at MSE 8.3e-5, against a Trotter-bias floor of 1.7e-9
+        words = "juliet india hotel golf foxtrot echo delta charlie".split()
+        archive = encode_message(words, dictionary, TrainConfig(seed=1), created="fixed")
+        result = reveal_message(archive, dictionary, TrainConfig(seed=1, epochs=60), restarts=1)
+        truth = np.array([dictionary.value_of(w) for w in words])
+        assert result.words == tuple(words)
+        assert np.mean((result.learned_values - truth) ** 2) <= 1e-7
 
 
 def valid_payload(dictionary, tmp_path):
@@ -160,6 +173,38 @@ class TestLoadArchive:
         edit(payload)
         with pytest.raises(ArchiveFormatError, match=match):
             load_payload(payload, tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda p: p.__setitem__("version", True), "unsupported archive version True"),
+            (lambda p: p.__setitem__("node_count", 2.9), "node_count must be a JSON integer, got 2.9"),
+            (lambda p: p.__setitem__("node_count", "2"), "node_count must be a JSON integer, got '2'"),
+            (lambda p: p.__setitem__("node_count", True), "node_count must be a JSON integer, got True"),
+            (lambda p: p.__setitem__("t_max", True), "t_max must be a JSON number, got True"),
+            (lambda p: p.__setitem__("t_max", "0.5"), "t_max must be a JSON number, got '0.5'"),
+            (lambda p: p["samples"][0].__setitem__("t", str(p["samples"][0]["t"])),
+             "sample time t must be a JSON number, got '0."),
+            (lambda p: p["samples"][0].__setitem__("t", True),
+             "sample time t must be a JSON number, got True"),
+            # a JSON integer too large for a float
+            (lambda p: p.__setitem__("t_max", 10**400), "malformed archive: int too large"),
+            (lambda p: p["samples"][0].__setitem__("t", 10**400), "malformed archive: int too large"),
+        ],
+        ids=["bool-version", "float-node-count", "str-node-count", "bool-node-count",
+             "bool-t-max", "str-t-max", "str-t", "bool-t", "huge-t-max", "huge-t"],
+    )
+    def test_rejects_header_values_of_the_wrong_json_type(self, dictionary, tmp_path, edit, match):
+        payload = valid_payload(dictionary, tmp_path)
+        edit(payload)
+        with pytest.raises(ArchiveFormatError, match=re.escape(match)):
+            load_payload(payload, tmp_path)
+
+    def test_accepts_an_integer_t_max(self, dictionary, tmp_path):
+        payload = valid_payload(dictionary, tmp_path)
+        payload["t_max"] = 1
+        archive = load_payload(payload, tmp_path)
+        assert archive.t_max == 1.0 and isinstance(archive.t_max, float)
 
     @pytest.mark.parametrize("bad", sorted(BAD_AMPLITUDES))
     def test_rejects_non_finite_amplitudes_in_version_2(self, dictionary, tmp_path, bad):

@@ -327,8 +327,9 @@ class TestTrainQgrnn:
     def test_history_shape_and_range(self):
         _, initial, samples = make_instance(2, 19, batch=5)
         result = train_qgrnn(initial, samples, TrainConfig(epochs=12, seed=1))
-        assert len(result.cost_history) == 12
-        assert [epoch for epoch, _ in result.cost_history] == list(range(1, 13))
+        rows = len(result.cost_history)
+        assert 1 <= rows <= 12
+        assert [epoch for epoch, _ in result.cost_history] == list(range(1, rows + 1))
         assert all(-1.0 <= cost <= 0.0 for _, cost in result.cost_history)
         assert result.final_cost == result.cost_history[-1][1]
 
@@ -342,11 +343,26 @@ class TestTrainQgrnn:
         monkeypatch.setattr(training, "adam_step", recording_step)
         _, initial, samples = make_instance(2, 19, batch=5)
         config = TrainConfig(seed=1)
+        assert config.epochs == 150
         train_qgrnn(initial, samples, config)
-        assert len(calls) == config.epochs
+        # the Adam phase is the first ceil(E / 3) epochs; the anneal spans it
+        assert len(calls) == 50
         assert calls[0] == config.learning_rate
         assert all(a > b for a, b in zip(calls, calls[1:]))
         assert calls[-1] < 1e-3 * calls[0]
+
+    def test_stops_early_once_converged(self):
+        _, initial, samples = make_instance(2, 19, batch=5)
+        result = train_qgrnn(initial, samples, TrainConfig(seed=1))
+        assert result.stop_reason == "converged"
+        assert len(result.cost_history) < 150
+        assert result.final_cost <= -0.9999
+
+    def test_a_spent_budget_stops_on_epochs(self):
+        _, initial, samples = make_instance(2, 19, batch=5)
+        result = train_qgrnn(initial, samples, TrainConfig(epochs=3, seed=1))
+        assert result.stop_reason == "epochs"
+        assert [epoch for epoch, _ in result.cost_history] == [1, 2, 3]
 
     def test_recovers_zero_target(self):
         rng = np.random.default_rng(20)
@@ -373,6 +389,68 @@ class TestTrainQgrnn:
         config = TrainConfig(seed=4, node_init_low=0.0, node_init_high=5.0)
         result = train_qgrnn(initial, samples, config)
         assert result.final_cost <= -0.95
+
+
+class QuadraticEvaluator:
+    """Stub with the evaluator's cost and gradient for f(x) = (x - x*)^T A (x - x*) / 2 - 1."""
+
+    def __init__(self, size, condition, seed):
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.normal(size=(size, size)))
+        self.matrix = basis @ np.diag(np.logspace(-np.log10(condition), 0, size)) @ basis.T
+        self.minimum = rng.uniform(-1, 1, size)
+
+    def cost(self, flat):
+        offset = flat - self.minimum
+        return 0.5 * offset @ self.matrix @ offset - 1.0
+
+    def gradient(self, flat, fd_step):
+        return self.matrix @ (flat - self.minimum)
+
+
+class TestBfgsPhase:
+    def test_minimizes_an_ill_conditioned_quadratic(self):
+        evaluator = QuadraticEvaluator(10, 1e3, seed=50)
+        start = np.zeros(10)
+        start_cost = evaluator.cost(start)
+        history = [(1, start_cost)]
+        params, reason = training._bfgs_phase(evaluator, start, start_cost, 200, history, 1e-3)
+        assert reason == "converged"
+        costs = [cost for _, cost in history]
+        assert all(b < a for a, b in zip(costs, costs[1:]))
+        assert history[-1][1] == evaluator.cost(params)
+        assert history[-1][1] - (-1.0) <= 1e-10
+        assert [epoch for epoch, _ in history] == list(range(1, len(history) + 1))
+
+    def test_stops_on_the_budget(self):
+        evaluator = QuadraticEvaluator(10, 1e3, seed=51)
+        history = [(1, evaluator.cost(np.zeros(10)))]
+        _, reason = training._bfgs_phase(evaluator, np.zeros(10), history[0][1], 2, history, 1e-3)
+        assert reason == "epochs"
+        assert [epoch for epoch, _ in history] == [1, 2, 3]
+
+    def test_stops_before_a_line_search_on_round_off(self):
+        # 1e-9 from the minimum the predicted decrease is ~1e-18, below eps |cost|:
+        # no cost is evaluated, where a line search would spend 21 on round-off
+        evaluator = QuadraticEvaluator(4, 10.0, seed=52)
+        costs = []
+        evaluator.cost = lambda flat: costs.append(flat) or -1.0
+        start = evaluator.minimum + 1e-9
+        history = []
+        params, reason = training._bfgs_phase(evaluator, start, -1.0, 5, history, 1e-3)
+        assert reason == "converged" and history == [] and costs == []
+        assert np.array_equal(params, start)
+
+    def test_takes_no_step_that_does_not_lower_the_cost(self):
+        # a flat cost beside a gradient of norm 1e-6: the Armijo bound -1 - 1e-16 rounds
+        # to -1, so only the strict decrease refuses every step
+        evaluator = QuadraticEvaluator(4, 10.0, seed=53)
+        evaluator.cost = lambda flat: -1.0
+        evaluator.gradient = lambda flat, fd_step: np.full(4, 5e-7)
+        history = []
+        params, reason = training._bfgs_phase(evaluator, np.zeros(4), -1.0, 5, history, 1e-3)
+        assert reason == "converged" and history == []
+        assert np.array_equal(params, np.zeros(4))
 
 
 class TestCostLandscape:
