@@ -3,13 +3,15 @@
 Training recovers the node and edge coefficients of a hidden graph
 Hamiltonian from one initial state plus a batch of time-evolved states, by
 minimizing the average negative fidelity between each evolved state and the
-second-order Trotterized circuit output at the matching time. Each attempt
-has two phases: Adam on a cosine-annealed step size for the first third of
-the epochs, to reach a basin, then BFGS with a backtracking line search,
-which converges superlinearly inside it and stops early once no step can
-lower the cost (Nocedal & Wright, Numerical Optimization, Alg. 6.1). The
-first attempt can start from ``linear_inversion_start``, a closed-form
-estimate of the coefficients from the short-time slope of the same states.
+fourth-order Trotterized circuit output at the matching time: Suzuki's
+composition of five Strang stages, the middle one of negative step, built
+from the paper's gates (see ``ansatz``). Each attempt has two phases: Adam
+on a cosine-annealed step size for the first third of the epochs, to reach
+a basin, then BFGS with a backtracking line search, which converges
+superlinearly inside it and stops early once no step can lower the cost
+(Nocedal & Wright, Numerical Optimization, Alg. 6.1). The first attempt can
+start from ``linear_inversion_start``, a closed-form estimate of the
+coefficients from the short-time slope of the same states.
 """
 from __future__ import annotations
 
@@ -20,7 +22,13 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import seeding
-from .ansatz import AnsatzParams, coupling_columns, layer_count, transverse_layer_matrix
+from .ansatz import (
+    STAGE_WEIGHTS,
+    AnsatzParams,
+    coupling_columns,
+    layer_count,
+    transverse_layer_matrix,
+)
 from .ising import TimeEvolvedSample, apply_hamiltonian
 from .statevector import (
     StateVector,
@@ -57,6 +65,10 @@ class TrainConfig:
     then search. Every field is type- and range-checked on construction,
     and ``t_max`` may need at most ``MAX_LAYERS`` layers of ``trotter_delta``,
     so a run that could not finish fails before any data is generated.
+
+    ``trotter_delta`` is the mean step of a diagonal layer: a sample at time
+    t runs K = ``layer_count(t, 5 trotter_delta)`` fourth-order steps of t/K,
+    each five diagonal layers whose steps are (p, p, 1 - 4p, p, p) t/K.
 
     ``epochs`` is a budget: ``train_qgrnn`` runs Adam for the first
     ceil(epochs / 3) of them and BFGS for at most the rest, and it stops
@@ -175,20 +187,26 @@ class CostEvaluator:
     """Cost and exact adjoint gradient for one (initial state, sample set, delta).
 
     The B samples are the rows of one ``(B, 2^n)`` array, sorted by depth,
-    deepest first. Sample b runs ``layer_count(t_b, delta)`` layers of step
-    ``d_b = t_b / depth_b``; every row ends at the last layer, so a shallower
-    row starts late and the rows active at any layer are a prefix. A layer
-    is an elementwise phase multiply followed by ``exp(-i d_b sum_i X_i)``,
-    which is applied in blocks of at most ``TRANSVERSE_BLOCK_QUBITS`` qubits
-    as batched ``(B, 2^k, 2^k)`` matmuls over reshaped views. The evaluator
-    holds O(B 2^n) memory and no 2^n x 2^n matrix.
+    deepest first. Sample b runs K_b = ``layer_count(t_b, 5 delta)``
+    fourth-order steps of ``d_b = t_b / K_b``, that is 5 K_b diagonal layers,
+    within a few layers of ``layer_count(t_b, delta)``; every row ends at the
+    last layer, so a shallower row starts late and the rows active at any
+    layer are a prefix. A layer is an elementwise phase multiply followed by
+    a transverse step ``exp(-i s sum_i X_i)``, which is applied in blocks of
+    at most ``TRANSVERSE_BLOCK_QUBITS`` qubits as batched
+    ``(B, 2^k, 2^k)`` matmuls over reshaped views. The evaluator holds
+    O(B 2^n) memory and no 2^n x 2^n matrix.
 
-    The circuit is second order (see ``ansatz``): D Strang layers equal
-    T(-d/2) [T(d) P]^D T(d/2), and the two end factors do not depend on the
-    coefficients. So the layers above run in a changed frame: row b starts
-    from its own ket T(d_b/2) psi0 and is scored against the bra of
-    T(d_b/2) phi_b, both computed once here. Cost, gradient and the work per
-    layer are those of the first-order circuit.
+    The circuit is fourth order (see ``ansatz``): K steps of Suzuki's
+    five-stage composition of Strang layers, whose adjacent transverse
+    half-steps merge. Layer l has the phases of stage j = l mod 5, of step
+    c_j d_b with c = ``STAGE_WEIGHTS`` (the middle one negative), and then
+    the transverse step (c_j + c_{j+1}) d_b / 2, cyclic in j. Each depth is
+    a multiple of 5, so a late row starts on stage 0. Only two phase
+    weights and two transverse steps occur; each is built once. The outer
+    half-steps T(p d_b / 2) do not depend on the coefficients, so row b
+    starts from its own ket T(p d_b / 2) psi0 and is scored against the bra
+    of T(p d_b / 2) phi_b, both computed once here.
 
     The gradient is reverse-mode: one forward pass, then one backward pass
     that walks the state and the bra back through the inverse layers, which
@@ -199,19 +217,22 @@ class CostEvaluator:
         _check_batch(initial, samples)
         if delta <= 0:
             raise ValueError("delta must be > 0")
-        depths = [layer_count(s.time, delta) for s in samples]
-        deepest = max(depths)
+        layers = [layer_count(s.time, delta) for s in samples]
+        deepest = max(layers)
         if deepest > MAX_LAYERS:
             raise ValueError(
-                f"sample time {samples[depths.index(deepest)].time:g} needs {deepest} layers "
+                f"sample time {samples[layers.index(deepest)].time:g} needs {deepest} layers "
                 f"of step {delta:g}, more than the limit of {MAX_LAYERS}"
             )
+        stages = len(STAGE_WEIGHTS)
+        depths = [stages * layer_count(s.time, stages * delta) for s in samples]
         order = np.argsort(depths, kind="stable")[::-1]
         self.node_count = initial.qubit_count
         self.batch_size = len(samples)
         self.columns = coupling_columns(self.node_count)
         self.depths = np.array(depths)[order]
-        self.steps = np.array([samples[b].time for b in order]) / self.depths
+        # the fourth-order step d_b of each row
+        self.steps = np.array([samples[b].time for b in order]) / (self.depths // stages)
         # the layer on which each row starts; ascending, since rows run deepest first
         self._starts = self.depths[0] - self.depths
         # (lowest qubit, qubit count) of each block of the transverse layer
@@ -219,14 +240,16 @@ class CostEvaluator:
             (low, min(TRANSVERSE_BLOCK_QUBITS, self.node_count - low))
             for low in range(0, self.node_count, TRANSVERSE_BLOCK_QUBITS)
         ]
-        sizes = {k for _, k in self._blocks}
-        self._transverse = {
-            k: np.array([transverse_layer_matrix(k, d) for d in self.steps]) for k in sizes
+        # (phase weight, transverse weight) of each stage, as fractions of d_b
+        following = STAGE_WEIGHTS[1:] + STAGE_WEIGHTS[:1]
+        self._stages = tuple((c, (c + c_next) / 2) for c, c_next in zip(STAGE_WEIGHTS, following))
+        self._transverse = {w: self._block_matrices(w) for w in {w for _, w in self._stages}}
+        # exp(+i s sum X) is the elementwise conjugate, as every block matrix is symmetric
+        self._inverse = {
+            w: {k: m.conj() for k, m in blocks.items()} for w, blocks in self._transverse.items()
         }
-        # exp(+i d sum X) is the elementwise conjugate, as every block matrix is symmetric
-        self._inverse = {k: m.conj() for k, m in self._transverse.items()}
-        # the Strang frame: row b starts from T(d_b/2) psi0 and ends on the bra of T(d_b/2) phi_b
-        half = {k: np.array([transverse_layer_matrix(k, d / 2) for d in self.steps]) for k in sizes}
+        # the frame: row b starts from T(p d_b/2) psi0 and ends on the bra of T(p d_b/2) phi_b
+        half = self._block_matrices(STAGE_WEIGHTS[0] / 2)
         psi0 = np.broadcast_to(initial.amplitudes, (self.batch_size, initial.dim))
         self.kets = self._apply_blocks(psi0, half)
         self.bras = self._apply_blocks(
@@ -241,6 +264,13 @@ class CostEvaluator:
         """Number of leading rows that have started by ``layer``."""
         return int(np.searchsorted(self._starts, layer, side="right"))
 
+    def _block_matrices(self, weight: float) -> dict:
+        """Per-row transverse block matrices of step ``weight * d_b``, keyed by block size."""
+        return {
+            k: np.array([transverse_layer_matrix(k, weight * d) for d in self.steps])
+            for k in {k for _, k in self._blocks}
+        }
+
     def _apply_blocks(self, x: np.ndarray, matrices: dict) -> np.ndarray:
         """Apply each row's block matrices to an ``(rows, ..., 2^n)`` array; returns a new array."""
         rows = x.shape[0]
@@ -254,17 +284,25 @@ class CostEvaluator:
                 x = m[:, None] @ x.reshape(rows, -1, 1 << k, 1 << low)
         return x.reshape(shape)
 
-    def _phases(self, diag: np.ndarray) -> np.ndarray:
-        """Per-row diagonal layer exp(-i d_b diag) for diag of shape (..., 2^n): (B, ..., 2^n)."""
-        return np.exp(-1j * self.steps.reshape((-1,) + (1,) * diag.ndim) * diag)
+    def _phases(self, diag: np.ndarray) -> dict:
+        """Per-row diagonal layers exp(-i c d_b diag) for diag of shape (..., 2^n), keyed by c.
 
-    def _evolve(self, phases: np.ndarray) -> np.ndarray:
-        """Final states of every row for per-row phases of shape (B, ..., 2^n)."""
-        kets = self.kets.reshape((self.batch_size,) + (1,) * (phases.ndim - 2) + (-1,))
-        psi = np.broadcast_to(kets, phases.shape).copy()
+        Each value has shape (B, ..., 2^n).
+        """
+        steps = self.steps.reshape((-1,) + (1,) * diag.ndim)
+        return {c: np.exp(-1j * c * steps * diag) for c in set(STAGE_WEIGHTS)}
+
+    def _evolve(self, phases: dict) -> np.ndarray:
+        """Final states of every row for per-row phases keyed by stage weight."""
+        shape = phases[STAGE_WEIGHTS[0]].shape
+        kets = self.kets.reshape((self.batch_size,) + (1,) * (len(shape) - 2) + (-1,))
+        psi = np.broadcast_to(kets, shape).copy()
         for layer in range(self.depths[0]):
             rows = self._active(layer)
-            psi[:rows] = self._apply_blocks(phases[:rows] * psi[:rows], self._transverse)
+            weight, transverse = self._stages[layer % len(self._stages)]
+            psi[:rows] = self._apply_blocks(
+                phases[weight][:rows] * psi[:rows], self._transverse[transverse]
+            )
         return psi
 
     def costs(self, flat_matrix: np.ndarray) -> np.ndarray:
@@ -279,12 +317,12 @@ class CostEvaluator:
     def gradient(self, flat: np.ndarray, fd_step: float) -> np.ndarray:
         """Exact gradient of ``cost`` by one forward and one backward pass.
 
-        With a_b = <bra_b|psi_L> (both in the Strang frame), chi_l the state
-        after layer l's phases and lambda_l the bra carried back to the same
-        point, the gradient is
-        -(1/B) sum_b 2 Re(conj(a_b) (-i d_b) columns.T g_b) with
-        g_b = sum_l conj(lambda_l) * chi_l. ``fd_step`` is unused; it stays
-        in the signature because the benchmark's kernel scan passes
+        With a_b = <bra_b|psi_L> (both in the frame of the outer half-steps),
+        chi_l the state after layer l's phases, lambda_l the bra carried back
+        to the same point and c_l the phase weight of layer l's stage, the
+        gradient is -(1/B) sum_b 2 Re(conj(a_b) (-i d_b) columns.T g_b) with
+        g_b = sum_l c_l conj(lambda_l) * chi_l. ``fd_step`` is unused; it
+        stays in the signature because the benchmark's kernel scan passes
         ``TrainConfig.fd_step``.
         """
         phases = self._phases(self.columns @ np.asarray(flat, dtype=np.float64))
@@ -292,13 +330,14 @@ class CostEvaluator:
         overlaps = np.einsum("bn,bn->b", self.bras, psi)
         # row b holds [state, bra as a ket], both walked back one layer at a time
         pair = np.stack([psi, self.bras.conj()], axis=1)
-        back = phases.conj()[:, None]
+        back = {c: p.conj()[:, None] for c, p in phases.items()}
         g = np.zeros_like(psi)
         for layer in range(self.depths[0] - 1, -1, -1):
             rows = self._active(layer)
-            chi = self._apply_blocks(pair[:rows], self._inverse)
-            g[:rows] += chi[:, 1].conj() * chi[:, 0]
-            pair[:rows] = back[:rows] * chi
+            weight, transverse = self._stages[layer % len(self._stages)]
+            chi = self._apply_blocks(pair[:rows], self._inverse[transverse])
+            g[:rows] += weight * (chi[:, 1].conj() * chi[:, 0])
+            pair[:rows] = back[weight][:rows] * chi
         weights = overlaps.conj() * (-1j * self.steps)
         return -2.0 * np.real((weights @ g) @ self.columns) / self.batch_size
 

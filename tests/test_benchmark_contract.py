@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qgrnn import pipeline, training
+from qgrnn.ansatz import layer_count
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,6 +30,20 @@ def test_kernel_scan_calls():
     grad = evaluator.gradient(flat, config.fd_step)
     assert -1.0 <= cost <= 0.0
     assert grad.shape == flat.shape and np.all(np.isfinite(grad))
+
+
+def test_layer_count_matches_the_traced_depth():
+    # benchmarks/trace_layers.py counts the layers of an evaluator as the sum of
+    # layer_count(t, delta) over its samples, the work per epoch that
+    # training.layer_column_products reports; the circuit's rounding to whole
+    # fourth-order steps may move each row by at most 4 layers
+    rng = np.random.default_rng(1)
+    config = training.TrainConfig(seed=0, batch_size=15)
+    _, initial, samples = pipeline.embed_and_sample(rng.uniform(-4.0, 5.0, 4), config)
+    evaluator = training.CostEvaluator(initial, samples, config.trotter_delta)
+    traced = sum(layer_count(s.time, config.trotter_delta) for s in samples)
+    assert len(samples) == 15
+    assert abs(int(evaluator.depths.sum()) - traced) <= 4 * len(samples)
 
 
 @pytest.mark.parametrize("epochs", [1, 2, 3, 60])

@@ -54,13 +54,14 @@ class TestRoundTrip:
 class TestWideRegister:
     def test_eight_word_reveal_reaches_the_trotter_floor_in_60_epochs(self, dictionary):
         # one attempt of 60 epochs, as in the wide-register benchmark workload;
-        # Adam alone ended at MSE 8.3e-5, against a Trotter-bias floor of 1.7e-9
+        # Adam alone ended at MSE 8.3e-5 and the second-order circuit at its
+        # Trotter-bias floor of 1.7e-9; the fourth-order circuit reaches 2.4e-12
         words = "juliet india hotel golf foxtrot echo delta charlie".split()
         archive = encode_message(words, dictionary, TrainConfig(seed=1), created="fixed")
         result = reveal_message(archive, dictionary, TrainConfig(seed=1, epochs=60), restarts=1)
         truth = np.array([dictionary.value_of(w) for w in words])
         assert result.words == tuple(words)
-        assert np.mean((result.learned_values - truth) ** 2) <= 1e-7
+        assert np.mean((result.learned_values - truth) ** 2) <= 1e-10
 
 
 def valid_payload(dictionary, tmp_path):

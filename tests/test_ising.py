@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -214,6 +215,17 @@ class TestSampleEvolution:
         monkeypatch.setattr(ising, "MAX_TAYLOR_STEPS", 4)
         with pytest.raises(ValueError, match="5 Taylor steps"):
             sample_evolution(graph, state, [2.5, 1.0])
+
+    def test_evaluates_each_time_within_its_own_step(self, monkeypatch):
+        # H = X has norm 1, its Gershgorin bound, so times up to 3 take 3 steps of 1.
+        # A 12-term series truncates at most e/13! (4.4e-10) per step; a time
+        # evaluated from an earlier step's powers, a fraction up to 2 into it,
+        # would truncate up to 1.5e-6
+        monkeypatch.setattr(ising, "TAYLOR_ORDER", 12)
+        times = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+        for s in sample_evolution(IsingGraph(1, [0.0]), basis_state(1), times):
+            exact = [np.cos(s.time), -1j * np.sin(s.time)]
+            assert np.linalg.norm(s.state.amplitudes - exact) <= math.ceil(s.time) * math.e / math.factorial(13)
 
     @pytest.mark.parametrize("weight", [1e9, np.inf, np.nan])
     def test_rejects_a_huge_norm_before_any_product(self, monkeypatch, weight):

@@ -21,7 +21,7 @@ from qgrnn.training import (
 
 from conftest import (
     apply_qgrnn,
-    apply_strang_qgrnn,
+    apply_suzuki_qgrnn,
     batch_cost,
     grad_central,
     grad_richardson,
@@ -85,7 +85,7 @@ class TestBatchCost:
     def test_zero_for_orthogonal_sample(self):
         params = AnsatzParams(2, np.zeros(1), np.zeros(2))
         initial = random_state(2, 5)
-        evolved = apply_strang_qgrnn(initial, params, 0.3, 0.01).amplitudes
+        evolved = apply_suzuki_qgrnn(initial, params, 0.3, 0.01).amplitudes
         # build a sample state orthogonal to the circuit output
         other = random_state_array(np.random.default_rng(6), 2)
         other -= np.vdot(evolved, other) * evolved
@@ -256,18 +256,18 @@ class TestAdamStep:
 
 class TestSplittingOrder:
     def test_learned_error_falls_with_the_order(self):
-        # the error of the learned coefficients at delta and delta/2: about 4x
-        # lower for the second-order circuit training fits, 2x for first order
+        # the error of the learned coefficients at delta and delta/2: about 16x
+        # lower for the fourth-order circuit training fits, 2x for first order
         rng = np.random.default_rng(2)
         graph = random_complete_graph(rng.uniform(0, 5, 3), rng)
         initial = random_state(3, 102)
         samples = sample_evolution(graph, initial, draw_times(15, 0.5, rng))
         truth = AnsatzParams.from_graph(graph).flatten()
         start = linear_inversion_start(initial, samples)
-        second, first = [], []
+        fourth, first = [], []
         for delta in (0.05, 0.025):
             result = train_qgrnn(initial, samples, TrainConfig(trotter_delta=delta), start=start)
-            second.append(np.max(np.abs(result.learned_params.flatten() - truth)))
+            fourth.append(np.max(np.abs(result.learned_params.flatten() - truth)))
 
             def first_order_cost(flat):
                 params = AnsatzParams.from_flat(3, flat)
@@ -276,8 +276,8 @@ class TestSplittingOrder:
             fit = scipy.optimize.minimize(first_order_cost, truth, method="BFGS")
             assert fit.success
             first.append(np.max(np.abs(fit.x - truth)))
-        # measured: 7.9e-3 -> 2.0e-3 (4.0x) and 8.2e-2 -> 3.8e-2 (2.1x)
-        assert 3.4 <= second[0] / second[1] <= 4.6
+        # measured: 8.3e-3 -> 4.8e-4 (17.2x) and 8.2e-2 -> 3.8e-2 (2.1x)
+        assert 13.6 <= fourth[0] / fourth[1] <= 18.4
         assert 1.7 <= first[0] / first[1] <= 2.6
 
 
