@@ -356,10 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "hide",
         help="encode a message into a state archive",
-        epilog="Writes archive.json (format version 2): version, node_count, t_max, "
+        epilog="Writes archive.json (format version 3): version, node_count, t_max, "
         "initial, samples (t, state) and meta (created). Each state is the base64 of "
-        "its 2^node_count amplitudes as little-endian complex128. reveal also reads "
-        "version 1, which stored [re, im] decimal pairs.",
+        "its 2^node_count amplitudes as little-endian complex64, exact to single "
+        "precision. reveal also reads version 2 (complex128) and version 1, which "
+        "stored [re, im] decimal pairs.",
     )
     _add_common(p)
     p.add_argument("--message", required=True, help="whitespace-separated words")

@@ -23,11 +23,16 @@ from .pipeline import ACCEPT_COST, DEFAULT_RESTARTS, MAX_QUBITS, embed_and_sampl
 from .statevector import NORM_TOL, StateVector
 from .training import TrainConfig, TrainResult
 
-ARCHIVE_VERSION = 2
-# Version 1 stored each amplitude as a [re, im] pair of decimal floats. It is
-# still read: a version-1 file is the only copy of its hidden message.
-READABLE_VERSIONS = (1, ARCHIVE_VERSION)
-AMPLITUDE_DTYPE = np.dtype("<c16")
+ARCHIVE_VERSION = 3
+# Version 1 stored each amplitude as a [re, im] pair of decimal floats and
+# version 2 as complex128. Both are still read: an old file is the only copy
+# of its hidden message.
+READABLE_VERSIONS = (1, 2, ARCHIVE_VERSION)
+# the amplitude type of each base64 version
+AMPLITUDE_DTYPES = {2: np.dtype("<c16"), 3: np.dtype("<c8")}
+# Rounding to complex64 moves a unit norm by at most the unit roundoff 2^-24;
+# eps = 2^-23 leaves a factor of 2 to spare.
+CARRIER_NORM_TOL = float(np.finfo(np.float32).eps)
 DICTIONARY_LO = -4.0
 DICTIONARY_HI = 5.0
 
@@ -121,21 +126,27 @@ def encode_message(
 
 
 def _encode_state(state: StateVector) -> str:
-    return base64.b64encode(state.amplitudes.astype(AMPLITUDE_DTYPE).tobytes()).decode("ascii")
+    amplitudes = state.amplitudes.astype(AMPLITUDE_DTYPES[ARCHIVE_VERSION])
+    return base64.b64encode(amplitudes.tobytes()).decode("ascii")
 
 
-def encoded_state_length(node_count: int) -> int:
-    """Characters in the base64 of 2^node_count complex128 amplitudes."""
-    return 4 * math.ceil(AMPLITUDE_DTYPE.itemsize * (1 << node_count) / 3)
+def encoded_state_length(node_count: int, version: int = ARCHIVE_VERSION) -> int:
+    """Characters in one state string of ``version`` (2 or 3, default 3).
+
+    The base64 of 2^node_count amplitudes as complex64 (version 3) or
+    complex128 (version 2).
+    """
+    return 4 * math.ceil(AMPLITUDE_DTYPES[version].itemsize * (1 << node_count) / 3)
 
 
 def save_archive(archive: StateArchive, path) -> None:
-    """Write the archive as JSON in format version 2.
+    """Write the archive as JSON in format version 3.
 
     Each state (``initial`` and ``samples[i].state``) is one ASCII string:
-    the base64 of its 2^node_count amplitudes as little-endian complex128
-    bytes, so the round trip through ``load_archive`` is bit-exact.
-    ``meta`` holds the creation time only.
+    the base64 of its 2^node_count amplitudes as little-endian complex64
+    bytes. ``load_archive`` returns each state rounded to single precision
+    and renormalised; the fit's floor is set by the Trotter model, far above
+    that rounding. ``meta`` holds the creation time only.
     """
     payload = {
         "version": ARCHIVE_VERSION,
@@ -156,7 +167,7 @@ def _decode_state(field, version: int, node_count: int, path) -> StateVector:
         amps = arr[:, 0] + 1j * arr[:, 1]
     else:
         # the length check bounds the decoding work by MAX_QUBITS
-        length = encoded_state_length(node_count)
+        length = encoded_state_length(node_count, version)
         if not isinstance(field, str) or len(field) != length:
             raise ArchiveFormatError(
                 f"{path}: state must be a base64 string of {length} characters "
@@ -166,12 +177,19 @@ def _decode_state(field, version: int, node_count: int, path) -> StateVector:
             raw = base64.b64decode(field, validate=True)
         except binascii.Error as exc:
             raise ArchiveFormatError(f"{path}: state is not valid base64: {exc}") from None
-        if len(raw) != AMPLITUDE_DTYPE.itemsize << node_count:
+        dtype = AMPLITUDE_DTYPES[version]
+        if len(raw) != dtype.itemsize << node_count:
             raise ArchiveFormatError(f"{path}: state array has wrong shape ({len(raw)} bytes)")
-        amps = np.frombuffer(raw, dtype=AMPLITUDE_DTYPE)
+        # widening a signalling NaN sets the invalid flag; the norm check rejects it
+        with np.errstate(invalid="ignore"):
+            amps = np.frombuffer(raw, dtype=dtype).astype(np.complex128)
+    norm = np.linalg.norm(amps)
     # written so that a NaN or infinite norm fails too
-    if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
+    if not abs(norm - 1.0) <= (CARRIER_NORM_TOL if version == 3 else NORM_TOL):
         raise ArchiveFormatError(f"{path}: state norm deviates from 1")
+    if version == 3:
+        # StateVector, and everything downstream, holds the norm to NORM_TOL
+        amps = amps / norm
     return StateVector(node_count, amps)
 
 
@@ -199,10 +217,14 @@ def load_archive(path) -> StateArchive:
     each sample's ``t`` JSON numbers; a boolean or a string is rejected
     rather than coerced.
 
-    Reads format version 2 (see ``save_archive``) and version 1, where each
-    state is a list of [re, im] decimal pairs; version 1 is never written.
-    A version-2 state string must have exactly the length that node_count
-    implies before it is decoded. A version-1 ``meta.note`` is ignored.
+    Reads format version 3 (see ``save_archive``), version 2, whose state
+    strings hold complex128 amplitudes, and version 1, where each state is a
+    list of [re, im] decimal pairs; versions 1 and 2 are never written and
+    load bit-exactly. A state string must have exactly the length that
+    node_count and the version imply before it is decoded. A version-3 state
+    must have unit norm to single precision (``CARRIER_NORM_TOL``) and is
+    renormalised; older versions must meet ``NORM_TOL``. A version-1
+    ``meta.note`` is ignored.
     """
     path = Path(path)
     try:

@@ -1,6 +1,7 @@
 """Shared test oracles, built independently of the package's computation paths."""
 from __future__ import annotations
 
+import cmath
 import struct
 from functools import reduce
 
@@ -9,7 +10,7 @@ import pytest
 
 from qgrnn.ansatz import AnsatzParams, coupling_columns, layer_count, transverse_layer_matrix
 from qgrnn.ising import complete_pairs
-from qgrnn.statevector import StateVector, _apply_one_qubit, _bits, _check_qubit, rx_matrix
+from qgrnn.statevector import StateVector, _check_qubit, rx_matrix
 from qgrnn.training import fidelity_direct
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -87,17 +88,43 @@ def fine_trotter_evolve(h: np.ndarray, psi: np.ndarray, t: float, dt: float = 1e
     return np.linalg.matrix_power(step, steps) @ psi
 
 
+def _check_dimensions(state: StateVector, params: AnsatzParams) -> None:
+    if state.qubit_count != params.node_count:
+        raise ValueError(
+            f"state has {state.qubit_count} qubits, params describe {params.node_count} nodes"
+        )
+
+
+# The gates act on raw amplitude arrays, so a circuit builds one StateVector
+# (norm check and copy) at its end rather than one per gate. Each reshape puts
+# the target qubit's bit on axis 1 (qubit 0 is the least significant bit).
+
+
+def _rx(psi: np.ndarray, qubit: int, theta: float) -> np.ndarray:
+    return (rx_matrix(theta) @ psi.reshape(-1, 2, 1 << qubit)).reshape(-1)
+
+
+def _rz(psi: np.ndarray, qubit: int, theta: float) -> np.ndarray:
+    phase = np.array([[cmath.exp(-0.5j * theta)], [cmath.exp(0.5j * theta)]])
+    return (psi.reshape(-1, 2, 1 << qubit) * phase).reshape(-1)
+
+
+def _zz(psi: np.ndarray, qubit_i: int, qubit_j: int, phi: float) -> np.ndarray:
+    lo, hi = sorted((qubit_i, qubit_j))
+    agree, differ = cmath.exp(-1j * phi), cmath.exp(1j * phi)
+    phase = np.array([[agree, differ], [differ, agree]]).reshape(2, 1, 2, 1)
+    return (psi.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo) * phase).reshape(-1)
+
+
 def apply_rx(state: StateVector, qubit: int, theta: float) -> StateVector:
     _check_qubit(state, qubit)
-    return _apply_one_qubit(state, qubit, rx_matrix(theta))
+    return StateVector(state.qubit_count, _rx(state.amplitudes, qubit, theta))
 
 
 def apply_rz(state: StateVector, qubit: int, theta: float) -> StateVector:
     """RZ(theta) = diag(exp(-i theta/2), exp(+i theta/2)) on the target qubit."""
     _check_qubit(state, qubit)
-    bits = _bits(state.dim, qubit)
-    phase = np.exp(1j * (theta / 2) * (2 * bits - 1))
-    return StateVector(state.qubit_count, state.amplitudes * phase)
+    return StateVector(state.qubit_count, _rz(state.amplitudes, qubit, theta))
 
 
 def apply_zz(state: StateVector, qubit_i: int, qubit_j: int, phi: float) -> StateVector:
@@ -106,26 +133,31 @@ def apply_zz(state: StateVector, qubit_i: int, qubit_j: int, phi: float) -> Stat
         raise ValueError("apply_zz requires two distinct qubits")
     _check_qubit(state, qubit_i)
     _check_qubit(state, qubit_j)
-    agree = _bits(state.dim, qubit_i) == _bits(state.dim, qubit_j)
-    phase = np.where(agree, np.exp(-1j * phi), np.exp(1j * phi))
-    return StateVector(state.qubit_count, state.amplitudes * phase)
+    return StateVector(state.qubit_count, _zz(state.amplitudes, qubit_i, qubit_j, phi))
+
+
+def _diagonal_gates(psi: np.ndarray, params: AnsatzParams, delta: float) -> np.ndarray:
+    """The ZZ gates on every pair, then the RZ gates on every qubit."""
+    for pair, w in zip(complete_pairs(params.node_count), params.edge_params):
+        psi = _zz(psi, pair[0], pair[1], delta * w)
+    for q, w in enumerate(params.node_params):
+        psi = _rz(psi, q, 2.0 * delta * w)
+    return psi
+
+
+def _rx_all(psi: np.ndarray, node_count: int, theta: float) -> np.ndarray:
+    for q in range(node_count):
+        psi = _rx(psi, q, theta)
+    return psi
 
 
 def apply_trotter_layer(state: StateVector, params: AnsatzParams, delta: float) -> StateVector:
     """One first-order splitting layer, gate by gate: the QGRNN layer of the paper."""
-    if state.qubit_count != params.node_count:
-        raise ValueError(
-            f"state has {state.qubit_count} qubits, params describe {params.node_count} nodes"
-        )
+    _check_dimensions(state, params)
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    for pair, w in zip(complete_pairs(params.node_count), params.edge_params):
-        state = apply_zz(state, pair[0], pair[1], delta * w)
-    for q, w in enumerate(params.node_params):
-        state = apply_rz(state, q, 2.0 * delta * w)
-    for q in range(params.node_count):
-        state = apply_rx(state, q, 2.0 * delta)
-    return state
+    psi = _diagonal_gates(state.amplitudes, params, delta)
+    return StateVector(state.qubit_count, _rx_all(psi, params.node_count, 2.0 * delta))
 
 
 def apply_qgrnn(state: StateVector, params: AnsatzParams, t: float, delta: float) -> StateVector:
@@ -135,10 +167,7 @@ def apply_qgrnn(state: StateVector, params: AnsatzParams, t: float, delta: float
     to repeated apply_trotter_layer but precomputes the diagonal phase vector
     and the transverse-layer matrix once.
     """
-    if state.qubit_count != params.node_count:
-        raise ValueError(
-            f"state has {state.qubit_count} qubits, params describe {params.node_count} nodes"
-        )
+    _check_dimensions(state, params)
     depth = layer_count(t, delta)
     d_eff = t / depth
     phases = np.exp(-1j * d_eff * (coupling_columns(params.node_count) @ params.flatten()))
@@ -149,21 +178,19 @@ def apply_qgrnn(state: StateVector, params: AnsatzParams, t: float, delta: float
     return StateVector(state.qubit_count, psi)
 
 
+def _strang_layer(psi: np.ndarray, params: AnsatzParams, delta: float) -> np.ndarray:
+    psi = _diagonal_gates(_rx_all(psi, params.node_count, delta), params, delta)
+    return _rx_all(psi, params.node_count, delta)
+
+
 def apply_strang_layer(state: StateVector, params: AnsatzParams, delta: float) -> StateVector:
     """One second-order (Strang) splitting layer, gate by gate.
 
     RX(delta) on every qubit (half the transverse step), the ZZ and RZ gates of
     apply_trotter_layer, then RX(delta) on every qubit again.
     """
-    for q in range(params.node_count):
-        state = apply_rx(state, q, delta)
-    for pair, w in zip(complete_pairs(params.node_count), params.edge_params):
-        state = apply_zz(state, pair[0], pair[1], delta * w)
-    for q, w in enumerate(params.node_params):
-        state = apply_rz(state, q, 2.0 * delta * w)
-    for q in range(params.node_count):
-        state = apply_rx(state, q, delta)
-    return state
+    _check_dimensions(state, params)
+    return StateVector(state.qubit_count, _strang_layer(state.amplitudes, params, delta))
 
 
 def apply_strang_qgrnn(state: StateVector, params: AnsatzParams, t: float, delta: float) -> StateVector:
@@ -172,10 +199,7 @@ def apply_strang_qgrnn(state: StateVector, params: AnsatzParams, t: float, delta
     The same product as repeated apply_strang_layer, with the diagonal phase
     vector and the half-step transverse matrix computed once.
     """
-    if state.qubit_count != params.node_count:
-        raise ValueError(
-            f"state has {state.qubit_count} qubits, params describe {params.node_count} nodes"
-        )
+    _check_dimensions(state, params)
     depth = layer_count(t, delta)
     d_eff = t / depth
     phases = np.exp(-1j * d_eff * (coupling_columns(params.node_count) @ params.flatten()))
@@ -194,14 +218,16 @@ SUZUKI_STAGES = (SUZUKI_P, SUZUKI_P, 1.0 - 4.0 * SUZUKI_P, SUZUKI_P, SUZUKI_P)
 def apply_suzuki_qgrnn(state: StateVector, params: AnsatzParams, t: float, delta: float) -> StateVector:
     """Apply K = round(t/(5 delta)) fourth-order Suzuki steps of t/K, gate by gate: the circuit training fits.
 
-    Each step is five apply_strang_layer calls whose steps are the stage
-    weights (p, p, 1 - 4p, p, p) times t/K, the middle one negative.
+    Each step is five layers of apply_strang_layer's gates whose steps are the
+    stage weights (p, p, 1 - 4p, p, p) times t/K, the middle one negative.
     """
+    _check_dimensions(state, params)
     steps = layer_count(t, len(SUZUKI_STAGES) * delta)
+    psi = state.amplitudes
     for _ in range(steps):
         for weight in SUZUKI_STAGES:
-            state = apply_strang_layer(state, params, weight * t / steps)
-    return state
+            psi = _strang_layer(psi, params, weight * t / steps)
+    return StateVector(state.qubit_count, psi)
 
 
 def batch_cost(params, initial, samples, delta: float, circuit=apply_suzuki_qgrnn) -> float:

@@ -2,12 +2,14 @@ import base64
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qgrnn.hiding import (
+    CARRIER_NORM_TOL,
     ArchiveFormatError,
     build_dictionary,
     encode_message,
@@ -18,9 +20,11 @@ from qgrnn.hiding import (
     save_archive,
 )
 from qgrnn.pipeline import MAX_QUBITS
+from qgrnn.statevector import NORM_TOL
 from qgrnn.training import TrainConfig
 
 V1_ARCHIVE = Path(__file__).parent / "data" / "archive_v1.json"
+V2_ARCHIVE = Path(__file__).parent / "data" / "archive_v2.json"
 WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet")
 
 
@@ -63,6 +67,18 @@ class TestWideRegister:
         assert result.words == tuple(words)
         assert np.mean((result.learned_values - truth) ** 2) <= 1e-10
 
+    def test_single_precision_archive_on_disk_reaches_the_same_floor(self, dictionary, tmp_path):
+        # the same reveal through save_archive and load_archive: the complex64
+        # carrier's rounding lies far below the fourth-order Trotter floor
+        words = "juliet india hotel golf foxtrot echo delta charlie".split()
+        save_archive(encode_message(words, dictionary, TrainConfig(seed=1), created="fixed"),
+                     tmp_path / "archive.json")
+        archive = load_archive(tmp_path / "archive.json")
+        result = reveal_message(archive, dictionary, TrainConfig(seed=1, epochs=60), restarts=1)
+        truth = np.array([dictionary.value_of(w) for w in words])
+        assert result.words == tuple(words)
+        assert np.mean((result.learned_values - truth) ** 2) <= 1e-10
+
 
 def valid_payload(dictionary, tmp_path):
     config = TrainConfig(seed=3, batch_size=4)
@@ -77,8 +93,38 @@ def load_payload(payload, tmp_path):
     return load_archive(path)
 
 
-def b64_state(amplitudes):
-    return base64.b64encode(np.asarray(amplitudes, dtype="<c16").tobytes()).decode("ascii")
+def b64_state(amplitudes, dtype="<c8"):
+    """A state string of version 3 (complex64), or of version 2 with dtype "<c16"."""
+    return base64.b64encode(np.asarray(amplitudes, dtype=dtype).tobytes()).decode("ascii")
+
+
+def single_precision(amplitudes):
+    """What load_archive returns for a state saved as version 3."""
+    widened = np.asarray(amplitudes).astype("<c8").astype(np.complex128)
+    return widened / np.linalg.norm(widened)
+
+
+def v2_payload():
+    return json.loads(V2_ARCHIVE.read_text())
+
+
+def assert_single_precision_copy(loaded, archive):
+    """Same times, and every state exactly the rounded, renormalised original."""
+    assert np.array_equal(loaded.initial_state.amplitudes,
+                          single_precision(archive.initial_state.amplitudes))
+    for a, b in zip(loaded.samples, archive.samples, strict=True):
+        assert a.time == b.time
+        assert np.array_equal(a.state.amplitudes, single_precision(b.state.amplitudes))
+        assert np.max(np.abs(a.state.amplitudes - b.state.amplitudes)) <= CARRIER_NORM_TOL
+
+
+def assert_resaved_as_version_3(path, tmp_path):
+    archive = load_archive(path)
+    save_archive(archive, tmp_path / "v3.json")
+    assert json.loads((tmp_path / "v3.json").read_text())["version"] == 3
+    again = load_archive(tmp_path / "v3.json")
+    assert again.created == archive.created and again.t_max == archive.t_max
+    assert_single_precision_copy(again, archive)
 
 
 def replace_padding(text):
@@ -98,21 +144,37 @@ class TestLoadArchive:
         assert [s.time for s in archive.samples] == [s["t"] for s in payload["samples"]]
         assert archive.created == "fixed"
 
-    def test_writes_version_2_without_a_seed_fingerprint(self, dictionary, tmp_path):
+    def test_writes_version_3_without_a_seed_fingerprint(self, dictionary, tmp_path):
         payload = valid_payload(dictionary, tmp_path)
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert payload["meta"] == {"created": "fixed"}
         states = [payload["initial"]] + [s["state"] for s in payload["samples"]]
+        assert encoded_state_length(2) == 44
         assert all(isinstance(x, str) and len(x) == encoded_state_length(2) for x in states)
 
-    def test_round_trip_is_bit_exact(self, dictionary, tmp_path):
+    def test_round_trip_equals_the_rounded_renormalised_state(self, dictionary, tmp_path):
         archive = encode_message(["alpha", "juliet"], dictionary, TrainConfig(seed=3, batch_size=4))
         save_archive(archive, tmp_path / "archive.json")
-        loaded = load_archive(tmp_path / "archive.json")
-        assert np.array_equal(loaded.initial_state.amplitudes, archive.initial_state.amplitudes)
-        for a, b in zip(loaded.samples, archive.samples, strict=True):
-            assert a.time == b.time
-            assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
+        assert_single_precision_copy(load_archive(tmp_path / "archive.json"), archive)
+
+    def test_accepts_a_norm_moved_by_rounding_and_renormalises_it(self, dictionary, tmp_path):
+        # off by more than NORM_TOL, which StateVector enforces, but within CARRIER_NORM_TOL
+        rng = np.random.default_rng(0)
+        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        amps = (amps * (1 + 5e-8) / np.linalg.norm(amps)).astype("<c8")
+        assert NORM_TOL < abs(np.linalg.norm(amps.astype(np.complex128)) - 1) < CARRIER_NORM_TOL
+        payload = valid_payload(dictionary, tmp_path)
+        payload["samples"][2]["state"] = b64_state(amps)
+        state = load_payload(payload, tmp_path).samples[2].state.amplitudes
+        assert abs(np.linalg.norm(state) - 1) <= NORM_TOL
+        assert np.array_equal(state, single_precision(amps))
+
+    def test_rejects_a_norm_beyond_single_precision(self, dictionary, tmp_path):
+        payload = valid_payload(dictionary, tmp_path)
+        amps = load_payload(payload, tmp_path).samples[0].state.amplitudes * (1 + 1e-3)
+        payload["samples"][0]["state"] = b64_state(amps)
+        with pytest.raises(ArchiveFormatError, match="state norm deviates from 1"):
+            load_payload(payload, tmp_path)
 
     @pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan, 0.0, -0.5])
     def test_rejects_bad_t_max(self, dictionary, tmp_path, t_max):
@@ -157,17 +219,19 @@ class TestLoadArchive:
         "edit, match",
         [
             (lambda p: p.pop("samples"), "malformed archive"),
-            (lambda p: p.__setitem__("version", 3), "unsupported archive version 3"),
-            (lambda p: p.__setitem__("initial", p["initial"][:-1]), "base64 string of 88 characters"),
+            (lambda p: p.__setitem__("version", 4), "unsupported archive version 4"),
+            (lambda p: p.__setitem__("initial", p["initial"][:-1]), "base64 string of 44 characters"),
             (lambda p: p.__setitem__("initial", "*" + p["initial"][1:]), "not valid base64"),
             (lambda p: p["samples"][0].__setitem__("state", [[0.5, 0.0]] * 4),
-             "base64 string of 88 characters"),
+             "base64 string of 44 characters"),
             (lambda p: p.__setitem__("initial", replace_padding(p["initial"])), "wrong shape"),
             (lambda p: p["samples"][0].__setitem__("state", b64_state([2.0, 0.0, 0.0, 0.0])),
              "state norm deviates from 1"),
+            (lambda p: p["samples"][0].__setitem__("state", b64_state([0.5] * 4, "<c16")),
+             "base64 string of 44 characters"),
         ],
         ids=["missing-samples", "wrong-version", "short-initial", "non-base64-initial",
-             "list-state", "padding-only-group", "unnormalized-state"],
+             "list-state", "padding-only-group", "unnormalized-state", "version-2-string"],
     )
     def test_rejects_malformed_fields(self, dictionary, tmp_path, edit, match):
         payload = valid_payload(dictionary, tmp_path)
@@ -207,10 +271,23 @@ class TestLoadArchive:
         archive = load_payload(payload, tmp_path)
         assert archive.t_max == 1.0 and isinstance(archive.t_max, float)
 
-    @pytest.mark.parametrize("bad", sorted(BAD_AMPLITUDES))
-    def test_rejects_non_finite_amplitudes_in_version_2(self, dictionary, tmp_path, bad):
+    @pytest.mark.parametrize("bad", sorted(BAD_AMPLITUDES) + ["signalling-nan"])
+    def test_rejects_non_finite_amplitudes_in_version_3(self, dictionary, tmp_path, bad):
+        if bad == "signalling-nan":
+            amps = np.array([0x7FA00000, 0, 0, 0, 0, 0, 0, 0], dtype="<u4").view("<c8")
+        else:
+            amps = BAD_AMPLITUDES[bad]
         payload = valid_payload(dictionary, tmp_path)
-        payload["samples"][1]["state"] = b64_state(BAD_AMPLITUDES[bad])
+        payload["samples"][1]["state"] = b64_state(amps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArchiveFormatError, match="state norm deviates from 1"):
+                load_payload(payload, tmp_path)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_AMPLITUDES))
+    def test_rejects_non_finite_amplitudes_in_version_2(self, tmp_path, bad):
+        payload = v2_payload()
+        payload["samples"][1]["state"] = b64_state(BAD_AMPLITUDES[bad], "<c16")
         with pytest.raises(ArchiveFormatError, match="state norm deviates from 1"):
             load_payload(payload, tmp_path)
 
@@ -253,26 +330,64 @@ class TestVersion1Archive:
             assert np.array_equal(state.amplitudes.imag, rows[:, 1])
         assert [s.time for s in archive.samples] == [s["t"] for s in payload["samples"]]
 
-    def test_resaved_as_version_2_round_trips_exactly(self, tmp_path):
-        archive = load_archive(V1_ARCHIVE)
-        save_archive(archive, tmp_path / "v2.json")
-        assert json.loads((tmp_path / "v2.json").read_text())["version"] == 2
-        again = load_archive(tmp_path / "v2.json")
-        assert np.array_equal(again.initial_state.amplitudes, archive.initial_state.amplitudes)
-        for a, b in zip(again.samples, archive.samples, strict=True):
-            assert a.time == b.time
-            assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
+    def test_resaved_as_version_3_round_trips_to_single_precision(self, tmp_path):
+        assert_resaved_as_version_3(V1_ARCHIVE, tmp_path)
+
+
+class TestVersion2Archive:
+    """tests/data/archive_v2.json: n = 2, batch_size 4, written by the version-2 save_archive."""
+
+    def test_amplitudes_equal_the_complex128_bytes(self):
+        payload = v2_payload()
+        archive = load_archive(V2_ARCHIVE)
+        assert payload["version"] == 2 and archive.node_count == 2
+        assert archive.created == "fixed"
+        states = [archive.initial_state] + [s.state for s in archive.samples]
+        strings = [payload["initial"]] + [s["state"] for s in payload["samples"]]
+        assert len(states) == 5
+        for state, text in zip(states, strings):
+            assert np.array_equal(state.amplitudes, np.frombuffer(base64.b64decode(text), "<c16"))
+        assert [s.time for s in archive.samples] == [s["t"] for s in payload["samples"]]
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda p: p.__setitem__("initial", p["initial"][:-1]), "base64 string of 88 characters"),
+            (lambda p: p["samples"][0].__setitem__("state", [[0.5, 0.0]] * 4),
+             "base64 string of 88 characters"),
+            (lambda p: p["samples"][0].__setitem__("state", b64_state([0.5] * 4)),
+             "base64 string of 88 characters"),
+            (lambda p: p.__setitem__("initial", replace_padding(p["initial"])), "wrong shape"),
+            (lambda p: p["samples"][0].__setitem__("state", b64_state([2.0, 0, 0, 0], "<c16")),
+             "state norm deviates from 1"),
+            # within the version-3 tolerance, but version 2 keeps NORM_TOL
+            (lambda p: p["samples"][0].__setitem__("state", b64_state([1 + 1e-8, 0, 0, 0], "<c16")),
+             "state norm deviates from 1"),
+        ],
+        ids=["short-initial", "list-state", "version-3-string", "padding-only-group",
+             "unnormalized-state", "norm-beyond-norm-tol"],
+    )
+    def test_rejects_malformed_states(self, tmp_path, edit, match):
+        assert encoded_state_length(2, version=2) == 88
+        payload = v2_payload()
+        edit(payload)
+        with pytest.raises(ArchiveFormatError, match=match):
+            load_payload(payload, tmp_path)
+
+    def test_resaved_as_version_3_round_trips_to_single_precision(self, tmp_path):
+        assert_resaved_as_version_3(V2_ARCHIVE, tmp_path)
 
 
 def test_archive_size_stays_binary(dictionary, tmp_path):
     """One n = 8 message with B = 15 samples fits (B + 1) base64 states plus 2 KB of JSON.
 
-    A decimal encoding of the amplitudes is more than twice as large.
+    The states are complex64: the complex128 strings of version 2 are twice
+    as long, and a decimal encoding of the amplitudes four times.
     """
     words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
     config = TrainConfig(seed=5, batch_size=15)
     path = tmp_path / "archive.json"
     save_archive(encode_message(words, dictionary, config, created="fixed"), path)
     limit = (config.batch_size + 1) * encoded_state_length(len(words)) + 2048
-    assert encoded_state_length(8) == 4 * math.ceil(16 * 2**8 / 3)
+    assert encoded_state_length(8) == 4 * math.ceil(8 * 2**8 / 3) == 2732
     assert path.stat().st_size <= limit
