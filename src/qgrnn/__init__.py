@@ -1,8 +1,7 @@
 """Graph-embedded feature reconstruction from quantum time evolution, plus information hiding."""
 
 from .statevector import StateVector, basis_state, random_state
-from .ising import IsingGraph, TimeEvolvedSample, sample_evolution
-from .ansatz import AnsatzParams
+from .ising import TimeEvolvedSample, sample_evolution
 from .training import TrainConfig, TrainResult, fidelity_direct, fidelity_swap_test, train_qgrnn
 from .metrics import MetricReport, evaluate
 
@@ -12,10 +11,8 @@ __all__ = [
     "StateVector",
     "basis_state",
     "random_state",
-    "IsingGraph",
     "TimeEvolvedSample",
     "sample_evolution",
-    "AnsatzParams",
     "TrainConfig",
     "TrainResult",
     "fidelity_direct",

@@ -1,9 +1,7 @@
 """Classical classifiers used to check that reconstructed features keep their class identity."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -120,35 +118,6 @@ def agreement_eval(model: ClassifierModel, original, reconstructed) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.mean(predict(model, a) == predict(model, b)))
-
-
-def save_model(model: ClassifierModel, path) -> None:
-    payload = {
-        "kind": model.kind,
-        "feature_count": model.feature_count,
-        "params": {
-            key: value.tolist() if isinstance(value, np.ndarray) else value
-            for key, value in model.params.items()
-        },
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-
-def load_model(path) -> ClassifierModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("kind") not in KINDS:
-        raise ValueError(f"unknown classifier kind in {path}: {payload.get('kind')!r}")
-    int_fields = {"k"}
-    int_arrays = {"train_labels"}
-    params = {}
-    for key, value in payload["params"].items():
-        if isinstance(value, list):
-            params[key] = np.array(value, dtype=np.int64 if key in int_arrays else np.float64)
-        elif key in int_fields:
-            params[key] = int(value)
-        else:
-            params[key] = value
-    return ClassifierModel(payload["kind"], int(payload["feature_count"]), params)
 
 
 def stratified_split(

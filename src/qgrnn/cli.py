@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import classifiers, seeding
-from .ansatz import AnsatzParams
 from .datasets import (
     bundled_iris_path,
     load_iris_csv,
@@ -200,12 +199,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         _write_csv(sample_dir / "cost_history.csv", "epoch,cost", outcome.train_result.cost_history)
         n = outcome.actual.size
         terms = [f"Z{i}Z{j}" for i, j in complete_pairs(n)] + [f"Z{i}" for i in range(n)]
-        target = AnsatzParams.from_graph(outcome.target_graph).flatten()
-        learned = outcome.train_result.learned_params.flatten()
         _write_csv(
             sample_dir / "coefficients.csv",
             "term,target,learned",
-            zip(terms, target.tolist(), learned.tolist()),
+            zip(terms, outcome.target.tolist(), outcome.train_result.learned_params.tolist()),
         )
         print(
             f"sample {i}: mse={outcome.report.mse:.6f} cosine={outcome.report.cosine:.6f} "

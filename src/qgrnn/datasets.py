@@ -127,14 +127,6 @@ class MinMaxScaler:
         out = (x - self.col_min) / safe * (self.hi - self.lo) + self.lo
         return np.where(span == 0, self.lo, out)
 
-    def to_dict(self) -> dict:
-        return {
-            "col_min": self.col_min.tolist(),
-            "col_max": self.col_max.tolist(),
-            "lo": self.lo,
-            "hi": self.hi,
-        }
-
 
 def minmax_scale(features, lo: float = 0.0, hi: float = 5.0) -> tuple[np.ndarray, MinMaxScaler]:
     """Map each column's observed [min, max] onto [lo, hi]; constant columns map to lo."""

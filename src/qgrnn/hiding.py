@@ -292,7 +292,7 @@ def reveal_message(
     result, attempts = learn_from_states(
         archive.initial_state, list(archive.samples), config, restarts, accept_cost
     )
-    learned = result.learned_params.node_params
+    learned = result.learned_params[-archive.node_count :]
     snapped = [dictionary.snap(v) for v in learned]
     return RevealResult(
         words=tuple(dictionary.words[idx] for idx, _ in snapped),

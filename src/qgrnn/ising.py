@@ -1,8 +1,12 @@
-"""Ising graph parameters and exact, matrix-free time evolution.
+"""Ising graph coefficients and exact, matrix-free time evolution.
 
 The graph Hamiltonian is
     H = sum_{(i,j)} w_ij Z_i Z_j + sum_i w_i Z_i + sum_i X_i
-with edge weights w_ij, node weights w_i, and a fixed unit transverse field.
+with couplings w_ij, node weights w_i, and a fixed unit transverse field.
+Every module holds its coefficients as one float64 vector of length
+n(n+1)/2 for n nodes: the couplings w_ij of all pairs i < j in
+``complete_pairs`` order, then the n node weights w_0 .. w_{n-1}. The node
+count is that of the state the coefficients act on.
 H is never formed as a 2^n x 2^n matrix: its ZZ and Z terms are one real
 diagonal and each X_i swaps amplitude pairs, so H psi costs O(n 2^n).
 exp(-i t H) psi is a scaled truncated Taylor series of such products
@@ -12,7 +16,7 @@ SIAM J. Sci. Comput. 33, 2011), exact to rounding with O(2^n) memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,33 +30,6 @@ TAYLOR_ORDER = 18
 MAX_TAYLOR_STEPS = 100_000
 
 
-@dataclass(frozen=True)
-class IsingGraph:
-    """Node and edge weights of the graph Hamiltonian.
-
-    ``edge_weights`` maps unordered pairs (i, j) with i < j to couplings;
-    missing pairs carry zero coupling.
-    """
-
-    node_count: int
-    node_weights: np.ndarray
-    edge_weights: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.node_count < 1:
-            raise ValueError("node_count must be >= 1")
-        weights = np.asarray(self.node_weights, dtype=np.float64)
-        if weights.shape != (self.node_count,):
-            raise ValueError(
-                f"expected {self.node_count} node weights, got shape {weights.shape}"
-            )
-        object.__setattr__(self, "node_weights", weights)
-        for pair in self.edge_weights:
-            i, j = pair
-            if not (0 <= i < j < self.node_count):
-                raise ValueError(f"invalid edge {pair}: require 0 <= i < j < node_count")
-
-
 def complete_pairs(node_count: int) -> list[tuple[int, int]]:
     """All node pairs (i, j), i < j, in lexicographic order."""
     return [(i, j) for i in range(node_count) for j in range(i + 1, node_count)]
@@ -60,12 +37,15 @@ def complete_pairs(node_count: int) -> list[tuple[int, int]]:
 
 def random_complete_graph(
     node_weights, rng: np.random.Generator, low: float = -1.0, high: float = 1.0
-) -> IsingGraph:
-    """Complete-topology graph with the given node weights and uniform random couplings."""
+) -> np.ndarray:
+    """Coefficients of a complete graph: uniform random couplings, then ``node_weights``.
+
+    The n(n-1)/2 couplings are one draw from ``rng``, bit-equal to one scalar
+    draw per pair in ``complete_pairs`` order.
+    """
     weights = np.asarray(node_weights, dtype=np.float64)
     n = weights.size
-    edges = {pair: float(rng.uniform(low, high)) for pair in complete_pairs(n)}
-    return IsingGraph(n, weights, edges)
+    return np.concatenate([rng.uniform(low, high, n * (n - 1) // 2), weights])
 
 
 @dataclass(frozen=True)
@@ -87,11 +67,17 @@ def _z_columns(node_count: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def hamiltonian_diagonal(graph: IsingGraph) -> np.ndarray:
-    """Diagonal of the ZZ + Z part of the Hamiltonian, as a real vector."""
-    z = _z_columns(graph.node_count)
-    diag = z @ graph.node_weights
-    for (i, j), w in graph.edge_weights.items():
+def hamiltonian_diagonal(coefficients: np.ndarray, node_count: int) -> np.ndarray:
+    """Diagonal of the ZZ + Z part of the Hamiltonian, as a real vector.
+
+    Sums the node terms, then the couplings pair by pair. The product
+    ``coupling_columns(n) @ coefficients`` rounds differently (by up to
+    1e-14 at n = 8); this order keeps generated data, and so archives,
+    bit-identical for a given seed.
+    """
+    z = _z_columns(node_count)
+    diag = z @ coefficients[-node_count:]
+    for (i, j), w in zip(complete_pairs(node_count), coefficients[:-node_count]):
         diag += w * z[:, i] * z[:, j]
     return diag
 
@@ -109,8 +95,8 @@ def apply_hamiltonian(diag: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_evolution(graph: IsingGraph, initial: StateVector, times) -> list[TimeEvolvedSample]:
-    """Evolve one initial state to every requested time under the graph Hamiltonian.
+def sample_evolution(coefficients, initial: StateVector, times) -> list[TimeEvolvedSample]:
+    """Evolve one initial state to every requested time under the Hamiltonian of ``coefficients``.
 
     (0, max t] is cut into N = ceil(max t ||H||) equal steps of tau, where
     ||H|| = max|diag| + n is the Gershgorin bound, so tau ||H|| <= 1. At the
@@ -121,15 +107,18 @@ def sample_evolution(graph: IsingGraph, initial: StateVector, times) -> list[Tim
     end. Samples come back in the order of ``times``. More than
     ``MAX_TAYLOR_STEPS`` steps are rejected before the first one.
     """
-    if initial.qubit_count != graph.node_count:
+    n = initial.qubit_count
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    expected = n * (n + 1) // 2
+    if coefficients.shape != (expected,):
         raise ValueError(
-            f"initial state has {initial.qubit_count} qubits, graph has {graph.node_count} nodes"
+            f"a {n}-qubit state needs {expected} coefficients, got shape {coefficients.shape}"
         )
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("times must be >= 0")
-    diag = hamiltonian_diagonal(graph)
-    norm = np.max(np.abs(diag)) + graph.node_count
+    diag = hamiltonian_diagonal(coefficients, n)
+    norm = np.max(np.abs(diag)) + n
     end = max(times, default=0.0)
     count = np.ceil(end * norm)
     # written so that an inf or nan count is rejected too
@@ -156,7 +145,7 @@ def sample_evolution(graph: IsingGraph, initial: StateVector, times) -> list[Tim
         fractions = np.array([f for _, f in points] + [1.0])
         values = (fractions[:, None] ** powers) @ np.array(terms)
         for (t, _), value in zip(points, values):
-            states[t] = StateVector(graph.node_count, value)
+            states[t] = StateVector(n, value)
         psi = values[-1]
     return [TimeEvolvedSample(t, states[t]) for t in times]
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .ising import IsingGraph, TimeEvolvedSample, draw_times, random_complete_graph, sample_evolution
+from .ising import TimeEvolvedSample, draw_times, random_complete_graph, sample_evolution
 from .metrics import MetricReport, evaluate
 from .statevector import StateVector, random_state
 from .training import TrainConfig, TrainResult, linear_inversion_start, train_qgrnn
@@ -26,10 +26,10 @@ DEFAULT_IRIS_ROWS = (18, 31, 73, 82, 118, 141)
 
 def embed_and_sample(
     node_weights, config: TrainConfig
-) -> tuple[IsingGraph, StateVector, list[TimeEvolvedSample]]:
-    """Embed weights into a complete graph and generate the evolution data.
+) -> tuple[np.ndarray, StateVector, list[TimeEvolvedSample]]:
+    """Embed weights into a complete graph; return its coefficients, initial state and samples.
 
-    Edge couplings, the initial state, and the evolution times come from
+    The couplings, the initial state, and the evolution times come from
     independent streams derived from ``config.seed``. More than
     ``MAX_QUBITS`` weights are rejected before any 2^n array exists.
     """
@@ -39,12 +39,14 @@ def embed_and_sample(
             f"{weights.size} node weights need a {weights.size}-qubit register, "
             f"more than the limit of {MAX_QUBITS}"
         )
-    graph = random_complete_graph(weights, seeding.derive_rng(config.seed, seeding.EDGE_WEIGHTS))
+    coefficients = random_complete_graph(
+        weights, seeding.derive_rng(config.seed, seeding.EDGE_WEIGHTS)
+    )
     initial = random_state(weights.size, seeding.derive_seed(config.seed, seeding.INITIAL_STATE))
     times = draw_times(
         config.batch_size, config.t_max, seeding.derive_rng(config.seed, seeding.EVOLUTION_TIMES)
     )
-    return graph, initial, sample_evolution(graph, initial, times)
+    return coefficients, initial, sample_evolution(coefficients, initial, times)
 
 
 def learn_from_states(
@@ -78,11 +80,13 @@ def learn_from_states(
 @dataclass(frozen=True)
 class ReconstructionResult:
     actual: np.ndarray
+    # the learned node weights: the last n entries of train_result.learned_params
     predicted: np.ndarray
     report: MetricReport
     train_result: TrainResult
     attempts: int
-    target_graph: IsingGraph
+    # the embedded coefficients, in the layout of ``ising``: couplings, then ``actual``
+    target: np.ndarray
 
 
 def reconstruct_sample(
@@ -93,14 +97,14 @@ def reconstruct_sample(
 ) -> ReconstructionResult:
     """Embed one feature vector as node weights, then recover it from the evolved states."""
     actual = np.asarray(features_row, dtype=np.float64)
-    graph, initial, samples = embed_and_sample(actual, config)
+    target, initial, samples = embed_and_sample(actual, config)
     result, attempts = learn_from_states(initial, samples, config, restarts, accept_cost)
-    predicted = result.learned_params.node_params
+    predicted = result.learned_params[-actual.size :]
     return ReconstructionResult(
         actual=actual,
         predicted=predicted,
         report=evaluate(actual, predicted),
         train_result=result,
         attempts=attempts,
-        target_graph=graph,
+        target=target,
     )

@@ -22,13 +22,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import seeding
-from .ansatz import (
-    STAGE_WEIGHTS,
-    AnsatzParams,
-    coupling_columns,
-    layer_count,
-    transverse_layer_matrix,
-)
+from .ansatz import STAGE_WEIGHTS, coupling_columns, layer_count, transverse_layer_matrix
 from .ising import TimeEvolvedSample, apply_hamiltonian
 from .statevector import (
     StateVector,
@@ -142,7 +136,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
-    learned_params: AnsatzParams
+    # the learned coefficients, in the layout of ``ising``: couplings, then node weights
+    learned_params: np.ndarray
     cost_history: tuple[tuple[int, float], ...]
     final_cost: float
     # "converged" when the BFGS phase could lower the cost no further, else "epochs"
@@ -306,7 +301,7 @@ class CostEvaluator:
         return psi
 
     def costs(self, flat_matrix: np.ndarray) -> np.ndarray:
-        """Costs for each column of a (param_count, M) matrix of flattened parameters."""
+        """Costs for each column of a (param_count, M) matrix of coefficient vectors."""
         psi = self._evolve(self._phases((self.columns @ flat_matrix).T))
         overlaps = np.einsum("bn,bmn->bm", self.bras, psi)
         return -np.minimum(np.abs(overlaps) ** 2, 1.0).sum(axis=0) / self.batch_size
@@ -375,20 +370,17 @@ def adam_step(
     return AdamState(m, v, t), updated
 
 
-def initial_params(node_count: int, config: TrainConfig) -> AnsatzParams:
-    """Seeded uniform parameter draw: edges first, then nodes, matching flat order."""
+def initial_params(node_count: int, config: TrainConfig) -> np.ndarray:
+    """Seeded uniform draw of the coefficients: the couplings, then the node weights."""
     rng = seeding.derive_rng(config.seed, seeding.PARAM_INIT)
-    n_edges = node_count * (node_count - 1) // 2
-    edges = rng.uniform(config.init_low, config.init_high, n_edges)
-    node_low, node_high = config.node_init_range
-    nodes = rng.uniform(node_low, node_high, node_count)
-    return AnsatzParams(node_count, edges, nodes)
+    couplings = rng.uniform(config.init_low, config.init_high, node_count * (node_count - 1) // 2)
+    return np.concatenate([couplings, rng.uniform(*config.node_init_range, node_count)])
 
 
 def linear_inversion_start(
     initial: StateVector, samples: list[TimeEvolvedSample]
 ) -> np.ndarray:
-    """Flat coefficients (edges, then nodes) solved from the short-time slope of the samples.
+    """Coefficients (couplings, then node weights) solved from the short-time slope of the samples.
 
     psi(t) = psi0 - i t H psi0 + O(t^2), so a polynomial fit of psi(t) - psi0
     in t with no constant term, of degree min(6, batch size), gives
@@ -496,7 +488,7 @@ def train_qgrnn(
     """
     evaluator = CostEvaluator(initial, samples, config.trotter_delta)
     if start is None:
-        params = initial_params(evaluator.node_count, config).flatten()
+        params = initial_params(evaluator.node_count, config)
     else:
         params = np.array(start, dtype=np.float64)
         if params.shape != (evaluator.param_count,):
@@ -515,7 +507,7 @@ def train_qgrnn(
         evaluator, params, history[-1][1], config.epochs - adam_epochs, history, config.fd_step
     )
     return TrainResult(
-        learned_params=AnsatzParams.from_flat(evaluator.node_count, params),
+        learned_params=params,
         cost_history=tuple(history),
         final_cost=history[-1][1],
         stop_reason=stop_reason,

@@ -8,7 +8,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qgrnn.ansatz import AnsatzParams, coupling_columns, layer_count, transverse_layer_matrix
+from qgrnn.ansatz import coupling_columns, layer_count, transverse_layer_matrix
 from qgrnn.ising import complete_pairs
 from qgrnn.statevector import StateVector, _check_qubit, rx_matrix
 from qgrnn.training import fidelity_direct
@@ -25,20 +25,25 @@ def kron_operator(n: int, site_mats: dict[int, np.ndarray]) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def kron_hamiltonian(n: int, edges: dict[tuple[int, int], float], node_weights) -> np.ndarray:
+def checked_coefficients(n: int, coefficients) -> np.ndarray:
+    """The coefficient vector of an n-node graph: n(n-1)/2 couplings, then n node weights."""
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    count = n * (n + 1) // 2
+    if coefficients.shape != (count,):
+        raise ValueError(f"{n} nodes need {count} coefficients, got shape {coefficients.shape}")
+    return coefficients
+
+
+def kron_hamiltonian(n: int, coefficients) -> np.ndarray:
     """Brute-force Hamiltonian assembly, term by term."""
+    coefficients = checked_coefficients(n, coefficients)
     h = np.zeros((2**n, 2**n))
-    for (i, j), w in edges.items():
+    for (i, j), w in zip(complete_pairs(n), coefficients[:-n]):
         h += w * kron_operator(n, {i: PAULI_Z, j: PAULI_Z})
-    for q, w in enumerate(node_weights):
+    for q, w in enumerate(coefficients[-n:]):
         h += w * kron_operator(n, {q: PAULI_Z})
         h += kron_operator(n, {q: PAULI_X})
     return h
-
-
-def graph_hamiltonian(graph) -> np.ndarray:
-    """kron_hamiltonian of an IsingGraph."""
-    return kron_hamiltonian(graph.node_count, graph.edge_weights, graph.node_weights)
 
 
 def hermitian_eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -51,13 +56,14 @@ def hermitian_eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(h)
 
 
-def eigh_evolve(graph, psi: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t H) psi through a full eigendecomposition of the dense kron_hamiltonian of graph."""
-    if np.shape(psi) != (1 << graph.node_count,):
-        raise ValueError(f"state shape {np.shape(psi)} does not fit {graph.node_count} qubits")
+def eigh_evolve(coefficients, psi: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t H) psi through a full eigendecomposition of the dense kron_hamiltonian."""
+    n = np.size(psi).bit_length() - 1
+    if np.shape(psi) != (1 << n,):
+        raise ValueError(f"state shape {np.shape(psi)} is not that of a register")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    vals, vecs = hermitian_eigendecompose(graph_hamiltonian(graph))
+    vals, vecs = hermitian_eigendecompose(kron_hamiltonian(n, coefficients))
     return vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ psi))
 
 
@@ -86,13 +92,6 @@ def fine_trotter_evolve(h: np.ndarray, psi: np.ndarray, t: float, dt: float = 1e
     transverse = reduce(np.kron, [rx] * n)
     step = half @ transverse @ half
     return np.linalg.matrix_power(step, steps) @ psi
-
-
-def _check_dimensions(state: StateVector, params: AnsatzParams) -> None:
-    if state.qubit_count != params.node_count:
-        raise ValueError(
-            f"state has {state.qubit_count} qubits, params describe {params.node_count} nodes"
-        )
 
 
 # The gates act on raw amplitude arrays, so a circuit builds one StateVector
@@ -136,11 +135,12 @@ def apply_zz(state: StateVector, qubit_i: int, qubit_j: int, phi: float) -> Stat
     return StateVector(state.qubit_count, _zz(state.amplitudes, qubit_i, qubit_j, phi))
 
 
-def _diagonal_gates(psi: np.ndarray, params: AnsatzParams, delta: float) -> np.ndarray:
+def _diagonal_gates(psi: np.ndarray, coefficients: np.ndarray, delta: float) -> np.ndarray:
     """The ZZ gates on every pair, then the RZ gates on every qubit."""
-    for pair, w in zip(complete_pairs(params.node_count), params.edge_params):
+    n = psi.size.bit_length() - 1
+    for pair, w in zip(complete_pairs(n), coefficients[:-n]):
         psi = _zz(psi, pair[0], pair[1], delta * w)
-    for q, w in enumerate(params.node_params):
+    for q, w in enumerate(coefficients[-n:]):
         psi = _rz(psi, q, 2.0 * delta * w)
     return psi
 
@@ -151,59 +151,62 @@ def _rx_all(psi: np.ndarray, node_count: int, theta: float) -> np.ndarray:
     return psi
 
 
-def apply_trotter_layer(state: StateVector, params: AnsatzParams, delta: float) -> StateVector:
+def apply_trotter_layer(state: StateVector, coefficients, delta: float) -> StateVector:
     """One first-order splitting layer, gate by gate: the QGRNN layer of the paper."""
-    _check_dimensions(state, params)
+    coefficients = checked_coefficients(state.qubit_count, coefficients)
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    psi = _diagonal_gates(state.amplitudes, params, delta)
-    return StateVector(state.qubit_count, _rx_all(psi, params.node_count, 2.0 * delta))
+    psi = _diagonal_gates(state.amplitudes, coefficients, delta)
+    return StateVector(state.qubit_count, _rx_all(psi, state.qubit_count, 2.0 * delta))
 
 
-def apply_qgrnn(state: StateVector, params: AnsatzParams, t: float, delta: float) -> StateVector:
+def apply_qgrnn(state: StateVector, coefficients, t: float, delta: float) -> StateVector:
     """Apply D = round(t/delta) first-order layers with uniform effective step t/D.
 
     The layers tile [0, t] exactly; composition is mathematically identical
     to repeated apply_trotter_layer but precomputes the diagonal phase vector
     and the transverse-layer matrix once.
     """
-    _check_dimensions(state, params)
+    n = state.qubit_count
+    coefficients = checked_coefficients(n, coefficients)
     depth = layer_count(t, delta)
     d_eff = t / depth
-    phases = np.exp(-1j * d_eff * (coupling_columns(params.node_count) @ params.flatten()))
-    transverse = transverse_layer_matrix(params.node_count, d_eff)
+    phases = np.exp(-1j * d_eff * (coupling_columns(n) @ coefficients))
+    transverse = transverse_layer_matrix(n, d_eff)
     psi = state.amplitudes
     for _ in range(depth):
         psi = transverse @ (phases * psi)
     return StateVector(state.qubit_count, psi)
 
 
-def _strang_layer(psi: np.ndarray, params: AnsatzParams, delta: float) -> np.ndarray:
-    psi = _diagonal_gates(_rx_all(psi, params.node_count, delta), params, delta)
-    return _rx_all(psi, params.node_count, delta)
+def _strang_layer(psi: np.ndarray, coefficients: np.ndarray, delta: float) -> np.ndarray:
+    n = psi.size.bit_length() - 1
+    psi = _diagonal_gates(_rx_all(psi, n, delta), coefficients, delta)
+    return _rx_all(psi, n, delta)
 
 
-def apply_strang_layer(state: StateVector, params: AnsatzParams, delta: float) -> StateVector:
+def apply_strang_layer(state: StateVector, coefficients, delta: float) -> StateVector:
     """One second-order (Strang) splitting layer, gate by gate.
 
     RX(delta) on every qubit (half the transverse step), the ZZ and RZ gates of
     apply_trotter_layer, then RX(delta) on every qubit again.
     """
-    _check_dimensions(state, params)
-    return StateVector(state.qubit_count, _strang_layer(state.amplitudes, params, delta))
+    coefficients = checked_coefficients(state.qubit_count, coefficients)
+    return StateVector(state.qubit_count, _strang_layer(state.amplitudes, coefficients, delta))
 
 
-def apply_strang_qgrnn(state: StateVector, params: AnsatzParams, t: float, delta: float) -> StateVector:
+def apply_strang_qgrnn(state: StateVector, coefficients, t: float, delta: float) -> StateVector:
     """Apply D = round(t/delta) Strang layers of step t/D: the circuit training fits.
 
     The same product as repeated apply_strang_layer, with the diagonal phase
     vector and the half-step transverse matrix computed once.
     """
-    _check_dimensions(state, params)
+    n = state.qubit_count
+    coefficients = checked_coefficients(n, coefficients)
     depth = layer_count(t, delta)
     d_eff = t / depth
-    phases = np.exp(-1j * d_eff * (coupling_columns(params.node_count) @ params.flatten()))
-    half = reduce(np.kron, [rx_matrix(d_eff)] * params.node_count)
+    phases = np.exp(-1j * d_eff * (coupling_columns(n) @ coefficients))
+    half = reduce(np.kron, [rx_matrix(d_eff)] * n)
     psi = state.amplitudes
     for _ in range(depth):
         psi = half @ (phases * (half @ psi))
@@ -215,22 +218,22 @@ SUZUKI_P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 SUZUKI_STAGES = (SUZUKI_P, SUZUKI_P, 1.0 - 4.0 * SUZUKI_P, SUZUKI_P, SUZUKI_P)
 
 
-def apply_suzuki_qgrnn(state: StateVector, params: AnsatzParams, t: float, delta: float) -> StateVector:
+def apply_suzuki_qgrnn(state: StateVector, coefficients, t: float, delta: float) -> StateVector:
     """Apply K = round(t/(5 delta)) fourth-order Suzuki steps of t/K, gate by gate: the circuit training fits.
 
     Each step is five layers of apply_strang_layer's gates whose steps are the
     stage weights (p, p, 1 - 4p, p, p) times t/K, the middle one negative.
     """
-    _check_dimensions(state, params)
+    coefficients = checked_coefficients(state.qubit_count, coefficients)
     steps = layer_count(t, len(SUZUKI_STAGES) * delta)
     psi = state.amplitudes
     for _ in range(steps):
         for weight in SUZUKI_STAGES:
-            psi = _strang_layer(psi, params, weight * t / steps)
+            psi = _strang_layer(psi, coefficients, weight * t / steps)
     return StateVector(state.qubit_count, psi)
 
 
-def batch_cost(params, initial, samples, delta: float, circuit=apply_suzuki_qgrnn) -> float:
+def batch_cost(coefficients, initial, samples, delta: float, circuit=apply_suzuki_qgrnn) -> float:
     """Average negative fidelity between the samples and the circuit outputs, one circuit per sample.
 
     The reference for CostEvaluator.cost; ``circuit=apply_strang_qgrnn`` gives
@@ -240,31 +243,30 @@ def batch_cost(params, initial, samples, delta: float, circuit=apply_suzuki_qgrn
         raise ValueError("sample batch is empty")
     total = 0.0
     for s in samples:
-        total += fidelity_direct(s.state, circuit(initial, params, s.time, delta))
+        total += fidelity_direct(s.state, circuit(initial, coefficients, s.time, delta))
     return -total / len(samples)
 
 
-def grad_central(params, initial, samples, delta: float, fd_step: float) -> np.ndarray:
-    """Central finite-difference gradient of batch_cost over the flattened parameters."""
+def grad_central(coefficients, initial, samples, delta: float, fd_step: float) -> np.ndarray:
+    """Central finite-difference gradient of batch_cost over the coefficients."""
     if fd_step <= 0:
         raise ValueError("fd_step must be > 0")
-    flat = params.flatten()
-    n = params.node_count
+    flat = np.asarray(coefficients, dtype=np.float64)
     grad = np.empty(flat.size)
     for k in range(flat.size):
         bumped = flat.copy()
         bumped[k] += fd_step
-        c_plus = batch_cost(AnsatzParams.from_flat(n, bumped), initial, samples, delta)
+        c_plus = batch_cost(bumped, initial, samples, delta)
         bumped[k] -= 2 * fd_step
-        c_minus = batch_cost(AnsatzParams.from_flat(n, bumped), initial, samples, delta)
+        c_minus = batch_cost(bumped, initial, samples, delta)
         grad[k] = (c_plus - c_minus) / (2 * fd_step)
     return grad
 
 
-def grad_richardson(params, initial, samples, delta: float, fd_step: float = 1e-3) -> np.ndarray:
+def grad_richardson(coefficients, initial, samples, delta: float, fd_step=1e-3) -> np.ndarray:
     """Richardson extrapolation (4 g(h/2) - g(h)) / 3 of grad_central, which cancels its h^2 error."""
-    coarse = grad_central(params, initial, samples, delta, fd_step)
-    fine = grad_central(params, initial, samples, delta, fd_step / 2)
+    coarse = grad_central(coefficients, initial, samples, delta, fd_step)
+    fine = grad_central(coefficients, initial, samples, delta, fd_step / 2)
     return (4 * fine - coarse) / 3
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qgrnn.ansatz import AnsatzParams, coupling_columns, layer_count
-from qgrnn.ising import random_complete_graph
+from qgrnn.ansatz import coupling_columns, layer_count
+from qgrnn.ising import hamiltonian_diagonal, random_complete_graph
 from qgrnn.statevector import random_state
 
 from conftest import (
@@ -16,55 +16,21 @@ from conftest import (
     apply_trotter_layer,
     eigh_evolve,
     fidelity,
-    graph_hamiltonian,
+    kron_hamiltonian,
     split_diagonal_transverse,
 )
 
 
 def random_params(n, seed, node_scale=5.0):
     rng = np.random.default_rng(seed)
-    return AnsatzParams(
-        n, rng.uniform(-1, 1, n * (n - 1) // 2), rng.uniform(0, node_scale, n)
-    )
-
-
-class TestAnsatzParams:
-    def test_flat_order_edges_then_nodes(self):
-        params = AnsatzParams(3, [1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-        assert np.array_equal(params.flatten(), [1, 2, 3, 4, 5, 6])
-
-    def test_from_flat_round_trip(self):
-        params = random_params(4, 0)
-        again = AnsatzParams.from_flat(4, params.flatten())
-        assert np.array_equal(again.edge_params, params.edge_params)
-        assert np.array_equal(again.node_params, params.node_params)
-
-    def test_wrong_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            AnsatzParams(3, [1.0, 2.0], [0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            AnsatzParams.from_flat(3, np.zeros(5))
-
-    def test_graph_round_trip(self):
-        params = random_params(3, 1)
-        graph = params.to_graph()
-        assert graph.edge_weights[(0, 1)] == params.edge_params[0]
-        assert graph.edge_weights[(1, 2)] == params.edge_params[2]
-        again = AnsatzParams.from_graph(graph)
-        assert np.allclose(again.flatten(), params.flatten())
-
-    def test_missing_edges_become_zero(self):
-        from qgrnn.ising import IsingGraph
-
-        graph = IsingGraph(3, [1.0, 2.0, 3.0], {(0, 2): 0.5})
-        params = AnsatzParams.from_graph(graph)
-        assert np.array_equal(params.edge_params, [0.0, 0.5, 0.0])
+    couplings = rng.uniform(-1, 1, n * (n - 1) // 2)
+    return np.concatenate([couplings, rng.uniform(0, node_scale, n)])
 
 
 class TestTrotterLayer:
     def test_zero_params_is_pure_transverse(self):
         state = random_state(3, 3)
-        params = AnsatzParams(3, np.zeros(3), np.zeros(3))
+        params = np.zeros(6)
         out = apply_trotter_layer(state, params, 0.13)
         expected = state
         for q in range(3):
@@ -80,9 +46,7 @@ class TestTrotterLayer:
         params = random_params(3, 6)
         state = random_state(3, 7)
         delta = 0.05
-        diagonal, transverse = split_diagonal_transverse(
-            graph_hamiltonian(params.to_graph())
-        )
+        diagonal, transverse = split_diagonal_transverse(kron_hamiltonian(3, params))
         expected = (
             scipy.linalg.expm(-1j * delta * transverse)
             @ scipy.linalg.expm(-1j * delta * diagonal)
@@ -96,9 +60,7 @@ class TestTrotterLayer:
         params = random_params(3, 6)
         state = random_state(3, 7)
         delta = 0.05
-        diagonal, transverse = split_diagonal_transverse(
-            graph_hamiltonian(params.to_graph())
-        )
+        diagonal, transverse = split_diagonal_transverse(kron_hamiltonian(3, params))
         half = scipy.linalg.expm(-0.5j * delta * transverse)
         expected = half @ scipy.linalg.expm(-1j * delta * diagonal) @ half @ state.amplitudes
         out = apply_strang_layer(state, params, delta)
@@ -148,10 +110,9 @@ class TestApplyQgrnn:
 
     def test_converges_to_exact_evolution(self):
         rng = np.random.default_rng(12)
-        graph = random_complete_graph(rng.uniform(0, 5, 3), rng)
-        params = AnsatzParams.from_graph(graph)
+        params = random_complete_graph(rng.uniform(0, 5, 3), rng)
         state = random_state(3, 13)
-        exact = eigh_evolve(graph, state.amplitudes, 0.5)
+        exact = eigh_evolve(params, state.amplitudes, 0.5)
         approx = apply_qgrnn(state, params, 0.5, 1e-4)
         assert fidelity(approx.amplitudes, exact) >= 1 - 1e-6
 
@@ -180,10 +141,9 @@ class TestApplyStrangQgrnn:
         # halving the step cuts the state error 4x, against 2x for first order
         # (measured: 4.0004 and 2.0017)
         rng = np.random.default_rng(14)
-        graph = random_complete_graph(rng.uniform(0, 5, 4), rng)
-        params = AnsatzParams.from_graph(graph)
+        params = random_complete_graph(rng.uniform(0, 5, 4), rng)
         state = random_state(4, 15)
-        exact = eigh_evolve(graph, state.amplitudes, 0.5)
+        exact = eigh_evolve(params, state.amplitudes, 0.5)
         for circuit, low, high in ((apply_strang_qgrnn, 3.9, 4.1), (apply_qgrnn, 1.9, 2.1)):
             errors = [
                 np.linalg.norm(circuit(state, params, 0.5, delta).amplitudes - exact)
@@ -198,9 +158,7 @@ class TestApplySuzukiQgrnn:
         params = random_params(3, 6)
         state = random_state(3, 7)
         d = 0.1
-        diagonal, transverse = split_diagonal_transverse(
-            graph_hamiltonian(params.to_graph())
-        )
+        diagonal, transverse = split_diagonal_transverse(kron_hamiltonian(3, params))
         expected = state.amplitudes
         for weight in SUZUKI_STAGES:
             half = scipy.linalg.expm(-0.5j * weight * d * transverse)
@@ -213,10 +171,9 @@ class TestApplySuzukiQgrnn:
         # t = 0.5 is a multiple of 5 delta for both steps, so the step halves
         # exactly (10 and 20 steps); measured 5.1e-6 -> 3.2e-7, 16.06x
         rng = np.random.default_rng(14)
-        graph = random_complete_graph(rng.uniform(0, 5, 4), rng)
-        params = AnsatzParams.from_graph(graph)
+        params = random_complete_graph(rng.uniform(0, 5, 4), rng)
         state = random_state(4, 15)
-        exact = eigh_evolve(graph, state.amplitudes, 0.5)
+        exact = eigh_evolve(params, state.amplitudes, 0.5)
         errors = [
             np.linalg.norm(apply_suzuki_qgrnn(state, params, 0.5, delta).amplitudes - exact)
             for delta in (0.01, 0.005)
@@ -231,10 +188,9 @@ class TestApplySuzukiQgrnn:
 class TestTrotterConvergence:
     def test_deficit_decreases_monotonically(self):
         rng = np.random.default_rng(14)
-        graph = random_complete_graph(rng.uniform(0, 5, 4), rng)
-        params = AnsatzParams.from_graph(graph)
+        params = random_complete_graph(rng.uniform(0, 5, 4), rng)
         state = random_state(4, 15)
-        exact = eigh_evolve(graph, state.amplitudes, 0.5)
+        exact = eigh_evolve(params, state.amplitudes, 0.5)
         deficits = []
         for delta in (0.04, 0.02, 0.01, 0.005):
             approx = apply_qgrnn(state, params, 0.5, delta)
@@ -244,10 +200,9 @@ class TestTrotterConvergence:
     def test_high_fidelity_at_default_step(self):
         for n in (3, 6):
             rng = np.random.default_rng(100 + n)
-            graph = random_complete_graph(rng.uniform(0, 5, n), rng)
-            params = AnsatzParams.from_graph(graph)
+            params = random_complete_graph(rng.uniform(0, 5, n), rng)
             state = random_state(n, 200 + n)
-            exact = eigh_evolve(graph, state.amplitudes, 0.5)
+            exact = eigh_evolve(params, state.amplitudes, 0.5)
             approx = apply_qgrnn(state, params, 0.5, 0.01)
             assert fidelity(approx.amplitudes, exact) >= 0.999
 
@@ -261,9 +216,14 @@ class TestTrotterConvergence:
 
 
 class TestCouplingColumns:
+    def test_column_order_couplings_then_node_weights(self):
+        z0, z1, z2 = (1 - 2 * ((np.arange(8) >> q) & 1) for q in range(3))
+        expected = np.column_stack([z0 * z1, z0 * z2, z1 * z2, z0, z1, z2])
+        assert np.array_equal(coupling_columns(3), expected)
+        coefficients = np.arange(1.0, 7.0)
+        assert np.array_equal(hamiltonian_diagonal(coefficients, 3), expected @ coefficients)
+
     def test_diagonal_reconstruction(self):
         params = random_params(3, 18)
-        diagonal, _ = split_diagonal_transverse(graph_hamiltonian(params.to_graph()))
-        assert np.allclose(
-            coupling_columns(3) @ params.flatten(), np.real(np.diag(diagonal)), atol=1e-12
-        )
+        diagonal, _ = split_diagonal_transverse(kron_hamiltonian(3, params))
+        assert np.allclose(coupling_columns(3) @ params, np.real(np.diag(diagonal)), atol=1e-12)

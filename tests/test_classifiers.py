@@ -8,9 +8,7 @@ from qgrnn.classifiers import (
     LOGISTIC_REGRESSION,
     agreement_eval,
     fit,
-    load_model,
     predict,
-    save_model,
     stratified_split,
 )
 from qgrnn.datasets import bundled_iris_path, load_iris_csv, minmax_scale
@@ -171,24 +169,6 @@ class TestAgreement:
         model = fit(GAUSSIAN_NAIVE_BAYES, x, y)
         with pytest.raises(ValueError):
             agreement_eval(model, x[:3], x[:4])
-
-
-class TestSaveLoad:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_round_trip(self, tmp_path, iris_scaled, kind):
-        x, y = iris_scaled
-        model = fit(kind, x, y)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.kind == model.kind
-        assert np.array_equal(predict(loaded, x), predict(model, x))
-
-    def test_rejects_unknown_kind(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"kind": "mystery", "feature_count": 2, "params": {}}')
-        with pytest.raises(ValueError):
-            load_model(path)
 
 
 class TestStratifiedSplit:

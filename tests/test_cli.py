@@ -5,7 +5,6 @@ import time
 import pytest
 
 from qgrnn import cli
-from qgrnn.ansatz import AnsatzParams
 from qgrnn.pipeline import embed_and_sample
 from qgrnn.training import TrainConfig
 
@@ -174,8 +173,7 @@ class TestReconstructOutput:
             "Z0Z1", "Z0Z2", "Z0Z3", "Z1Z2", "Z1Z3", "Z2Z3", "Z0", "Z1", "Z2", "Z3"
         ]
         result = json.loads((sample_dir / "result.json").read_text())
-        graph, _, _ = embed_and_sample(result["actual"], TrainConfig(seed=result["seed"]))
-        target = AnsatzParams.from_graph(graph).flatten()
+        target, _, _ = embed_and_sample(result["actual"], TrainConfig(seed=result["seed"]))
         assert [float(r["target"]) for r in rows] == target.tolist()
         assert [float(r["target"]) for r in rows[6:]] == result["actual"]
         assert [float(r["learned"]) for r in rows[6:]] == result["predicted"]

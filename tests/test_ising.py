@@ -6,8 +6,8 @@ import pytest
 
 from qgrnn import ising
 from qgrnn.ising import (
-    IsingGraph,
     apply_hamiltonian,
+    complete_pairs,
     draw_times,
     hamiltonian_diagonal,
     random_complete_graph,
@@ -19,7 +19,6 @@ from conftest import (
     eigh_evolve,
     fidelity,
     fine_trotter_evolve,
-    graph_hamiltonian,
     hermitian_eigendecompose,
     kron_hamiltonian,
     random_state_array,
@@ -27,56 +26,54 @@ from conftest import (
 
 
 def random_graph(n, seed):
+    """Coefficients of a complete graph: random couplings, then node weights in [0, 5)."""
     rng = np.random.default_rng(seed)
     return random_complete_graph(rng.uniform(0, 5, n), rng)
 
 
-def action_matrix(graph):
+def action_matrix(coefficients, n):
     """The matrix of apply_hamiltonian, one basis vector per column."""
-    diag = hamiltonian_diagonal(graph)
-    basis = np.eye(1 << graph.node_count, dtype=complex)
+    diag = hamiltonian_diagonal(np.asarray(coefficients, dtype=float), n)
+    basis = np.eye(1 << n, dtype=complex)
     return np.column_stack([apply_hamiltonian(diag, e) for e in basis])
 
 
-def evolve(graph, state, t):
-    return sample_evolution(graph, state, [t])[0].state
+def evolve(coefficients, state, t):
+    return sample_evolution(coefficients, state, [t])[0].state
 
 
-class TestIsingGraph:
-    def test_weight_length_checked(self):
-        with pytest.raises(ValueError):
-            IsingGraph(3, [1.0, 2.0])
-
-    def test_edge_keys_checked(self):
-        with pytest.raises(ValueError):
-            IsingGraph(3, [0.0, 0.0, 0.0], {(1, 1): 0.5})
-        with pytest.raises(ValueError):
-            IsingGraph(3, [0.0, 0.0, 0.0], {(2, 1): 0.5})
-        with pytest.raises(ValueError):
-            IsingGraph(3, [0.0, 0.0, 0.0], {(0, 3): 0.5})
+class TestRandomCompleteGraph:
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_couplings_equal_one_draw_per_pair(self, n):
+        # seeds recorded in an old run.json, drawn pair by pair, give the same data
+        weights = np.linspace(-4.0, 5.0, n)
+        coefficients = random_complete_graph(weights, np.random.default_rng(123))
+        rng = np.random.default_rng(123)
+        assert np.array_equal(coefficients[:-n], [rng.uniform(-1, 1) for _ in complete_pairs(n)])
+        assert np.array_equal(coefficients[-n:], weights)
 
 
 class TestBuildHamiltonian:
     """The Hamiltonian as apply_hamiltonian applies it."""
 
     def test_single_node_is_pauli_x(self):
-        h = action_matrix(IsingGraph(1, [0.0]))
+        h = action_matrix([0.0], 1)
         assert np.allclose(h, [[0, 1], [1, 0]])
 
     def test_two_node_coupling(self):
-        h = action_matrix(IsingGraph(2, [0.0, 0.0], {(0, 1): 1.0}))
+        h = action_matrix([1.0, 0.0, 0.0], 2)
         expected = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         expected += np.kron(np.eye(2), x) + np.kron(x, np.eye(2))
         assert np.allclose(h, expected)
 
     def test_matches_kronecker_oracle(self):
-        graph = random_graph(3, 7)
-        oracle = kron_hamiltonian(3, graph.edge_weights, graph.node_weights)
-        assert np.allclose(action_matrix(graph), oracle, atol=1e-12)
+        coefficients = random_graph(3, 7)
+        oracle = kron_hamiltonian(3, coefficients)
+        assert np.allclose(action_matrix(coefficients, 3), oracle, atol=1e-12)
 
     def test_hermitian_and_real(self):
-        h = action_matrix(random_graph(3, 11))
+        h = action_matrix(random_graph(3, 11), 3)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
         assert np.max(np.abs(h.imag)) <= 1e-15
 
@@ -114,21 +111,21 @@ class TestEvolveExact:
     """The eigh_evolve oracle against independent references."""
 
     def test_zero_time_identity(self):
-        graph = random_graph(2, 1)
+        coefficients = random_graph(2, 1)
         state = random_state(2, 2)
-        out = eigh_evolve(graph, state.amplitudes, 0.0)
+        out = eigh_evolve(coefficients, state.amplitudes, 0.0)
         assert np.allclose(out, state.amplitudes, atol=1e-12)
 
     def test_rabi_rotation(self):
         # one node of weight zero leaves H = X
-        out = eigh_evolve(IsingGraph(1, [0.0]), basis_state(1).amplitudes, np.pi / 2)
+        out = eigh_evolve(np.zeros(1), basis_state(1).amplitudes, np.pi / 2)
         assert np.allclose(out, [0, -1j], atol=1e-9)
 
     def test_matches_fine_trotter_reference(self):
-        graph = random_graph(3, 13)
+        coefficients = random_graph(3, 13)
         psi = random_state_array(np.random.default_rng(3), 3)
-        out = eigh_evolve(graph, psi, 0.3)
-        reference = fine_trotter_evolve(graph_hamiltonian(graph), psi, 0.3)
+        out = eigh_evolve(coefficients, psi, 0.3)
+        reference = fine_trotter_evolve(kron_hamiltonian(3, coefficients), psi, 0.3)
         assert 1.0 - fidelity(out, reference) <= 1e-6
 
     def test_dimension_mismatch(self):
@@ -137,58 +134,58 @@ class TestEvolveExact:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            eigh_evolve(IsingGraph(1, [0.0]), basis_state(1).amplitudes, -0.1)
+            eigh_evolve(np.zeros(1), basis_state(1).amplitudes, -0.1)
 
 
 class TestSampleEvolution:
     def test_time_zero_returns_initial(self):
-        graph = random_graph(2, 4)
+        coefficients = random_graph(2, 4)
         state = random_state(2, 5)
-        samples = sample_evolution(graph, state, [0.0])
+        samples = sample_evolution(coefficients, state, [0.0])
         assert len(samples) == 1
         assert np.allclose(samples[0].state.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_batch_of_fifteen(self):
-        graph = random_graph(3, 6)
+        coefficients = random_graph(3, 6)
         state = random_state(3, 7)
         times = draw_times(15, 0.5, np.random.default_rng(8))
-        samples = sample_evolution(graph, state, times)
+        samples = sample_evolution(coefficients, state, times)
         assert len(samples) == 15
         for s in samples:
             assert 0 < s.time <= 0.5
             assert abs(np.linalg.norm(s.state.amplitudes) - 1.0) < 1e-9
 
     def test_consistent_with_eigh_oracle(self):
-        graph = random_graph(2, 9)
+        coefficients = random_graph(2, 9)
         state = random_state(2, 10)
-        for s in sample_evolution(graph, state, [0.1, 0.25]):
-            direct = eigh_evolve(graph, state.amplitudes, s.time)
+        for s in sample_evolution(coefficients, state, [0.1, 0.25]):
+            direct = eigh_evolve(coefficients, state.amplitudes, s.time)
             assert np.allclose(s.state.amplitudes, direct, atol=1e-12)
 
     def test_rabi_rotation(self):
         # a zero diagonal leaves H = X, so the step count rests on the transverse field alone
-        out = evolve(IsingGraph(1, [0.0]), basis_state(1), np.pi / 2)
+        out = evolve(np.zeros(1), basis_state(1), np.pi / 2)
         assert np.allclose(out.amplitudes, [0, -1j], atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_eigh_oracle(self, n):
         # node weights over the dictionary range, times up to four default t_max
         rng = np.random.default_rng(50 + n)
-        graph = random_complete_graph(rng.uniform(-4.0, 5.0, n), rng)
+        coefficients = random_complete_graph(rng.uniform(-4.0, 5.0, n), rng)
         state = random_state(n, 60 + n)
         times = draw_times(15, 2.0, rng)
-        for s in sample_evolution(graph, state, times):
-            oracle = eigh_evolve(graph, state.amplitudes, s.time)
+        for s in sample_evolution(coefficients, state, times):
+            oracle = eigh_evolve(coefficients, state.amplitudes, s.time)
             assert np.max(np.abs(s.state.amplitudes - oracle)) <= 1e-12
 
     def test_input_order_repeats_and_zero(self):
-        graph = random_graph(3, 14)
+        coefficients = random_graph(3, 14)
         state = random_state(3, 15)
         times = [0.4, 0.0, 0.15, 0.4, 0.05, 0.0]
-        samples = sample_evolution(graph, state, times)
+        samples = sample_evolution(coefficients, state, times)
         assert [s.time for s in samples] == times
         for s in samples:
-            oracle = eigh_evolve(graph, state.amplitudes, s.time)
+            oracle = eigh_evolve(coefficients, state.amplitudes, s.time)
             assert np.max(np.abs(s.state.amplitudes - oracle)) <= 1e-12
         assert np.array_equal(samples[0].state.amplitudes, samples[3].state.amplitudes)
         assert np.array_equal(samples[1].state.amplitudes, state.amplitudes)
@@ -196,12 +193,12 @@ class TestSampleEvolution:
     def test_memory_is_linear_in_the_state(self):
         # a dense 2^10 x 2^10 Hamiltonian alone would take 16.8 MB
         rng = np.random.default_rng(16)
-        graph = random_complete_graph(rng.uniform(-4.0, 5.0, 10), rng)
+        coefficients = random_complete_graph(rng.uniform(-4.0, 5.0, 10), rng)
         state = random_state(10, 17)
         times = draw_times(15, 0.5, rng)
         tracemalloc.start()
         try:
-            sample_evolution(graph, state, times)
+            sample_evolution(coefficients, state, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -209,12 +206,12 @@ class TestSampleEvolution:
 
     def test_bounds_the_step_count(self, monkeypatch):
         # zero weights: the norm bound is n = 2, so times 1.0 and 2.5 take 2 + 3 steps
-        graph, state = IsingGraph(2, np.zeros(2)), random_state(2, 18)
+        coefficients, state = np.zeros(3), random_state(2, 18)
         monkeypatch.setattr(ising, "MAX_TAYLOR_STEPS", 5)
-        sample_evolution(graph, state, [2.5, 1.0])
+        sample_evolution(coefficients, state, [2.5, 1.0])
         monkeypatch.setattr(ising, "MAX_TAYLOR_STEPS", 4)
         with pytest.raises(ValueError, match="5 Taylor steps"):
-            sample_evolution(graph, state, [2.5, 1.0])
+            sample_evolution(coefficients, state, [2.5, 1.0])
 
     def test_evaluates_each_time_within_its_own_step(self, monkeypatch):
         # H = X has norm 1, its Gershgorin bound, so times up to 3 take 3 steps of 1.
@@ -223,7 +220,7 @@ class TestSampleEvolution:
         # would truncate up to 1.5e-6
         monkeypatch.setattr(ising, "TAYLOR_ORDER", 12)
         times = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-        for s in sample_evolution(IsingGraph(1, [0.0]), basis_state(1), times):
+        for s in sample_evolution(np.zeros(1), basis_state(1), times):
             exact = [np.cos(s.time), -1j * np.sin(s.time)]
             assert np.linalg.norm(s.state.amplitudes - exact) <= math.ceil(s.time) * math.e / math.factorial(13)
 
@@ -233,42 +230,45 @@ class TestSampleEvolution:
             raise AssertionError("H psi computed")
 
         monkeypatch.setattr(ising, "apply_hamiltonian", no_product)
-        graph = IsingGraph(2, np.array([weight, 1.0]))
+        coefficients = np.array([0.0, weight, 1.0])
         with pytest.raises(ValueError, match="Taylor steps"):
-            sample_evolution(graph, random_state(2, 19), [0.5])
+            sample_evolution(coefficients, random_state(2, 19), [0.5])
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             sample_evolution(random_graph(2, 1), random_state(2, 1), [-0.1])
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            sample_evolution(random_graph(3, 1), random_state(2, 1), [0.1])
+    @pytest.mark.parametrize("n, length", [(1, 0), (1, 2), (2, 2), (2, 6), (3, 5), (3, 7)])
+    def test_rejects_a_wrong_coefficient_count(self, n, length):
+        # a 2-qubit state with the 6 coefficients of 3 nodes is among them
+        expected = rf"needs {n * (n + 1) // 2} coefficients, got shape \({length},\)"
+        with pytest.raises(ValueError, match=expected):
+            sample_evolution(np.zeros(length), random_state(n, 1), [0.1])
 
 
 class TestEvolutionProperties:
     def test_unitary(self):
-        graph = random_graph(3, 21)
+        coefficients = random_graph(3, 21)
         state = random_state(3, 22)
         for t in (0.1, 0.5, 2.0):
-            out = evolve(graph, state, t)
+            out = evolve(coefficients, state, t)
             assert abs(fidelity(out.amplitudes, out.amplitudes) - 1.0) < 1e-9
 
     def test_energy_conserved(self):
-        graph = random_graph(3, 31)
-        h = graph_hamiltonian(graph)
+        coefficients = random_graph(3, 31)
+        h = kron_hamiltonian(3, coefficients)
         state = random_state(3, 32)
         initial_energy = np.real(np.vdot(state.amplitudes, h @ state.amplitudes))
         for t in (0.07, 0.31, 0.5):
-            psi = evolve(graph, state, t).amplitudes
+            psi = evolve(coefficients, state, t).amplitudes
             energy = np.real(np.vdot(psi, h @ psi))
             assert abs(energy - initial_energy) <= 1e-8
 
     def test_composition(self):
-        graph = random_graph(2, 41)
+        coefficients = random_graph(2, 41)
         state = random_state(2, 42)
-        once = evolve(graph, state, 0.45)
-        stepped = evolve(graph, evolve(graph, state, 0.2), 0.25)
+        once = evolve(coefficients, state, 0.45)
+        stepped = evolve(coefficients, evolve(coefficients, state, 0.2), 0.25)
         assert np.allclose(once.amplitudes, stepped.amplitudes, atol=1e-9)
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qgrnn import pipeline
-from qgrnn.ansatz import AnsatzParams
 from qgrnn.ising import draw_times, random_complete_graph, sample_evolution
 from qgrnn.pipeline import learn_from_states
 from qgrnn.statevector import random_state
@@ -12,31 +11,30 @@ from qgrnn.training import TrainConfig, linear_inversion_start, train_qgrnn
 
 
 def exact_archive(n, seed, t_max=0.1, batch=15):
-    """Target graph with node weights in [-1, 1], one initial state, and exactly evolved samples."""
+    """Target coefficients (node weights in [-1, 1]), one initial state, and exact samples."""
     rng = np.random.default_rng(seed)
-    graph = random_complete_graph(rng.uniform(-1, 1, n), rng)
+    coefficients = random_complete_graph(rng.uniform(-1, 1, n), rng)
     initial = random_state(n, seed + 500)
-    return graph, initial, sample_evolution(graph, initial, draw_times(batch, t_max, rng))
+    times = draw_times(batch, t_max, rng)
+    return coefficients, initial, sample_evolution(coefficients, initial, times)
 
 
 class TestLinearInversionStart:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_recovers_exact_coefficients(self, n):
         for seed in range(3):
-            graph, initial, samples = exact_archive(n, 10 * n + seed)
+            coefficients, initial, samples = exact_archive(n, 10 * n + seed)
             estimate = linear_inversion_start(initial, samples)
-            truth = AnsatzParams.from_graph(graph).flatten()
-            assert np.max(np.abs(estimate - truth)) <= 1e-6
+            assert np.max(np.abs(estimate - coefficients)) <= 1e-6
 
     def test_single_sample_gives_linear_fit(self):
-        graph, initial, samples = exact_archive(3, 7, t_max=1e-4, batch=1)
+        coefficients, initial, samples = exact_archive(3, 7, t_max=1e-4, batch=1)
         estimate = linear_inversion_start(initial, samples)
-        truth = AnsatzParams.from_graph(graph).flatten()
-        assert estimate.shape == truth.shape
-        assert np.max(np.abs(estimate - truth)) <= 1e-2
+        assert estimate.shape == coefficients.shape
+        assert np.max(np.abs(estimate - coefficients)) <= 1e-2
 
     def test_start_is_where_training_begins(self):
-        graph, initial, samples = exact_archive(2, 3, batch=5)
+        coefficients, initial, samples = exact_archive(2, 3, batch=5)
         start = linear_inversion_start(initial, samples)
         a = train_qgrnn(initial, samples, TrainConfig(epochs=3, seed=1), start=start)
         b = train_qgrnn(initial, samples, TrainConfig(epochs=3, seed=2), start=start)

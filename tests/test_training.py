@@ -3,7 +3,6 @@ import pytest
 import scipy.optimize
 
 from qgrnn import training
-from qgrnn.ansatz import AnsatzParams
 from qgrnn.ising import draw_times, random_complete_graph, sample_evolution, TimeEvolvedSample
 from qgrnn.statevector import StateVector, basis_state, random_state
 from qgrnn.training import (
@@ -29,13 +28,19 @@ from conftest import (
 )
 
 
+def random_params(rng, n, edge_range=(-1, 1), node_range=(0, 5)):
+    """Coefficients: couplings drawn over ``edge_range``, then node weights over ``node_range``."""
+    couplings = rng.uniform(*edge_range, n * (n - 1) // 2)
+    return np.concatenate([couplings, rng.uniform(*node_range, n)])
+
+
 def make_instance(n, seed, node_scale=5.0, batch=15, t_max=0.5):
-    """Target graph, shared initial state, and exactly-evolved samples."""
+    """Target coefficients, shared initial state, and exactly-evolved samples."""
     rng = np.random.default_rng(seed)
-    graph = random_complete_graph(rng.uniform(0, node_scale, n), rng)
+    coefficients = random_complete_graph(rng.uniform(0, node_scale, n), rng)
     initial = random_state(n, seed + 1000)
     times = draw_times(batch, t_max, rng)
-    return graph, initial, sample_evolution(graph, initial, times)
+    return coefficients, initial, sample_evolution(coefficients, initial, times)
 
 
 class TestFidelityDirect:
@@ -78,12 +83,12 @@ class TestFidelitySwapTest:
 
 class TestBatchCost:
     def test_near_minus_one_at_target(self):
-        graph, initial, samples = make_instance(3, 4)
-        cost = batch_cost(AnsatzParams.from_graph(graph), initial, samples, 0.01)
+        coefficients, initial, samples = make_instance(3, 4)
+        cost = batch_cost(coefficients, initial, samples, 0.01)
         assert cost <= -0.999
 
     def test_zero_for_orthogonal_sample(self):
-        params = AnsatzParams(2, np.zeros(1), np.zeros(2))
+        params = np.zeros(3)
         initial = random_state(2, 5)
         evolved = apply_suzuki_qgrnn(initial, params, 0.3, 0.01).amplitudes
         # build a sample state orthogonal to the circuit output
@@ -97,28 +102,27 @@ class TestBatchCost:
         rng = np.random.default_rng(7)
         _, initial, samples = make_instance(2, 8)
         for _ in range(10):
-            params = AnsatzParams(2, rng.uniform(-3, 3, 1), rng.uniform(-5, 5, 2))
+            params = random_params(rng, 2, (-3, 3), (-5, 5))
             cost = batch_cost(params, initial, samples, 0.02)
             assert -1.0 <= cost <= 0.0
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            batch_cost(AnsatzParams(2, [0.0], [0.0, 0.0]), random_state(2, 0), [], 0.01)
+            batch_cost(np.zeros(3), random_state(2, 0), [], 0.01)
 
 
 class TestGradCentral:
     def test_matches_four_point_oracle(self):
-        graph, initial, samples = make_instance(2, 9, batch=5)
+        coefficients, initial, samples = make_instance(2, 9, batch=5)
         rng = np.random.default_rng(10)
-        params = AnsatzParams(2, rng.uniform(-1, 1, 1), rng.uniform(0, 5, 2))
+        flat = random_params(rng, 2)
         h = 1e-3
-        grad = grad_central(params, initial, samples, 0.02, h)
-        flat = params.flatten()
+        grad = grad_central(flat, initial, samples, 0.02, h)
         for k in range(flat.size):
             def cost_at(value):
                 bumped = flat.copy()
                 bumped[k] = value
-                return batch_cost(AnsatzParams.from_flat(2, bumped), initial, samples, 0.02)
+                return batch_cost(bumped, initial, samples, 0.02)
 
             oracle = (
                 cost_at(flat[k] - 2 * h)
@@ -129,14 +133,14 @@ class TestGradCentral:
             assert abs(grad[k] - oracle) <= 1e-4 * max(1.0, abs(oracle))
 
     def test_near_zero_at_target(self):
-        graph, initial, samples = make_instance(3, 11, batch=8)
-        grad = grad_central(AnsatzParams.from_graph(graph), initial, samples, 0.002, 1e-3)
+        coefficients, initial, samples = make_instance(3, 11, batch=8)
+        grad = grad_central(coefficients, initial, samples, 0.002, 1e-3)
         assert np.max(np.abs(grad)) <= 1e-3
 
     def test_agrees_with_half_step_stencil(self):
-        graph, initial, samples = make_instance(2, 12, batch=5)
+        coefficients, initial, samples = make_instance(2, 12, batch=5)
         rng = np.random.default_rng(13)
-        params = AnsatzParams(2, rng.uniform(-1, 1, 1), rng.uniform(0, 5, 2))
+        params = random_params(rng, 2)
         g1 = grad_central(params, initial, samples, 0.02, 1e-3)
         g2 = grad_central(params, initial, samples, 0.02, 5e-4)
         assert np.all(np.abs(g1 - g2) <= np.maximum(1e-4, 1e-2 * np.abs(g1)))
@@ -144,21 +148,21 @@ class TestGradCentral:
 
 class TestCostEvaluator:
     def test_matches_reference_cost(self):
-        graph, initial, samples = make_instance(3, 14)
+        coefficients, initial, samples = make_instance(3, 14)
         evaluator = CostEvaluator(initial, samples, 0.01)
         rng = np.random.default_rng(15)
         for _ in range(3):
-            params = AnsatzParams(3, rng.uniform(-1, 1, 3), rng.uniform(0, 5, 3))
+            params = random_params(rng, 3)
             reference = batch_cost(params, initial, samples, 0.01)
-            assert abs(evaluator.cost(params.flatten()) - reference) <= 1e-12
+            assert abs(evaluator.cost(params) - reference) <= 1e-12
 
     def test_matches_reference_gradient(self):
-        graph, initial, samples = make_instance(2, 16, batch=6)
+        coefficients, initial, samples = make_instance(2, 16, batch=6)
         evaluator = CostEvaluator(initial, samples, 0.02)
         rng = np.random.default_rng(17)
-        params = AnsatzParams(2, rng.uniform(-1, 1, 1), rng.uniform(0, 5, 2))
+        params = random_params(rng, 2)
         reference = grad_richardson(params, initial, samples, 0.02)
-        fast = evaluator.gradient(params.flatten(), 1e-3)
+        fast = evaluator.gradient(params, 1e-3)
         assert np.max(np.abs(fast - reference)) <= 1e-10
 
 
@@ -185,14 +189,13 @@ class TestAdjointKernel:
         # the mixed batch has depths 31, 1, 47 and 14 at delta 0.01: unsorted, and
         # every row but the deepest starts late
         rng = np.random.default_rng(30 + n)
-        graph = random_complete_graph(rng.uniform(-4, 5, n), rng)
+        coefficients = random_complete_graph(rng.uniform(-4, 5, n), rng)
         initial = random_state(n, 40 + n)
-        samples = sample_evolution(graph, initial, np.array(times))
+        samples = sample_evolution(coefficients, initial, np.array(times))
         evaluator = CostEvaluator(initial, samples, 0.01)
-        params = AnsatzParams.from_flat(n, rng.uniform(-1, 1, n * (n + 1) // 2))
-        flat = params.flatten()
-        assert abs(evaluator.cost(flat) - batch_cost(params, initial, samples, 0.01)) <= 1e-12
-        oracle = grad_richardson(params, initial, samples, 0.01)
+        flat = rng.uniform(-1, 1, n * (n + 1) // 2)
+        assert abs(evaluator.cost(flat) - batch_cost(flat, initial, samples, 0.01)) <= 1e-12
+        oracle = grad_richardson(flat, initial, samples, 0.01)
         assert np.max(np.abs(evaluator.gradient(flat, 1e-3) - oracle)) <= 1e-10
 
     def test_costs_evaluates_each_column(self):
@@ -203,7 +206,7 @@ class TestAdjointKernel:
         costs = evaluator.costs(flat_matrix)
         assert costs.shape == (3,)
         for column, cost in zip(flat_matrix.T, costs):
-            reference = batch_cost(AnsatzParams.from_flat(3, column), initial, samples, 0.01)
+            reference = batch_cost(column, initial, samples, 0.01)
             assert abs(cost - reference) <= 1e-12
 
     def test_retains_no_dense_matrix(self):
@@ -259,19 +262,17 @@ class TestSplittingOrder:
         # the error of the learned coefficients at delta and delta/2: about 16x
         # lower for the fourth-order circuit training fits, 2x for first order
         rng = np.random.default_rng(2)
-        graph = random_complete_graph(rng.uniform(0, 5, 3), rng)
+        truth = random_complete_graph(rng.uniform(0, 5, 3), rng)
         initial = random_state(3, 102)
-        samples = sample_evolution(graph, initial, draw_times(15, 0.5, rng))
-        truth = AnsatzParams.from_graph(graph).flatten()
+        samples = sample_evolution(truth, initial, draw_times(15, 0.5, rng))
         start = linear_inversion_start(initial, samples)
         fourth, first = [], []
         for delta in (0.05, 0.025):
             result = train_qgrnn(initial, samples, TrainConfig(trotter_delta=delta), start=start)
-            fourth.append(np.max(np.abs(result.learned_params.flatten() - truth)))
+            fourth.append(np.max(np.abs(result.learned_params - truth)))
 
             def first_order_cost(flat):
-                params = AnsatzParams.from_flat(3, flat)
-                return batch_cost(params, initial, samples, delta, circuit=apply_qgrnn)
+                return batch_cost(flat, initial, samples, delta, circuit=apply_qgrnn)
 
             fit = scipy.optimize.minimize(first_order_cost, truth, method="BFGS")
             assert fit.success
@@ -311,8 +312,9 @@ class TestTrainConfig:
     def test_initial_params_use_ranges(self):
         config = TrainConfig(seed=3, node_init_low=0.0, node_init_high=5.0)
         params = initial_params(4, config)
-        assert np.all(params.edge_params >= -1) and np.all(params.edge_params <= 1)
-        assert np.all(params.node_params >= 0) and np.all(params.node_params <= 5)
+        assert params.shape == (10,)
+        assert np.all(params[:6] >= -1) and np.all(params[:6] <= 1)
+        assert np.all(params[6:] >= 0) and np.all(params[6:] <= 5)
 
 
 class TestTrainQgrnn:
@@ -322,7 +324,7 @@ class TestTrainQgrnn:
         a = train_qgrnn(initial, samples, config)
         b = train_qgrnn(initial, samples, config)
         assert a.cost_history == b.cost_history
-        assert np.array_equal(a.learned_params.flatten(), b.learned_params.flatten())
+        assert np.array_equal(a.learned_params, b.learned_params)
 
     def test_history_shape_and_range(self):
         _, initial, samples = make_instance(2, 19, batch=5)
@@ -366,26 +368,26 @@ class TestTrainQgrnn:
 
     def test_recovers_zero_target(self):
         rng = np.random.default_rng(20)
-        graph = random_complete_graph(np.zeros(3), rng)
+        coefficients = random_complete_graph(np.zeros(3), rng)
         initial = random_state(3, 21)
-        samples = sample_evolution(graph, initial, draw_times(15, 0.5, rng))
+        samples = sample_evolution(coefficients, initial, draw_times(15, 0.5, rng))
         result = train_qgrnn(initial, samples, TrainConfig(seed=2))
-        assert np.max(np.abs(result.learned_params.node_params)) <= 0.1
+        assert np.max(np.abs(result.learned_params[-3:])) <= 0.1
 
     def test_recovers_scaled_feature_target(self):
         # node weights from a real feature row of the bundled dataset
         target = np.array([1.944, 3.75, 0.593, 0.417])
         rng = np.random.default_rng(1)
-        graph = random_complete_graph(target, rng)
+        coefficients = random_complete_graph(target, rng)
         initial = random_state(4, 1001)
-        samples = sample_evolution(graph, initial, draw_times(15, 0.5, rng))
+        samples = sample_evolution(coefficients, initial, draw_times(15, 0.5, rng))
         config = TrainConfig(seed=3, node_init_low=0.0, node_init_high=5.0)
         result = train_qgrnn(initial, samples, config)
-        mse = np.mean((result.learned_params.node_params - target) ** 2)
+        mse = np.mean((result.learned_params[-4:] - target) ** 2)
         assert mse <= 0.01
 
     def test_three_node_final_cost(self):
-        graph, initial, samples = make_instance(3, 24)
+        coefficients, initial, samples = make_instance(3, 24)
         config = TrainConfig(seed=4, node_init_low=0.0, node_init_high=5.0)
         result = train_qgrnn(initial, samples, config)
         assert result.final_cost <= -0.95
@@ -457,13 +459,11 @@ class TestCostLandscape:
     def test_target_is_local_minimum(self):
         rng = np.random.default_rng(25)
         for trial in range(20):
-            graph, initial, samples = make_instance(3, 400 + trial, batch=10)
-            target = AnsatzParams.from_graph(graph)
-            base = batch_cost(target, initial, samples, 0.01)
-            flat = target.flatten()
-            k = rng.integers(flat.size)
+            coefficients, initial, samples = make_instance(3, 400 + trial, batch=10)
+            base = batch_cost(coefficients, initial, samples, 0.01)
+            k = rng.integers(coefficients.size)
             sign = 1.0 if rng.random() < 0.5 else -1.0
-            bumped = flat.copy()
+            bumped = coefficients.copy()
             bumped[k] += sign * 0.5
-            perturbed = batch_cost(AnsatzParams.from_flat(3, bumped), initial, samples, 0.01)
+            perturbed = batch_cost(bumped, initial, samples, 0.01)
             assert perturbed > base
