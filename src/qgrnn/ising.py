@@ -73,8 +73,16 @@ def hamiltonian_diagonal(coefficients: np.ndarray, node_count: int) -> np.ndarra
     Sums the node terms, then the couplings pair by pair. The product
     ``coupling_columns(n) @ coefficients`` rounds differently (by up to
     1e-14 at n = 8); this order keeps generated data, and so archives,
-    bit-identical for a given seed.
+    bit-identical for a given seed. A vector whose length is not
+    n(n+1)/2 is rejected.
     """
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    expected = node_count * (node_count + 1) // 2
+    if coefficients.shape != (expected,):
+        raise ValueError(
+            f"a {node_count}-qubit Hamiltonian needs {expected} coefficients, "
+            f"got shape {coefficients.shape}"
+        )
     z = _z_columns(node_count)
     diag = z @ coefficients[-node_count:]
     for (i, j), w in zip(complete_pairs(node_count), coefficients[:-node_count]):
@@ -108,16 +116,10 @@ def sample_evolution(coefficients, initial: StateVector, times) -> list[TimeEvol
     ``MAX_TAYLOR_STEPS`` steps are rejected before the first one.
     """
     n = initial.qubit_count
-    coefficients = np.asarray(coefficients, dtype=np.float64)
-    expected = n * (n + 1) // 2
-    if coefficients.shape != (expected,):
-        raise ValueError(
-            f"a {n}-qubit state needs {expected} coefficients, got shape {coefficients.shape}"
-        )
+    diag = hamiltonian_diagonal(coefficients, n)
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("times must be >= 0")
-    diag = hamiltonian_diagonal(coefficients, n)
     norm = np.max(np.abs(diag)) + n
     end = max(times, default=0.0)
     count = np.ceil(end * norm)

@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg
 
 from qgrnn.ansatz import coupling_columns, layer_count
-from qgrnn.ising import hamiltonian_diagonal, random_complete_graph
+from qgrnn.ising import hamiltonian_diagonal, random_complete_graph, sample_evolution
 from qgrnn.statevector import random_state
+from qgrnn.training import TrainConfig, train_qgrnn
 
 from conftest import (
     SUZUKI_STAGES,
@@ -25,6 +26,16 @@ def random_params(n, seed, node_scale=5.0):
     rng = np.random.default_rng(seed)
     couplings = rng.uniform(-1, 1, n * (n - 1) // 2)
     return np.concatenate([couplings, rng.uniform(0, node_scale, n)])
+
+
+class TestAnsatzParams:
+    def test_wrong_lengths_rejected(self):
+        # 3 qubits take 6 parameters: 3 couplings, then 3 node weights
+        initial = random_state(3, 1)
+        samples = sample_evolution(random_params(3, 2), initial, [0.1, 0.2])
+        for start in (np.zeros(5), np.zeros(7), np.zeros((6, 1))):
+            with pytest.raises(ValueError, match=r"expected \(6,\)"):
+                train_qgrnn(initial, samples, TrainConfig(), start=start)
 
 
 class TestTrotterLayer:

@@ -53,6 +53,15 @@ class TestRandomCompleteGraph:
         assert np.array_equal(coefficients[-n:], weights)
 
 
+class TestIsingGraph:
+    def test_weight_length_checked(self):
+        # the 3 coefficients of a 2-node graph, 5 and a column of 6, read as 3 nodes
+        coefficients = random_complete_graph([1.0, 2.0], np.random.default_rng(0))
+        for wrong in (coefficients, np.zeros(5), np.zeros((6, 1))):
+            with pytest.raises(ValueError, match="3-qubit Hamiltonian needs 6 coefficients"):
+                hamiltonian_diagonal(wrong, 3)
+
+
 class TestBuildHamiltonian:
     """The Hamiltonian as apply_hamiltonian applies it."""
 
