@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,29 +35,15 @@ from .hiding import (
     save_archive,
 )
 from .ising import complete_pairs
-from .pipeline import DEFAULT_IRIS_ROWS, DEFAULT_RESTARTS, reconstruct_sample
+from .pipeline import DEFAULT_IRIS_ROWS, reconstruct_sample
 from .training import TrainConfig
 
-TRAIN_KEYS = (
-    "batch_size",
-    "learning_rate",
-    "epochs",
-    "trotter_delta",
-    "t_max",
-    "adam_beta1",
-    "adam_beta2",
-    "adam_epsilon",
-    "init_low",
-    "init_high",
-    "node_init_low",
-    "node_init_high",
-)
+# Every TrainConfig field is an option, with its type and default, except the
+# seed, which the commands derive from their master seed, and fd_step, which
+# only the benchmark reads. TrainConfig checks their values.
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name not in ("seed", "fd_step"))
 
-COMMON_DEFAULTS = {
-    "seed": 0,
-    "restarts": DEFAULT_RESTARTS,
-    **{key: getattr(TrainConfig(), key) for key in TRAIN_KEYS},
-}
+COMMON_DEFAULTS = {"seed": 0, **{key: getattr(TrainConfig(), key) for key in TRAIN_KEYS}}
 
 DATASET_DEFAULTS = {
     "dataset": "iris",
@@ -81,25 +68,23 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _check_file_value(key: str, value, default) -> None:
-    """Reject a config-file value whose JSON type does not match the option's.
+def _write_fit(directory: Path, result, attempts: int) -> dict:
+    """Write a fit's cost_history.csv; return the keys that say how the fit ended."""
+    _write_csv(directory / "cost_history.csv", "epoch,cost", result.cost_history)
+    return {"final_cost": result.final_cost, "stop_reason": result.stop_reason, "attempts": attempts}
 
-    An option's type is that of its default; options that default to None
-    take a number (training keys) or a string (paths and sample lists), or null.
-    """
-    if default is None:
-        if value is None:
-            return
-        expected = float if key in TRAIN_KEYS else str
-    else:
-        expected = type(default)
-    accepted = (int, float) if expected is float else expected
-    if not isinstance(value, accepted) or isinstance(value, bool):
-        raise ValueError(f"config key {key!r} must be of type {expected.__name__}, got {value!r}")
+
+def _split(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Defaults < config-file values < explicit command-line flags."""
+    """Defaults < config-file values < explicit command-line flags.
+
+    A config-file value must have its option's JSON type: that of the
+    default, or a string or null where the default is None (paths and
+    sample lists). TrainConfig checks the training options itself.
+    """
     cfg = dict(defaults)
     if getattr(args, "config", None):
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -109,7 +94,12 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
-            _check_file_value(key, value, defaults[key])
+            if key in TRAIN_KEYS or (value is None and defaults[key] is None):
+                continue
+            expected = str if defaults[key] is None else type(defaults[key])
+            accepted = (int, float) if expected is float else expected
+            if not isinstance(value, accepted) or isinstance(value, bool):
+                raise ValueError(f"config key {key!r} must be of type {expected.__name__}, got {value!r}")
         cfg.update(file_cfg)
     for key in defaults:
         value = getattr(args, key, None)
@@ -118,23 +108,32 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
-def _train_config(cfg: dict, seed: int) -> TrainConfig:
-    return TrainConfig(seed=seed, **{key: cfg[key] for key in TRAIN_KEYS})
+def _check_options(cfg: dict) -> None:
+    """Range-check the options that are not TrainConfig's; _resolve checks only their types."""
+    if "scale_lo" in cfg:
+        lo, hi = cfg["scale_lo"], cfg["scale_hi"]
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"need finite scale_lo < scale_hi, got {lo!r} and {hi!r}")
+        for key, low in (("pca_components", 1), ("pca_fit_count", 2)):
+            if cfg[key] < low:
+                raise ValueError(f"{key} must be >= {low}, got {cfg[key]!r}")
+    for key in ("samples", "kinds"):
+        if cfg.get(key) is not None and not _split(cfg[key]):
+            raise ValueError(f"{key} must list at least one entry, got {cfg[key]!r}")
 
 
-def _check_dataset_options(cfg: dict) -> None:
-    """Range-check the dataset options; _resolve checks only their types."""
-    lo, hi = cfg["scale_lo"], cfg["scale_hi"]
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"need finite scale_lo < scale_hi, got {lo!r} and {hi!r}")
-    for key, low in (("pca_components", 1), ("pca_fit_count", 2)):
-        if cfg[key] < low:
-            raise ValueError(f"{key} must be >= {low}, got {cfg[key]!r}")
+def _start(args: argparse.Namespace, defaults: dict) -> tuple[dict, TrainConfig, Path]:
+    """Resolve and check every option, then create --out, so a bad option leaves no output."""
+    cfg = _resolve(args, defaults)
+    _check_options(cfg)
+    config = TrainConfig(seed=cfg["seed"], **{key: cfg[key] for key in TRAIN_KEYS})
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return cfg, config, out
 
 
 def _load_scaled_dataset(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     """Scaled feature matrix (and labels) in the frame used for embedding."""
-    _check_dataset_options(cfg)
     if cfg["dataset"] == "iris":
         ds = load_iris_csv(cfg["iris_csv"] or bundled_iris_path())
         scaled, _ = minmax_scale(ds.features, cfg["scale_lo"], cfg["scale_hi"])
@@ -154,7 +153,7 @@ def _load_scaled_dataset(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
 def _sample_indices(cfg: dict, sample_count: int) -> list[int]:
     if cfg["samples"] is None:
         return list(DEFAULT_IRIS_ROWS) if cfg["dataset"] == "iris" else list(range(10))
-    indices = [int(s) for s in str(cfg["samples"]).split(",") if s.strip()]
+    indices = [int(s) for s in _split(cfg["samples"])]
     bad = [i for i in indices if not 0 <= i < sample_count]
     if bad:
         raise ValueError(f"sample indices out of range: {bad}")
@@ -162,14 +161,13 @@ def _sample_indices(cfg: dict, sample_count: int) -> list[int]:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {**COMMON_DEFAULTS, **DATASET_DEFAULTS})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, config, out = _start(args, {**COMMON_DEFAULTS, **DATASET_DEFAULTS})
     features, _ = _load_scaled_dataset(cfg)
     indices = _sample_indices(cfg, features.shape[0])
-    if cfg["node_init_low"] is None and cfg["node_init_high"] is None:
+    if config.node_init_low is None and config.node_init_high is None:
         # node weights live in the scaling range; start the search there
         cfg["node_init_low"], cfg["node_init_high"] = cfg["scale_lo"], cfg["scale_hi"]
+        config = replace(config, node_init_low=cfg["scale_lo"], node_init_high=cfg["scale_hi"])
     cfg["samples"] = ",".join(str(i) for i in indices)
     cfg["sample_seeds"] = {
         str(i): seeding.derive_seed(cfg["seed"], seeding.RECONSTRUCT_SAMPLE, i) for i in indices
@@ -178,9 +176,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
     for i in indices:
         sample_seed = cfg["sample_seeds"][str(i)]
-        outcome = reconstruct_sample(
-            features[i], _train_config(cfg, sample_seed), restarts=cfg["restarts"]
-        )
+        outcome = reconstruct_sample(features[i], config.with_seed(sample_seed))
         sample_dir = out / f"sample_{i:05d}"
         sample_dir.mkdir(exist_ok=True)
         _json_dump(
@@ -190,13 +186,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                 "actual": outcome.actual.tolist(),
                 "predicted": outcome.predicted.tolist(),
                 "metrics": outcome.report.to_dict(),
-                "final_cost": outcome.train_result.final_cost,
-                "stop_reason": outcome.train_result.stop_reason,
-                "attempts": outcome.attempts,
+                **_write_fit(sample_dir, outcome.train_result, outcome.attempts),
             },
             sample_dir / "result.json",
         )
-        _write_csv(sample_dir / "cost_history.csv", "epoch,cost", outcome.train_result.cost_history)
         n = outcome.actual.size
         terms = [f"Z{i}Z{j}" for i, j in complete_pairs(n)] + [f"Z{i}" for i in range(n)]
         _write_csv(
@@ -213,9 +206,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     defaults = {**COMMON_DEFAULTS, **DATASET_DEFAULTS, "kinds": ",".join(classifiers.KINDS)}
-    cfg = _resolve(args, defaults)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, _, out = _start(args, defaults)
     recon_dir = Path(args.reconstructed)
     results = sorted(recon_dir.glob("sample_*/result.json"))
     if not results:
@@ -226,7 +217,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     features, labels = _load_scaled_dataset(cfg)
     train_idx, test_idx = classifiers.stratified_split(labels, seed=cfg["seed"])
-    kinds = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
+    kinds = _split(cfg["kinds"])
     cfg["samples"] = ",".join(str(r["sample_index"]) for r in records)
     _json_dump({"command": "classify", "reconstructed": str(recon_dir), **cfg}, out / "run.json")
 
@@ -248,12 +239,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_hide(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, COMMON_DEFAULTS)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, config, out = _start(args, COMMON_DEFAULTS)
     dictionary = load_dictionary(args.dict)
     message = args.message.split()
-    archive = encode_message(message, dictionary, _train_config(cfg, cfg["seed"]))
+    archive = encode_message(message, dictionary, config)
     archive_path = out / "archive.json"
     save_archive(archive, archive_path)
     _json_dump(
@@ -266,26 +255,19 @@ def cmd_hide(args: argparse.Namespace) -> int:
 
 
 def cmd_reveal(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, COMMON_DEFAULTS)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, config, out = _start(args, COMMON_DEFAULTS)
     dictionary = load_dictionary(args.dict)
     archive = load_archive(args.archive)
-    result = reveal_message(
-        archive, dictionary, _train_config(cfg, cfg["seed"]), restarts=cfg["restarts"]
-    )
+    result = reveal_message(archive, dictionary, config)
     _json_dump(
         {"command": "reveal", "archive": str(args.archive), "dict": str(args.dict), **cfg},
         out / "run.json",
     )
-    _write_csv(out / "cost_history.csv", "epoch,cost", result.train_result.cost_history)
     payload = {
         "words": list(result.words),
         "learned_values": result.learned_values.tolist(),
         "snap_distances": result.snap_distances.tolist(),
-        "final_cost": result.train_result.final_cost,
-        "stop_reason": result.train_result.stop_reason,
-        "attempts": result.attempts,
+        **_write_fit(out, result.train_result, result.attempts),
     }
     print("message:", " ".join(result.words))
     for word, value, dist in zip(result.words, result.learned_values, result.snap_distances):
@@ -302,10 +284,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file of option defaults (flags win)")
     p.add_argument("--seed", type=int, help="master seed; all streams derive from it")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--restarts", type=int, help="max training re-initializations")
-    for key in TRAIN_KEYS:
-        flag = "--" + key.replace("_", "-")
-        p.add_argument(flag, type=int if key in ("batch_size", "epochs") else float)
+    for f in fields(TrainConfig):
+        if f.name in TRAIN_KEYS:
+            p.add_argument("--" + f.name.replace("_", "-"), type=int if f.type == "int" else float)
 
 
 def _add_dataset(p: argparse.ArgumentParser) -> None:

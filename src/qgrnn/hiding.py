@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .ising import TimeEvolvedSample
-from .pipeline import ACCEPT_COST, DEFAULT_RESTARTS, MAX_QUBITS, embed_and_sample, learn_from_states
+from .pipeline import MAX_QUBITS, embed_and_sample, learn_from_states
 from .statevector import NORM_TOL, StateVector
 from .training import TrainConfig, TrainResult
 
@@ -273,25 +273,17 @@ class RevealResult:
     attempts: int
 
 
-def reveal_message(
-    archive: StateArchive,
-    dictionary: Dictionary,
-    config: TrainConfig,
-    restarts: int = DEFAULT_RESTARTS,
-    accept_cost: float = ACCEPT_COST,
-) -> RevealResult:
+def reveal_message(archive: StateArchive, dictionary: Dictionary, config: TrainConfig) -> RevealResult:
     """Relearn the node weights from the archived states and snap them to words.
 
     Training starts from the linear inversion of the archived states. The
-    fallback restarts, run only when that attempt misses ``accept_cost``,
-    draw node parameters over the dictionary range unless the config pins
-    its own range, since the hidden values span that range.
+    fallback attempts of ``pipeline.learn_from_states`` draw node parameters
+    over the dictionary range unless the config pins its own range, since
+    the hidden values span that range.
     """
     if config.node_init_low is None and config.node_init_high is None:
         config = replace(config, node_init_low=dictionary.lo, node_init_high=dictionary.hi)
-    result, attempts = learn_from_states(
-        archive.initial_state, list(archive.samples), config, restarts, accept_cost
-    )
+    result, attempts = learn_from_states(archive.initial_state, list(archive.samples), config)
     learned = result.learned_params[-archive.node_count :]
     snapped = [dictionary.snap(v) for v in learned]
     return RevealResult(

@@ -11,7 +11,6 @@ from .metrics import MetricReport, evaluate
 from .statevector import StateVector, random_state
 from .training import TrainConfig, TrainResult, linear_inversion_start, train_qgrnn
 
-DEFAULT_RESTARTS = 10
 ACCEPT_COST = -0.99
 # Largest register accepted from user data. At 14 qubits the largest arrays are
 # the least-squares system of linear_inversion_start, 2 * 2^14 x 105 float64
@@ -53,28 +52,26 @@ def learn_from_states(
     initial: StateVector,
     samples: list[TimeEvolvedSample],
     config: TrainConfig,
-    restarts: int = DEFAULT_RESTARTS,
     accept_cost: float = ACCEPT_COST,
 ) -> tuple[TrainResult, int]:
     """Train from the linear-inversion warm start, then from random draws until the fit converges.
 
     The first attempt starts from ``linear_inversion_start`` of the samples.
-    Fallback attempt r = 1 .. restarts - 1 draws its initial parameters over
-    the config's init ranges, from a seed derived from (config.seed, r). The
-    first result whose final cost reaches ``accept_cost`` wins, otherwise the
-    lowest-cost attempt is returned. Returns (result, attempts used).
+    Fallback attempt r = 1 .. config.restarts - 1 draws its initial
+    parameters over the config's init ranges, from a seed derived from
+    (config.seed, r). The first result whose final cost reaches
+    ``accept_cost`` wins, otherwise the lowest-cost attempt is returned.
+    Returns (result, attempts used).
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     best = train_qgrnn(initial, samples, config, start=linear_inversion_start(initial, samples))
-    for attempt in range(1, restarts):
+    for attempt in range(1, config.restarts):
         if best.final_cost <= accept_cost:
             return best, attempt
         seed = seeding.derive_seed(config.seed, seeding.RESTART, attempt)
         result = train_qgrnn(initial, samples, config.with_seed(seed))
         if result.final_cost < best.final_cost:
             best = result
-    return best, restarts
+    return best, config.restarts
 
 
 @dataclass(frozen=True)
@@ -89,16 +86,11 @@ class ReconstructionResult:
     target: np.ndarray
 
 
-def reconstruct_sample(
-    features_row,
-    config: TrainConfig,
-    restarts: int = DEFAULT_RESTARTS,
-    accept_cost: float = ACCEPT_COST,
-) -> ReconstructionResult:
+def reconstruct_sample(features_row, config: TrainConfig) -> ReconstructionResult:
     """Embed one feature vector as node weights, then recover it from the evolved states."""
     actual = np.asarray(features_row, dtype=np.float64)
     target, initial, samples = embed_and_sample(actual, config)
-    result, attempts = learn_from_states(initial, samples, config, restarts, accept_cost)
+    result, attempts = learn_from_states(initial, samples, config)
     predicted = result.learned_params[-actual.size :]
     return ReconstructionResult(
         actual=actual,

@@ -71,6 +71,9 @@ class TrainConfig:
     Adam's step size, annealed over that phase on a half cosine, from
     ``learning_rate`` at its first epoch towards 0 at its last.
 
+    ``restarts`` caps the attempts of ``pipeline.learn_from_states``: the
+    warm-started one, then random draws until a fit is accepted.
+
     ``fd_step`` is not used by training, whose gradient is exact. It stays
     because the benchmark's kernel scan passes it to
     ``CostEvaluator.gradient``.
@@ -90,6 +93,7 @@ class TrainConfig:
     init_high: float = 1.0
     node_init_low: float | None = None
     node_init_high: float | None = None
+    restarts: int = 10
 
     def __post_init__(self):
         for f in fields(self):
@@ -100,10 +104,9 @@ class TrainConfig:
             elif not (value is None and f.type == "float | None"):
                 if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
                     raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("batch_size", "epochs", "restarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         for name in ("learning_rate", "trotter_delta", "t_max", "fd_step", "adam_epsilon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")

@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -16,6 +17,21 @@ def dict_file(tmp_path):
     path = tmp_path / "words.txt"
     path.write_text("\n".join(WORDS) + "\n")
     return path
+
+
+COMMANDS = ("reconstruct", "classify", "hide", "reveal")
+# the TrainConfig fields that are options of every command
+OPTION_FIELDS = [f for f in fields(TrainConfig) if f.name not in ("seed", "fd_step")]
+
+
+def required_args(command, tmp_path, dict_file):
+    """Each command's required arguments; the input files need not exist."""
+    return {
+        "reconstruct": ["--samples", "18"],
+        "classify": ["--reconstructed", str(tmp_path / "rec")],
+        "hide": ["--message", "golf charlie", "--dict", str(dict_file)],
+        "reveal": ["--archive", str(tmp_path / "archive.json"), "--dict", str(dict_file)],
+    }[command]
 
 
 def hide(dict_file, out, *flags):
@@ -157,6 +173,64 @@ class TestFailFast:
         fails_fast(capsys, ["hide", "--message", message, "--dict", str(dict_file),
                             "--out", str(tmp_path)], "limit")
         assert not (tmp_path / "archive.json").exists()
+
+
+class TestOptionsCheckedBeforeOutput:
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "flags, key",
+        [(["--restarts", "0"], "restarts"), (["--learning-rate", "-1"], "learning_rate")],
+    )
+    def test_bad_training_option_leaves_no_output(self, tmp_path, dict_file, capsys,
+                                                  command, flags, key):
+        out = tmp_path / "out"
+        fails_fast(capsys, [command, *required_args(command, tmp_path, dict_file),
+                            "--out", str(out), *flags], key)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, key",
+        [
+            ("reconstruct", ["--samples", ""], "samples"),
+            ("reconstruct", ["--samples", " , "], "samples"),
+            ("classify", ["--kinds", ","], "kinds"),
+        ],
+    )
+    def test_empty_list_is_an_error(self, tmp_path, dict_file, capsys, command, flags, key):
+        out = tmp_path / "out"
+        fails_fast(capsys, [command, *required_args(command, tmp_path, dict_file),
+                            "--out", str(out), *flags], key)
+        assert not out.exists()
+
+
+class TestTrainingOptionSchema:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_training_field_is_a_flag(self, tmp_path, dict_file, command):
+        parser = cli.build_parser()
+        for f in OPTION_FIELDS:
+            args = parser.parse_args([command, *required_args(command, tmp_path, dict_file),
+                                      "--out", str(tmp_path), "--" + f.name.replace("_", "-"), "3"])
+            value = getattr(args, f.name)
+            assert value == 3
+            assert type(value) is (float if f.default is None else type(f.default)), f.name
+
+    def test_run_json_records_every_training_default(self, tmp_path, dict_file):
+        runs = {
+            "reconstruct": ["--samples", "18"],
+            "classify": ["--reconstructed", str(tmp_path / "reconstruct")],
+            "hide": ["--message", "golf charlie", "--dict", str(dict_file)],
+            "reveal": ["--archive", str(tmp_path / "hide" / "archive.json"),
+                       "--dict", str(dict_file)],
+        }
+        for command, argv in runs.items():
+            assert cli.main([command, *argv, "--out", str(tmp_path / command)]) == 0
+            run = json.loads((tmp_path / command / "run.json").read_text())
+            for f in OPTION_FIELDS:
+                expected = f.default
+                if command == "reconstruct" and f.name.startswith("node_init_"):
+                    # reconstruct searches the node weights over the scaling range
+                    expected = {"node_init_low": 0.0, "node_init_high": 5.0}[f.name]
+                assert run[f.name] == expected and type(run[f.name]) is type(expected), f.name
 
 
 class TestReconstructOutput:

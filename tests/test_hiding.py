@@ -62,7 +62,7 @@ class TestWideRegister:
         # Trotter-bias floor of 1.7e-9; the fourth-order circuit reaches 2.4e-12
         words = "juliet india hotel golf foxtrot echo delta charlie".split()
         archive = encode_message(words, dictionary, TrainConfig(seed=1), created="fixed")
-        result = reveal_message(archive, dictionary, TrainConfig(seed=1, epochs=60), restarts=1)
+        result = reveal_message(archive, dictionary, TrainConfig(seed=1, epochs=60, restarts=1))
         truth = np.array([dictionary.value_of(w) for w in words])
         assert result.words == tuple(words)
         assert np.mean((result.learned_values - truth) ** 2) <= 1e-10
@@ -74,7 +74,7 @@ class TestWideRegister:
         save_archive(encode_message(words, dictionary, TrainConfig(seed=1), created="fixed"),
                      tmp_path / "archive.json")
         archive = load_archive(tmp_path / "archive.json")
-        result = reveal_message(archive, dictionary, TrainConfig(seed=1, epochs=60), restarts=1)
+        result = reveal_message(archive, dictionary, TrainConfig(seed=1, epochs=60, restarts=1))
         truth = np.array([dictionary.value_of(w) for w in words])
         assert result.words == tuple(words)
         assert np.mean((result.learned_values - truth) ** 2) <= 1e-10

@@ -57,14 +57,13 @@ class TestLearnFromStates:
             return result
 
         monkeypatch.setattr(pipeline, "train_qgrnn", stub_train)
-        config = TrainConfig(epochs=2, seed=8)
-        result, attempts = learn_from_states(initial, samples, config, restarts=4, accept_cost=-0.99)
+        config = TrainConfig(epochs=2, seed=8, restarts=4)
+        result, attempts = learn_from_states(initial, samples, config, accept_cost=-0.99)
         assert attempts == 4
         assert [warm for _, warm, _ in calls] == [True, False, False, False]
         assert calls[0][0] == 8 and len({seed for seed, _, _ in calls}) == 4
         assert result is calls[1][2]
 
     def test_restarts_must_be_positive(self):
-        _, initial, samples = exact_archive(2, 6, batch=3)
-        with pytest.raises(ValueError):
-            learn_from_states(initial, samples, TrainConfig(epochs=1), restarts=0)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            TrainConfig(epochs=1, restarts=0)
