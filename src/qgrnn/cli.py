@@ -59,6 +59,7 @@ DATASET_DEFAULTS = {
 
 
 def _json_dump(obj, path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
@@ -120,16 +121,17 @@ def _check_options(cfg: dict) -> None:
     for key in ("samples", "kinds"):
         if cfg.get(key) is not None and not _split(cfg[key]):
             raise ValueError(f"{key} must list at least one entry, got {cfg[key]!r}")
+    unknown = [kind for kind in _split(cfg.get("kinds") or "") if kind not in classifiers.KINDS]
+    if unknown:
+        raise ValueError(f"kinds: unknown classifier kind {unknown[0]!r}, choose from {classifiers.KINDS}")
 
 
 def _start(args: argparse.Namespace, defaults: dict) -> tuple[dict, TrainConfig, Path]:
-    """Resolve and check every option, then create --out, so a bad option leaves no output."""
+    """Resolve and check every option; --out is created by the first write, so bad input leaves none."""
     cfg = _resolve(args, defaults)
     _check_options(cfg)
     config = TrainConfig(seed=cfg["seed"], **{key: cfg[key] for key in TRAIN_KEYS})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, config, out
+    return cfg, config, Path(args.out)
 
 
 def _load_scaled_dataset(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -153,10 +155,13 @@ def _load_scaled_dataset(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
 def _sample_indices(cfg: dict, sample_count: int) -> list[int]:
     if cfg["samples"] is None:
         return list(DEFAULT_IRIS_ROWS) if cfg["dataset"] == "iris" else list(range(10))
-    indices = [int(s) for s in _split(cfg["samples"])]
+    try:
+        indices = [int(s) for s in _split(cfg["samples"])]
+    except ValueError as exc:
+        raise ValueError(f"--samples: {exc}") from None
     bad = [i for i in indices if not 0 <= i < sample_count]
     if bad:
-        raise ValueError(f"sample indices out of range: {bad}")
+        raise ValueError(f"--samples: sample indices out of range: {bad}")
     return indices
 
 
@@ -244,11 +249,11 @@ def cmd_hide(args: argparse.Namespace) -> int:
     message = args.message.split()
     archive = encode_message(message, dictionary, config)
     archive_path = out / "archive.json"
-    save_archive(archive, archive_path)
     _json_dump(
         {"command": "hide", "dict": str(args.dict), "word_count": len(message), **cfg},
         out / "run.json",
     )
+    save_archive(archive, archive_path)
     print(f"hidden {len(message)} words in {archive_path} ({archive.node_count} nodes, "
           f"{len(archive.samples)} evolved states)")
     return 0
@@ -258,11 +263,12 @@ def cmd_reveal(args: argparse.Namespace) -> int:
     cfg, config, out = _start(args, COMMON_DEFAULTS)
     dictionary = load_dictionary(args.dict)
     archive = load_archive(args.archive)
-    result = reveal_message(archive, dictionary, config)
+    # written before the fit, so an --out that cannot be made fails at once
     _json_dump(
         {"command": "reveal", "archive": str(args.archive), "dict": str(args.dict), **cfg},
         out / "run.json",
     )
+    result = reveal_message(archive, dictionary, config)
     payload = {
         "words": list(result.words),
         "learned_values": result.learned_values.tolist(),
@@ -334,11 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "hide",
         help="encode a message into a state archive",
-        epilog="Writes archive.json (format version 3): version, node_count, t_max, "
-        "initial, samples (t, state) and meta (created). Each state is the base64 of "
-        "its 2^node_count amplitudes as little-endian complex64, exact to single "
-        "precision. reveal also reads version 2 (complex128) and version 1, which "
-        "stored [re, im] decimal pairs.",
+        epilog="Writes archive.json (format version 4): version, node_count, t_max, "
+        "times, states and meta (created). states is the base64 of the deflated byte "
+        "planes of the initial state and then each sample's state as little-endian "
+        "complex64, exact to single precision. reveal also reads versions 1 to 3, "
+        "which stored one field per state.",
     )
     _add_common(p)
     p.add_argument("--message", required=True, help="whitespace-separated words")

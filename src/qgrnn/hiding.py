@@ -3,8 +3,9 @@
 Encoding maps each word of a message to a code value from a shared
 dictionary, embeds the values as node weights of a graph, evolves a random
 initial state under the graph Hamiltonian, and keeps only the initial and
-time-evolved states. The graph itself is discarded; retrieval must relearn
-the node weights from the states and snap them back to dictionary values.
+time-evolved states, deflated at single precision (``save_archive``). The
+graph itself is discarded; retrieval must relearn the node weights from the
+states and snap them back to dictionary values.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import base64
 import binascii
 import json
 import math
+import zlib
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,13 +25,13 @@ from .pipeline import MAX_QUBITS, embed_and_sample, learn_from_states
 from .statevector import NORM_TOL, StateVector
 from .training import TrainConfig, TrainResult
 
-ARCHIVE_VERSION = 3
-# Version 1 stored each amplitude as a [re, im] pair of decimal floats and
-# version 2 as complex128. Both are still read: an old file is the only copy
-# of its hidden message.
-READABLE_VERSIONS = (1, 2, ARCHIVE_VERSION)
-# the amplitude type of each base64 version
-AMPLITUDE_DTYPES = {2: np.dtype("<c16"), 3: np.dtype("<c8")}
+ARCHIVE_VERSION = 4
+# Versions 1 to 3 stored one field per state: [re, im] pairs of decimal
+# floats (1), base64 complex128 (2) or base64 complex64 (3). All are still
+# read: an old file is the only copy of its hidden message.
+READABLE_VERSIONS = (1, 2, 3, ARCHIVE_VERSION)
+# the amplitude type of each version; version 1's [re, im] float64 pairs are complex128
+AMPLITUDE_DTYPES = {1: np.dtype("<c16"), 2: np.dtype("<c16"), 3: np.dtype("<c8"), 4: np.dtype("<c8")}
 # Rounding to complex64 moves a unit norm by at most the unit roundoff 2^-24;
 # eps = 2^-23 leaves a factor of 2 to spare.
 CARRIER_NORM_TOL = float(np.finfo(np.float32).eps)
@@ -125,72 +127,72 @@ def encode_message(
     )
 
 
-def _encode_state(state: StateVector) -> str:
-    amplitudes = state.amplitudes.astype(AMPLITUDE_DTYPES[ARCHIVE_VERSION])
-    return base64.b64encode(amplitudes.tobytes()).decode("ascii")
-
-
-def encoded_state_length(node_count: int, version: int = ARCHIVE_VERSION) -> int:
-    """Characters in one state string of ``version`` (2 or 3, default 3).
-
-    The base64 of 2^node_count amplitudes as complex64 (version 3) or
-    complex128 (version 2).
-    """
+def encoded_state_length(node_count: int, version: int = 3) -> int:
+    """Base64 characters of one version-2 (complex128) or version-3 (complex64) state string."""
     return 4 * math.ceil(AMPLITUDE_DTYPES[version].itemsize * (1 << node_count) / 3)
 
 
 def save_archive(archive: StateArchive, path) -> None:
-    """Write the archive as JSON in format version 3.
+    """Write the archive as JSON in format version 4.
 
-    Each state (``initial`` and ``samples[i].state``) is one ASCII string:
-    the base64 of its 2^node_count amplitudes as little-endian complex64
-    bytes. ``load_archive`` returns each state rounded to single precision
-    and renormalised; the fit's floor is set by the Trotter model, far above
-    that rounding. ``meta`` holds the creation time only.
+    ``times`` lists the sample times. ``states`` is one ASCII string: the
+    initial state, then each sample's, as 2^node_count little-endian complex64
+    amplitudes whose float32 bytes are split into planes (every byte 0, then
+    every byte 1, ...), deflated by ``zlib.compress`` and base64-encoded.
+    ``load_archive`` returns each state rounded to single precision and
+    renormalised, far below the Trotter model's error; it refuses states that
+    deflate below a quarter of their bytes, as random ones never do, but basis
+    states would. ``meta`` holds the creation time only.
     """
+    rows = np.array([archive.initial_state.amplitudes, *(s.state.amplitudes for s in archive.samples)])
+    planes = rows.astype(AMPLITUDE_DTYPES[ARCHIVE_VERSION]).view(np.uint8).reshape(-1, 4).T
     payload = {
         "version": ARCHIVE_VERSION,
         "node_count": archive.node_count,
         "t_max": archive.t_max,
-        "initial": _encode_state(archive.initial_state),
-        "samples": [{"t": s.time, "state": _encode_state(s.state)} for s in archive.samples],
+        "times": [s.time for s in archive.samples],
+        "states": base64.b64encode(zlib.compress(planes.tobytes())).decode("ascii"),
         "meta": {"created": archive.created},
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def _decode_state(field, version: int, node_count: int, path) -> StateVector:
+def _inflate_states(field, rows: int, node_count: int, path) -> bytes:
+    expected = AMPLITUDE_DTYPES[ARCHIVE_VERSION].itemsize * rows << node_count
+    # At most base64 of zlib's compressBound(expected); at least a third of expected, which random
+    # mantissa bytes never deflate below: the work grows with the file, not with what it claims.
+    shortest = -(-expected // 3)
+    longest = 4 * math.ceil((expected + (expected >> 12) + (expected >> 14) + (expected >> 25) + 13) / 3)
+    if not isinstance(field, str) or not shortest <= len(field) <= longest:
+        raise ArchiveFormatError(f"{path}: states must be {shortest} to {longest} base64 characters")
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(base64.b64decode(field, validate=True), expected)
+    except (binascii.Error, zlib.error) as exc:
+        raise ArchiveFormatError(f"{path}: states are not valid deflated base64: {exc}") from None
+    if len(raw) != expected or not inflater.eof or inflater.unconsumed_tail or inflater.unused_data:
+        raise ArchiveFormatError(f"{path}: states do not inflate to exactly {rows} states")
+    return np.frombuffer(raw, np.uint8).reshape(4, -1).T.tobytes()
+
+
+def _state_bytes(field, version: int, node_count: int, path) -> bytes:
     if version == 1:
         arr = np.asarray(field, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] != 1 << node_count:
             raise ArchiveFormatError(f"{path}: state array has wrong shape {arr.shape}")
-        amps = arr[:, 0] + 1j * arr[:, 1]
-    else:
-        # the length check bounds the decoding work by MAX_QUBITS
-        length = encoded_state_length(node_count, version)
-        if not isinstance(field, str) or len(field) != length:
-            raise ArchiveFormatError(
-                f"{path}: state must be a base64 string of {length} characters "
-                f"for node_count {node_count}"
-            )
-        try:
-            raw = base64.b64decode(field, validate=True)
-        except binascii.Error as exc:
-            raise ArchiveFormatError(f"{path}: state is not valid base64: {exc}") from None
-        dtype = AMPLITUDE_DTYPES[version]
-        if len(raw) != dtype.itemsize << node_count:
-            raise ArchiveFormatError(f"{path}: state array has wrong shape ({len(raw)} bytes)")
-        # widening a signalling NaN sets the invalid flag; the norm check rejects it
-        with np.errstate(invalid="ignore"):
-            amps = np.frombuffer(raw, dtype=dtype).astype(np.complex128)
-    norm = np.linalg.norm(amps)
-    # written so that a NaN or infinite norm fails too
-    if not abs(norm - 1.0) <= (CARRIER_NORM_TOL if version == 3 else NORM_TOL):
-        raise ArchiveFormatError(f"{path}: state norm deviates from 1")
-    if version == 3:
-        # StateVector, and everything downstream, holds the norm to NORM_TOL
-        amps = amps / norm
-    return StateVector(node_count, amps)
+        return arr.tobytes()  # each [re, im] pair of float64 is one complex128
+    # the length check bounds the decoding work by MAX_QUBITS
+    length = encoded_state_length(node_count, version)
+    if not isinstance(field, str) or len(field) != length:
+        raise ArchiveFormatError(f"{path}: state must be a base64 string of {length} characters "
+                                 f"for node_count {node_count}")
+    try:
+        raw = base64.b64decode(field, validate=True)
+    except binascii.Error as exc:
+        raise ArchiveFormatError(f"{path}: state is not valid base64: {exc}") from None
+    if len(raw) != AMPLITUDE_DTYPES[version].itemsize << node_count:
+        raise ArchiveFormatError(f"{path}: state array has wrong shape ({len(raw)} bytes)")
+    return raw
 
 
 def _is_json_int(value) -> bool:
@@ -201,30 +203,30 @@ def _is_json_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _sample_from_dict(sample, version: int, node_count: int, t_max: float, path) -> TimeEvolvedSample:
-    t = sample["t"]
+def _checked_time(t, t_max: float, path) -> float:
     if not _is_json_number(t):
         raise ArchiveFormatError(f"{path}: sample time t must be a JSON number, got {t!r}")
     if not (math.isfinite(t) and 0 < t <= t_max):
         raise ArchiveFormatError(f"{path}: sample time t must lie in (0, t_max={t_max}], got {t}")
-    return TimeEvolvedSample(float(t), _decode_state(sample["state"], version, node_count, path))
+    return float(t)
 
 
 def load_archive(path) -> StateArchive:
     """Read and validate an archive: node_count (up to MAX_QUBITS), shapes, norms, t_max, times.
 
     ``version`` and ``node_count`` must be JSON integers, and ``t_max`` and
-    each sample's ``t`` JSON numbers; a boolean or a string is rejected
+    each sample time JSON numbers; a boolean or a string is rejected
     rather than coerced.
 
-    Reads format version 3 (see ``save_archive``), version 2, whose state
-    strings hold complex128 amplitudes, and version 1, where each state is a
-    list of [re, im] decimal pairs; versions 1 and 2 are never written and
-    load bit-exactly. A state string must have exactly the length that
-    node_count and the version imply before it is decoded. A version-3 state
-    must have unit norm to single precision (``CARRIER_NORM_TOL``) and is
-    renormalised; older versions must meet ``NORM_TOL``. A version-1
-    ``meta.note`` is ignored.
+    Reads format version 4 (see ``save_archive``) and versions 1 to 3, with
+    one field per state: [re, im] decimal pairs (1) or base64 complex128 (2)
+    or complex64 (3); versions 1 and 2 load bit-exactly. Before decoding, a
+    version-2 or -3 state string must have the length node_count implies, and
+    version 4's ``states`` at least a third of, and at most the base64 of zlib's
+    worst case for, the 8 * (len(times) + 1) * 2^node_count bytes it must
+    inflate to exactly, where inflation stops. A version-3 or -4 state must have unit norm to single
+    precision (``CARRIER_NORM_TOL``) and is renormalised; older versions must
+    meet ``NORM_TOL``. A version-1 ``meta.note`` is ignored.
     """
     path = Path(path)
     try:
@@ -250,12 +252,27 @@ def load_archive(path) -> StateArchive:
         t_max = float(t_max)
         if not (math.isfinite(t_max) and t_max > 0):
             raise ArchiveFormatError(f"{path}: t_max must be finite and > 0, got {t_max}")
-        initial = _decode_state(payload["initial"], version, node_count, path)
-        samples = tuple(
-            _sample_from_dict(s, version, node_count, t_max, path) for s in payload["samples"]
-        )
-        if not samples:
+        entries = None if version == ARCHIVE_VERSION else payload["samples"]
+        times = payload["times"] if entries is None else [s["t"] for s in entries]
+        times = [_checked_time(t, t_max, path) for t in times]
+        if not times:
             raise ArchiveFormatError(f"{path}: samples is empty")
+        if entries is None:
+            raw = _inflate_states(payload["states"], len(times) + 1, node_count, path)
+        else:
+            fields = [payload["initial"], *(s["state"] for s in entries)]
+            raw = b"".join(_state_bytes(f, version, node_count, path) for f in fields)
+        # one path for every version: widening a signalling NaN sets the invalid
+        # flag, and the norm check, written to fail on a NaN or inf norm, rejects it
+        with np.errstate(invalid="ignore"):
+            rows = np.frombuffer(raw, AMPLITUDE_DTYPES[version]).astype(np.complex128).reshape(-1, 1 << node_count)
+        norms = [np.linalg.norm(amps) for amps in rows]
+        if not all(abs(norm - 1.0) <= (CARRIER_NORM_TOL if version >= 3 else NORM_TOL) for norm in norms):
+            raise ArchiveFormatError(f"{path}: state norm deviates from 1")
+        # StateVector, and everything downstream, holds the norm to NORM_TOL
+        initial, *states = (StateVector(node_count, amps / norm if version >= 3 else amps)
+                            for amps, norm in zip(rows, norms))
+        samples = tuple(map(TimeEvolvedSample, times, states))
         created = str(payload["meta"]["created"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ArchiveFormatError):

@@ -97,7 +97,7 @@ class TestConfigValidation:
         assert hide(dict_file, tmp_path / "hide") == 0
         archive = tmp_path / "hide" / "archive.json"
         payload = json.loads(archive.read_text())
-        payload["t_max"] = payload["samples"][0]["t"] = 1e9
+        payload["t_max"] = payload["times"][0] = 1e9
         archive.write_text(json.dumps(payload))
         start = time.perf_counter()
         code = cli.main(["reveal", "--archive", str(archive), "--dict", str(dict_file),
@@ -111,7 +111,7 @@ class TestConfigValidation:
         assert hide(dict_file, tmp_path / "hide") == 0
         archive = tmp_path / "hide" / "archive.json"
         payload = json.loads(archive.read_text())
-        payload["samples"][0]["t"] = float("inf")
+        payload["times"][0] = float("inf")
         archive.write_text(json.dumps(payload))
         code = cli.main(["reveal", "--archive", str(archive), "--dict", str(dict_file),
                          "--out", str(tmp_path / "reveal")])
@@ -201,6 +201,39 @@ class TestOptionsCheckedBeforeOutput:
         fails_fast(capsys, [command, *required_args(command, tmp_path, dict_file),
                             "--out", str(out), *flags], key)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("reconstruct", ["--samples", "abc"], "--samples: invalid literal for int()"),
+            ("reconstruct", ["--samples", "18,1000"], "--samples: sample indices out of range: [1000]"),
+            ("reconstruct", ["--samples", "-1"], "--samples: sample indices out of range: [-1]"),
+            ("classify", ["--kinds", "gaussian-naive-bayes,foo"], "kinds: unknown classifier kind 'foo'"),
+        ],
+    )
+    def test_bad_list_entry_is_an_error(self, tmp_path, dict_file, capsys, command, flags, message):
+        # the classify input need not exist: the kinds are checked first
+        out = tmp_path / "out"
+        argv = [command, *required_args(command, tmp_path, dict_file), "--out", str(out), *flags]
+        fails_fast(capsys, argv, message)
+        assert not out.exists()
+
+    def test_a_bad_archive_leaves_no_output(self, tmp_path, dict_file, capsys):
+        archive = tmp_path / "archive.json"
+        archive.write_text('{"version": 4}')
+        out = tmp_path / "out"
+        fails_fast(capsys, ["reveal", "--archive", str(archive), "--dict", str(dict_file),
+                            "--out", str(out)], "malformed archive")
+        assert not out.exists()
+
+    def test_reveal_fails_on_an_unusable_out_before_the_fit(self, tmp_path, dict_file, capsys,
+                                                             monkeypatch):
+        assert hide(dict_file, tmp_path / "hide") == 0
+        out = tmp_path / "taken"
+        out.write_text("")
+        monkeypatch.setattr(cli, "reveal_message", lambda *args: pytest.fail("the fit ran"))
+        fails_fast(capsys, ["reveal", "--archive", str(tmp_path / "hide" / "archive.json"),
+                            "--dict", str(dict_file), "--out", str(out)], "File exists")
 
 
 class TestTrainingOptionSchema:

@@ -3,11 +3,13 @@ import json
 import math
 import re
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qgrnn import hiding
 from qgrnn.hiding import (
     CARRIER_NORM_TOL,
     ArchiveFormatError,
@@ -25,6 +27,7 @@ from qgrnn.training import TrainConfig
 
 V1_ARCHIVE = Path(__file__).parent / "data" / "archive_v1.json"
 V2_ARCHIVE = Path(__file__).parent / "data" / "archive_v2.json"
+V3_ARCHIVE = Path(__file__).parent / "data" / "archive_v3.json"
 WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet")
 
 
@@ -98,14 +101,49 @@ def b64_state(amplitudes, dtype="<c8"):
     return base64.b64encode(np.asarray(amplitudes, dtype=dtype).tobytes()).decode("ascii")
 
 
+def planed_bytes(rows):
+    """The byte planes of the float32 values of complex64 rows: every byte 0, then every byte 1, ..."""
+    values = np.asarray(rows, dtype="<c8").reshape(-1).view("<f4")
+    return bytes(b for plane in range(4) for b in values.view(np.uint8)[plane::4])
+
+
+def b64_deflated(raw):
+    return base64.b64encode(zlib.compress(raw)).decode("ascii")
+
+
+def random_rows(count=5, nonzero=4):
+    """Unit rows of 4 amplitudes, the first ``nonzero`` random: their mantissa bytes do not deflate."""
+    rng = np.random.default_rng(0)
+    rows = np.zeros((count, 4), complex)
+    rows[:, :nonzero] = rng.standard_normal((count, nonzero)) + 1j * rng.standard_normal((count, nonzero))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def stored_rows(archive):
+    """The amplitudes of the initial state and then of each sample, as loaded."""
+    return np.array([archive.initial_state.amplitudes] + [s.state.amplitudes for s in archive.samples])
+
+
+def as_version_3(archive):
+    """The version-3 payload of an archive: one complex64 base64 string per state."""
+    return {"version": 3, "node_count": archive.node_count, "t_max": archive.t_max,
+            "initial": b64_state(archive.initial_state.amplitudes),
+            "samples": [{"t": s.time, "state": b64_state(s.state.amplitudes)} for s in archive.samples],
+            "meta": {"created": archive.created}}
+
+
 def single_precision(amplitudes):
-    """What load_archive returns for a state saved as version 3."""
+    """What load_archive returns for a state saved as version 3 or 4."""
     widened = np.asarray(amplitudes).astype("<c8").astype(np.complex128)
     return widened / np.linalg.norm(widened)
 
 
 def v2_payload():
     return json.loads(V2_ARCHIVE.read_text())
+
+
+def v3_payload():
+    return json.loads(V3_ARCHIVE.read_text())
 
 
 def assert_single_precision_copy(loaded, archive):
@@ -118,11 +156,11 @@ def assert_single_precision_copy(loaded, archive):
         assert np.max(np.abs(a.state.amplitudes - b.state.amplitudes)) <= CARRIER_NORM_TOL
 
 
-def assert_resaved_as_version_3(path, tmp_path):
+def assert_resaved_as_version_4(path, tmp_path):
     archive = load_archive(path)
-    save_archive(archive, tmp_path / "v3.json")
-    assert json.loads((tmp_path / "v3.json").read_text())["version"] == 3
-    again = load_archive(tmp_path / "v3.json")
+    save_archive(archive, tmp_path / "v4.json")
+    assert json.loads((tmp_path / "v4.json").read_text())["version"] == 4
+    again = load_archive(tmp_path / "v4.json")
     assert again.created == archive.created and again.t_max == archive.t_max
     assert_single_precision_copy(again, archive)
 
@@ -135,22 +173,30 @@ def replace_padding(text):
 BAD_AMPLITUDES = {"nan": [math.nan, 0.0, 0.0, 0.0], "inf": [math.inf, 0.0, 0.0, 0.0]}
 
 
+def bad_amplitudes(bad):
+    if bad == "signalling-nan":
+        return np.array([0x7FA00000, 0, 0, 0, 0, 0, 0, 0], dtype="<u4").view("<c8")
+    return np.array(BAD_AMPLITUDES[bad], dtype="<c8")
+
+
 class TestLoadArchive:
     def test_round_trip(self, dictionary, tmp_path):
         payload = valid_payload(dictionary, tmp_path)
         archive = load_payload(payload, tmp_path)
         assert archive.node_count == 2
         assert archive.t_max == payload["t_max"]
-        assert [s.time for s in archive.samples] == [s["t"] for s in payload["samples"]]
+        assert [s.time for s in archive.samples] == payload["times"]
         assert archive.created == "fixed"
 
-    def test_writes_version_3_without_a_seed_fingerprint(self, dictionary, tmp_path):
+    def test_writes_version_4_without_a_seed_fingerprint(self, dictionary, tmp_path):
         payload = valid_payload(dictionary, tmp_path)
-        assert payload["version"] == 3
+        assert payload["version"] == 4
+        assert sorted(payload) == ["meta", "node_count", "states", "t_max", "times", "version"]
         assert payload["meta"] == {"created": "fixed"}
-        states = [payload["initial"]] + [s["state"] for s in payload["samples"]]
-        assert encoded_state_length(2) == 44
-        assert all(isinstance(x, str) and len(x) == encoded_state_length(2) for x in states)
+        assert len(payload["times"]) == 4 and isinstance(payload["states"], str)
+        # the 5 states of 4 amplitudes, as complex64 byte planes
+        rows = stored_rows(load_payload(payload, tmp_path))
+        assert zlib.decompress(base64.b64decode(payload["states"])) == planed_bytes(rows)
 
     def test_round_trip_equals_the_rounded_renormalised_state(self, dictionary, tmp_path):
         archive = encode_message(["alpha", "juliet"], dictionary, TrainConfig(seed=3, batch_size=4))
@@ -164,15 +210,18 @@ class TestLoadArchive:
         amps = (amps * (1 + 5e-8) / np.linalg.norm(amps)).astype("<c8")
         assert NORM_TOL < abs(np.linalg.norm(amps.astype(np.complex128)) - 1) < CARRIER_NORM_TOL
         payload = valid_payload(dictionary, tmp_path)
-        payload["samples"][2]["state"] = b64_state(amps)
+        rows = stored_rows(load_payload(payload, tmp_path)).astype("<c8")
+        rows[3] = amps
+        payload["states"] = b64_deflated(planed_bytes(rows))
         state = load_payload(payload, tmp_path).samples[2].state.amplitudes
         assert abs(np.linalg.norm(state) - 1) <= NORM_TOL
         assert np.array_equal(state, single_precision(amps))
 
     def test_rejects_a_norm_beyond_single_precision(self, dictionary, tmp_path):
         payload = valid_payload(dictionary, tmp_path)
-        amps = load_payload(payload, tmp_path).samples[0].state.amplitudes * (1 + 1e-3)
-        payload["samples"][0]["state"] = b64_state(amps)
+        rows = stored_rows(load_payload(payload, tmp_path))
+        rows[1] *= 1 + 1e-3
+        payload["states"] = b64_deflated(planed_bytes(rows))
         with pytest.raises(ArchiveFormatError, match="state norm deviates from 1"):
             load_payload(payload, tmp_path)
 
@@ -186,19 +235,19 @@ class TestLoadArchive:
     @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -0.1, "late"])
     def test_rejects_bad_sample_time(self, dictionary, tmp_path, t):
         payload = valid_payload(dictionary, tmp_path)
-        payload["samples"][1]["t"] = t
+        payload["times"][1] = t
         with pytest.raises(ArchiveFormatError):
             load_payload(payload, tmp_path)
 
     def test_rejects_sample_time_above_t_max(self, dictionary, tmp_path):
         payload = valid_payload(dictionary, tmp_path)
-        payload["samples"][0]["t"] = np.nextafter(payload["t_max"], np.inf)
+        payload["times"][0] = np.nextafter(payload["t_max"], np.inf)
         with pytest.raises(ArchiveFormatError, match="sample time t"):
             load_payload(payload, tmp_path)
 
     def test_sample_time_at_t_max_is_accepted(self, dictionary, tmp_path):
         payload = valid_payload(dictionary, tmp_path)
-        payload["samples"][0]["t"] = payload["t_max"]
+        payload["times"][0] = payload["t_max"]
         assert load_payload(payload, tmp_path).samples[0].time == payload["t_max"]
 
     @pytest.mark.parametrize("node_count", [0, -3, MAX_QUBITS + 1, 10**9])
@@ -211,6 +260,10 @@ class TestLoadArchive:
 
     def test_rejects_empty_samples(self, dictionary, tmp_path):
         payload = valid_payload(dictionary, tmp_path)
+        payload["times"] = []
+        with pytest.raises(ArchiveFormatError, match="samples is empty"):
+            load_payload(payload, tmp_path)
+        payload = v3_payload()
         payload["samples"] = []
         with pytest.raises(ArchiveFormatError, match="samples is empty"):
             load_payload(payload, tmp_path)
@@ -219,7 +272,7 @@ class TestLoadArchive:
         "edit, match",
         [
             (lambda p: p.pop("samples"), "malformed archive"),
-            (lambda p: p.__setitem__("version", 4), "unsupported archive version 4"),
+            (lambda p: p.__setitem__("version", 5), "unsupported archive version 5"),
             (lambda p: p.__setitem__("initial", p["initial"][:-1]), "base64 string of 44 characters"),
             (lambda p: p.__setitem__("initial", "*" + p["initial"][1:]), "not valid base64"),
             (lambda p: p["samples"][0].__setitem__("state", [[0.5, 0.0]] * 4),
@@ -233,8 +286,9 @@ class TestLoadArchive:
         ids=["missing-samples", "wrong-version", "short-initial", "non-base64-initial",
              "list-state", "padding-only-group", "unnormalized-state", "version-2-string"],
     )
-    def test_rejects_malformed_fields(self, dictionary, tmp_path, edit, match):
-        payload = valid_payload(dictionary, tmp_path)
+    def test_rejects_malformed_fields(self, tmp_path, edit, match):
+        # the per-state fields of version 3
+        payload = v3_payload()
         edit(payload)
         with pytest.raises(ArchiveFormatError, match=match):
             load_payload(payload, tmp_path)
@@ -248,13 +302,13 @@ class TestLoadArchive:
             (lambda p: p.__setitem__("node_count", True), "node_count must be a JSON integer, got True"),
             (lambda p: p.__setitem__("t_max", True), "t_max must be a JSON number, got True"),
             (lambda p: p.__setitem__("t_max", "0.5"), "t_max must be a JSON number, got '0.5'"),
-            (lambda p: p["samples"][0].__setitem__("t", str(p["samples"][0]["t"])),
+            (lambda p: p["times"].__setitem__(0, str(p["times"][0])),
              "sample time t must be a JSON number, got '0."),
-            (lambda p: p["samples"][0].__setitem__("t", True),
+            (lambda p: p["times"].__setitem__(0, True),
              "sample time t must be a JSON number, got True"),
             # a JSON integer too large for a float
             (lambda p: p.__setitem__("t_max", 10**400), "malformed archive: int too large"),
-            (lambda p: p["samples"][0].__setitem__("t", 10**400), "malformed archive: int too large"),
+            (lambda p: p["times"].__setitem__(0, 10**400), "malformed archive: int too large"),
         ],
         ids=["bool-version", "float-node-count", "str-node-count", "bool-node-count",
              "bool-t-max", "str-t-max", "str-t", "bool-t", "huge-t-max", "huge-t"],
@@ -271,14 +325,16 @@ class TestLoadArchive:
         archive = load_payload(payload, tmp_path)
         assert archive.t_max == 1.0 and isinstance(archive.t_max, float)
 
-    @pytest.mark.parametrize("bad", sorted(BAD_AMPLITUDES) + ["signalling-nan"])
-    def test_rejects_non_finite_amplitudes_in_version_3(self, dictionary, tmp_path, bad):
-        if bad == "signalling-nan":
-            amps = np.array([0x7FA00000, 0, 0, 0, 0, 0, 0, 0], dtype="<u4").view("<c8")
-        else:
-            amps = BAD_AMPLITUDES[bad]
+    def test_accepts_an_integer_sample_time(self, dictionary, tmp_path):
         payload = valid_payload(dictionary, tmp_path)
-        payload["samples"][1]["state"] = b64_state(amps)
+        payload["t_max"] = payload["times"][0] = 1
+        time = load_payload(payload, tmp_path).samples[0].time
+        assert time == 1.0 and isinstance(time, float)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_AMPLITUDES) + ["signalling-nan"])
+    def test_rejects_non_finite_amplitudes_in_version_3(self, tmp_path, bad):
+        payload = v3_payload()
+        payload["samples"][1]["state"] = b64_state(bad_amplitudes(bad))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ArchiveFormatError, match="state norm deviates from 1"):
@@ -313,6 +369,144 @@ class TestLoadArchive:
             load_archive(path)
 
 
+def record_inflation(monkeypatch):
+    """Make zlib.decompressobj, as qgrnn.hiding calls it, record (max_length, bytes out) per call."""
+    calls, real = [], zlib.decompressobj
+
+    class Inflater:
+        def __init__(self):
+            self.inner = real()
+
+        def decompress(self, data, max_length=0):
+            out = self.inner.decompress(data, max_length)
+            calls.append((max_length, len(out)))
+            return out
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    monkeypatch.setattr(hiding.zlib, "decompressobj", Inflater)
+    return calls
+
+
+class TestVersion4Input:
+    """Untrusted version-4 ``states`` and ``times``: n = 2 and 4 samples, so 8 * 5 * 4 = 160 bytes."""
+
+    EXPECTED = 160
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            # far shorter than a third of what it claims to inflate to
+            (lambda p, raw: p.__setitem__("states", b64_deflated(bytes(10 * len(raw)))),
+             "must be 54 to 232 base64 characters"),
+            # every byte inflates, but the checksum is cut short
+            (lambda p, raw: p.__setitem__(
+                "states", base64.b64encode(zlib.compress(raw)[:-2]).decode("ascii")),
+             "do not inflate to exactly 5 states"),
+            (lambda p, raw: p.__setitem__(
+                "states", base64.b64encode(zlib.compress(raw) + b"\0").decode("ascii")),
+             "do not inflate to exactly 5 states"),
+            (lambda p, raw: p.__setitem__(
+                "states", base64.b64encode(zlib.compress(raw)[:-4] + b"\0\0\0\0").decode("ascii")),
+             "not valid deflated base64"),
+            (lambda p, raw: p.__setitem__("states", base64.b64encode(raw).decode("ascii")),
+             "not valid deflated base64"),
+            (lambda p, raw: p.__setitem__("states", "*" + p["states"][1:]),
+             "not valid deflated base64"),
+            (lambda p, raw: p["times"].append(p["t_max"]), "do not inflate to exactly 6 states"),
+            # five half-zero rows deflate to within the bounds for four
+            (lambda p, raw: (p["times"].pop(), p.__setitem__(
+                "states", b64_deflated(planed_bytes(random_rows(nonzero=2))))),
+             "do not inflate to exactly 4 states"),
+            (lambda p, raw: p["times"].pop(), "must be 43 to 188 base64 characters"),
+            (lambda p, raw: p.__setitem__("states", b64_deflated(planed_bytes(
+                [*random_rows(4), [math.nan, 0, 0, 0]]))),
+             "state norm deviates from 1"),
+            (lambda p, raw: p.__setitem__("states", b64_deflated(planed_bytes(2 * random_rows()))),
+             "state norm deviates from 1"),
+        ],
+        ids=["zlib-bomb", "truncated", "trailing-byte", "bad-checksum", "not-deflated",
+             "non-base64", "one-time-more", "one-time-fewer", "one-time-fewer-over-bound",
+             "nan-row", "bad-norm"],
+    )
+    def test_rejects_within_the_expected_bytes(self, dictionary, tmp_path, monkeypatch, edit, match):
+        payload = valid_payload(dictionary, tmp_path)
+        raw = planed_bytes(stored_rows(load_payload(payload, tmp_path)))
+        assert len(raw) == self.EXPECTED
+        edit(payload, raw)
+        calls = record_inflation(monkeypatch)
+        with pytest.raises(ArchiveFormatError, match=match):
+            load_payload(payload, tmp_path)
+        expected = 8 * (len(payload["times"]) + 1) * 4
+        assert all(limit == expected and produced <= expected for limit, produced in calls)
+
+    def test_rejects_a_string_outside_the_length_bounds_before_decoding(self, dictionary, tmp_path,
+                                                                          monkeypatch):
+        # zlib's compressBound(160) is 173 bytes, whose base64 has 232 characters; 3 * 54 >= 160
+        payload = valid_payload(dictionary, tmp_path)
+        decoded = []
+        monkeypatch.setattr(hiding.base64, "b64decode", lambda *a, **k: decoded.append(a))
+        calls = record_inflation(monkeypatch)
+        for states in ("A" * 233, "A" * 52, 7, None):
+            payload["states"] = states
+            with pytest.raises(ArchiveFormatError, match="must be 54 to 232 base64 characters"):
+                load_payload(payload, tmp_path)
+        assert decoded == [] and calls == []
+
+    def test_rejects_a_widest_register_bomb_before_decoding(self, dictionary, tmp_path, monkeypatch):
+        """n = MAX_QUBITS and 100,000 times claim 13 GB; 64 MB of zeros deflate to 87 K characters."""
+        payload = valid_payload(dictionary, tmp_path)
+        deflater = zlib.compressobj()
+        blob = b"".join(deflater.compress(bytes(1 << 20)) for _ in range(64)) + deflater.flush()
+        payload.update(node_count=MAX_QUBITS, times=[payload["t_max"]] * 100_000,
+                       states=base64.b64encode(blob).decode("ascii"))
+        decoded = []
+        monkeypatch.setattr(hiding.base64, "b64decode", lambda *a, **k: decoded.append(a))
+        calls = record_inflation(monkeypatch)
+        with pytest.raises(ArchiveFormatError, match="must be 4369110358 to "):
+            load_payload(payload, tmp_path)
+        assert decoded == [] and calls == []
+
+    def test_accepts_an_incompressible_string_at_the_bound(self, dictionary, tmp_path):
+        # stored blocks: random bytes do not deflate, so zlib's output is near its bound
+        payload = valid_payload(dictionary, tmp_path)
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        payload["states"] = b64_deflated(planed_bytes(rows))
+        assert len(payload["states"]) <= 232
+        loaded = stored_rows(load_payload(payload, tmp_path))
+        assert all(np.array_equal(a, single_precision(b)) for a, b in zip(loaded, rows))
+
+    @pytest.mark.parametrize("bad", sorted(BAD_AMPLITUDES) + ["signalling-nan"])
+    def test_rejects_non_finite_amplitudes_in_version_4(self, dictionary, tmp_path, bad):
+        payload = valid_payload(dictionary, tmp_path)
+        rows = stored_rows(load_payload(payload, tmp_path)).astype("<c8")
+        rows[2] = bad_amplitudes(bad)
+        payload["states"] = b64_deflated(planed_bytes(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArchiveFormatError, match="state norm deviates from 1"):
+                load_payload(payload, tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_messages_load_as_their_single_precision_copy(dictionary, tmp_path, seed):
+    """save -> load returns every state rounded to complex64 and renormalised, as version 3 did."""
+    rng = np.random.default_rng(seed)
+    words = [WORDS[i] for i in rng.integers(0, len(WORDS), rng.integers(2, 9))]
+    config = TrainConfig(seed=int(rng.integers(10**6)), batch_size=int(rng.integers(1, 16)),
+                         t_max=float(rng.uniform(0.1, 1.0)))
+    archive = encode_message(words, dictionary, config, created="fixed")
+    save_archive(archive, tmp_path / "v4.json")
+    loaded = load_archive(tmp_path / "v4.json")
+    assert_single_precision_copy(loaded, archive)
+    assert loaded.t_max == archive.t_max and loaded.created == "fixed"
+    (tmp_path / "v3.json").write_text(json.dumps(as_version_3(archive)))
+    assert np.array_equal(stored_rows(loaded), stored_rows(load_archive(tmp_path / "v3.json")))
+
+
 class TestVersion1Archive:
     """tests/data/archive_v1.json: n = 2, batch_size 4, written by the version-1 save_archive."""
 
@@ -330,8 +524,8 @@ class TestVersion1Archive:
             assert np.array_equal(state.amplitudes.imag, rows[:, 1])
         assert [s.time for s in archive.samples] == [s["t"] for s in payload["samples"]]
 
-    def test_resaved_as_version_3_round_trips_to_single_precision(self, tmp_path):
-        assert_resaved_as_version_3(V1_ARCHIVE, tmp_path)
+    def test_resaved_as_version_4_round_trips_to_single_precision(self, tmp_path):
+        assert_resaved_as_version_4(V1_ARCHIVE, tmp_path)
 
 
 class TestVersion2Archive:
@@ -374,20 +568,40 @@ class TestVersion2Archive:
         with pytest.raises(ArchiveFormatError, match=match):
             load_payload(payload, tmp_path)
 
-    def test_resaved_as_version_3_round_trips_to_single_precision(self, tmp_path):
-        assert_resaved_as_version_3(V2_ARCHIVE, tmp_path)
+    def test_resaved_as_version_4_round_trips_to_single_precision(self, tmp_path):
+        assert_resaved_as_version_4(V2_ARCHIVE, tmp_path)
+
+
+class TestVersion3Archive:
+    """tests/data/archive_v3.json: n = 2, batch_size 4, written by the version-3 save_archive."""
+
+    def test_amplitudes_equal_the_renormalised_complex64_bytes(self):
+        payload = v3_payload()
+        archive = load_archive(V3_ARCHIVE)
+        assert payload["version"] == 3 and archive.node_count == 2
+        assert archive.created == "fixed"
+        strings = [payload["initial"]] + [s["state"] for s in payload["samples"]]
+        rows = stored_rows(archive)
+        assert len(rows) == 5
+        for amps, text in zip(rows, strings):
+            assert np.array_equal(amps, single_precision(np.frombuffer(base64.b64decode(text), "<c8")))
+        assert [s.time for s in archive.samples] == [s["t"] for s in payload["samples"]]
+
+    def test_resaved_as_version_4_round_trips_to_single_precision(self, tmp_path):
+        assert_resaved_as_version_4(V3_ARCHIVE, tmp_path)
 
 
 def test_archive_size_stays_binary(dictionary, tmp_path):
-    """One n = 8 message with B = 15 samples fits (B + 1) base64 states plus 2 KB of JSON.
+    """One n = 8 message with B = 15 samples fits 7/8 of (B + 1) version-3 states plus 1 KB of JSON.
 
-    The states are complex64: the complex128 strings of version 2 are twice
-    as long, and a decimal encoding of the amplitudes four times.
+    The byte planes let deflate shrink the sign-and-exponent bytes, a
+    quarter of all bytes, to at most half; version 3 stored them whole and
+    fails this bound, and version 2's complex128 strings were twice as long.
     """
     words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
     config = TrainConfig(seed=5, batch_size=15)
     path = tmp_path / "archive.json"
     save_archive(encode_message(words, dictionary, config, created="fixed"), path)
-    limit = (config.batch_size + 1) * encoded_state_length(len(words)) + 2048
+    limit = (config.batch_size + 1) * encoded_state_length(len(words)) * 7 // 8 + 1024
     assert encoded_state_length(8) == 4 * math.ceil(8 * 2**8 / 3) == 2732
     assert path.stat().st_size <= limit
