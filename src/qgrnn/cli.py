@@ -88,7 +88,10 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """
     cfg = dict(defaults)
     if getattr(args, "config", None):
-        file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except RecursionError:
+            raise ValueError(f"{args.config}: JSON nested too deeply") from None
         if not isinstance(file_cfg, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         unknown = set(file_cfg) - set(defaults)
@@ -138,8 +141,7 @@ def _load_scaled_dataset(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     """Scaled feature matrix (and labels) in the frame used for embedding."""
     if cfg["dataset"] == "iris":
         ds = load_iris_csv(cfg["iris_csv"] or bundled_iris_path())
-        scaled, _ = minmax_scale(ds.features, cfg["scale_lo"], cfg["scale_hi"])
-        return scaled, ds.labels
+        return minmax_scale(ds.features, cfg["scale_lo"], cfg["scale_hi"]), ds.labels
     if cfg["dataset"] == "mnist":
         if not cfg["mnist_images"] or not cfg["mnist_labels"]:
             raise ValueError("mnist dataset needs --mnist-images and --mnist-labels")
@@ -147,8 +149,7 @@ def _load_scaled_dataset(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
         fit_rows = ds.features[: cfg["pca_fit_count"]]
         model = pca_fit(fit_rows, cfg["pca_components"])
         projected = pca_transform(model, ds.features)
-        scaled, _ = minmax_scale(projected, cfg["scale_lo"], cfg["scale_hi"])
-        return scaled, ds.labels
+        return minmax_scale(projected, cfg["scale_lo"], cfg["scale_hi"]), ds.labels
     raise ValueError(f"unknown dataset {cfg['dataset']!r}")
 
 

@@ -28,14 +28,6 @@ class Dataset:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def sample_count(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def feature_count(self) -> int:
-        return self.features.shape[1]
-
 
 def bundled_iris_path() -> Path:
     """Path to the packaged copy of the Iris dataset."""
@@ -111,30 +103,16 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
     return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64))
 
 
-@dataclass(frozen=True)
-class MinMaxScaler:
-    """Per-column affine map recording the frame shared by originals and reconstructions."""
-
-    col_min: np.ndarray
-    col_max: np.ndarray
-    lo: float
-    hi: float
-
-    def apply(self, features) -> np.ndarray:
-        x = np.asarray(features, dtype=np.float64)
-        span = self.col_max - self.col_min
-        safe = np.where(span == 0, 1.0, span)
-        out = (x - self.col_min) / safe * (self.hi - self.lo) + self.lo
-        return np.where(span == 0, self.lo, out)
-
-
-def minmax_scale(features, lo: float = 0.0, hi: float = 5.0) -> tuple[np.ndarray, MinMaxScaler]:
+def minmax_scale(features, lo: float = 0.0, hi: float = 5.0) -> np.ndarray:
     """Map each column's observed [min, max] onto [lo, hi]; constant columns map to lo."""
     if hi <= lo:
         raise ValueError(f"require hi > lo, got lo={lo}, hi={hi}")
     x = np.asarray(features, dtype=np.float64)
-    scaler = MinMaxScaler(x.min(axis=0), x.max(axis=0), lo, hi)
-    return scaler.apply(x), scaler
+    col_min = x.min(axis=0)
+    span = x.max(axis=0) - col_min
+    safe = np.where(span == 0, 1.0, span)
+    out = (x - col_min) / safe * (hi - lo) + lo
+    return np.where(span == 0, lo, out)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .ising import TimeEvolvedSample
 from .pipeline import MAX_QUBITS, embed_and_sample, learn_from_states
-from .statevector import NORM_TOL, StateVector
+from .statevector import NORM_TOL
 from .training import TrainConfig, TrainResult
 
 ARCHIVE_VERSION = 4
@@ -95,7 +95,8 @@ class StateArchive:
     """The hiding carrier: initial state plus time-evolved states, nothing else."""
 
     node_count: int
-    initial_state: StateVector
+    # 2^node_count amplitudes; load_archive returns every state as a row of one read-only array
+    initial_state: np.ndarray
     samples: tuple[TimeEvolvedSample, ...]
     t_max: float
     created: str
@@ -144,7 +145,7 @@ def save_archive(archive: StateArchive, path) -> None:
     deflate below a quarter of their bytes, as random ones never do, but basis
     states would. ``meta`` holds the creation time only.
     """
-    rows = np.array([archive.initial_state.amplitudes, *(s.state.amplitudes for s in archive.samples)])
+    rows = np.array([archive.initial_state, *(s.state for s in archive.samples)])
     planes = rows.astype(AMPLITUDE_DTYPES[ARCHIVE_VERSION]).view(np.uint8).reshape(-1, 4).T
     payload = {
         "version": ARCHIVE_VERSION,
@@ -233,6 +234,8 @@ def load_archive(path) -> StateArchive:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ArchiveFormatError(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ArchiveFormatError(f"{path}: JSON nested too deeply") from None
     version = payload.get("version") if isinstance(payload, dict) else None
     if not _is_json_int(version) or version not in READABLE_VERSIONS:
         raise ArchiveFormatError(f"{path}: unsupported archive version {version!r}")
@@ -269,16 +272,17 @@ def load_archive(path) -> StateArchive:
         norms = [np.linalg.norm(amps) for amps in rows]
         if not all(abs(norm - 1.0) <= (CARRIER_NORM_TOL if version >= 3 else NORM_TOL) for norm in norms):
             raise ArchiveFormatError(f"{path}: state norm deviates from 1")
-        # StateVector, and everything downstream, holds the norm to NORM_TOL
-        initial, *states = (StateVector(node_count, amps / norm if version >= 3 else amps)
-                            for amps, norm in zip(rows, norms))
-        samples = tuple(map(TimeEvolvedSample, times, states))
+        # everything downstream holds the norm to NORM_TOL
+        if version >= 3:
+            rows = np.array([amps / norm for amps, norm in zip(rows, norms)])
+        rows.setflags(write=False)
+        samples = tuple(map(TimeEvolvedSample, times, rows[1:]))
         created = str(payload["meta"]["created"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ArchiveFormatError):
             raise
         raise ArchiveFormatError(f"{path}: malformed archive: {exc}") from None
-    return StateArchive(node_count, initial, samples, t_max, created)
+    return StateArchive(node_count, rows[0], samples, t_max, created)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import StateVector
+from .statevector import checked_state
 
 # Terms of the Taylor series per step; with tau ||H|| <= 1 the first term
 # dropped is at most 1/19! (about 8e-18), below double rounding.
@@ -53,7 +53,8 @@ class TimeEvolvedSample:
     """A (time, state) pair produced by evolving one initial state."""
 
     time: float
-    state: StateVector
+    # the 2^n amplitudes at ``time``; read-only when the package made them
+    state: np.ndarray
 
     def __post_init__(self):
         if self.time < 0:
@@ -103,7 +104,7 @@ def apply_hamiltonian(diag: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_evolution(coefficients, initial: StateVector, times) -> list[TimeEvolvedSample]:
+def sample_evolution(coefficients, initial, times) -> list[TimeEvolvedSample]:
     """Evolve one initial state to every requested time under the Hamiltonian of ``coefficients``.
 
     (0, max t] is cut into N = ceil(max t ||H||) equal steps of tau, where
@@ -113,9 +114,12 @@ def sample_evolution(coefficients, initial: StateVector, times) -> list[TimeEvol
     sum_k f^k u_k, whose truncation drops at most 1/19! (about 8e-18) of
     the state; that gives every sample time inside the step and the step's
     end. Samples come back in the order of ``times``. More than
-    ``MAX_TAYLOR_STEPS`` steps are rejected before the first one.
+    ``MAX_TAYLOR_STEPS`` steps are rejected before the first one. The
+    samples' states are the rows of one read-only array; ``initial`` is
+    checked with ``checked_state``.
     """
-    n = initial.qubit_count
+    initial = checked_state(initial)
+    n = initial.size.bit_length() - 1
     diag = hamiltonian_diagonal(coefficients, n)
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
@@ -136,7 +140,7 @@ def sample_evolution(coefficients, initial: StateVector, times) -> list[TimeEvol
     for t in sorted(set(times) - {0.0}):
         step = min(max(math.ceil(t * steps / end) - 1, 0), steps - 1)
         inside.setdefault(step, []).append((t, t * steps / end - step))
-    psi, powers = initial.amplitudes, np.arange(TAYLOR_ORDER + 1)
+    psi, powers = initial, np.arange(TAYLOR_ORDER + 1)
     for step in range(steps):
         terms = [psi]
         for k in range(1, TAYLOR_ORDER + 1):
@@ -146,10 +150,11 @@ def sample_evolution(coefficients, initial: StateVector, times) -> list[TimeEvol
         points = inside.get(step, [])
         fractions = np.array([f for _, f in points] + [1.0])
         values = (fractions[:, None] ** powers) @ np.array(terms)
-        for (t, _), value in zip(points, values):
-            states[t] = StateVector(n, value)
+        states.update(zip((t for t, _ in points), values))
         psi = values[-1]
-    return [TimeEvolvedSample(t, states[t]) for t in times]
+    rows = np.array([states[t] for t in times])
+    rows.setflags(write=False)
+    return [TimeEvolvedSample(t, row) for t, row in zip(times, rows)]
 
 
 def draw_times(count: int, t_max: float, rng: np.random.Generator) -> np.ndarray:

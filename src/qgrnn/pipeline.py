@@ -8,7 +8,7 @@ import numpy as np
 from . import seeding
 from .ising import TimeEvolvedSample, draw_times, random_complete_graph, sample_evolution
 from .metrics import MetricReport, evaluate
-from .statevector import StateVector, random_state
+from .statevector import random_state
 from .training import TrainConfig, TrainResult, linear_inversion_start, train_qgrnn
 
 ACCEPT_COST = -0.99
@@ -25,7 +25,7 @@ DEFAULT_IRIS_ROWS = (18, 31, 73, 82, 118, 141)
 
 def embed_and_sample(
     node_weights, config: TrainConfig
-) -> tuple[np.ndarray, StateVector, list[TimeEvolvedSample]]:
+) -> tuple[np.ndarray, np.ndarray, list[TimeEvolvedSample]]:
     """Embed weights into a complete graph; return its coefficients, initial state and samples.
 
     The couplings, the initial state, and the evolution times come from
@@ -49,7 +49,7 @@ def embed_and_sample(
 
 
 def learn_from_states(
-    initial: StateVector,
+    initial,
     samples: list[TimeEvolvedSample],
     config: TrainConfig,
     accept_cost: float = ACCEPT_COST,

@@ -24,13 +24,7 @@ import numpy as np
 from . import seeding
 from .ansatz import STAGE_WEIGHTS, coupling_columns, layer_count, transverse_layer_matrix
 from .ising import TimeEvolvedSample, apply_hamiltonian
-from .statevector import (
-    StateVector,
-    apply_cswap,
-    apply_hadamard,
-    inner_product,
-    prob_zero,
-)
+from .statevector import apply_cswap, apply_hadamard, checked_state, inner_product, prob_zero
 
 # Most Trotter layers one sample may ask for: 2000 times the 50 layers of the
 # default t_max (0.5) and trotter_delta (0.01). A larger count comes only
@@ -77,6 +71,8 @@ class TrainConfig:
     ``fd_step`` is not used by training, whose gradient is exact. It stays
     because the benchmark's kernel scan passes it to
     ``CostEvaluator.gradient``.
+
+    ``seed`` must be >= 0, as every stream derives from it.
     """
 
     batch_size: int = 15
@@ -107,6 +103,8 @@ class TrainConfig:
         for name in ("batch_size", "epochs", "restarts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("learning_rate", "trotter_delta", "t_max", "fd_step", "adam_epsilon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
@@ -147,38 +145,40 @@ class TrainResult:
     stop_reason: str
 
 
-def fidelity_direct(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2, clamped to the unit interval against roundoff."""
-    return min(abs(inner_product(a, b)) ** 2, 1.0)
+def fidelity_direct(a, b) -> float:
+    """|<a|b>|^2 of two states, each checked by ``checked_state``, clamped to the unit interval."""
+    return min(abs(inner_product(checked_state(a), checked_state(b))) ** 2, 1.0)
 
 
-def fidelity_swap_test(a: StateVector, b: StateVector) -> float:
+def fidelity_swap_test(a, b) -> float:
     """Fidelity via the ancilla-assisted SWAP test on a 2n+1 qubit register.
 
     Register layout: qubits 0..n-1 hold ``a``, qubits n..2n-1 hold ``b``,
     qubit 2n is the ancilla. The ancilla-zero probability equals (1 + F) / 2.
+    Both states are checked by ``checked_state``.
     """
-    if a.qubit_count != b.qubit_count:
-        raise ValueError(f"qubit counts differ: {a.qubit_count} vs {b.qubit_count}")
-    n = a.qubit_count
+    a, b = checked_state(a), checked_state(b)
+    if a.size != b.size:
+        raise ValueError(f"state sizes differ: {a.size} vs {b.size} amplitudes")
+    n = a.size.bit_length() - 1
     ancilla = 2 * n
-    joint = np.kron([1.0 + 0j, 0.0], np.kron(b.amplitudes, a.amplitudes))
-    state = StateVector(2 * n + 1, joint)
-    state = apply_hadamard(state, ancilla)
+    state = apply_hadamard(np.kron([1.0 + 0j, 0.0], np.kron(b, a)), ancilla)
     for q in range(n):
         state = apply_cswap(state, ancilla, q, n + q)
     state = apply_hadamard(state, ancilla)
     return min(max(2.0 * prob_zero(state, ancilla) - 1.0, 0.0), 1.0)
 
 
-def _check_batch(initial: StateVector, samples) -> None:
+def _check_batch(initial, samples) -> tuple[np.ndarray, np.ndarray]:
+    """The caller's states, each checked by ``checked_state``: psi0 and the (B, 2^n) sample states."""
     if len(samples) == 0:
         raise ValueError("sample batch is empty")
-    for s in samples:
-        if s.state.qubit_count != initial.qubit_count:
-            raise ValueError(
-                f"sample state has {s.state.qubit_count} qubits, initial has {initial.qubit_count}"
-            )
+    psi0 = checked_state(initial)
+    states = [checked_state(s.state) for s in samples]
+    for state in states:
+        if state.size != psi0.size:
+            raise ValueError(f"sample state has {state.size} amplitudes, initial has {psi0.size}")
+    return psi0, np.array(states)
 
 
 class CostEvaluator:
@@ -211,8 +211,8 @@ class CostEvaluator:
     needs no tape because every layer is unitary.
     """
 
-    def __init__(self, initial: StateVector, samples: list[TimeEvolvedSample], delta: float):
-        _check_batch(initial, samples)
+    def __init__(self, initial, samples: list[TimeEvolvedSample], delta: float):
+        psi0, states = _check_batch(initial, samples)
         if delta <= 0:
             raise ValueError("delta must be > 0")
         layers = [layer_count(s.time, delta) for s in samples]
@@ -225,7 +225,7 @@ class CostEvaluator:
         stages = len(STAGE_WEIGHTS)
         depths = [stages * layer_count(s.time, stages * delta) for s in samples]
         order = np.argsort(depths, kind="stable")[::-1]
-        self.node_count = initial.qubit_count
+        self.node_count = psi0.size.bit_length() - 1
         self.batch_size = len(samples)
         self.columns = coupling_columns(self.node_count)
         self.depths = np.array(depths)[order]
@@ -248,11 +248,8 @@ class CostEvaluator:
         }
         # the frame: row b starts from T(p d_b/2) psi0 and ends on the bra of T(p d_b/2) phi_b
         half = self._block_matrices(STAGE_WEIGHTS[0] / 2)
-        psi0 = np.broadcast_to(initial.amplitudes, (self.batch_size, initial.dim))
-        self.kets = self._apply_blocks(psi0, half)
-        self.bras = self._apply_blocks(
-            np.array([samples[b].state.amplitudes for b in order]), half
-        ).conj()
+        self.kets = self._apply_blocks(np.broadcast_to(psi0, (self.batch_size, psi0.size)), half)
+        self.bras = self._apply_blocks(states[order], half).conj()
 
     @property
     def param_count(self) -> int:
@@ -312,7 +309,7 @@ class CostEvaluator:
     def cost(self, flat: np.ndarray) -> float:
         return float(self.costs(np.asarray(flat, dtype=np.float64)[:, None])[0])
 
-    def gradient(self, flat: np.ndarray, fd_step: float) -> np.ndarray:
+    def gradient(self, flat: np.ndarray, fd_step: float | None = None) -> np.ndarray:
         """Exact gradient of ``cost`` by one forward and one backward pass.
 
         With a_b = <bra_b|psi_L> (both in the frame of the outer half-steps),
@@ -380,9 +377,7 @@ def initial_params(node_count: int, config: TrainConfig) -> np.ndarray:
     return np.concatenate([couplings, rng.uniform(*config.node_init_range, node_count)])
 
 
-def linear_inversion_start(
-    initial: StateVector, samples: list[TimeEvolvedSample]
-) -> np.ndarray:
+def linear_inversion_start(initial, samples: list[TimeEvolvedSample]) -> np.ndarray:
     """Coefficients (couplings, then node weights) solved from the short-time slope of the samples.
 
     psi(t) = psi0 - i t H psi0 + O(t^2), so a polynomial fit of psi(t) - psi0
@@ -393,15 +388,14 @@ def linear_inversion_start(
     are solved together by least squares. Exact for exact samples in the
     limit of short times; used to start training near the answer.
     """
-    _check_batch(initial, samples)
-    n = initial.qubit_count
-    psi0 = initial.amplitudes
+    psi0, states = _check_batch(initial, samples)
+    n = psi0.size.bit_length() - 1
     times = np.array([s.time for s in samples])
     scale = times.max()
     degree = min(6, len(samples))
     # fit in t / scale so the Vandermonde columns are of order 1
     vandermonde = (times / scale)[:, None] ** np.arange(1, degree + 1)
-    drift = np.array([s.state.amplitudes for s in samples]) - psi0
+    drift = states - psi0
     slope = np.linalg.lstsq(vandermonde, drift, rcond=None)[0][0] / scale
     # a zero diagonal leaves the unit transverse field alone
     rhs = 1j * slope - apply_hamiltonian(np.zeros(psi0.size), psi0)
@@ -417,7 +411,6 @@ def _bfgs_phase(
     cost: float,
     epochs: int,
     history: list[tuple[int, float]],
-    fd_step: float,
 ) -> tuple[np.ndarray, str]:
     """Up to ``epochs`` BFGS steps from ``params`` at ``cost``; returns (params, stop reason).
 
@@ -435,7 +428,7 @@ def _bfgs_phase(
     inverse = None
     previous = None  # (step taken, gradient it was taken from)
     for epoch in range(len(history) + 1, len(history) + epochs + 1):
-        grads = evaluator.gradient(params, fd_step)
+        grads = evaluator.gradient(params)
         if previous is not None:
             step, change = previous[0], grads - previous[1]
             curvature = step @ change
@@ -465,7 +458,7 @@ def _bfgs_phase(
 
 
 def train_qgrnn(
-    initial: StateVector,
+    initial,
     samples: list[TimeEvolvedSample],
     config: TrainConfig,
     start: np.ndarray | None = None,
@@ -502,12 +495,12 @@ def train_qgrnn(
     opt = AdamState.zeros(params.size)
     history: list[tuple[int, float]] = []
     for epoch in range(1, adam_epochs + 1):
-        grads = evaluator.gradient(params, config.fd_step)
+        grads = evaluator.gradient(params)
         rate = config.learning_rate * (1 + math.cos(math.pi * (epoch - 1) / adam_epochs)) / 2
         opt, params = adam_step(opt, params, grads, config, rate)
         history.append((epoch, evaluator.cost(params)))
     params, stop_reason = _bfgs_phase(
-        evaluator, params, history[-1][1], config.epochs - adam_epochs, history, config.fd_step
+        evaluator, params, history[-1][1], config.epochs - adam_epochs, history
     )
     return TrainResult(
         learned_params=params,

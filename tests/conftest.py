@@ -10,7 +10,7 @@ import pytest
 
 from qgrnn.ansatz import coupling_columns, layer_count, transverse_layer_matrix
 from qgrnn.ising import complete_pairs
-from qgrnn.statevector import StateVector, _check_qubit, rx_matrix
+from qgrnn.statevector import _check_qubit, rx_matrix
 from qgrnn.training import fidelity_direct
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -94,9 +94,12 @@ def fine_trotter_evolve(h: np.ndarray, psi: np.ndarray, t: float, dt: float = 1e
     return np.linalg.matrix_power(step, steps) @ psi
 
 
-# The gates act on raw amplitude arrays, so a circuit builds one StateVector
-# (norm check and copy) at its end rather than one per gate. Each reshape puts
+# The gates act on raw amplitude arrays and return new ones. Each reshape puts
 # the target qubit's bit on axis 1 (qubit 0 is the least significant bit).
+
+
+def _qubits(psi: np.ndarray) -> int:
+    return psi.size.bit_length() - 1
 
 
 def _rx(psi: np.ndarray, qubit: int, theta: float) -> np.ndarray:
@@ -115,24 +118,24 @@ def _zz(psi: np.ndarray, qubit_i: int, qubit_j: int, phi: float) -> np.ndarray:
     return (psi.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo) * phase).reshape(-1)
 
 
-def apply_rx(state: StateVector, qubit: int, theta: float) -> StateVector:
+def apply_rx(state: np.ndarray, qubit: int, theta: float) -> np.ndarray:
     _check_qubit(state, qubit)
-    return StateVector(state.qubit_count, _rx(state.amplitudes, qubit, theta))
+    return _rx(state, qubit, theta)
 
 
-def apply_rz(state: StateVector, qubit: int, theta: float) -> StateVector:
+def apply_rz(state: np.ndarray, qubit: int, theta: float) -> np.ndarray:
     """RZ(theta) = diag(exp(-i theta/2), exp(+i theta/2)) on the target qubit."""
     _check_qubit(state, qubit)
-    return StateVector(state.qubit_count, _rz(state.amplitudes, qubit, theta))
+    return _rz(state, qubit, theta)
 
 
-def apply_zz(state: StateVector, qubit_i: int, qubit_j: int, phi: float) -> StateVector:
+def apply_zz(state: np.ndarray, qubit_i: int, qubit_j: int, phi: float) -> np.ndarray:
     """ZZ(phi) = exp(-i phi Z_i Z_j): phase exp(-i phi) where bits agree, exp(+i phi) where they differ."""
     if qubit_i == qubit_j:
         raise ValueError("apply_zz requires two distinct qubits")
     _check_qubit(state, qubit_i)
     _check_qubit(state, qubit_j)
-    return StateVector(state.qubit_count, _zz(state.amplitudes, qubit_i, qubit_j, phi))
+    return _zz(state, qubit_i, qubit_j, phi)
 
 
 def _diagonal_gates(psi: np.ndarray, coefficients: np.ndarray, delta: float) -> np.ndarray:
@@ -151,32 +154,32 @@ def _rx_all(psi: np.ndarray, node_count: int, theta: float) -> np.ndarray:
     return psi
 
 
-def apply_trotter_layer(state: StateVector, coefficients, delta: float) -> StateVector:
+def apply_trotter_layer(state: np.ndarray, coefficients, delta: float) -> np.ndarray:
     """One first-order splitting layer, gate by gate: the QGRNN layer of the paper."""
-    coefficients = checked_coefficients(state.qubit_count, coefficients)
+    coefficients = checked_coefficients(_qubits(state), coefficients)
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    psi = _diagonal_gates(state.amplitudes, coefficients, delta)
-    return StateVector(state.qubit_count, _rx_all(psi, state.qubit_count, 2.0 * delta))
+    psi = _diagonal_gates(state, coefficients, delta)
+    return _rx_all(psi, _qubits(state), 2.0 * delta)
 
 
-def apply_qgrnn(state: StateVector, coefficients, t: float, delta: float) -> StateVector:
+def apply_qgrnn(state: np.ndarray, coefficients, t: float, delta: float) -> np.ndarray:
     """Apply D = round(t/delta) first-order layers with uniform effective step t/D.
 
     The layers tile [0, t] exactly; composition is mathematically identical
     to repeated apply_trotter_layer but precomputes the diagonal phase vector
     and the transverse-layer matrix once.
     """
-    n = state.qubit_count
+    n = _qubits(state)
     coefficients = checked_coefficients(n, coefficients)
     depth = layer_count(t, delta)
     d_eff = t / depth
     phases = np.exp(-1j * d_eff * (coupling_columns(n) @ coefficients))
     transverse = transverse_layer_matrix(n, d_eff)
-    psi = state.amplitudes
+    psi = state
     for _ in range(depth):
         psi = transverse @ (phases * psi)
-    return StateVector(state.qubit_count, psi)
+    return psi
 
 
 def _strang_layer(psi: np.ndarray, coefficients: np.ndarray, delta: float) -> np.ndarray:
@@ -185,32 +188,31 @@ def _strang_layer(psi: np.ndarray, coefficients: np.ndarray, delta: float) -> np
     return _rx_all(psi, n, delta)
 
 
-def apply_strang_layer(state: StateVector, coefficients, delta: float) -> StateVector:
+def apply_strang_layer(state: np.ndarray, coefficients, delta: float) -> np.ndarray:
     """One second-order (Strang) splitting layer, gate by gate.
 
     RX(delta) on every qubit (half the transverse step), the ZZ and RZ gates of
     apply_trotter_layer, then RX(delta) on every qubit again.
     """
-    coefficients = checked_coefficients(state.qubit_count, coefficients)
-    return StateVector(state.qubit_count, _strang_layer(state.amplitudes, coefficients, delta))
+    return _strang_layer(state, checked_coefficients(_qubits(state), coefficients), delta)
 
 
-def apply_strang_qgrnn(state: StateVector, coefficients, t: float, delta: float) -> StateVector:
+def apply_strang_qgrnn(state: np.ndarray, coefficients, t: float, delta: float) -> np.ndarray:
     """Apply D = round(t/delta) Strang layers of step t/D: the circuit training fits.
 
     The same product as repeated apply_strang_layer, with the diagonal phase
     vector and the half-step transverse matrix computed once.
     """
-    n = state.qubit_count
+    n = _qubits(state)
     coefficients = checked_coefficients(n, coefficients)
     depth = layer_count(t, delta)
     d_eff = t / depth
     phases = np.exp(-1j * d_eff * (coupling_columns(n) @ coefficients))
     half = reduce(np.kron, [rx_matrix(d_eff)] * n)
-    psi = state.amplitudes
+    psi = state
     for _ in range(depth):
         psi = half @ (phases * (half @ psi))
-    return StateVector(state.qubit_count, psi)
+    return psi
 
 
 # Suzuki's fourth-order weight, and the steps of the five Strang stages as fractions of one step
@@ -218,19 +220,19 @@ SUZUKI_P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 SUZUKI_STAGES = (SUZUKI_P, SUZUKI_P, 1.0 - 4.0 * SUZUKI_P, SUZUKI_P, SUZUKI_P)
 
 
-def apply_suzuki_qgrnn(state: StateVector, coefficients, t: float, delta: float) -> StateVector:
+def apply_suzuki_qgrnn(state: np.ndarray, coefficients, t: float, delta: float) -> np.ndarray:
     """Apply K = round(t/(5 delta)) fourth-order Suzuki steps of t/K, gate by gate: the circuit training fits.
 
     Each step is five layers of apply_strang_layer's gates whose steps are the
     stage weights (p, p, 1 - 4p, p, p) times t/K, the middle one negative.
     """
-    coefficients = checked_coefficients(state.qubit_count, coefficients)
+    coefficients = checked_coefficients(_qubits(state), coefficients)
     steps = layer_count(t, len(SUZUKI_STAGES) * delta)
-    psi = state.amplitudes
+    psi = state
     for _ in range(steps):
         for weight in SUZUKI_STAGES:
             psi = _strang_layer(psi, coefficients, weight * t / steps)
-    return StateVector(state.qubit_count, psi)
+    return psi
 
 
 def batch_cost(coefficients, initial, samples, delta: float, circuit=apply_suzuki_qgrnn) -> float:

@@ -46,11 +46,11 @@ class TestTrotterLayer:
         expected = state
         for q in range(3):
             expected = apply_rx(expected, q, 2 * 0.13)
-        assert np.allclose(out.amplitudes, expected.amplitudes, atol=1e-12)
+        assert np.allclose(out, expected, atol=1e-12)
 
     def test_unitary(self):
         out = apply_trotter_layer(random_state(3, 4), random_params(3, 5), 0.01)
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_matches_matrix_exponential_oracle(self):
         # layer applies the diagonal exponential first, then the transverse one
@@ -61,10 +61,10 @@ class TestTrotterLayer:
         expected = (
             scipy.linalg.expm(-1j * delta * transverse)
             @ scipy.linalg.expm(-1j * delta * diagonal)
-            @ state.amplitudes
+            @ state
         )
         out = apply_trotter_layer(state, params, delta)
-        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-10
+        assert np.max(np.abs(out - expected)) <= 1e-10
 
     def test_strang_layer_matches_matrix_exponential_oracle(self):
         # half the transverse exponential, the diagonal one, then the other half
@@ -73,9 +73,9 @@ class TestTrotterLayer:
         delta = 0.05
         diagonal, transverse = split_diagonal_transverse(kron_hamiltonian(3, params))
         half = scipy.linalg.expm(-0.5j * delta * transverse)
-        expected = half @ scipy.linalg.expm(-1j * delta * diagonal) @ half @ state.amplitudes
+        expected = half @ scipy.linalg.expm(-1j * delta * diagonal) @ half @ state
         out = apply_strang_layer(state, params, delta)
-        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-10
+        assert np.max(np.abs(out - expected)) <= 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -105,7 +105,7 @@ class TestApplyQgrnn:
         state = random_state(3, 9)
         via_qgrnn = apply_qgrnn(state, params, 0.01, 0.01)
         via_layer = apply_trotter_layer(state, params, 0.01)
-        assert np.allclose(via_qgrnn.amplitudes, via_layer.amplitudes, atol=1e-12)
+        assert np.allclose(via_qgrnn, via_layer, atol=1e-12)
 
     def test_equals_literal_layer_composition(self):
         params = random_params(3, 10)
@@ -117,15 +117,15 @@ class TestApplyQgrnn:
         for _ in range(depth):
             literal = apply_trotter_layer(literal, params, d_eff)
         fast = apply_qgrnn(state, params, t, delta)
-        assert np.max(np.abs(fast.amplitudes - literal.amplitudes)) <= 1e-9
+        assert np.max(np.abs(fast - literal)) <= 1e-9
 
     def test_converges_to_exact_evolution(self):
         rng = np.random.default_rng(12)
         params = random_complete_graph(rng.uniform(0, 5, 3), rng)
         state = random_state(3, 13)
-        exact = eigh_evolve(params, state.amplitudes, 0.5)
+        exact = eigh_evolve(params, state, 0.5)
         approx = apply_qgrnn(state, params, 0.5, 1e-4)
-        assert fidelity(approx.amplitudes, exact) >= 1 - 1e-6
+        assert fidelity(approx, exact) >= 1 - 1e-6
 
     def test_nonpositive_time(self):
         with pytest.raises(ValueError):
@@ -146,7 +146,7 @@ class TestApplyStrangQgrnn:
         for _ in range(depth):
             literal = apply_strang_layer(literal, params, t / depth)
         fast = apply_strang_qgrnn(state, params, t, delta)
-        assert np.max(np.abs(fast.amplitudes - literal.amplitudes)) <= 1e-9
+        assert np.max(np.abs(fast - literal)) <= 1e-9
 
     def test_error_falls_with_the_order(self):
         # halving the step cuts the state error 4x, against 2x for first order
@@ -154,10 +154,10 @@ class TestApplyStrangQgrnn:
         rng = np.random.default_rng(14)
         params = random_complete_graph(rng.uniform(0, 5, 4), rng)
         state = random_state(4, 15)
-        exact = eigh_evolve(params, state.amplitudes, 0.5)
+        exact = eigh_evolve(params, state, 0.5)
         for circuit, low, high in ((apply_strang_qgrnn, 3.9, 4.1), (apply_qgrnn, 1.9, 2.1)):
             errors = [
-                np.linalg.norm(circuit(state, params, 0.5, delta).amplitudes - exact)
+                np.linalg.norm(circuit(state, params, 0.5, delta) - exact)
                 for delta in (0.01, 0.005)
             ]
             assert low <= errors[0] / errors[1] <= high
@@ -170,13 +170,13 @@ class TestApplySuzukiQgrnn:
         state = random_state(3, 7)
         d = 0.1
         diagonal, transverse = split_diagonal_transverse(kron_hamiltonian(3, params))
-        expected = state.amplitudes
+        expected = state
         for weight in SUZUKI_STAGES:
             half = scipy.linalg.expm(-0.5j * weight * d * transverse)
             expected = half @ scipy.linalg.expm(-1j * weight * d * diagonal) @ half @ expected
         assert SUZUKI_STAGES[2] < 0
         out = apply_suzuki_qgrnn(state, params, d, d / 5)
-        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+        assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_error_falls_16x_when_delta_halves(self):
         # t = 0.5 is a multiple of 5 delta for both steps, so the step halves
@@ -184,9 +184,9 @@ class TestApplySuzukiQgrnn:
         rng = np.random.default_rng(14)
         params = random_complete_graph(rng.uniform(0, 5, 4), rng)
         state = random_state(4, 15)
-        exact = eigh_evolve(params, state.amplitudes, 0.5)
+        exact = eigh_evolve(params, state, 0.5)
         errors = [
-            np.linalg.norm(apply_suzuki_qgrnn(state, params, 0.5, delta).amplitudes - exact)
+            np.linalg.norm(apply_suzuki_qgrnn(state, params, 0.5, delta) - exact)
             for delta in (0.01, 0.005)
         ]
         assert 15.5 <= errors[0] / errors[1] <= 16.5
@@ -201,11 +201,11 @@ class TestTrotterConvergence:
         rng = np.random.default_rng(14)
         params = random_complete_graph(rng.uniform(0, 5, 4), rng)
         state = random_state(4, 15)
-        exact = eigh_evolve(params, state.amplitudes, 0.5)
+        exact = eigh_evolve(params, state, 0.5)
         deficits = []
         for delta in (0.04, 0.02, 0.01, 0.005):
             approx = apply_qgrnn(state, params, 0.5, delta)
-            deficits.append(1.0 - fidelity(approx.amplitudes, exact))
+            deficits.append(1.0 - fidelity(approx, exact))
         assert all(a - b > -1e-12 for a, b in zip(deficits, deficits[1:]))
 
     def test_high_fidelity_at_default_step(self):
@@ -213,17 +213,17 @@ class TestTrotterConvergence:
             rng = np.random.default_rng(100 + n)
             params = random_complete_graph(rng.uniform(0, 5, n), rng)
             state = random_state(n, 200 + n)
-            exact = eigh_evolve(params, state.amplitudes, 0.5)
+            exact = eigh_evolve(params, state, 0.5)
             approx = apply_qgrnn(state, params, 0.5, 0.01)
-            assert fidelity(approx.amplitudes, exact) >= 0.999
+            assert fidelity(approx, exact) >= 0.999
 
     def test_deterministic_and_norm_preserving(self):
         params = random_params(3, 16)
         state = random_state(3, 17)
         a = apply_qgrnn(state, params, 0.5, 0.01)  # 50 layers
         b = apply_qgrnn(state, params, 0.5, 0.01)
-        assert np.array_equal(a.amplitudes, b.amplitudes)
-        assert abs(np.linalg.norm(a.amplitudes) - 1.0) < 1e-9
+        assert np.array_equal(a, b)
+        assert abs(np.linalg.norm(a) - 1.0) < 1e-9
 
 
 class TestCouplingColumns:

@@ -18,7 +18,7 @@ from qgrnn.pipeline import DEFAULT_IRIS_ROWS
 @pytest.fixture(scope="module")
 def iris_scaled():
     ds = load_iris_csv(bundled_iris_path())
-    scaled, _ = minmax_scale(ds.features)
+    scaled = minmax_scale(ds.features)
     return scaled, ds.labels
 
 

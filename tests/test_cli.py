@@ -218,6 +218,22 @@ class TestOptionsCheckedBeforeOutput:
         fails_fast(capsys, argv, message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_seed_leaves_no_output(self, tmp_path, dict_file, capsys, command):
+        out = tmp_path / "out"
+        fails_fast(capsys, [command, *required_args(command, tmp_path, dict_file),
+                            "--out", str(out), "--seed", "-1"], "seed must be >= 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, option", [("reveal", "--archive"), ("hide", "--config")])
+    def test_deeply_nested_json_leaves_no_output(self, tmp_path, dict_file, capsys, command, option):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "out"
+        argv = [command, *required_args(command, tmp_path, dict_file), "--out", str(out)]
+        fails_fast(capsys, [*argv, option, str(deep)], "nested too deeply")
+        assert not out.exists()
+
     def test_a_bad_archive_leaves_no_output(self, tmp_path, dict_file, capsys):
         archive = tmp_path / "archive.json"
         archive.write_text('{"version": 4}')

@@ -121,14 +121,14 @@ def random_rows(count=5, nonzero=4):
 
 def stored_rows(archive):
     """The amplitudes of the initial state and then of each sample, as loaded."""
-    return np.array([archive.initial_state.amplitudes] + [s.state.amplitudes for s in archive.samples])
+    return np.array([archive.initial_state] + [s.state for s in archive.samples])
 
 
 def as_version_3(archive):
     """The version-3 payload of an archive: one complex64 base64 string per state."""
     return {"version": 3, "node_count": archive.node_count, "t_max": archive.t_max,
-            "initial": b64_state(archive.initial_state.amplitudes),
-            "samples": [{"t": s.time, "state": b64_state(s.state.amplitudes)} for s in archive.samples],
+            "initial": b64_state(archive.initial_state),
+            "samples": [{"t": s.time, "state": b64_state(s.state)} for s in archive.samples],
             "meta": {"created": archive.created}}
 
 
@@ -148,12 +148,11 @@ def v3_payload():
 
 def assert_single_precision_copy(loaded, archive):
     """Same times, and every state exactly the rounded, renormalised original."""
-    assert np.array_equal(loaded.initial_state.amplitudes,
-                          single_precision(archive.initial_state.amplitudes))
+    assert np.array_equal(loaded.initial_state, single_precision(archive.initial_state))
     for a, b in zip(loaded.samples, archive.samples, strict=True):
         assert a.time == b.time
-        assert np.array_equal(a.state.amplitudes, single_precision(b.state.amplitudes))
-        assert np.max(np.abs(a.state.amplitudes - b.state.amplitudes)) <= CARRIER_NORM_TOL
+        assert np.array_equal(a.state, single_precision(b.state))
+        assert np.max(np.abs(a.state - b.state)) <= CARRIER_NORM_TOL
 
 
 def assert_resaved_as_version_4(path, tmp_path):
@@ -204,7 +203,7 @@ class TestLoadArchive:
         assert_single_precision_copy(load_archive(tmp_path / "archive.json"), archive)
 
     def test_accepts_a_norm_moved_by_rounding_and_renormalises_it(self, dictionary, tmp_path):
-        # off by more than NORM_TOL, which StateVector enforces, but within CARRIER_NORM_TOL
+        # off by more than NORM_TOL, which the package holds states to, but within CARRIER_NORM_TOL
         rng = np.random.default_rng(0)
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         amps = (amps * (1 + 5e-8) / np.linalg.norm(amps)).astype("<c8")
@@ -213,7 +212,7 @@ class TestLoadArchive:
         rows = stored_rows(load_payload(payload, tmp_path)).astype("<c8")
         rows[3] = amps
         payload["states"] = b64_deflated(planed_bytes(rows))
-        state = load_payload(payload, tmp_path).samples[2].state.amplitudes
+        state = load_payload(payload, tmp_path).samples[2].state
         assert abs(np.linalg.norm(state) - 1) <= NORM_TOL
         assert np.array_equal(state, single_precision(amps))
 
@@ -368,6 +367,23 @@ class TestLoadArchive:
         with pytest.raises(ArchiveFormatError, match="not valid JSON"):
             load_archive(path)
 
+    def test_rejects_deeply_nested_json(self, tmp_path):
+        # the parser's RecursionError becomes a format error
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ArchiveFormatError, match="nested too deeply"):
+            load_archive(path)
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_states_are_read_only(self, dictionary, tmp_path, version):
+        if version == 4:
+            archive = load_payload(valid_payload(dictionary, tmp_path), tmp_path)
+        else:
+            archive = load_archive(Path(__file__).parent / "data" / f"archive_v{version}.json")
+        for state in [archive.initial_state] + [s.state for s in archive.samples]:
+            with pytest.raises(ValueError):
+                state[0] = 0.5
+
 
 def record_inflation(monkeypatch):
     """Make zlib.decompressobj, as qgrnn.hiding calls it, record (max_length, bytes out) per call."""
@@ -520,8 +536,8 @@ class TestVersion1Archive:
         assert len(states) == 5
         for state, rows in zip(states, pairs):
             rows = np.array(rows)
-            assert np.array_equal(state.amplitudes.real, rows[:, 0])
-            assert np.array_equal(state.amplitudes.imag, rows[:, 1])
+            assert np.array_equal(state.real, rows[:, 0])
+            assert np.array_equal(state.imag, rows[:, 1])
         assert [s.time for s in archive.samples] == [s["t"] for s in payload["samples"]]
 
     def test_resaved_as_version_4_round_trips_to_single_precision(self, tmp_path):
@@ -540,7 +556,7 @@ class TestVersion2Archive:
         strings = [payload["initial"]] + [s["state"] for s in payload["samples"]]
         assert len(states) == 5
         for state, text in zip(states, strings):
-            assert np.array_equal(state.amplitudes, np.frombuffer(base64.b64decode(text), "<c16"))
+            assert np.array_equal(state, np.frombuffer(base64.b64decode(text), "<c16"))
         assert [s.time for s in archive.samples] == [s["t"] for s in payload["samples"]]
 
     @pytest.mark.parametrize(

@@ -122,12 +122,12 @@ class TestEvolveExact:
     def test_zero_time_identity(self):
         coefficients = random_graph(2, 1)
         state = random_state(2, 2)
-        out = eigh_evolve(coefficients, state.amplitudes, 0.0)
-        assert np.allclose(out, state.amplitudes, atol=1e-12)
+        out = eigh_evolve(coefficients, state, 0.0)
+        assert np.allclose(out, state, atol=1e-12)
 
     def test_rabi_rotation(self):
         # one node of weight zero leaves H = X
-        out = eigh_evolve(np.zeros(1), basis_state(1).amplitudes, np.pi / 2)
+        out = eigh_evolve(np.zeros(1), basis_state(1), np.pi / 2)
         assert np.allclose(out, [0, -1j], atol=1e-9)
 
     def test_matches_fine_trotter_reference(self):
@@ -139,20 +139,26 @@ class TestEvolveExact:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            eigh_evolve(random_graph(2, 1), basis_state(1).amplitudes, 0.1)
+            eigh_evolve(random_graph(2, 1), basis_state(1), 0.1)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            eigh_evolve(np.zeros(1), basis_state(1).amplitudes, -0.1)
+            eigh_evolve(np.zeros(1), basis_state(1), -0.1)
 
 
 class TestSampleEvolution:
+    def test_states_are_read_only(self):
+        samples = sample_evolution(random_graph(2, 4), random_state(2, 5), [0.0, 0.3, 0.1])
+        for s in samples:
+            with pytest.raises(ValueError):
+                s.state[0] = 0.5
+
     def test_time_zero_returns_initial(self):
         coefficients = random_graph(2, 4)
         state = random_state(2, 5)
         samples = sample_evolution(coefficients, state, [0.0])
         assert len(samples) == 1
-        assert np.allclose(samples[0].state.amplitudes, state.amplitudes, atol=1e-12)
+        assert np.allclose(samples[0].state, state, atol=1e-12)
 
     def test_batch_of_fifteen(self):
         coefficients = random_graph(3, 6)
@@ -162,19 +168,19 @@ class TestSampleEvolution:
         assert len(samples) == 15
         for s in samples:
             assert 0 < s.time <= 0.5
-            assert abs(np.linalg.norm(s.state.amplitudes) - 1.0) < 1e-9
+            assert abs(np.linalg.norm(s.state) - 1.0) < 1e-9
 
     def test_consistent_with_eigh_oracle(self):
         coefficients = random_graph(2, 9)
         state = random_state(2, 10)
         for s in sample_evolution(coefficients, state, [0.1, 0.25]):
-            direct = eigh_evolve(coefficients, state.amplitudes, s.time)
-            assert np.allclose(s.state.amplitudes, direct, atol=1e-12)
+            direct = eigh_evolve(coefficients, state, s.time)
+            assert np.allclose(s.state, direct, atol=1e-12)
 
     def test_rabi_rotation(self):
         # a zero diagonal leaves H = X, so the step count rests on the transverse field alone
         out = evolve(np.zeros(1), basis_state(1), np.pi / 2)
-        assert np.allclose(out.amplitudes, [0, -1j], atol=1e-12)
+        assert np.allclose(out, [0, -1j], atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_eigh_oracle(self, n):
@@ -184,8 +190,8 @@ class TestSampleEvolution:
         state = random_state(n, 60 + n)
         times = draw_times(15, 2.0, rng)
         for s in sample_evolution(coefficients, state, times):
-            oracle = eigh_evolve(coefficients, state.amplitudes, s.time)
-            assert np.max(np.abs(s.state.amplitudes - oracle)) <= 1e-12
+            oracle = eigh_evolve(coefficients, state, s.time)
+            assert np.max(np.abs(s.state - oracle)) <= 1e-12
 
     def test_input_order_repeats_and_zero(self):
         coefficients = random_graph(3, 14)
@@ -194,10 +200,10 @@ class TestSampleEvolution:
         samples = sample_evolution(coefficients, state, times)
         assert [s.time for s in samples] == times
         for s in samples:
-            oracle = eigh_evolve(coefficients, state.amplitudes, s.time)
-            assert np.max(np.abs(s.state.amplitudes - oracle)) <= 1e-12
-        assert np.array_equal(samples[0].state.amplitudes, samples[3].state.amplitudes)
-        assert np.array_equal(samples[1].state.amplitudes, state.amplitudes)
+            oracle = eigh_evolve(coefficients, state, s.time)
+            assert np.max(np.abs(s.state - oracle)) <= 1e-12
+        assert np.array_equal(samples[0].state, samples[3].state)
+        assert np.array_equal(samples[1].state, state)
 
     def test_memory_is_linear_in_the_state(self):
         # a dense 2^10 x 2^10 Hamiltonian alone would take 16.8 MB
@@ -231,7 +237,7 @@ class TestSampleEvolution:
         times = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
         for s in sample_evolution(np.zeros(1), basis_state(1), times):
             exact = [np.cos(s.time), -1j * np.sin(s.time)]
-            assert np.linalg.norm(s.state.amplitudes - exact) <= math.ceil(s.time) * math.e / math.factorial(13)
+            assert np.linalg.norm(s.state - exact) <= math.ceil(s.time) * math.e / math.factorial(13)
 
     @pytest.mark.parametrize("weight", [1e9, np.inf, np.nan])
     def test_rejects_a_huge_norm_before_any_product(self, monkeypatch, weight):
@@ -261,15 +267,15 @@ class TestEvolutionProperties:
         state = random_state(3, 22)
         for t in (0.1, 0.5, 2.0):
             out = evolve(coefficients, state, t)
-            assert abs(fidelity(out.amplitudes, out.amplitudes) - 1.0) < 1e-9
+            assert abs(fidelity(out, out) - 1.0) < 1e-9
 
     def test_energy_conserved(self):
         coefficients = random_graph(3, 31)
         h = kron_hamiltonian(3, coefficients)
         state = random_state(3, 32)
-        initial_energy = np.real(np.vdot(state.amplitudes, h @ state.amplitudes))
+        initial_energy = np.real(np.vdot(state, h @ state))
         for t in (0.07, 0.31, 0.5):
-            psi = evolve(coefficients, state, t).amplitudes
+            psi = evolve(coefficients, state, t)
             energy = np.real(np.vdot(psi, h @ psi))
             assert abs(energy - initial_energy) <= 1e-8
 
@@ -278,7 +284,7 @@ class TestEvolutionProperties:
         state = random_state(2, 42)
         once = evolve(coefficients, state, 0.45)
         stepped = evolve(coefficients, evolve(coefficients, state, 0.2), 0.25)
-        assert np.allclose(once.amplitudes, stepped.amplitudes, atol=1e-9)
+        assert np.allclose(once, stepped, atol=1e-9)
 
 
 class TestDrawTimes:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from qgrnn.statevector import (
-    StateVector,
     apply_cswap,
     apply_hadamard,
     basis_state,
+    checked_state,
     inner_product,
     prob_zero,
     random_state,
@@ -17,46 +17,58 @@ INV_SQRT2 = 1 / np.sqrt(2)
 
 
 def plus_state():
-    return StateVector(1, [INV_SQRT2, INV_SQRT2])
+    return checked_state([INV_SQRT2, INV_SQRT2])
 
 
 class TestStateVector:
+    """A state is the read-only complex128 array that ``checked_state`` returns."""
+
     def test_rejects_wrong_amplitude_count(self):
-        with pytest.raises(ValueError):
-            StateVector(2, [1.0, 0.0])
+        # not 2^n amplitudes in one dimension
+        for amps in ([1.0, 0.0, 0.0], np.eye(6)[0], np.eye(2)[:1]):
+            with pytest.raises(ValueError, match="2\\^n"):
+                checked_state(amps)
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            StateVector(1, [1.0, 1.0])
+        with pytest.raises(ValueError, match="state norm"):
+            checked_state([1.0, 1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite_amplitudes(self, bad):
         # the norm is then NaN or infinite, which a `> tol` comparison lets through
         with pytest.raises(ValueError, match="state norm"):
-            StateVector(2, [bad, 0.0, 0.0, 0.0])
+            checked_state([bad, 0.0, 0.0, 0.0])
 
     def test_rejects_zero_qubits(self):
+        for amps in ([1.0], []):
+            with pytest.raises(ValueError, match="2\\^n"):
+                checked_state(amps)
         with pytest.raises(ValueError):
-            StateVector(0, [1.0])
+            basis_state(0)
 
     def test_amplitudes_read_only(self):
-        state = basis_state(2)
-        with pytest.raises(ValueError):
-            state.amplitudes[0] = 0.5
-        with pytest.raises(AttributeError):
-            state.qubit_count = 3
+        for state in (basis_state(2), random_state(2, 0), checked_state([0.6, 0.8j])):
+            assert state.dtype == np.complex128
+            with pytest.raises(ValueError):
+                state[0] = 0.5
+
+    def test_returns_a_copy(self):
+        amps = np.array([0.6, 0.8j])
+        state = checked_state(amps)
+        amps[0] = 1.0
+        assert state[0] == 0.6
 
 
 class TestRandomState:
     def test_normalized(self):
         for seed in (0, 1, 12345):
             state = random_state(1, seed)
-            assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
     def test_deterministic(self):
         a = random_state(4, 42)
         b = random_state(4, 42)
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(a, b)
 
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):
@@ -67,7 +79,7 @@ class TestRandomState:
         probs = np.zeros(4)
         n_seeds = 1000
         for seed in range(n_seeds):
-            probs += np.abs(random_state(2, seed).amplitudes) ** 2
+            probs += np.abs(random_state(2, seed)) ** 2
         assert np.allclose(probs / n_seeds, 0.25, atol=0.02)
 
 
@@ -75,15 +87,15 @@ class TestRx:
     def test_zero_angle_identity(self):
         state = random_state(3, 5)
         out = apply_rx(state, 1, 0.0)
-        assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-15)
+        assert np.allclose(out, state, atol=1e-15)
 
     def test_pi_on_zero(self):
         out = apply_rx(basis_state(1), 0, np.pi)
-        assert np.allclose(out.amplitudes, [0, -1j], atol=1e-12)
+        assert np.allclose(out, [0, -1j], atol=1e-12)
 
     def test_half_pi_on_zero(self):
         out = apply_rx(basis_state(1), 0, np.pi / 2)
-        assert np.allclose(out.amplitudes, [INV_SQRT2, -1j * INV_SQRT2], atol=1e-12)
+        assert np.allclose(out, [INV_SQRT2, -1j * INV_SQRT2], atol=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -94,11 +106,11 @@ class TestRz:
     def test_zero_angle_identity(self):
         state = random_state(2, 9)
         out = apply_rz(state, 0, 0.0)
-        assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-15)
+        assert np.allclose(out, state, atol=1e-15)
 
     def test_pi_on_plus(self):
         out = apply_rz(plus_state(), 0, np.pi)
-        assert np.allclose(out.amplitudes, [-1j * INV_SQRT2, 1j * INV_SQRT2], atol=1e-12)
+        assert np.allclose(out, [-1j * INV_SQRT2, 1j * INV_SQRT2], atol=1e-12)
 
     def test_global_phase_on_basis_state(self):
         out = apply_rz(basis_state(1), 0, 1.3)
@@ -108,15 +120,15 @@ class TestRz:
 class TestZz:
     def test_zero_angle_identity(self):
         state = random_state(2, 3)
-        assert np.allclose(apply_zz(state, 0, 1, 0.0).amplitudes, state.amplitudes)
+        assert np.allclose(apply_zz(state, 0, 1, 0.0), state)
 
     def test_agreeing_bits(self):
         out = apply_zz(basis_state(2, 0b00), 0, 1, 0.7)
-        assert np.allclose(out.amplitudes[0], np.exp(-0.7j), atol=1e-12)
+        assert np.allclose(out[0], np.exp(-0.7j), atol=1e-12)
 
     def test_differing_bits(self):
         out = apply_zz(basis_state(2, 0b01), 0, 1, 0.7)
-        assert np.allclose(out.amplitudes[1], np.exp(0.7j), atol=1e-12)
+        assert np.allclose(out[1], np.exp(0.7j), atol=1e-12)
 
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
@@ -126,16 +138,16 @@ class TestZz:
 class TestHadamard:
     def test_zero_to_plus(self):
         out = apply_hadamard(basis_state(1), 0)
-        assert np.allclose(out.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-12)
+        assert np.allclose(out, [INV_SQRT2, INV_SQRT2], atol=1e-12)
 
     def test_one_to_minus(self):
         out = apply_hadamard(basis_state(1, 1), 0)
-        assert np.allclose(out.amplitudes, [INV_SQRT2, -INV_SQRT2], atol=1e-12)
+        assert np.allclose(out, [INV_SQRT2, -INV_SQRT2], atol=1e-12)
 
     def test_involution(self):
         state = random_state(3, 17)
         out = apply_hadamard(apply_hadamard(state, 2), 2)
-        assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-12)
+        assert np.allclose(out, state, atol=1e-12)
 
 
 class TestCswap:
@@ -143,21 +155,21 @@ class TestCswap:
         # qubit 2 is the control and is 0 on every populated basis state
         amps = np.zeros(8, dtype=complex)
         amps[[0b001, 0b010]] = INV_SQRT2
-        state = StateVector(3, amps)
+        state = checked_state(amps)
         out = apply_cswap(state, 2, 0, 1)
-        assert np.allclose(out.amplitudes, state.amplitudes)
+        assert np.allclose(out, state)
 
     def test_swaps_when_control_set(self):
         # |c=1, b=0, a=1> -> |c=1, b=1, a=0>
         out = apply_cswap(basis_state(3, 0b101), 2, 0, 1)
         expected = np.zeros(8)
         expected[0b110] = 1.0
-        assert np.allclose(out.amplitudes, expected)
+        assert np.allclose(out, expected)
 
     def test_involution(self):
         state = random_state(3, 23)
         out = apply_cswap(apply_cswap(state, 0, 1, 2), 0, 1, 2)
-        assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-12)
+        assert np.allclose(out, state, atol=1e-12)
 
     def test_repeated_indices_rejected(self):
         with pytest.raises(ValueError):
@@ -191,14 +203,14 @@ class TestProbZero:
         state = random_state(4, 77)
         for q in range(4):
             mask = ((np.arange(16) >> q) & 1) == 1
-            p_one = np.sum(np.abs(state.amplitudes[mask]) ** 2)
+            p_one = np.sum(np.abs(state[mask]) ** 2)
             assert abs(prob_zero(state, q) + p_one - 1.0) < 1e-12
 
 
 class TestGateProperties:
     def test_norm_preserved(self):
         rng = np.random.default_rng(0)
-        state = StateVector(3, random_state_array(rng, 3))
+        state = random_state_array(rng, 3)
         for gate in (
             lambda s: apply_rx(s, 1, 0.8),
             lambda s: apply_rz(s, 0, -1.2),
@@ -207,12 +219,12 @@ class TestGateProperties:
             lambda s: apply_cswap(s, 0, 1, 2),
         ):
             state = gate(state)
-            assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
     def test_gate_inverses_recover_input(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            state = StateVector(3, random_state_array(rng, 3))
+            state = random_state_array(rng, 3)
             theta = rng.uniform(-np.pi, np.pi)
             pairs = [
                 (apply_rx(state, 0, theta), lambda s: apply_rx(s, 0, -theta)),
@@ -222,17 +234,17 @@ class TestGateProperties:
                 (apply_cswap(state, 2, 0, 1), lambda s: apply_cswap(s, 2, 0, 1)),
             ]
             for forward, inverse in pairs:
-                assert np.allclose(inverse(forward).amplitudes, state.amplitudes, atol=1e-10)
+                assert np.allclose(inverse(forward), state, atol=1e-10)
 
     def test_diagonal_gates_commute(self):
         rng = np.random.default_rng(2)
-        state = StateVector(3, random_state_array(rng, 3))
+        state = random_state_array(rng, 3)
         a = apply_rz(apply_zz(state, 0, 1, 0.4), 2, 0.9)
         b = apply_zz(apply_rz(state, 2, 0.9), 0, 1, 0.4)
-        assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-12)
+        assert np.allclose(a, b, atol=1e-12)
 
     def test_deterministic(self):
         state = random_state(3, 11)
         a = apply_rx(state, 1, 0.37)
         b = apply_rx(state, 1, 0.37)
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(a, b)

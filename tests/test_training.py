@@ -4,7 +4,7 @@ import scipy.optimize
 
 from qgrnn import training
 from qgrnn.ising import draw_times, random_complete_graph, sample_evolution, TimeEvolvedSample
-from qgrnn.statevector import StateVector, basis_state, random_state
+from qgrnn.statevector import basis_state, random_state
 from qgrnn.training import (
     MAX_LAYERS,
     AdamState,
@@ -52,7 +52,7 @@ class TestFidelityDirect:
         assert fidelity_direct(basis_state(1, 0), basis_state(1, 1)) == 0.0
 
     def test_half(self):
-        plus = StateVector(1, np.array([1, 1]) / np.sqrt(2))
+        plus = np.array([1, 1]) / np.sqrt(2)
         assert abs(fidelity_direct(basis_state(1), plus) - 0.5) < 1e-12
 
     def test_dimension_mismatch(self):
@@ -72,13 +72,57 @@ class TestFidelitySwapTest:
         rng = np.random.default_rng(3)
         for trial in range(100):
             n = (2, 3, 4)[trial % 3]
-            a = StateVector(n, random_state_array(rng, n))
-            b = StateVector(n, random_state_array(rng, n))
+            a = random_state_array(rng, n)
+            b = random_state_array(rng, n)
             assert abs(fidelity_swap_test(a, b) - fidelity_direct(a, b)) <= 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity_swap_test(basis_state(1), basis_state(2))
+
+
+BAD_STATES = {
+    "non-unit": np.full(4, 0.6),
+    "nan": np.array([np.nan, 0.0, 0.0, 0.0]),
+    "three amplitudes": np.array([1.0, 0.0, 0.0]),
+}
+
+
+def state_entries():
+    """Each public entry that takes a caller's state, as a call on one state in one role."""
+    good = random_state(2, 0)
+    samples = sample_evolution(np.zeros(3), good, [0.1, 0.2])
+    config = TrainConfig(epochs=1)
+    as_sample = lambda state: [samples[0], TimeEvolvedSample(0.2, state)]  # noqa: E731
+    return {
+        "sample_evolution": lambda s: sample_evolution(np.zeros(3), s, [0.1]),
+        "train_qgrnn initial": lambda s: train_qgrnn(s, samples, config),
+        "train_qgrnn sample": lambda s: train_qgrnn(good, as_sample(s), config),
+        "linear_inversion_start initial": lambda s: linear_inversion_start(s, samples),
+        "linear_inversion_start sample": lambda s: linear_inversion_start(good, as_sample(s)),
+        "CostEvaluator initial": lambda s: CostEvaluator(s, samples, 0.01),
+        "CostEvaluator sample": lambda s: CostEvaluator(good, as_sample(s), 0.01),
+        "fidelity_direct": lambda s: fidelity_direct(good, s),
+        "fidelity_swap_test": lambda s: fidelity_swap_test(s, good),
+    }
+
+
+class TestStateChecks:
+    """Every public entry checks a caller's state once, as ``checked_state`` does."""
+
+    @pytest.mark.parametrize("entry", list(state_entries()))
+    @pytest.mark.parametrize("bad", list(BAD_STATES))
+    def test_rejects_a_bad_state(self, entry, bad):
+        with pytest.raises(ValueError, match=r"state norm|a state needs 2\^n"):
+            state_entries()[entry](BAD_STATES[bad])
+
+    @pytest.mark.parametrize(
+        "entry", [e for e in state_entries() if e.endswith("sample") or e.startswith("fidelity")]
+    )
+    def test_rejects_a_state_of_another_size(self, entry):
+        # the 2-qubit entries given a 3-qubit state: a clear message, not numpy's
+        with pytest.raises(ValueError, match=r"has 8 amplitudes, initial has 4|(4 vs 8|8 vs 4) amplitudes"):
+            state_entries()[entry](random_state(3, 1))
 
 
 class TestBatchCost:
@@ -90,12 +134,12 @@ class TestBatchCost:
     def test_zero_for_orthogonal_sample(self):
         params = np.zeros(3)
         initial = random_state(2, 5)
-        evolved = apply_suzuki_qgrnn(initial, params, 0.3, 0.01).amplitudes
+        evolved = apply_suzuki_qgrnn(initial, params, 0.3, 0.01)
         # build a sample state orthogonal to the circuit output
         other = random_state_array(np.random.default_rng(6), 2)
         other -= np.vdot(evolved, other) * evolved
         other /= np.linalg.norm(other)
-        samples = [TimeEvolvedSample(0.3, StateVector(2, other))]
+        samples = [TimeEvolvedSample(0.3, other)]
         assert abs(batch_cost(params, initial, samples, 0.01)) < 1e-12
 
     def test_bounded(self):
@@ -162,7 +206,7 @@ class TestCostEvaluator:
         rng = np.random.default_rng(17)
         params = random_params(rng, 2)
         reference = grad_richardson(params, initial, samples, 0.02)
-        fast = evaluator.gradient(params, 1e-3)
+        fast = evaluator.gradient(params)
         assert np.max(np.abs(fast - reference)) <= 1e-10
 
 
@@ -196,7 +240,7 @@ class TestAdjointKernel:
         flat = rng.uniform(-1, 1, n * (n + 1) // 2)
         assert abs(evaluator.cost(flat) - batch_cost(flat, initial, samples, 0.01)) <= 1e-12
         oracle = grad_richardson(flat, initial, samples, 0.01)
-        assert np.max(np.abs(evaluator.gradient(flat, 1e-3) - oracle)) <= 1e-10
+        assert np.max(np.abs(evaluator.gradient(flat) - oracle)) <= 1e-10
 
     def test_costs_evaluates_each_column(self):
         _, initial, samples = make_instance(3, 26, batch=5)
@@ -294,6 +338,11 @@ class TestTrainConfig:
             TrainConfig(t_max=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(fd_step=0.0)
+
+    def test_rejects_a_negative_seed(self):
+        assert TrainConfig(seed=0).seed == 0
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
 
     def test_bounds_the_layers_of_t_max(self):
         assert TrainConfig(t_max=MAX_LAYERS * 0.01).t_max == MAX_LAYERS * 0.01
@@ -406,7 +455,7 @@ class QuadraticEvaluator:
         offset = flat - self.minimum
         return 0.5 * offset @ self.matrix @ offset - 1.0
 
-    def gradient(self, flat, fd_step):
+    def gradient(self, flat):
         return self.matrix @ (flat - self.minimum)
 
 
@@ -416,7 +465,7 @@ class TestBfgsPhase:
         start = np.zeros(10)
         start_cost = evaluator.cost(start)
         history = [(1, start_cost)]
-        params, reason = training._bfgs_phase(evaluator, start, start_cost, 200, history, 1e-3)
+        params, reason = training._bfgs_phase(evaluator, start, start_cost, 200, history)
         assert reason == "converged"
         costs = [cost for _, cost in history]
         assert all(b < a for a, b in zip(costs, costs[1:]))
@@ -427,7 +476,7 @@ class TestBfgsPhase:
     def test_stops_on_the_budget(self):
         evaluator = QuadraticEvaluator(10, 1e3, seed=51)
         history = [(1, evaluator.cost(np.zeros(10)))]
-        _, reason = training._bfgs_phase(evaluator, np.zeros(10), history[0][1], 2, history, 1e-3)
+        _, reason = training._bfgs_phase(evaluator, np.zeros(10), history[0][1], 2, history)
         assert reason == "epochs"
         assert [epoch for epoch, _ in history] == [1, 2, 3]
 
@@ -439,7 +488,7 @@ class TestBfgsPhase:
         evaluator.cost = lambda flat: costs.append(flat) or -1.0
         start = evaluator.minimum + 1e-9
         history = []
-        params, reason = training._bfgs_phase(evaluator, start, -1.0, 5, history, 1e-3)
+        params, reason = training._bfgs_phase(evaluator, start, -1.0, 5, history)
         assert reason == "converged" and history == [] and costs == []
         assert np.array_equal(params, start)
 
@@ -448,9 +497,9 @@ class TestBfgsPhase:
         # to -1, so only the strict decrease refuses every step
         evaluator = QuadraticEvaluator(4, 10.0, seed=53)
         evaluator.cost = lambda flat: -1.0
-        evaluator.gradient = lambda flat, fd_step: np.full(4, 5e-7)
+        evaluator.gradient = lambda flat: np.full(4, 5e-7)
         history = []
-        params, reason = training._bfgs_phase(evaluator, np.zeros(4), -1.0, 5, history, 1e-3)
+        params, reason = training._bfgs_phase(evaluator, np.zeros(4), -1.0, 5, history)
         assert reason == "converged" and history == []
         assert np.array_equal(params, np.zeros(4))
 
