@@ -92,6 +92,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except RecursionError:
             raise ValueError(f"{args.config}: JSON nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         unknown = set(file_cfg) - set(defaults)

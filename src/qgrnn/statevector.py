@@ -1,4 +1,4 @@
-"""States as plain arrays, with the gates of the SWAP test and the RX matrix of the ansatz.
+"""States as plain arrays, with the gates of the SWAP test.
 
 A state of n qubits is a 1-D complex128 array of 2^n amplitudes with unit
 norm. ``checked_state`` checks a caller's state once, where it enters the
@@ -30,8 +30,11 @@ def checked_state(amplitudes) -> np.ndarray:
 
 
 def basis_state(qubit_count: int, index: int = 0) -> np.ndarray:
-    """Computational basis state |index> on ``qubit_count`` qubits."""
-    amps = np.zeros(1 << qubit_count, dtype=np.complex128)
+    """Computational basis state |index> on ``qubit_count`` qubits, for 0 <= index < 2^n."""
+    dim = 1 << qubit_count
+    if not 0 <= index < dim:
+        raise ValueError(f"basis index {index} out of range for a {qubit_count}-qubit register")
+    amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
     return checked_state(amps)
 
@@ -59,12 +62,6 @@ def _check_qubit(state: np.ndarray, qubit: int) -> None:
 
 def _bits(dim: int, qubit: int) -> np.ndarray:
     return (np.arange(dim) >> qubit) & 1
-
-
-def rx_matrix(theta: float) -> np.ndarray:
-    """RX(theta) = exp(-i theta X / 2)."""
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
 
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)

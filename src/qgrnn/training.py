@@ -3,15 +3,15 @@
 Training recovers the node and edge coefficients of a hidden graph
 Hamiltonian from one initial state plus a batch of time-evolved states, by
 minimizing the average negative fidelity between each evolved state and the
-fourth-order Trotterized circuit output at the matching time: Suzuki's
-composition of five Strang stages, the middle one of negative step, built
-from the paper's gates (see ``ansatz``). Each attempt has two phases: Adam
-on a cosine-annealed step size for the first third of the epochs, to reach
-a basin, then BFGS with a backtracking line search, which converges
-superlinearly inside it and stops early once no step can lower the cost
-(Nocedal & Wright, Numerical Optimization, Alg. 6.1). The first attempt can
-start from ``linear_inversion_start``, a closed-form estimate of the
-coefficients from the short-time slope of the same states.
+sixth-order Trotterized circuit output at the matching time: Blanes &
+Moan's ten-stage splitting with the diagonal outer, some of its steps
+negative, built from the paper's gates (see ``ansatz``). Each attempt has
+two phases: Adam on a cosine-annealed step size for the first third of the
+epochs, to reach a basin, then BFGS with a backtracking line search, which
+converges superlinearly inside it and stops early once no step can lower
+the cost (Nocedal & Wright, Numerical Optimization, Alg. 6.1). The first
+attempt can start from ``linear_inversion_start``, a closed-form estimate
+of the coefficients from the short-time slope of the same states.
 """
 from __future__ import annotations
 
@@ -22,7 +22,13 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import seeding
-from .ansatz import STAGE_WEIGHTS, coupling_columns, layer_count, transverse_layer_matrix
+from .ansatz import (
+    DIAGONAL_WEIGHTS,
+    TRANSVERSE_WEIGHTS,
+    coupling_columns,
+    layer_count,
+    transverse_layer_matrix,
+)
 from .ising import TimeEvolvedSample, apply_hamiltonian
 from .statevector import apply_cswap, apply_hadamard, checked_state, inner_product, prob_zero
 
@@ -54,9 +60,10 @@ class TrainConfig:
     and ``t_max`` may need at most ``MAX_LAYERS`` layers of ``trotter_delta``,
     so a run that could not finish fails before any data is generated.
 
-    ``trotter_delta`` is the mean step of a diagonal layer: a sample at time
-    t runs K = ``layer_count(t, 5 trotter_delta)`` fourth-order steps of t/K,
-    each five diagonal layers whose steps are (p, p, 1 - 4p, p, p) t/K.
+    ``trotter_delta`` is the mean step of a layer: a sample at time t runs
+    K = ``layer_count(t, 10 trotter_delta)`` sixth-order steps of t/K, each
+    ten layers whose steps are ``ansatz.DIAGONAL_WEIGHTS`` and
+    ``ansatz.TRANSVERSE_WEIGHTS`` times t/K.
 
     ``epochs`` is a budget: ``train_qgrnn`` runs Adam for the first
     ceil(epochs / 3) of them and BFGS for at most the rest, and it stops
@@ -185,30 +192,32 @@ class CostEvaluator:
     """Cost and exact adjoint gradient for one (initial state, sample set, delta).
 
     The B samples are the rows of one ``(B, 2^n)`` array, sorted by depth,
-    deepest first. Sample b runs K_b = ``layer_count(t_b, 5 delta)``
-    fourth-order steps of ``d_b = t_b / K_b``, that is 5 K_b diagonal layers,
-    within a few layers of ``layer_count(t_b, delta)``; every row ends at the
-    last layer, so a shallower row starts late and the rows active at any
-    layer are a prefix. A layer is an elementwise phase multiply followed by
-    a transverse step ``exp(-i s sum_i X_i)``, which is applied in blocks of
+    deepest first. Sample b runs K_b = ``layer_count(t_b, 10 delta)``
+    sixth-order steps of ``d_b = t_b / K_b``, that is 10 K_b layers, within
+    a few layers of ``layer_count(t_b, delta)``; every row ends at the last
+    layer, so a shallower row starts late and the rows active at any layer
+    are a prefix. A layer is an elementwise phase multiply followed by a
+    transverse step ``exp(-i s sum_i X_i)``, which is applied in blocks of
     at most ``TRANSVERSE_BLOCK_QUBITS`` qubits as batched
     ``(B, 2^k, 2^k)`` matmuls over reshaped views. The evaluator holds
     O(B 2^n) memory and no 2^n x 2^n matrix.
 
-    The circuit is fourth order (see ``ansatz``): K steps of Suzuki's
-    five-stage composition of Strang layers, whose adjacent transverse
-    half-steps merge. Layer l has the phases of stage j = l mod 5, of step
-    c_j d_b with c = ``STAGE_WEIGHTS`` (the middle one negative), and then
-    the transverse step (c_j + c_{j+1}) d_b / 2, cyclic in j. Each depth is
-    a multiple of 5, so a late row starts on stage 0. Only two phase
-    weights and two transverse steps occur; each is built once. The outer
-    half-steps T(p d_b / 2) do not depend on the coefficients, so row b
-    starts from its own ket T(p d_b / 2) psi0 and is scored against the bra
-    of T(p d_b / 2) phi_b, both computed once here.
+    The circuit is sixth order (see ``ansatz``): K steps of Blanes & Moan's
+    S10 with the diagonal outer, whose adjacent outer phases merge. With
+    a = ``DIAGONAL_WEIGHTS`` and b = ``TRANSVERSE_WEIGHTS``, layer l has the
+    phases of step c_j d_b, c = (2 a_1, a_2, ..., a_10), and then the
+    transverse step b_j d_b, for j = l mod 10. Each depth is a multiple of
+    10, so a late row starts on j = 0. The first layer of a row has one
+    a_1 d_b phase too many, so row b starts from P(-a_1 d_b) psi0 and is
+    scored against P(a_1 d_b) of its last state; both are elementwise
+    products of each call. Only the transverse steps b_1..b_5 occur, each
+    built once here as per-row block matrices.
 
     The gradient is reverse-mode: one forward pass, then one backward pass
-    that walks the state and the bra back through the inverse layers, which
-    needs no tape because every layer is unitary.
+    that walks the state and the bra back through the layers, which needs no
+    tape because every layer is unitary. Every block matrix is symmetric, so
+    T(-s) = conj T(s): the pass walks the conjugated pair through the same
+    block matrices and phases as the forward pass.
     """
 
     def __init__(self, initial, samples: list[TimeEvolvedSample], delta: float):
@@ -222,48 +231,44 @@ class CostEvaluator:
                 f"sample time {samples[layers.index(deepest)].time:g} needs {deepest} layers "
                 f"of step {delta:g}, more than the limit of {MAX_LAYERS}"
             )
-        stages = len(STAGE_WEIGHTS)
+        stages = len(TRANSVERSE_WEIGHTS)
         depths = [stages * layer_count(s.time, stages * delta) for s in samples]
         order = np.argsort(depths, kind="stable")[::-1]
         self.node_count = psi0.size.bit_length() - 1
         self.batch_size = len(samples)
         self.columns = coupling_columns(self.node_count)
         self.depths = np.array(depths)[order]
-        # the fourth-order step d_b of each row
+        # the sixth-order step d_b of each row
         self.steps = np.array([samples[b].time for b in order]) / (self.depths // stages)
-        # the layer on which each row starts; ascending, since rows run deepest first
-        self._starts = self.depths[0] - self.depths
+        # the number of leading rows active in each step of the deepest row; as
+        # rows run deepest first and every depth is a multiple of 10, a late row
+        # starts on a step and the active rows are a prefix
+        starts = self.depths[0] - self.depths
+        self._step_rows = np.searchsorted(
+            starts, np.arange(0, self.depths[0], stages), side="right"
+        ).tolist()
         # (lowest qubit, qubit count) of each block of the transverse layer
         self._blocks = [
             (low, min(TRANSVERSE_BLOCK_QUBITS, self.node_count - low))
             for low in range(0, self.node_count, TRANSVERSE_BLOCK_QUBITS)
         ]
-        # (phase weight, transverse weight) of each stage, as fractions of d_b
-        following = STAGE_WEIGHTS[1:] + STAGE_WEIGHTS[:1]
-        self._stages = tuple((c, (c + c_next) / 2) for c, c_next in zip(STAGE_WEIGHTS, following))
-        self._transverse = {w: self._block_matrices(w) for w in {w for _, w in self._stages}}
-        # exp(+i s sum X) is the elementwise conjugate, as every block matrix is symmetric
-        self._inverse = {
-            w: {k: m.conj() for k, m in blocks.items()} for w, blocks in self._transverse.items()
+        # (phase weight, transverse weight) of each layer of a step, as fractions of d_b
+        outer = DIAGONAL_WEIGHTS[0]
+        self._stages = tuple(zip((2 * outer,) + DIAGONAL_WEIGHTS[1:-1], TRANSVERSE_WEIGHTS))
+        self._transverse = {
+            b: self._block_matrices(b) for b in dict.fromkeys(TRANSVERSE_WEIGHTS)
         }
-        # the frame: row b starts from T(p d_b/2) psi0 and ends on the bra of T(p d_b/2) phi_b
-        half = self._block_matrices(STAGE_WEIGHTS[0] / 2)
-        self.kets = self._apply_blocks(np.broadcast_to(psi0, (self.batch_size, psi0.size)), half)
-        self.bras = self._apply_blocks(states[order], half).conj()
+        self.initial = psi0
+        self.bras = states[order].conj()
 
     @property
     def param_count(self) -> int:
         return self.columns.shape[1]
 
-    def _active(self, layer: int) -> int:
-        """Number of leading rows that have started by ``layer``."""
-        return int(np.searchsorted(self._starts, layer, side="right"))
-
     def _block_matrices(self, weight: float) -> dict:
         """Per-row transverse block matrices of step ``weight * d_b``, keyed by block size."""
         return {
-            k: np.array([transverse_layer_matrix(k, weight * d) for d in self.steps])
-            for k in {k for _, k in self._blocks}
+            k: transverse_layer_matrix(k, weight * self.steps) for k in {k for _, k in self._blocks}
         }
 
     def _apply_blocks(self, x: np.ndarray, matrices: dict) -> np.ndarray:
@@ -282,27 +287,35 @@ class CostEvaluator:
     def _phases(self, diag: np.ndarray) -> dict:
         """Per-row diagonal layers exp(-i c d_b diag) for diag of shape (..., 2^n), keyed by c.
 
+        The keys are the phase weights of the layers and the outer weight a_1.
         Each value has shape (B, ..., 2^n).
         """
-        steps = self.steps.reshape((-1,) + (1,) * diag.ndim)
-        return {c: np.exp(-1j * c * steps * diag) for c in set(STAGE_WEIGHTS)}
+        angles = self.steps.reshape((-1,) + (1,) * diag.ndim) * diag
+        phases = {}
+        for c in dict.fromkeys(DIAGONAL_WEIGHTS):
+            # cos and sin of the real angle, which is faster than a complex exp
+            turn = -c * angles
+            phases[c] = table = np.empty(turn.shape, dtype=np.complex128)
+            np.cos(turn, out=table.real)
+            np.sin(turn, out=table.imag)
+        outer = DIAGONAL_WEIGHTS[0]
+        phases[2 * outer] = phases[outer] ** 2
+        return phases
 
     def _evolve(self, phases: dict) -> np.ndarray:
-        """Final states of every row for per-row phases keyed by stage weight."""
-        shape = phases[STAGE_WEIGHTS[0]].shape
-        kets = self.kets.reshape((self.batch_size,) + (1,) * (len(shape) - 2) + (-1,))
-        psi = np.broadcast_to(kets, shape).copy()
-        for layer in range(self.depths[0]):
-            rows = self._active(layer)
-            weight, transverse = self._stages[layer % len(self._stages)]
-            psi[:rows] = self._apply_blocks(
-                phases[weight][:rows] * psi[:rows], self._transverse[transverse]
-            )
+        """Last states of every row, before the outer phase, for per-row phases keyed by weight."""
+        psi = phases[DIAGONAL_WEIGHTS[0]].conj() * self.initial
+        for rows in self._step_rows:
+            for weight, transverse in self._stages:
+                psi[:rows] = self._apply_blocks(
+                    phases[weight][:rows] * psi[:rows], self._transverse[transverse]
+                )
         return psi
 
     def costs(self, flat_matrix: np.ndarray) -> np.ndarray:
         """Costs for each column of a (param_count, M) matrix of coefficient vectors."""
-        psi = self._evolve(self._phases((self.columns @ flat_matrix).T))
+        phases = self._phases((self.columns @ flat_matrix).T)
+        psi = phases[DIAGONAL_WEIGHTS[0]] * self._evolve(phases)
         overlaps = np.einsum("bn,bmn->bm", self.bras, psi)
         return -np.minimum(np.abs(overlaps) ** 2, 1.0).sum(axis=0) / self.batch_size
 
@@ -312,27 +325,31 @@ class CostEvaluator:
     def gradient(self, flat: np.ndarray, fd_step: float | None = None) -> np.ndarray:
         """Exact gradient of ``cost`` by one forward and one backward pass.
 
-        With a_b = <bra_b|psi_L> (both in the frame of the outer half-steps),
-        chi_l the state after layer l's phases, lambda_l the bra carried back
-        to the same point and c_l the phase weight of layer l's stage, the
-        gradient is -(1/B) sum_b 2 Re(conj(a_b) (-i d_b) columns.T g_b) with
-        g_b = sum_l c_l conj(lambda_l) * chi_l. ``fd_step`` is unused; it
-        stays in the signature because the benchmark's kernel scan passes
+        With a_b = <phi_b|psi_L> the overlap of row b, chi the state right
+        after a diagonal layer of weight c, lambda the bra carried back to
+        the same point, the gradient is
+        -(1/B) sum_b 2 Re(conj(a_b) (-i d_b) columns.T g_b) with
+        g_b = sum c conj(lambda) * chi over the row's diagonal layers: the
+        outer a_1 at the end, the 10 K_b layers, and the -a_1 at the start.
+        The pass holds the conjugates of chi and lambda, which walk back
+        through the forward block matrices and phases. ``fd_step`` is unused;
+        it stays in the signature because the benchmark's kernel scan passes
         ``TrainConfig.fd_step``.
         """
+        outer = DIAGONAL_WEIGHTS[0]
         phases = self._phases(self.columns @ np.asarray(flat, dtype=np.float64))
-        psi = self._evolve(phases)
+        last = self._evolve(phases)
+        psi = phases[outer] * last
         overlaps = np.einsum("bn,bn->b", self.bras, psi)
-        # row b holds [state, bra as a ket], both walked back one layer at a time
-        pair = np.stack([psi, self.bras.conj()], axis=1)
-        back = {c: p.conj()[:, None] for c, p in phases.items()}
-        g = np.zeros_like(psi)
-        for layer in range(self.depths[0] - 1, -1, -1):
-            rows = self._active(layer)
-            weight, transverse = self._stages[layer % len(self._stages)]
-            chi = self._apply_blocks(pair[:rows], self._inverse[transverse])
-            g[:rows] += weight * (chi[:, 1].conj() * chi[:, 0])
-            pair[:rows] = back[weight][:rows] * chi
+        g = outer * self.bras * psi
+        # row b holds the conjugates of [state, bra as a ket], walked back one layer at a time
+        pair = np.stack([last.conj(), phases[outer] * self.bras], axis=1)
+        for rows in reversed(self._step_rows):
+            for weight, transverse in reversed(self._stages):
+                chi = self._apply_blocks(pair[:rows], self._transverse[transverse])
+                g[:rows] += weight * (chi[:, 1] * chi[:, 0].conj())
+                pair[:rows] = phases[weight][:rows, None] * chi
+        g -= outer * (pair[:, 1] * pair[:, 0].conj())
         weights = overlaps.conj() * (-1j * self.steps)
         return -2.0 * np.real((weights @ g) @ self.columns) / self.batch_size
 

@@ -10,13 +10,19 @@ import pytest
 
 from qgrnn.ansatz import coupling_columns, layer_count, transverse_layer_matrix
 from qgrnn.ising import complete_pairs
-from qgrnn.statevector import _check_qubit, rx_matrix
+from qgrnn.statevector import _check_qubit
 from qgrnn.training import fidelity_direct
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 IDENTITY = np.eye(2)
 HERMITIAN_TOL = 1e-10
+
+
+def rx_matrix(theta: float) -> np.ndarray:
+    """RX(theta) = exp(-i theta X / 2)."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
 
 
 def kron_operator(n: int, site_mats: dict[int, np.ndarray]) -> np.ndarray:
@@ -221,7 +227,7 @@ SUZUKI_STAGES = (SUZUKI_P, SUZUKI_P, 1.0 - 4.0 * SUZUKI_P, SUZUKI_P, SUZUKI_P)
 
 
 def apply_suzuki_qgrnn(state: np.ndarray, coefficients, t: float, delta: float) -> np.ndarray:
-    """Apply K = round(t/(5 delta)) fourth-order Suzuki steps of t/K, gate by gate: the circuit training fits.
+    """Apply K = round(t/(5 delta)) fourth-order Suzuki steps of t/K, gate by gate: for comparisons.
 
     Each step is five layers of apply_strang_layer's gates whose steps are the
     stage weights (p, p, 1 - 4p, p, p) times t/K, the middle one negative.
@@ -235,11 +241,41 @@ def apply_suzuki_qgrnn(state: np.ndarray, coefficients, t: float, delta: float) 
     return psi
 
 
-def batch_cost(coefficients, initial, samples, delta: float, circuit=apply_suzuki_qgrnn) -> float:
+# Blanes & Moan's sixth-order splitting S10 (J. Comput. Appl. Math. 142, 313, 2002),
+# typed from the paper: a1..a5 and b1..b4, then a6 and b5 that make each set sum to 1
+S10_A = (0.0502627644003922, 0.413514300428344, 0.0450798897943977, -0.188054853819569,
+         0.541960678450780)
+S10_B = (0.148816447901042, -0.132385865767784, 0.067307604692185, 0.432666402578175)
+# the steps of the eleven diagonal and ten transverse stages of one step, as fractions of it
+S10_DIAGONAL = S10_A + (1 - 2 * sum(S10_A),) + S10_A[::-1]
+S10_TRANSVERSE = S10_B + (0.5 - sum(S10_B),) * 2 + S10_B[::-1]
+
+
+def apply_s10_qgrnn(state: np.ndarray, coefficients, t: float, delta: float) -> np.ndarray:
+    """Apply K = round(t/(10 delta)) sixth-order S10 steps of t/K, gate by gate: the circuit training fits.
+
+    Each step is the diagonal gates of apply_trotter_layer at step a_1 d, the
+    RX gates at step b_1 d, the diagonal gates at a_2 d, and so on to b_10 d
+    and a_11 d, with no merging of the outer stages of adjacent steps.
+    """
+    n = _qubits(state)
+    coefficients = checked_coefficients(n, coefficients)
+    steps = layer_count(t, len(S10_TRANSVERSE) * delta)
+    d = t / steps
+    psi = state
+    for _ in range(steps):
+        for a, b in zip(S10_DIAGONAL, S10_TRANSVERSE):
+            psi = _rx_all(_diagonal_gates(psi, coefficients, a * d), n, 2.0 * b * d)
+        psi = _diagonal_gates(psi, coefficients, S10_DIAGONAL[-1] * d)
+    return psi
+
+
+def batch_cost(coefficients, initial, samples, delta: float, circuit=apply_s10_qgrnn) -> float:
     """Average negative fidelity between the samples and the circuit outputs, one circuit per sample.
 
-    The reference for CostEvaluator.cost; ``circuit=apply_strang_qgrnn`` gives
-    the second-order cost and ``circuit=apply_qgrnn`` the first-order one.
+    The reference for CostEvaluator.cost; ``circuit=apply_suzuki_qgrnn`` gives
+    the fourth-order cost, ``circuit=apply_strang_qgrnn`` the second-order one
+    and ``circuit=apply_qgrnn`` the first-order one.
     """
     if not samples:
         raise ValueError("sample batch is empty")

@@ -1,16 +1,27 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from qgrnn.ansatz import coupling_columns, layer_count
+from qgrnn.ansatz import (
+    DIAGONAL_WEIGHTS,
+    TRANSVERSE_WEIGHTS,
+    coupling_columns,
+    layer_count,
+    transverse_layer_matrix,
+)
 from qgrnn.ising import hamiltonian_diagonal, random_complete_graph, sample_evolution
 from qgrnn.statevector import random_state
 from qgrnn.training import TrainConfig, train_qgrnn
 
 from conftest import (
+    S10_DIAGONAL,
+    S10_TRANSVERSE,
     SUZUKI_STAGES,
     apply_qgrnn,
     apply_rx,
+    apply_s10_qgrnn,
     apply_strang_layer,
     apply_strang_qgrnn,
     apply_suzuki_qgrnn,
@@ -18,6 +29,7 @@ from conftest import (
     eigh_evolve,
     fidelity,
     kron_hamiltonian,
+    rx_matrix,
     split_diagonal_transverse,
 )
 
@@ -194,6 +206,77 @@ class TestApplySuzukiQgrnn:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_suzuki_qgrnn(random_state(2, 0), random_params(3, 0), 0.1, 0.01)
+
+
+class TestApplyS10Qgrnn:
+    def test_weights_are_the_papers(self):
+        # each set of weights is symmetric and sums to 1; the package's equal the
+        # ones typed from Blanes & Moan in the oracle
+        for weights in (S10_DIAGONAL, S10_TRANSVERSE):
+            assert abs(sum(weights) - 1.0) <= 1e-15
+            assert weights == weights[::-1]
+        assert (len(S10_DIAGONAL), len(S10_TRANSVERSE)) == (11, 10)
+        assert DIAGONAL_WEIGHTS == S10_DIAGONAL
+        assert TRANSVERSE_WEIGHTS == S10_TRANSVERSE
+
+    def test_one_step_matches_matrix_exponential_oracle(self):
+        # P(a1 d) T(b1 d) P(a2 d) ... T(b10 d) P(a11 d), some of the steps backwards
+        params = random_params(3, 6)
+        state = random_state(3, 7)
+        d = 0.1
+        diagonal, transverse = split_diagonal_transverse(kron_hamiltonian(3, params))
+        expected = scipy.linalg.expm(-1j * S10_DIAGONAL[0] * d * diagonal) @ state
+        for a, b in zip(S10_DIAGONAL[1:], S10_TRANSVERSE):
+            expected = scipy.linalg.expm(-1j * b * d * transverse) @ expected
+            expected = scipy.linalg.expm(-1j * a * d * diagonal) @ expected
+        assert min(S10_DIAGONAL) < 0 and min(S10_TRANSVERSE) < 0
+        out = apply_s10_qgrnn(state, params, d, d / 10)
+        assert np.max(np.abs(out - expected)) <= 1e-12
+
+    def test_error_falls_64x_when_delta_halves(self):
+        # t = 0.5 is a multiple of 10 delta for both steps, so the step halves
+        # exactly (5 and 10 steps); measured 7.3e-8 -> 1.1e-9, 64.9x
+        rng = np.random.default_rng(14)
+        params = random_complete_graph(rng.uniform(0, 5, 4), rng)
+        state = random_state(4, 15)
+        exact = eigh_evolve(params, state, 0.5)
+        errors = [
+            np.linalg.norm(apply_s10_qgrnn(state, params, 0.5, delta) - exact)
+            for delta in (0.01, 0.005)
+        ]
+        assert 60.0 <= errors[0] / errors[1] <= 68.0
+
+    def test_beats_suzuki_at_the_same_layer_count(self):
+        # 50 diagonal layers each at delta = 0.01: 5 S10 steps against 10 Suzuki
+        # steps; measured 5.1e-6 against 7.3e-8, 70.8x
+        rng = np.random.default_rng(14)
+        params = random_complete_graph(rng.uniform(0, 5, 4), rng)
+        state = random_state(4, 15)
+        exact = eigh_evolve(params, state, 0.5)
+        sixth = np.linalg.norm(apply_s10_qgrnn(state, params, 0.5, 0.01) - exact)
+        fourth = np.linalg.norm(apply_suzuki_qgrnn(state, params, 0.5, 0.01) - exact)
+        assert fourth / sixth >= 50.0
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            apply_s10_qgrnn(random_state(2, 0), random_params(3, 0), 0.1, 0.01)
+
+
+class TestTransverseLayerMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_product_of_rotations(self, n):
+        steps = np.array([0.0, 0.013, -0.4, 1.7])
+        stacked = transverse_layer_matrix(n, steps)
+        assert stacked.shape == (4, 2**n, 2**n)
+        for step, matrix in zip(steps, stacked):
+            expected = reduce(np.kron, [rx_matrix(2.0 * step)] * n)
+            assert np.max(np.abs(transverse_layer_matrix(n, step) - expected)) <= 1e-15
+            assert np.max(np.abs(matrix - expected)) <= 1e-15
+
+    def test_is_the_exponential_of_the_transverse_field(self):
+        _, transverse = split_diagonal_transverse(kron_hamiltonian(3, np.zeros(6)))
+        expected = scipy.linalg.expm(-0.3j * transverse)
+        assert np.max(np.abs(transverse_layer_matrix(3, 0.3) - expected)) <= 1e-14
 
 
 class TestTrotterConvergence:

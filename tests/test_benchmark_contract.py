@@ -36,7 +36,8 @@ def test_layer_count_matches_the_traced_depth():
     # benchmarks/trace_layers.py counts the layers of an evaluator as the sum of
     # layer_count(t, delta) over its samples, the work per epoch that
     # training.layer_column_products reports; the circuit's rounding to whole
-    # fourth-order steps may move each row by at most 4 layers
+    # sixth-order steps of ten layers may move each row by up to 5 layers, and
+    # the sum stays within 4 layers a row
     rng = np.random.default_rng(1)
     config = training.TrainConfig(seed=0, batch_size=15)
     _, initial, samples = pipeline.embed_and_sample(rng.uniform(-4.0, 5.0, 4), config)

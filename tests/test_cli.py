@@ -64,6 +64,13 @@ class TestConfigValidation:
         assert hide(dict_file, tmp_path / "out", "--config", str(config)) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_config_that_is_not_json_names_the_file(self, tmp_path, dict_file, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text("{")
+        assert hide(dict_file, tmp_path / "out", "--config", str(config)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}: Expecting property name")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "flags, field",
         [

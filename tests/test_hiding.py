@@ -62,7 +62,8 @@ class TestWideRegister:
     def test_eight_word_reveal_reaches_the_trotter_floor_in_60_epochs(self, dictionary):
         # one attempt of 60 epochs, as in the wide-register benchmark workload;
         # Adam alone ended at MSE 8.3e-5 and the second-order circuit at its
-        # Trotter-bias floor of 1.7e-9; the fourth-order circuit reaches 2.4e-12
+        # Trotter-bias floor of 1.7e-9; the fourth-order circuit reached 2.4e-12
+        # and the sixth-order one reaches 4.6e-15
         words = "juliet india hotel golf foxtrot echo delta charlie".split()
         archive = encode_message(words, dictionary, TrainConfig(seed=1), created="fixed")
         result = reveal_message(archive, dictionary, TrainConfig(seed=1, epochs=60, restarts=1))
@@ -72,7 +73,7 @@ class TestWideRegister:
 
     def test_single_precision_archive_on_disk_reaches_the_same_floor(self, dictionary, tmp_path):
         # the same reveal through save_archive and load_archive: the complex64
-        # carrier's rounding lies far below the fourth-order Trotter floor
+        # carrier's rounding keeps the MSE near the in-memory 4.6e-15 (5.2e-15)
         words = "juliet india hotel golf foxtrot echo delta charlie".split()
         save_archive(encode_message(words, dictionary, TrainConfig(seed=1), created="fixed"),
                      tmp_path / "archive.json")
@@ -81,6 +82,25 @@ class TestWideRegister:
         truth = np.array([dictionary.value_of(w) for w in words])
         assert result.words == tuple(words)
         assert np.mean((result.learned_values - truth) ** 2) <= 1e-10
+
+
+class TestNodeErrorThroughTheArchive:
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(2, "juliet alpha golf"), (6, "hotel delta golf"), (7, "delta india alpha juliet charlie")],
+    )
+    def test_node_error_fits_a_million_word_dictionary(self, dictionary, tmp_path, seed, message):
+        # half the spacing of 10^6 words over [-4, 5] is 4.5e-6; the fourth-order
+        # circuit's Trotter bias left 6.9e-6, 4.6e-6 and 9.3e-6 here, the
+        # sixth-order one 1.0e-7, 7.6e-9 and 3.3e-7
+        words = message.split()
+        save_archive(encode_message(words, dictionary, TrainConfig(seed=seed), created="fixed"),
+                     tmp_path / "archive.json")
+        result = reveal_message(load_archive(tmp_path / "archive.json"), dictionary,
+                                TrainConfig(seed=seed))
+        truth = np.array([dictionary.value_of(w) for w in words])
+        assert result.attempts == 1
+        assert np.max(np.abs(result.learned_values - truth)) <= 1e-6
 
 
 def valid_payload(dictionary, tmp_path):

@@ -46,6 +46,13 @@ class TestStateVector:
         with pytest.raises(ValueError):
             basis_state(0)
 
+    @pytest.mark.parametrize("index", [-1, 4, 5])
+    def test_basis_index_must_lie_in_the_register(self, index):
+        # -1 would wrap to |3>, and 4 is past the end of a 2-qubit register
+        with pytest.raises(ValueError, match=f"basis index {index} out of range for a 2-qubit"):
+            basis_state(2, index)
+        assert basis_state(2, 3)[3] == 1.0
+
     def test_amplitudes_read_only(self):
         for state in (basis_state(2), random_state(2, 0), checked_state([0.6, 0.8j])):
             assert state.dtype == np.complex128

@@ -20,7 +20,7 @@ from qgrnn.training import (
 
 from conftest import (
     apply_qgrnn,
-    apply_suzuki_qgrnn,
+    apply_s10_qgrnn,
     batch_cost,
     grad_central,
     grad_richardson,
@@ -134,7 +134,7 @@ class TestBatchCost:
     def test_zero_for_orthogonal_sample(self):
         params = np.zeros(3)
         initial = random_state(2, 5)
-        evolved = apply_suzuki_qgrnn(initial, params, 0.3, 0.01)
+        evolved = apply_s10_qgrnn(initial, params, 0.3, 0.01)
         # build a sample state orthogonal to the circuit output
         other = random_state_array(np.random.default_rng(6), 2)
         other -= np.vdot(evolved, other) * evolved
@@ -230,8 +230,8 @@ class TestAdjointKernel:
         "times", [(0.31, 0.012, 0.47, 0.137), (0.26,)], ids=["mixed-depths", "one-sample"]
     )
     def test_matches_references(self, n, times):
-        # the mixed batch has depths 31, 1, 47 and 14 at delta 0.01: unsorted, and
-        # every row but the deepest starts late
+        # the mixed batch has depths 30, 10, 50 and 10 at delta 0.01 (3, 1, 5 and 1
+        # steps of ten layers): unsorted, and every row but the deepest starts late
         rng = np.random.default_rng(30 + n)
         coefficients = random_complete_graph(rng.uniform(-4, 5, n), rng)
         initial = random_state(n, 40 + n)
@@ -303,17 +303,19 @@ class TestAdamStep:
 
 class TestSplittingOrder:
     def test_learned_error_falls_with_the_order(self):
-        # the error of the learned coefficients at delta and delta/2: about 16x
-        # lower for the fourth-order circuit training fits, 2x for first order
+        # the error of the learned coefficients at delta and delta/2: about 64x
+        # lower for the sixth-order circuit training fits, 2x for first order.
+        # The times are multiples of 10 delta, so every row's step count doubles
+        # exactly (K = 1, 2 -> 2, 4); with two distinct times the short-time
+        # slope cannot be fitted, so both fits start from the truth
         rng = np.random.default_rng(2)
         truth = random_complete_graph(rng.uniform(0, 5, 3), rng)
         initial = random_state(3, 102)
-        samples = sample_evolution(truth, initial, draw_times(15, 0.5, rng))
-        start = linear_inversion_start(initial, samples)
-        fourth, first = [], []
-        for delta in (0.05, 0.025):
-            result = train_qgrnn(initial, samples, TrainConfig(trotter_delta=delta), start=start)
-            fourth.append(np.max(np.abs(result.learned_params - truth)))
+        samples = sample_evolution(truth, initial, np.resize([0.25, 0.5], 15))
+        sixth, first = [], []
+        for delta in (0.025, 0.0125):
+            result = train_qgrnn(initial, samples, TrainConfig(trotter_delta=delta), start=truth)
+            sixth.append(np.max(np.abs(result.learned_params - truth)))
 
             def first_order_cost(flat):
                 return batch_cost(flat, initial, samples, delta, circuit=apply_qgrnn)
@@ -321,8 +323,8 @@ class TestSplittingOrder:
             fit = scipy.optimize.minimize(first_order_cost, truth, method="BFGS")
             assert fit.success
             first.append(np.max(np.abs(fit.x - truth)))
-        # measured: 8.3e-3 -> 4.8e-4 (17.2x) and 8.2e-2 -> 3.8e-2 (2.1x)
-        assert 13.6 <= fourth[0] / fourth[1] <= 18.4
+        # measured: 1.1e-5 -> 1.6e-7 (67.4x) and 4.3e-2 -> 2.1e-2 (2.0x)
+        assert 54.4 <= sixth[0] / sixth[1] <= 73.6
         assert 1.7 <= first[0] / first[1] <= 2.6
 
 
