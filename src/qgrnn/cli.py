@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +39,9 @@ from .pipeline import DEFAULT_IRIS_ROWS, reconstruct_sample
 from .training import TrainConfig
 
 # Every TrainConfig field is an option, with its type and default, except the
-# seed, which the commands derive from their master seed, and fd_step, which
-# only the benchmark reads. TrainConfig checks their values.
-TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name not in ("seed", "fd_step"))
+# seed, which the commands derive from their master seed. TrainConfig checks
+# their values.
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 
 COMMON_DEFAULTS = {"seed": 0, **{key: getattr(TrainConfig(), key) for key in TRAIN_KEYS}}
 
@@ -156,15 +156,17 @@ def _load_scaled_dataset(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sample_indices(cfg: dict, sample_count: int) -> list[int]:
+    """The rows to reconstruct, each checked against the dataset's ``sample_count`` rows."""
     if cfg["samples"] is None:
-        return list(DEFAULT_IRIS_ROWS) if cfg["dataset"] == "iris" else list(range(10))
-    try:
-        indices = [int(s) for s in _split(cfg["samples"])]
-    except ValueError as exc:
-        raise ValueError(f"--samples: {exc}") from None
+        indices = list(DEFAULT_IRIS_ROWS) if cfg["dataset"] == "iris" else list(range(10))
+    else:
+        try:
+            indices = [int(s) for s in _split(cfg["samples"])]
+        except ValueError as exc:
+            raise ValueError(f"--samples: {exc}") from None
     bad = [i for i in indices if not 0 <= i < sample_count]
     if bad:
-        raise ValueError(f"--samples: sample indices out of range: {bad}")
+        raise ValueError(f"--samples: sample indices out of range: {bad} for {sample_count} rows")
     return indices
 
 
@@ -172,10 +174,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     cfg, config, out = _start(args, {**COMMON_DEFAULTS, **DATASET_DEFAULTS})
     features, _ = _load_scaled_dataset(cfg)
     indices = _sample_indices(cfg, features.shape[0])
-    if config.node_init_low is None and config.node_init_high is None:
-        # node weights live in the scaling range; start the search there
-        cfg["node_init_low"], cfg["node_init_high"] = cfg["scale_lo"], cfg["scale_hi"]
-        config = replace(config, node_init_low=cfg["scale_lo"], node_init_high=cfg["scale_hi"])
+    # node weights live in the scaling range; the restarts search there
+    node_range = (cfg["scale_lo"], cfg["scale_hi"])
     cfg["samples"] = ",".join(str(i) for i in indices)
     cfg["sample_seeds"] = {
         str(i): seeding.derive_seed(cfg["seed"], seeding.RECONSTRUCT_SAMPLE, i) for i in indices
@@ -184,7 +184,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
     for i in indices:
         sample_seed = cfg["sample_seeds"][str(i)]
-        outcome = reconstruct_sample(features[i], config.with_seed(sample_seed))
+        outcome = reconstruct_sample(features[i], config.with_seed(sample_seed), node_range)
         sample_dir = out / f"sample_{i:05d}"
         sample_dir.mkdir(exist_ok=True)
         _json_dump(
@@ -266,6 +266,9 @@ def cmd_reveal(args: argparse.Namespace) -> int:
     cfg, config, out = _start(args, COMMON_DEFAULTS)
     dictionary = load_dictionary(args.dict)
     archive = load_archive(args.archive)
+    truth = None if args.truth is None else args.truth.split()
+    if truth is not None and len(truth) != archive.node_count:
+        raise ValueError(f"--truth has {len(truth)} words, the archive hides {archive.node_count}")
     # written before the fit, so an --out that cannot be made fails at once
     _json_dump(
         {"command": "reveal", "archive": str(args.archive), "dict": str(args.dict), **cfg},
@@ -281,8 +284,8 @@ def cmd_reveal(args: argparse.Namespace) -> int:
     print("message:", " ".join(result.words))
     for word, value, dist in zip(result.words, result.learned_values, result.snap_distances):
         print(f"  {word}: learned={value:.4f} snap_distance={dist:.4f}")
-    if args.truth is not None:
-        accuracy = retrieval_accuracy(args.truth.split(), result.words)
+    if truth is not None:
+        accuracy = retrieval_accuracy(truth, result.words)
         payload["accuracy"] = accuracy
         print(f"accuracy: {accuracy:.2f}%")
     _json_dump(payload, out / "reveal.json")

@@ -14,7 +14,7 @@ import binascii
 import json
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -73,15 +73,15 @@ class Dictionary:
         return idx, float(distances[idx])
 
 
-def build_dictionary(words, lo: float = DICTIONARY_LO, hi: float = DICTIONARY_HI) -> Dictionary:
+def build_dictionary(words) -> Dictionary:
+    """The words in order, with code values spread evenly over [DICTIONARY_LO, DICTIONARY_HI]."""
     words = tuple(words)
     if len(words) < 2:
         raise ValueError("dictionary needs at least 2 words")
     if len(set(words)) != len(words):
         raise ValueError("dictionary words must be unique")
-    if hi <= lo:
-        raise ValueError(f"require hi > lo, got lo={lo}, hi={hi}")
-    return Dictionary(words, lo, hi, np.linspace(lo, hi, len(words)))
+    values = np.linspace(DICTIONARY_LO, DICTIONARY_HI, len(words))
+    return Dictionary(words, DICTIONARY_LO, DICTIONARY_HI, values)
 
 
 def load_dictionary(path) -> Dictionary:
@@ -298,13 +298,12 @@ def reveal_message(archive: StateArchive, dictionary: Dictionary, config: TrainC
     """Relearn the node weights from the archived states and snap them to words.
 
     Training starts from the linear inversion of the archived states. The
-    fallback attempts of ``pipeline.learn_from_states`` draw node parameters
-    over the dictionary range unless the config pins its own range, since
-    the hidden values span that range.
+    fallback attempts of ``pipeline.learn_from_states`` draw the node
+    weights over the dictionary's range, which the hidden values span.
     """
-    if config.node_init_low is None and config.node_init_high is None:
-        config = replace(config, node_init_low=dictionary.lo, node_init_high=dictionary.hi)
-    result, attempts = learn_from_states(archive.initial_state, list(archive.samples), config)
+    result, attempts = learn_from_states(
+        archive.initial_state, list(archive.samples), config, (dictionary.lo, dictionary.hi)
+    )
     learned = result.learned_params[-archive.node_count :]
     snapped = [dictionary.snap(v) for v in learned]
     return RevealResult(

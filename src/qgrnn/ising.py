@@ -35,17 +35,15 @@ def complete_pairs(node_count: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(node_count) for j in range(i + 1, node_count)]
 
 
-def random_complete_graph(
-    node_weights, rng: np.random.Generator, low: float = -1.0, high: float = 1.0
-) -> np.ndarray:
-    """Coefficients of a complete graph: uniform random couplings, then ``node_weights``.
+def random_complete_graph(node_weights, rng: np.random.Generator) -> np.ndarray:
+    """Coefficients of a complete graph: couplings uniform on [-1, 1), then ``node_weights``.
 
     The n(n-1)/2 couplings are one draw from ``rng``, bit-equal to one scalar
     draw per pair in ``complete_pairs`` order.
     """
     weights = np.asarray(node_weights, dtype=np.float64)
     n = weights.size
-    return np.concatenate([rng.uniform(low, high, n * (n - 1) // 2), weights])
+    return np.concatenate([rng.uniform(-1.0, 1.0, n * (n - 1) // 2), weights])
 
 
 @dataclass(frozen=True)

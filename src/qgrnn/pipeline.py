@@ -9,7 +9,7 @@ from . import seeding
 from .ising import TimeEvolvedSample, draw_times, random_complete_graph, sample_evolution
 from .metrics import MetricReport, evaluate
 from .statevector import random_state
-from .training import TrainConfig, TrainResult, linear_inversion_start, train_qgrnn
+from .training import TrainConfig, TrainResult, initial_params, linear_inversion_start, train_qgrnn
 
 ACCEPT_COST = -0.99
 # Largest register accepted from user data. At 14 qubits the largest arrays are
@@ -52,23 +52,26 @@ def learn_from_states(
     initial,
     samples: list[TimeEvolvedSample],
     config: TrainConfig,
+    node_range: tuple[float, float],
     accept_cost: float = ACCEPT_COST,
 ) -> tuple[TrainResult, int]:
     """Train from the linear-inversion warm start, then from random draws until the fit converges.
 
     The first attempt starts from ``linear_inversion_start`` of the samples.
-    Fallback attempt r = 1 .. config.restarts - 1 draws its initial
-    parameters over the config's init ranges, from a seed derived from
-    (config.seed, r). The first result whose final cost reaches
-    ``accept_cost`` wins, otherwise the lowest-cost attempt is returned.
-    Returns (result, attempts used).
+    Fallback attempt r = 1 .. config.restarts - 1 starts from
+    ``initial_params`` seeded by (config.seed, r), with the node weights
+    drawn over ``node_range``, where the caller's embedding puts them. The
+    first result whose final cost reaches ``accept_cost`` wins, otherwise
+    the lowest-cost attempt is returned. Returns (result, attempts used).
     """
     best = train_qgrnn(initial, samples, config, start=linear_inversion_start(initial, samples))
+    node_count = np.size(initial).bit_length() - 1
     for attempt in range(1, config.restarts):
         if best.final_cost <= accept_cost:
             return best, attempt
         seed = seeding.derive_seed(config.seed, seeding.RESTART, attempt)
-        result = train_qgrnn(initial, samples, config.with_seed(seed))
+        start = initial_params(node_count, seed, node_range)
+        result = train_qgrnn(initial, samples, config, start=start)
         if result.final_cost < best.final_cost:
             best = result
     return best, config.restarts
@@ -86,11 +89,17 @@ class ReconstructionResult:
     target: np.ndarray
 
 
-def reconstruct_sample(features_row, config: TrainConfig) -> ReconstructionResult:
-    """Embed one feature vector as node weights, then recover it from the evolved states."""
+def reconstruct_sample(
+    features_row, config: TrainConfig, node_range: tuple[float, float]
+) -> ReconstructionResult:
+    """Embed one feature vector as node weights, then recover it from the evolved states.
+
+    ``node_range`` is the range the features were scaled onto; the random
+    restarts of ``learn_from_states`` search the node weights there.
+    """
     actual = np.asarray(features_row, dtype=np.float64)
     target, initial, samples = embed_and_sample(actual, config)
-    result, attempts = learn_from_states(initial, samples, config)
+    result, attempts = learn_from_states(initial, samples, config, node_range)
     predicted = result.learned_params[-actual.size :]
     return ReconstructionResult(
         actual=actual,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,20 +46,21 @@ TRANSVERSE_BLOCK_QUBITS = 4
 ARMIJO_C1 = 1e-4
 MAX_HALVINGS = 20
 FLOAT_EPS = float(np.finfo(np.float64).eps)
+# Adam's moment decays and denominator guard (Kingma & Ba's defaults), and the
+# peak of its step size, which train_qgrnn anneals over the Adam phase.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+LEARNING_RATE = 0.5
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters plus seeded artifact choices.
+    """The training options a caller sets, plus the seed of every stream.
 
-    The first training attempt starts from the linear inversion of the
-    samples, so ``init_low/high`` and ``node_init_low/high`` shape only the
-    random draws of the fallback restarts. ``node_init_low/high`` default to
-    the shared init range; pipelines that know the embedding range of the
-    node weights set them to that range, which is where the fallback draws
-    then search. Every field is type- and range-checked on construction,
-    and ``t_max`` may need at most ``MAX_LAYERS`` layers of ``trotter_delta``,
-    so a run that could not finish fails before any data is generated.
+    Every field is type- and range-checked on construction, and ``t_max``
+    may need at most ``MAX_LAYERS`` layers of ``trotter_delta``, so a run
+    that could not finish fails before any data is generated.
 
     ``trotter_delta`` is the mean step of a layer: a sample at time t runs
     K = ``layer_count(t, 10 trotter_delta)`` sixth-order steps of t/K, each
@@ -67,35 +69,28 @@ class TrainConfig:
 
     ``epochs`` is a budget: ``train_qgrnn`` runs Adam for the first
     ceil(epochs / 3) of them and BFGS for at most the rest, and it stops
-    early once BFGS can lower the cost no further. ``learning_rate`` and
-    ``adam_*`` shape the Adam phase only: ``learning_rate`` is the peak of
-    Adam's step size, annealed over that phase on a half cosine, from
-    ``learning_rate`` at its first epoch towards 0 at its last.
+    early once BFGS can lower the cost no further.
 
     ``restarts`` caps the attempts of ``pipeline.learn_from_states``: the
     warm-started one, then random draws until a fit is accepted.
 
-    ``fd_step`` is not used by training, whose gradient is exact. It stays
-    because the benchmark's kernel scan passes it to
-    ``CostEvaluator.gradient``.
-
     ``seed`` must be >= 0, as every stream derives from it.
+
+    The class constants are not options. ``init_low`` and ``init_high``
+    bound the couplings of a random start (``initial_params``). ``fd_step``
+    is not used by training, whose gradient is exact; the benchmark's
+    kernel scan passes it to ``CostEvaluator.gradient``.
     """
 
+    init_low: ClassVar[float] = -1.0
+    init_high: ClassVar[float] = 1.0
+    fd_step: ClassVar[float] = 1e-3
+
     batch_size: int = 15
-    learning_rate: float = 0.5
     epochs: int = 150
     trotter_delta: float = 0.01
     t_max: float = 0.5
-    fd_step: float = 1e-3
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    init_low: float = -1.0
-    init_high: float = 1.0
-    node_init_low: float | None = None
-    node_init_high: float | None = None
     restarts: int = 10
 
     def __post_init__(self):
@@ -104,20 +99,16 @@ class TrainConfig:
             if f.type == "int":
                 if not isinstance(value, Integral) or isinstance(value, bool):
                     raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            elif not (value is None and f.type == "float | None"):
-                if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
-                    raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            elif not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("batch_size", "epochs", "restarts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        for name in ("learning_rate", "trotter_delta", "t_max", "fd_step", "adam_epsilon"):
+        for name in ("trotter_delta", "t_max"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1)")
         # t_max / trotter_delta can overflow to inf, which layer_count cannot round
         if math.isinf(self.t_max / self.trotter_delta) or (
             layer_count(self.t_max, self.trotter_delta) > MAX_LAYERS
@@ -126,17 +117,6 @@ class TrainConfig:
                 f"t_max {self.t_max:g} needs more than {MAX_LAYERS} layers of step "
                 f"{self.trotter_delta:g}"
             )
-        if self.init_low >= self.init_high:
-            raise ValueError("init_low must be < init_high")
-        low, high = self.node_init_range
-        if low >= high:
-            raise ValueError(f"node init range must have low < high, got [{low}, {high}]")
-
-    @property
-    def node_init_range(self) -> tuple[float, float]:
-        low = self.init_low if self.node_init_low is None else self.node_init_low
-        high = self.init_high if self.node_init_high is None else self.node_init_high
-        return low, high
 
     def with_seed(self, seed: int) -> "TrainConfig":
         return replace(self, seed=seed)
@@ -366,32 +346,29 @@ class AdamState:
 
 
 def adam_step(
-    state: AdamState,
-    params_flat: np.ndarray,
-    grads: np.ndarray,
-    config: TrainConfig,
-    rate: float | None = None,
+    state: AdamState, params_flat: np.ndarray, grads: np.ndarray, rate: float
 ) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam update of step size ``rate``, by default ``config.learning_rate``."""
+    """One bias-corrected Adam update of step size ``rate``."""
     if params_flat.shape != grads.shape:
         raise ValueError(f"shape mismatch: params {params_flat.shape} vs grads {grads.shape}")
-    b1, b2 = config.adam_beta1, config.adam_beta2
     t = state.step_count + 1
-    m = b1 * state.m + (1 - b1) * grads
-    v = b2 * state.v + (1 - b2) * grads**2
-    m_hat = m / (1 - b1**t)
-    v_hat = v / (1 - b2**t)
-    if rate is None:
-        rate = config.learning_rate
-    updated = params_flat - rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+    m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grads**2
+    m_hat = m / (1 - ADAM_BETA1**t)
+    v_hat = v / (1 - ADAM_BETA2**t)
+    updated = params_flat - rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return AdamState(m, v, t), updated
 
 
-def initial_params(node_count: int, config: TrainConfig) -> np.ndarray:
-    """Seeded uniform draw of the coefficients: the couplings, then the node weights."""
-    rng = seeding.derive_rng(config.seed, seeding.PARAM_INIT)
-    couplings = rng.uniform(config.init_low, config.init_high, node_count * (node_count - 1) // 2)
-    return np.concatenate([couplings, rng.uniform(*config.node_init_range, node_count)])
+def initial_params(node_count: int, seed: int, node_range: tuple[float, float]) -> np.ndarray:
+    """Seeded uniform draw of the coefficients: the couplings, then the node weights.
+
+    The couplings span ``TrainConfig.init_low`` to ``init_high``, the node weights ``node_range``.
+    """
+    rng = seeding.derive_rng(seed, seeding.PARAM_INIT)
+    pairs = node_count * (node_count - 1) // 2
+    couplings = rng.uniform(TrainConfig.init_low, TrainConfig.init_high, pairs)
+    return np.concatenate([couplings, rng.uniform(*node_range, node_count)])
 
 
 def linear_inversion_start(initial, samples: list[TimeEvolvedSample]) -> np.ndarray:
@@ -484,8 +461,8 @@ def train_qgrnn(
 
     The Adam phase runs the first A = ceil(E / 3) of the E epochs: epoch e
     takes a gradient and an Adam step of size
-    ``learning_rate * (1 + cos(pi (e - 1) / A)) / 2``, the full
-    ``learning_rate`` first, then a half cosine towards 0. It carries a
+    ``LEARNING_RATE * (1 + cos(pi (e - 1) / A)) / 2``, the full
+    ``LEARNING_RATE`` first, then a half cosine towards 0. It carries a
     random start into a basin. The BFGS phase (``_bfgs_phase``) then runs
     for at most E - A epochs and converges superlinearly inside the basin;
     it stops early, with ``stop_reason`` ``"converged"``, once no step can
@@ -493,15 +470,16 @@ def train_qgrnn(
     ``"epochs"``.
 
     Training starts from the flat vector ``start`` when given, otherwise from
-    the seeded draw of ``initial_params``. The history has one
-    (epoch, cost) row per epoch run, numbered 1..k with k <= E, each cost
-    evaluated at the parameters that epoch produced, so the last row equals
-    ``final_cost`` at the learned parameters. Deterministic given the start,
-    or the config seed when no start is given.
+    the seeded draw of ``initial_params``, with the node weights over the
+    couplings' range. The history has one (epoch, cost) row per epoch run,
+    numbered 1..k with k <= E, each cost evaluated at the parameters that
+    epoch produced, so the last row equals ``final_cost`` at the learned
+    parameters. Deterministic given the start, or the config seed when no
+    start is given.
     """
     evaluator = CostEvaluator(initial, samples, config.trotter_delta)
     if start is None:
-        params = initial_params(evaluator.node_count, config)
+        params = initial_params(evaluator.node_count, config.seed, (config.init_low, config.init_high))
     else:
         params = np.array(start, dtype=np.float64)
         if params.shape != (evaluator.param_count,):
@@ -513,8 +491,8 @@ def train_qgrnn(
     history: list[tuple[int, float]] = []
     for epoch in range(1, adam_epochs + 1):
         grads = evaluator.gradient(params)
-        rate = config.learning_rate * (1 + math.cos(math.pi * (epoch - 1) / adam_epochs)) / 2
-        opt, params = adam_step(opt, params, grads, config, rate)
+        rate = LEARNING_RATE * (1 + math.cos(math.pi * (epoch - 1) / adam_epochs)) / 2
+        opt, params = adam_step(opt, params, grads, rate)
         history.append((epoch, evaluator.cost(params)))
     params, stop_reason = _bfgs_phase(
         evaluator, params, history[-1][1], config.epochs - adam_epochs, history

@@ -6,6 +6,7 @@ from dataclasses import fields
 import pytest
 
 from qgrnn import cli
+from qgrnn.datasets import bundled_iris_path
 from qgrnn.pipeline import embed_and_sample
 from qgrnn.training import TrainConfig
 
@@ -21,7 +22,10 @@ def dict_file(tmp_path):
 
 COMMANDS = ("reconstruct", "classify", "hide", "reveal")
 # the TrainConfig fields that are options of every command
-OPTION_FIELDS = [f for f in fields(TrainConfig) if f.name not in ("seed", "fd_step")]
+OPTION_FIELDS = [f for f in fields(TrainConfig) if f.name != "seed"]
+# former options, now constants or taken from the embedding: neither flags nor config keys
+REMOVED_OPTIONS = ("learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon",
+                   "init_low", "init_high", "node_init_low", "node_init_high", "fd_step")
 
 
 def required_args(command, tmp_path, dict_file):
@@ -45,10 +49,14 @@ class TestConfigValidation:
         [
             ({"epochs": "5"}, "epochs"),
             ({"epochs": 2.5}, "epochs"),
+            # no longer an option: an unknown key, which the error names
             ({"learning_rate": "fast"}, "learning_rate"),
             ({"restarts": None}, "restarts"),
             ({"seed": True}, "seed"),
+            # no longer an option either
             ({"node_init_low": "0"}, "node_init_low"),
+            ({"trotter_delta": "fast"}, "trotter_delta"),
+            ({"t_max": None}, "t_max"),
         ],
     )
     def test_mistyped_config_value_is_an_error(self, tmp_path, dict_file, capsys, file_cfg, field):
@@ -74,13 +82,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "flags, field",
         [
-            (["--learning-rate", "-1"], "learning_rate"),
-            (["--learning-rate", "0"], "learning_rate"),
-            (["--adam-beta1", "1.0"], "adam_beta1"),
-            (["--adam-beta2", "-0.1"], "adam_beta2"),
-            (["--adam-epsilon", "0"], "adam_epsilon"),
-            (["--init-low", "2", "--init-high", "1"], "init_low"),
-            (["--node-init-low", "3", "--node-init-high", "3"], "node init range"),
+            (["--batch-size", "0"], "batch_size"),
+            (["--epochs", "0"], "epochs"),
+            (["--restarts", "-2"], "restarts"),
+            (["--trotter-delta", "0"], "trotter_delta"),
+            (["--trotter-delta", "nan"], "trotter_delta"),
+            (["--t-max", "0"], "t_max"),
+            (["--t-max", "-0.5"], "t_max"),
             (["--t-max", "inf"], "t_max"),
         ],
     )
@@ -186,7 +194,7 @@ class TestOptionsCheckedBeforeOutput:
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize(
         "flags, key",
-        [(["--restarts", "0"], "restarts"), (["--learning-rate", "-1"], "learning_rate")],
+        [(["--restarts", "0"], "restarts"), (["--trotter-delta", "-1"], "trotter_delta")],
     )
     def test_bad_training_option_leaves_no_output(self, tmp_path, dict_file, capsys,
                                                   command, flags, key):
@@ -258,6 +266,25 @@ class TestOptionsCheckedBeforeOutput:
         fails_fast(capsys, ["reveal", "--archive", str(tmp_path / "hide" / "archive.json"),
                             "--dict", str(dict_file), "--out", str(out)], "File exists")
 
+    def test_default_rows_beyond_a_short_csv_leave_no_output(self, tmp_path, capsys):
+        # the first 59 Iris rows: four of the default rows lie beyond them
+        short = tmp_path / "iris59.csv"
+        short.write_text("\n".join(bundled_iris_path().read_text().splitlines()[:60]) + "\n")
+        out = tmp_path / "out"
+        fails_fast(capsys, ["reconstruct", "--iris-csv", str(short), "--out", str(out)],
+                   "sample indices out of range: [73, 82, 118, 141] for 59 rows")
+        assert not out.exists()
+
+    def test_a_truth_of_another_length_leaves_no_output(self, tmp_path, dict_file, capsys,
+                                                         monkeypatch):
+        assert hide(dict_file, tmp_path / "hide") == 0
+        out = tmp_path / "out"
+        monkeypatch.setattr(cli, "reveal_message", lambda *args: pytest.fail("the fit ran"))
+        fails_fast(capsys, ["reveal", "--archive", str(tmp_path / "hide" / "archive.json"),
+                            "--dict", str(dict_file), "--out", str(out),
+                            "--truth", "golf charlie alpha"], "--truth has 3 words, the archive hides 2")
+        assert not out.exists()
+
 
 class TestTrainingOptionSchema:
     @pytest.mark.parametrize("command", COMMANDS)
@@ -268,7 +295,25 @@ class TestTrainingOptionSchema:
                                       "--out", str(tmp_path), "--" + f.name.replace("_", "-"), "3"])
             value = getattr(args, f.name)
             assert value == 3
-            assert type(value) is (float if f.default is None else type(f.default)), f.name
+            assert type(value) is type(f.default), f.name
+
+    def test_the_training_flags_are_the_five_options(self):
+        assert cli.TRAIN_KEYS == ("batch_size", "epochs", "trotter_delta", "t_max", "restarts")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_removed_option_is_rejected(self, tmp_path, dict_file, capsys, command):
+        argv = [command, *required_args(command, tmp_path, dict_file), "--out", str(tmp_path / "out")]
+        for name in REMOVED_OPTIONS:
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([*argv, "--" + name.replace("_", "-"), "1"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --" + name.replace("_", "-") in capsys.readouterr().err
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({name: 1.0}))
+            assert cli.main([*argv, "--config", str(config)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: unknown config keys") and repr(name) in err
+        assert not (tmp_path / "out").exists()
 
     def test_run_json_records_every_training_default(self, tmp_path, dict_file):
         runs = {
@@ -282,11 +327,8 @@ class TestTrainingOptionSchema:
             assert cli.main([command, *argv, "--out", str(tmp_path / command)]) == 0
             run = json.loads((tmp_path / command / "run.json").read_text())
             for f in OPTION_FIELDS:
-                expected = f.default
-                if command == "reconstruct" and f.name.startswith("node_init_"):
-                    # reconstruct searches the node weights over the scaling range
-                    expected = {"node_init_low": 0.0, "node_init_high": 5.0}[f.name]
-                assert run[f.name] == expected and type(run[f.name]) is type(expected), f.name
+                assert run[f.name] == f.default and type(run[f.name]) is type(f.default), f.name
+            assert not set(REMOVED_OPTIONS) & set(run)
 
 
 class TestReconstructOutput:

@@ -28,6 +28,7 @@ from qgrnn.training import TrainConfig
 V1_ARCHIVE = Path(__file__).parent / "data" / "archive_v1.json"
 V2_ARCHIVE = Path(__file__).parent / "data" / "archive_v2.json"
 V3_ARCHIVE = Path(__file__).parent / "data" / "archive_v3.json"
+V4_ARCHIVE = Path(__file__).parent / "data" / "archive_v4.json"
 WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet")
 
 
@@ -395,11 +396,8 @@ class TestLoadArchive:
             load_archive(path)
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4])
-    def test_states_are_read_only(self, dictionary, tmp_path, version):
-        if version == 4:
-            archive = load_payload(valid_payload(dictionary, tmp_path), tmp_path)
-        else:
-            archive = load_archive(Path(__file__).parent / "data" / f"archive_v{version}.json")
+    def test_states_are_read_only(self, version):
+        archive = load_archive(Path(__file__).parent / "data" / f"archive_v{version}.json")
         for state in [archive.initial_state] + [s.state for s in archive.samples]:
             with pytest.raises(ValueError):
                 state[0] = 0.5
@@ -625,6 +623,32 @@ class TestVersion3Archive:
 
     def test_resaved_as_version_4_round_trips_to_single_precision(self, tmp_path):
         assert_resaved_as_version_4(V3_ARCHIVE, tmp_path)
+
+
+class TestVersion4Archive:
+    """tests/data/archive_v4.json: n = 2, batch_size 4, written by the version-4 save_archive."""
+
+    def test_amplitudes_equal_the_renormalised_complex64_planes(self):
+        payload = json.loads(V4_ARCHIVE.read_text())
+        archive = load_archive(V4_ARCHIVE)
+        assert payload["version"] == 4 and archive.node_count == 2
+        assert archive.created == "fixed"
+        planes = np.frombuffer(zlib.decompress(base64.b64decode(payload["states"])), np.uint8)
+        amplitudes = np.frombuffer(planes.reshape(4, -1).T.tobytes(), "<c8").reshape(5, 4)
+        assert np.array_equal(planed_bytes(amplitudes), planes.tobytes())
+        rows = stored_rows(archive)
+        assert len(rows) == 5
+        for amps, stored in zip(rows, amplitudes):
+            assert np.array_equal(amps, single_precision(stored))
+        assert [s.time for s in archive.samples] == payload["times"]
+
+    def test_holds_the_states_of_the_version_3_fixture(self):
+        # both fixtures carry the same message and seed, and both store complex64
+        assert np.array_equal(stored_rows(load_archive(V4_ARCHIVE)), stored_rows(load_archive(V3_ARCHIVE)))
+
+    def test_resaved_is_the_same_file(self, tmp_path):
+        save_archive(load_archive(V4_ARCHIVE), tmp_path / "v4.json")
+        assert (tmp_path / "v4.json").read_bytes() == V4_ARCHIVE.read_bytes()
 
 
 def test_archive_size_stays_binary(dictionary, tmp_path):

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qgrnn import pipeline
+from qgrnn import pipeline, seeding
 from qgrnn.ising import draw_times, random_complete_graph, sample_evolution
 from qgrnn.pipeline import learn_from_states
 from qgrnn.statevector import random_state
@@ -53,16 +53,22 @@ class TestLearnFromStates:
 
         def stub_train(initial, samples, config, start=None):
             result = SimpleNamespace(final_cost=next(final_costs))
-            calls.append((config.seed, start is not None, result))
+            calls.append((start, result))
             return result
 
         monkeypatch.setattr(pipeline, "train_qgrnn", stub_train)
         config = TrainConfig(epochs=2, seed=8, restarts=4)
-        result, attempts = learn_from_states(initial, samples, config, accept_cost=-0.99)
+        result, attempts = learn_from_states(initial, samples, config, (0.0, 5.0), accept_cost=-0.99)
         assert attempts == 4
-        assert [warm for _, warm, _ in calls] == [True, False, False, False]
-        assert calls[0][0] == 8 and len({seed for seed, _, _ in calls}) == 4
-        assert result is calls[1][2]
+        assert np.array_equal(calls[0][0], linear_inversion_start(initial, samples))
+        for attempt in (1, 2, 3):
+            # restart r draws the coupling, then the node weights over the given range,
+            # from the PARAM_INIT stream of the seed derived from (config seed, RESTART, r)
+            seed = seeding.derive_seed(8, seeding.RESTART, attempt)
+            rng = seeding.derive_rng(seed, seeding.PARAM_INIT)
+            expected = np.concatenate([rng.uniform(-1.0, 1.0, 1), rng.uniform(0.0, 5.0, 2)])
+            assert np.array_equal(calls[attempt][0], expected)
+        assert result is calls[1][1]
 
     def test_restarts_must_be_positive(self):
         with pytest.raises(ValueError, match="restarts must be >= 1"):

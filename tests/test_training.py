@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -270,18 +272,15 @@ class TestAdjointKernel:
 
 
 class TestAdamStep:
-    def config(self, lr=0.5):
-        return TrainConfig(learning_rate=lr)
-
     def test_zero_gradient_is_identity(self):
         params = np.array([1.0, -2.0])
-        state, updated = adam_step(AdamState.zeros(2), params, np.zeros(2), self.config())
+        state, updated = adam_step(AdamState.zeros(2), params, np.zeros(2), 0.5)
         assert np.array_equal(updated, params)
         assert state.step_count == 1
 
     def test_first_step_is_signed_learning_rate(self):
         grads = np.array([3.7, -0.002, 11.0])
-        _, updated = adam_step(AdamState.zeros(3), np.zeros(3), grads, self.config())
+        _, updated = adam_step(AdamState.zeros(3), np.zeros(3), grads, 0.5)
         assert np.allclose(updated, -0.5 * np.sign(grads), atol=1e-6)
 
     def test_converges_on_quadratic(self):
@@ -289,16 +288,15 @@ class TestAdamStep:
         # steps (the lr-0.5 oscillation is still decaying) and 3.6e-5 by 200
         x = np.array([5.0])
         state = AdamState.zeros(1)
-        config = self.config()
         for step in range(250):
-            state, x = adam_step(state, x, 2 * x, config)
+            state, x = adam_step(state, x, 2 * x, 0.5)
             if step == 99:
                 assert abs(x[0]) <= 0.02
         assert abs(x[0]) <= 1e-3
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            adam_step(AdamState.zeros(2), np.zeros(2), np.zeros(3), self.config())
+            adam_step(AdamState.zeros(2), np.zeros(2), np.zeros(3), 0.5)
 
 
 class TestSplittingOrder:
@@ -339,7 +337,9 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(t_max=-1.0)
         with pytest.raises(ValueError):
-            TrainConfig(fd_step=0.0)
+            TrainConfig(restarts=0)
+        with pytest.raises(ValueError, match="trotter_delta must be a finite number"):
+            TrainConfig(trotter_delta=float("nan"))
 
     def test_rejects_a_negative_seed(self):
         assert TrainConfig(seed=0).seed == 0
@@ -356,13 +356,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="t_max"):
             TrainConfig(trotter_delta=1e-320)
 
-    def test_node_init_falls_back_to_shared_range(self):
-        assert TrainConfig().node_init_range == (-1.0, 1.0)
-        assert TrainConfig(node_init_low=0.0, node_init_high=5.0).node_init_range == (0.0, 5.0)
+    def test_fields_are_the_options_a_caller_sets(self):
+        assert [f.name for f in fields(TrainConfig)] == [
+            "batch_size", "epochs", "trotter_delta", "t_max", "seed", "restarts"
+        ]
+        # the start range and fd_step are constants, not options
+        assert (TrainConfig.init_low, TrainConfig.init_high, TrainConfig.fd_step) == (-1.0, 1.0, 1e-3)
+        with pytest.raises(TypeError):
+            TrainConfig(init_low=0.0)
 
     def test_initial_params_use_ranges(self):
-        config = TrainConfig(seed=3, node_init_low=0.0, node_init_high=5.0)
-        params = initial_params(4, config)
+        params = initial_params(4, 3, (0.0, 5.0))
         assert params.shape == (10,)
         assert np.all(params[:6] >= -1) and np.all(params[:6] <= 1)
         assert np.all(params[6:] >= 0) and np.all(params[6:] <= 5)
@@ -389,9 +393,9 @@ class TestTrainQgrnn:
     def test_rate_anneals_from_the_peak(self, monkeypatch):
         calls = []
 
-        def recording_step(state, params_flat, grads, config, rate=None):
+        def recording_step(state, params_flat, grads, rate):
             calls.append(rate)
-            return adam_step(state, params_flat, grads, config, rate)
+            return adam_step(state, params_flat, grads, rate)
 
         monkeypatch.setattr(training, "adam_step", recording_step)
         _, initial, samples = make_instance(2, 19, batch=5)
@@ -400,7 +404,7 @@ class TestTrainQgrnn:
         train_qgrnn(initial, samples, config)
         # the Adam phase is the first ceil(E / 3) epochs; the anneal spans it
         assert len(calls) == 50
-        assert calls[0] == config.learning_rate
+        assert calls[0] == training.LEARNING_RATE == 0.5
         assert all(a > b for a, b in zip(calls, calls[1:]))
         assert calls[-1] < 1e-3 * calls[0]
 
@@ -432,15 +436,15 @@ class TestTrainQgrnn:
         coefficients = random_complete_graph(target, rng)
         initial = random_state(4, 1001)
         samples = sample_evolution(coefficients, initial, draw_times(15, 0.5, rng))
-        config = TrainConfig(seed=3, node_init_low=0.0, node_init_high=5.0)
-        result = train_qgrnn(initial, samples, config)
+        start = initial_params(4, 3, (0.0, 5.0))
+        result = train_qgrnn(initial, samples, TrainConfig(seed=3), start=start)
         mse = np.mean((result.learned_params[-4:] - target) ** 2)
         assert mse <= 0.01
 
     def test_three_node_final_cost(self):
         coefficients, initial, samples = make_instance(3, 24)
-        config = TrainConfig(seed=4, node_init_low=0.0, node_init_high=5.0)
-        result = train_qgrnn(initial, samples, config)
+        start = initial_params(3, 4, (0.0, 5.0))
+        result = train_qgrnn(initial, samples, TrainConfig(seed=4), start=start)
         assert result.final_cost <= -0.95
 
 
