@@ -4,6 +4,10 @@ Every run writes ``run.json`` with the fully resolved configuration,
 including all seeds, so any output can be reproduced byte for byte, with one
 exception: ``hide`` stamps the creation time into ``meta.created`` of
 ``archive.json``.
+
+``classify`` has no dataset options: it takes its dataset from
+``<reconstructed>/run.json``, the record of the ``reconstruct`` run it
+scores, which stores its dataset paths as absolute paths.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +49,12 @@ TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 
 COMMON_DEFAULTS = {"seed": 0, **{key: getattr(TrainConfig(), key) for key in TRAIN_KEYS}}
 
+# reconstruct's dataset options, which classify reads from the run it scores
 DATASET_DEFAULTS = {
     "dataset": "iris",
     "iris_csv": None,
     "mnist_images": None,
     "mnist_labels": None,
-    "samples": None,
     "pca_components": 6,
     "pca_fit_count": 10000,
     "scale_lo": 0.0,
@@ -79,33 +83,44 @@ def _split(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Defaults < config-file values < explicit command-line flags.
+def _read_object(path) -> dict:
+    """The JSON object in the file at ``path``; every error names the file."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return value
 
-    A config-file value must have its option's JSON type: that of the
-    default, or a string or null where the default is None (paths and
-    sample lists). TrainConfig checks the training options itself.
+
+def _check_types(values: dict, defaults: dict, path) -> None:
+    """Check that each value read from ``path`` has its option's JSON type.
+
+    That is the default's type, or a string or null where the default is
+    None (paths and sample lists). TrainConfig checks the training options
+    itself.
     """
+    for key, value in values.items():
+        if key in TRAIN_KEYS or (value is None and defaults[key] is None):
+            continue
+        expected = str if defaults[key] is None else type(defaults[key])
+        accepted = (int, float) if expected is float else expected
+        if not isinstance(value, accepted) or isinstance(value, bool):
+            raise ValueError(f"{path}: key {key!r} must be of type {expected.__name__}, got {value!r}")
+
+
+def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+    """Defaults < config-file values < explicit command-line flags."""
     cfg = dict(defaults)
-    if getattr(args, "config", None):
-        try:
-            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except RecursionError:
-            raise ValueError(f"{args.config}: JSON nested too deeply") from None
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: {exc}") from None
-        if not isinstance(file_cfg, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
+    if args.config:
+        file_cfg = _read_object(args.config)
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in file_cfg.items():
-            if key in TRAIN_KEYS or (value is None and defaults[key] is None):
-                continue
-            expected = str if defaults[key] is None else type(defaults[key])
-            accepted = (int, float) if expected is float else expected
-            if not isinstance(value, accepted) or isinstance(value, bool):
-                raise ValueError(f"config key {key!r} must be of type {expected.__name__}, got {value!r}")
+        _check_types(file_cfg, defaults, args.config)
         cfg.update(file_cfg)
     for key in defaults:
         value = getattr(args, key, None)
@@ -115,8 +130,12 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _check_options(cfg: dict) -> None:
-    """Range-check the options that are not TrainConfig's; _resolve checks only their types."""
+    """Range-check the options that are not TrainConfig's; _check_types checks only their types."""
     if "scale_lo" in cfg:
+        if cfg["dataset"] not in ("iris", "mnist"):
+            raise ValueError(f"unknown dataset {cfg['dataset']!r}")
+        if cfg["dataset"] == "mnist" and not (cfg["mnist_images"] and cfg["mnist_labels"]):
+            raise ValueError("mnist dataset needs --mnist-images and --mnist-labels")
         lo, hi = cfg["scale_lo"], cfg["scale_hi"]
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"need finite scale_lo < scale_hi, got {lo!r} and {hi!r}")
@@ -144,15 +163,11 @@ def _load_scaled_dataset(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     if cfg["dataset"] == "iris":
         ds = load_iris_csv(cfg["iris_csv"] or bundled_iris_path())
         return minmax_scale(ds.features, cfg["scale_lo"], cfg["scale_hi"]), ds.labels
-    if cfg["dataset"] == "mnist":
-        if not cfg["mnist_images"] or not cfg["mnist_labels"]:
-            raise ValueError("mnist dataset needs --mnist-images and --mnist-labels")
-        ds = load_mnist_idx(cfg["mnist_images"], cfg["mnist_labels"])
-        fit_rows = ds.features[: cfg["pca_fit_count"]]
-        model = pca_fit(fit_rows, cfg["pca_components"])
-        projected = pca_transform(model, ds.features)
-        return minmax_scale(projected, cfg["scale_lo"], cfg["scale_hi"]), ds.labels
-    raise ValueError(f"unknown dataset {cfg['dataset']!r}")
+    ds = load_mnist_idx(cfg["mnist_images"], cfg["mnist_labels"])
+    fit_rows = ds.features[: cfg["pca_fit_count"]]
+    model = pca_fit(fit_rows, cfg["pca_components"])
+    projected = pca_transform(model, ds.features)
+    return minmax_scale(projected, cfg["scale_lo"], cfg["scale_hi"]), ds.labels
 
 
 def _sample_indices(cfg: dict, sample_count: int) -> list[int]:
@@ -171,7 +186,11 @@ def _sample_indices(cfg: dict, sample_count: int) -> list[int]:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    cfg, config, out = _start(args, {**COMMON_DEFAULTS, **DATASET_DEFAULTS})
+    cfg, config, out = _start(args, {**COMMON_DEFAULTS, **DATASET_DEFAULTS, "samples": None})
+    # absolute, so classify opens the same files from any working directory
+    for key in ("iris_csv", "mnist_images", "mnist_labels"):
+        if cfg[key]:
+            cfg[key] = str(Path(cfg[key]).resolve())
     features, _ = _load_scaled_dataset(cfg)
     indices = _sample_indices(cfg, features.shape[0])
     # node weights live in the scaling range; the restarts search there
@@ -184,7 +203,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
     for i in indices:
         sample_seed = cfg["sample_seeds"][str(i)]
-        outcome = reconstruct_sample(features[i], config.with_seed(sample_seed), node_range)
+        outcome = reconstruct_sample(features[i], replace(config, seed=sample_seed), node_range)
         sample_dir = out / f"sample_{i:05d}"
         sample_dir.mkdir(exist_ok=True)
         _json_dump(
@@ -212,18 +231,54 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reconstruct_dataset(recon_dir: Path) -> dict:
+    """The dataset options recorded by the reconstruct run in ``recon_dir``, checked as a config file's are."""
+    path = recon_dir / "run.json"
+    run = _read_object(path)
+    if run.get("command") != "reconstruct" or not DATASET_DEFAULTS.keys() <= run.keys():
+        raise ValueError(f"{path}: not the run.json of a reconstruct run")
+    dataset = {key: run[key] for key in DATASET_DEFAULTS}
+    _check_types(dataset, DATASET_DEFAULTS, path)
+    try:
+        _check_options(dataset)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return dataset
+
+
+def _read_result(path: Path, feature_count: int) -> dict:
+    """A sample's result.json, with the keys classify reads checked."""
+    record = _read_object(path)
+    index = record.get("sample_index")
+    if not isinstance(index, int) or isinstance(index, bool):
+        raise ValueError(f"{path}: sample_index must be an integer, got {index!r}")
+    for key in ("actual", "predicted"):
+        values = record.get(key)
+        if not (
+            isinstance(values, list)
+            and len(values) == feature_count
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                    for v in values)
+        ):
+            raise ValueError(f"{path}: {key} must list {feature_count} finite numbers")
+    return record
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
-    defaults = {**COMMON_DEFAULTS, **DATASET_DEFAULTS, "kinds": ",".join(classifiers.KINDS)}
-    cfg, _, out = _start(args, defaults)
-    recon_dir = Path(args.reconstructed)
+    cfg = _resolve(args, {"seed": 0, "kinds": ",".join(classifiers.KINDS)})
+    _check_options(cfg)
+    if cfg["seed"] < 0:
+        raise ValueError("seed must be >= 0")
+    recon_dir, out = Path(args.reconstructed), Path(args.out)
+    cfg.update(_reconstruct_dataset(recon_dir))
     results = sorted(recon_dir.glob("sample_*/result.json"))
     if not results:
         raise ValueError(f"no samples found under {recon_dir}")
-    records = [json.loads(p.read_text(encoding="utf-8")) for p in results]
+    features, labels = _load_scaled_dataset(cfg)
+    records = [_read_result(p, features.shape[1]) for p in results]
     original = np.array([r["actual"] for r in records])
     reconstructed = np.array([r["predicted"] for r in records])
 
-    features, labels = _load_scaled_dataset(cfg)
     train_idx, test_idx = classifiers.stratified_split(labels, seed=cfg["seed"])
     kinds = _split(cfg["kinds"])
     cfg["samples"] = ",".join(str(r["sample_index"]) for r in records)
@@ -296,6 +351,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file of option defaults (flags win)")
     p.add_argument("--seed", type=int, help="master seed; all streams derive from it")
     p.add_argument("--out", required=True, help="output directory")
+
+
+def _add_training(p: argparse.ArgumentParser) -> None:
     for f in fields(TrainConfig):
         if f.name in TRAIN_KEYS:
             p.add_argument("--" + f.name.replace("_", "-"), type=int if f.type == "int" else float)
@@ -328,17 +386,18 @@ def build_parser() -> argparse.ArgumentParser:
         "then the Z node weights).",
     )
     _add_common(p)
+    _add_training(p)
     _add_dataset(p)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser(
         "classify",
         help="agreement between original and reconstructed features",
-        epilog="Writes accuracy.csv (kind,accuracy) and agreement.csv "
-        "(sample_index,kind,agreement).",
+        epilog="Scores the dataset of the reconstruct run it reads, as that run's "
+        "<reconstructed>/run.json records it. Writes accuracy.csv (kind,accuracy) and "
+        "agreement.csv (sample_index,kind,agreement).",
     )
     _add_common(p)
-    _add_dataset(p)
     p.add_argument("--reconstructed", required=True, help="output dir of a reconstruct run")
     p.add_argument("--kinds", help="comma-separated classifier kinds")
     p.set_defaults(func=cmd_classify)
@@ -353,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         "which stored one field per state.",
     )
     _add_common(p)
+    _add_training(p)
     p.add_argument("--message", required=True, help="whitespace-separated words")
     p.add_argument("--dict", required=True, help="dictionary file, one word per line")
     p.set_defaults(func=cmd_hide)
@@ -366,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         "message, per-word snap distances, and accuracy when --truth is given.",
     )
     _add_common(p)
+    _add_training(p)
     p.add_argument("--archive", required=True, help="archive.json path")
     p.add_argument("--dict", required=True, help="dictionary file, one word per line")
     p.add_argument("--truth", help="true message for accuracy reporting")

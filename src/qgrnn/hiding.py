@@ -78,16 +78,22 @@ def build_dictionary(words) -> Dictionary:
     words = tuple(words)
     if len(words) < 2:
         raise ValueError("dictionary needs at least 2 words")
-    if len(set(words)) != len(words):
-        raise ValueError("dictionary words must be unique")
+    seen = set()
+    for word in words:
+        if word in seen:
+            raise ValueError(f"dictionary words must be unique, {word!r} repeats")
+        seen.add(word)
     values = np.linspace(DICTIONARY_LO, DICTIONARY_HI, len(words))
     return Dictionary(words, DICTIONARY_LO, DICTIONARY_HI, values)
 
 
 def load_dictionary(path) -> Dictionary:
-    """One word per line; line order defines the value assignment."""
-    lines = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
-    return build_dictionary([w for w in lines if w])
+    """One word per line; line order defines the value assignment. Errors name the file."""
+    try:
+        lines = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
+        return build_dictionary([w for w in lines if w])
+    except ValueError as exc:  # not UTF-8, or not a dictionary
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ of the coefficients from the short-time slope of the same states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from typing import ClassVar
 
@@ -117,9 +117,6 @@ class TrainConfig:
                 f"t_max {self.t_max:g} needs more than {MAX_LAYERS} layers of step "
                 f"{self.trotter_delta:g}"
             )
-
-    def with_seed(self, seed: int) -> "TrainConfig":
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -455,7 +452,7 @@ def train_qgrnn(
     initial,
     samples: list[TimeEvolvedSample],
     config: TrainConfig,
-    start: np.ndarray | None = None,
+    start: np.ndarray,
 ) -> TrainResult:
     """Full-batch training in two phases within a budget of ``config.epochs`` epochs.
 
@@ -469,23 +466,15 @@ def train_qgrnn(
     lower the cost any further, and otherwise ``stop_reason`` is
     ``"epochs"``.
 
-    Training starts from the flat vector ``start`` when given, otherwise from
-    the seeded draw of ``initial_params``, with the node weights over the
-    couplings' range. The history has one (epoch, cost) row per epoch run,
-    numbered 1..k with k <= E, each cost evaluated at the parameters that
-    epoch produced, so the last row equals ``final_cost`` at the learned
-    parameters. Deterministic given the start, or the config seed when no
-    start is given.
+    Training starts from the flat vector ``start``. The history has one
+    (epoch, cost) row per epoch run, numbered 1..k with k <= E, each cost
+    evaluated at the parameters that epoch produced, so the last row equals
+    ``final_cost`` at the learned parameters. Deterministic given the start.
     """
     evaluator = CostEvaluator(initial, samples, config.trotter_delta)
-    if start is None:
-        params = initial_params(evaluator.node_count, config.seed, (config.init_low, config.init_high))
-    else:
-        params = np.array(start, dtype=np.float64)
-        if params.shape != (evaluator.param_count,):
-            raise ValueError(
-                f"start has shape {params.shape}, expected ({evaluator.param_count},)"
-            )
+    params = np.array(start, dtype=np.float64)
+    if params.shape != (evaluator.param_count,):
+        raise ValueError(f"start has shape {params.shape}, expected ({evaluator.param_count},)")
     adam_epochs = -(-config.epochs // 3)
     opt = AdamState.zeros(params.size)
     history: list[tuple[int, float]] = []

@@ -65,7 +65,8 @@ def test_training_calls_every_traced_layer(monkeypatch, epochs):
                             counted(name, getattr(training.CostEvaluator, name)))
     config = training.TrainConfig(seed=0, epochs=epochs, batch_size=5)
     _, initial, samples = pipeline.embed_and_sample(np.array([1.0, -2.0, 3.0]), config)
-    training.train_qgrnn(initial, samples, config)
+    start = training.initial_params(3, config.seed, (config.init_low, config.init_high))
+    training.train_qgrnn(initial, samples, config, start=start)
     assert calls["adam_step"] == -(-epochs // 3), "train_qgrnn no longer calls training.adam_step"
     assert calls["cost"] >= 1, "train_qgrnn no longer calls CostEvaluator.cost"
     assert calls["gradient"] >= 1, "train_qgrnn no longer calls CostEvaluator.gradient"

@@ -1,12 +1,16 @@
 import csv
 import json
+import re
+import shutil
 import time
 from dataclasses import fields
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qgrnn import cli
-from qgrnn.datasets import bundled_iris_path
+from qgrnn import classifiers, cli
+from qgrnn.datasets import bundled_iris_path, load_iris_csv, minmax_scale
 from qgrnn.pipeline import embed_and_sample
 from qgrnn.training import TrainConfig
 
@@ -21,6 +25,8 @@ def dict_file(tmp_path):
 
 
 COMMANDS = ("reconstruct", "classify", "hide", "reveal")
+# the commands that train; classify takes only its seed and kinds
+TRAINING_COMMANDS = ("reconstruct", "hide", "reveal")
 # the TrainConfig fields that are options of every command
 OPTION_FIELDS = [f for f in fields(TrainConfig) if f.name != "seed"]
 # former options, now constants or taken from the embedding: neither flags nor config keys
@@ -36,6 +42,18 @@ def required_args(command, tmp_path, dict_file):
         "hide": ["--message", "golf charlie", "--dict", str(dict_file)],
         "reveal": ["--archive", str(tmp_path / "archive.json"), "--dict", str(dict_file)],
     }[command]
+
+
+# classify's former options, flag and value: it now reads them from the reconstruct run
+CLASSIFY_REMOVED_FLAGS = {
+    "--dataset": "iris", "--iris-csv": "iris.csv", "--mnist-images": "images.idx",
+    "--mnist-labels": "labels.idx", "--samples": "18", "--pca-components": "6",
+    "--pca-fit-count": "100", "--batch-size": "3", "--epochs": "3", "--trotter-delta": "0.01",
+    "--t-max": "0.5", "--restarts": "1",
+}
+CLASSIFY_REMOVED_KEYS = [flag[2:].replace("-", "_") for flag in CLASSIFY_REMOVED_FLAGS] + [
+    "scale_lo", "scale_hi"
+]
 
 
 def hide(dict_file, out, *flags):
@@ -191,7 +209,7 @@ class TestFailFast:
 
 
 class TestOptionsCheckedBeforeOutput:
-    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("command", TRAINING_COMMANDS)
     @pytest.mark.parametrize(
         "flags, key",
         [(["--restarts", "0"], "restarts"), (["--trotter-delta", "-1"], "trotter_delta")],
@@ -286,8 +304,27 @@ class TestOptionsCheckedBeforeOutput:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"alpha\nbravo\ncharlie\nbravo\nalpha\n", "dictionary words must be unique, 'bravo' repeats"),
+            (b"alpha\n", "dictionary needs at least 2 words"),
+            (b"alpha\n\xffbravo\n", "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["repeated word", "single word", "not UTF-8"],
+    )
+    def test_a_bad_dictionary_names_the_file(self, tmp_path, capsys, content, message):
+        words = tmp_path / "words.txt"
+        words.write_bytes(content)
+        out = tmp_path / "out"
+        code = cli.main(["hide", "--message", "alpha bravo", "--dict", str(words), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {words}: {message}")
+        assert not out.exists()
+
+
 class TestTrainingOptionSchema:
-    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("command", TRAINING_COMMANDS)
     def test_every_training_field_is_a_flag(self, tmp_path, dict_file, command):
         parser = cli.build_parser()
         for f in OPTION_FIELDS:
@@ -318,7 +355,6 @@ class TestTrainingOptionSchema:
     def test_run_json_records_every_training_default(self, tmp_path, dict_file):
         runs = {
             "reconstruct": ["--samples", "18"],
-            "classify": ["--reconstructed", str(tmp_path / "reconstruct")],
             "hide": ["--message", "golf charlie", "--dict", str(dict_file)],
             "reveal": ["--archive", str(tmp_path / "hide" / "archive.json"),
                        "--dict", str(dict_file)],
@@ -329,6 +365,159 @@ class TestTrainingOptionSchema:
             for f in OPTION_FIELDS:
                 assert run[f.name] == f.default and type(run[f.name]) is type(f.default), f.name
             assert not set(REMOVED_OPTIONS) & set(run)
+
+
+@pytest.fixture(scope="module")
+def reconstruct_run(tmp_path_factory):
+    """A two-row reconstruct run, which a test copies before it alters the copy."""
+    out = tmp_path_factory.mktemp("reconstruct") / "run"
+    argv = ["reconstruct", "--samples", "18,73", "--epochs", "3", "--restarts", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    return out
+
+
+def classify_error(capsys, recon_dir, out):
+    """The error of a classify of ``recon_dir`` that must fail and write nothing."""
+    assert cli.main(["classify", "--reconstructed", str(recon_dir), "--out", str(out)]) == 1
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+class TestClassify:
+    def test_help_lists_only_its_options(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["classify", "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert set(re.findall(r"--[a-z-]+", usage)) == {
+            "--config", "--seed", "--out", "--reconstructed", "--kinds"
+        }
+
+    def test_a_removed_option_is_rejected(self, tmp_path, capsys):
+        argv = ["classify", "--reconstructed", str(tmp_path / "rec"), "--out", str(tmp_path / "out")]
+        for flag, value in CLASSIFY_REMOVED_FLAGS.items():
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([*argv, flag, value])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: " + flag in capsys.readouterr().err
+        assert len(CLASSIFY_REMOVED_FLAGS) == 12 and len(CLASSIFY_REMOVED_KEYS) == 14
+        for key in CLASSIFY_REMOVED_KEYS:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: 1}))
+            assert cli.main([*argv, "--config", str(config)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: unknown config keys") and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["scale", "iris csv"])
+    def test_scores_the_dataset_of_its_reconstruct_run(self, tmp_path, monkeypatch, case):
+        # the run is made in one directory and scored from another
+        (tmp_path / "made").mkdir()
+        (tmp_path / "scored").mkdir()
+        monkeypatch.chdir(tmp_path / "made")
+        argv = ["reconstruct", "--samples", "18,73", "--epochs", "3", "--restarts", "1", "--out", "rec"]
+        iris_csv, lo, hi = bundled_iris_path(), 0.0, 5.0
+        if case == "scale":
+            Path("config.json").write_text(json.dumps({"scale_lo": 2, "scale_hi": 3}))
+            argv += ["--config", "config.json"]
+            lo, hi = 2, 3
+        else:
+            shutil.copy(bundled_iris_path(), "iris_copy.csv")
+            argv += ["--iris-csv", "iris_copy.csv"]
+            iris_csv = tmp_path / "made" / "iris_copy.csv"
+        assert cli.main(argv) == 0
+        monkeypatch.chdir(tmp_path / "scored")
+        recon_dir = tmp_path / "made" / "rec"
+        assert cli.main(["classify", "--reconstructed", str(recon_dir), "--out", "out"]) == 0
+
+        run = json.loads((Path("out") / "run.json").read_text())
+        recorded = json.loads((recon_dir / "run.json").read_text())
+        assert run["iris_csv"] == (None if case == "scale" else str(iris_csv.resolve()))
+        assert (run["scale_lo"], run["scale_hi"]) == (lo, hi)
+        assert {key: run[key] for key in cli.DATASET_DEFAULTS} == {
+            key: recorded[key] for key in cli.DATASET_DEFAULTS
+        }
+        assert not set(cli.TRAIN_KEYS) & set(run)
+
+        ds = load_iris_csv(iris_csv)
+        features = minmax_scale(ds.features, lo, hi)
+        train, test = classifiers.stratified_split(ds.labels, seed=0)
+        records = [json.loads((recon_dir / f"sample_{i:05d}" / "result.json").read_text())
+                   for i in (18, 73)]
+        accuracy, agreement = [], []
+        for kind in classifiers.KINDS:
+            model = classifiers.fit(kind, features[train], ds.labels[train])
+            predicted = classifiers.predict(model, features[test])
+            accuracy.append([kind, float(np.mean(predicted == ds.labels[test]))])
+            for record in records:
+                pair = classifiers.predict(model, np.array([record["actual"], record["predicted"]]))
+                agreement.append([record["sample_index"], kind, float(pair[0] == pair[1])])
+        with open(Path("out") / "accuracy.csv", newline="") as f:
+            assert [[r["kind"], float(r["accuracy"])] for r in csv.DictReader(f)] == accuracy
+        with open(Path("out") / "agreement.csv", newline="") as f:
+            assert [[int(r["sample_index"]), r["kind"], float(r["agreement"])]
+                    for r in csv.DictReader(f)] == agreement
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "No such file or directory"),
+            ("{", "Expecting property name"),
+            (DEEP_JSON, "JSON nested too deeply"),
+            ("[]", "expected a JSON object"),
+            ('{"command": "reconstruct"}', "not the run.json of a reconstruct run"),
+            ({"command": "classify"}, "not the run.json of a reconstruct run"),
+            ({"scale_hi": "3"}, "key 'scale_hi' must be of type float, got '3'"),
+            ({"iris_csv": 5}, "key 'iris_csv' must be of type str, got 5"),
+            ({"pca_fit_count": 2.5}, "key 'pca_fit_count' must be of type int, got 2.5"),
+            ({"dataset": "cifar"}, "unknown dataset 'cifar'"),
+            ({"dataset": "mnist"}, "mnist dataset needs"),
+            ({"scale_lo": 5.0}, "need finite scale_lo < scale_hi"),
+            ({"pca_components": 0}, "pca_components must be >= 1"),
+        ],
+        ids=["missing", "not JSON", "too deep", "not an object", "no dataset keys",
+             "another command", "scale type", "path type", "count type", "unknown dataset",
+             "mnist without files", "empty scale", "no components"],
+    )
+    def test_a_bad_run_json_leaves_no_output(self, tmp_path, capsys, reconstruct_run,
+                                             content, message):
+        recon_dir = tmp_path / "rec"
+        shutil.copytree(reconstruct_run, recon_dir)
+        run_json = recon_dir / "run.json"
+        if content is None:
+            run_json.unlink()
+        elif isinstance(content, dict):
+            run_json.write_text(json.dumps({**json.loads(run_json.read_text()), **content}))
+        else:
+            run_json.write_text(content)
+        err = classify_error(capsys, recon_dir, tmp_path / "out")
+        assert err.startswith("error:") and str(run_json) in err and message in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("[]", "expected a JSON object"),
+            (DEEP_JSON, "JSON nested too deeply"),
+            ({"predicted": [1.0, 2.0, 3.0]}, "predicted must list 4 finite numbers"),
+            ({"actual": [1.0, 2.0, 3.0, float("nan")]}, "actual must list 4 finite numbers"),
+            ({"actual": [1.0, 2.0, 3.0, "4"]}, "actual must list 4 finite numbers"),
+            ({"sample_index": "18"}, "sample_index must be an integer, got '18'"),
+        ],
+        ids=["not an object", "too deep", "short predicted", "nan actual", "string actual",
+             "string index"],
+    )
+    def test_a_bad_result_json_leaves_no_output(self, tmp_path, capsys, reconstruct_run,
+                                                content, message):
+        recon_dir = tmp_path / "rec"
+        shutil.copytree(reconstruct_run, recon_dir)
+        result_json = recon_dir / "sample_00073" / "result.json"
+        if isinstance(content, dict):
+            content = json.dumps({**json.loads(result_json.read_text()), **content})
+        result_json.write_text(content)
+        err = classify_error(capsys, recon_dir, tmp_path / "out")
+        assert err.startswith(f"error: {result_json}: {message}")
 
 
 class TestReconstructOutput:
@@ -386,3 +575,23 @@ class TestDeterminism:
             assert code == 0
         for name in ("reveal.json", "cost_history.csv"):
             assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
+
+    def test_reconstruct_and_classify_repeat(self, tmp_path):
+        for run in ("a", "b"):
+            code = cli.main(["reconstruct", "--samples", "18,73", "--epochs", "6", "--restarts", "1",
+                             "--out", str(tmp_path / run / "r")])
+            assert code == 0
+            code = cli.main(["classify", "--reconstructed", str(tmp_path / run / "r"),
+                             "--out", str(tmp_path / run / "c")])
+            assert code == 0
+        files = [sorted(p.relative_to(tmp_path / run) for p in (tmp_path / run).rglob("*")
+                        if p.is_file()) for run in "ab"]
+        assert files[0] == files[1]
+        assert len(files[0]) == 1 + 2 * 3 + 3
+        for name in files[0]:
+            if name != Path("c", "run.json"):
+                assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+        # classify records the directory it read, which differs between the runs
+        runs = [json.loads((tmp_path / run / "c" / "run.json").read_text()) for run in "ab"]
+        assert runs[0].pop("reconstructed") != runs[1].pop("reconstructed")
+        assert runs[0] == runs[1]

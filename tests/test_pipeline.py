@@ -51,7 +51,7 @@ class TestLearnFromStates:
         final_costs = iter([-0.5, -0.9, -0.7, -0.6])
         calls = []
 
-        def stub_train(initial, samples, config, start=None):
+        def stub_train(initial, samples, config, start):
             result = SimpleNamespace(final_cost=next(final_costs))
             calls.append((start, result))
             return result

@@ -98,8 +98,8 @@ def state_entries():
     as_sample = lambda state: [samples[0], TimeEvolvedSample(0.2, state)]  # noqa: E731
     return {
         "sample_evolution": lambda s: sample_evolution(np.zeros(3), s, [0.1]),
-        "train_qgrnn initial": lambda s: train_qgrnn(s, samples, config),
-        "train_qgrnn sample": lambda s: train_qgrnn(good, as_sample(s), config),
+        "train_qgrnn initial": lambda s: train_qgrnn(s, samples, config, start=np.zeros(3)),
+        "train_qgrnn sample": lambda s: train_qgrnn(good, as_sample(s), config, start=np.zeros(3)),
         "linear_inversion_start initial": lambda s: linear_inversion_start(s, samples),
         "linear_inversion_start sample": lambda s: linear_inversion_start(good, as_sample(s)),
         "CostEvaluator initial": lambda s: CostEvaluator(s, samples, 0.01),
@@ -372,18 +372,24 @@ class TestTrainConfig:
         assert np.all(params[6:] >= 0) and np.all(params[6:] <= 5)
 
 
+def seeded_start(node_count, config):
+    """The seeded draw of ``initial_params``, with the node weights over the couplings' range."""
+    return initial_params(node_count, config.seed, (TrainConfig.init_low, TrainConfig.init_high))
+
+
 class TestTrainQgrnn:
     def test_deterministic(self):
         _, initial, samples = make_instance(2, 18, batch=5)
         config = TrainConfig(epochs=10, seed=7)
-        a = train_qgrnn(initial, samples, config)
-        b = train_qgrnn(initial, samples, config)
+        a = train_qgrnn(initial, samples, config, start=seeded_start(2, config))
+        b = train_qgrnn(initial, samples, config, start=seeded_start(2, config))
         assert a.cost_history == b.cost_history
         assert np.array_equal(a.learned_params, b.learned_params)
 
     def test_history_shape_and_range(self):
         _, initial, samples = make_instance(2, 19, batch=5)
-        result = train_qgrnn(initial, samples, TrainConfig(epochs=12, seed=1))
+        config = TrainConfig(epochs=12, seed=1)
+        result = train_qgrnn(initial, samples, config, start=seeded_start(2, config))
         rows = len(result.cost_history)
         assert 1 <= rows <= 12
         assert [epoch for epoch, _ in result.cost_history] == list(range(1, rows + 1))
@@ -401,7 +407,7 @@ class TestTrainQgrnn:
         _, initial, samples = make_instance(2, 19, batch=5)
         config = TrainConfig(seed=1)
         assert config.epochs == 150
-        train_qgrnn(initial, samples, config)
+        train_qgrnn(initial, samples, config, start=seeded_start(2, config))
         # the Adam phase is the first ceil(E / 3) epochs; the anneal spans it
         assert len(calls) == 50
         assert calls[0] == training.LEARNING_RATE == 0.5
@@ -410,14 +416,16 @@ class TestTrainQgrnn:
 
     def test_stops_early_once_converged(self):
         _, initial, samples = make_instance(2, 19, batch=5)
-        result = train_qgrnn(initial, samples, TrainConfig(seed=1))
+        config = TrainConfig(seed=1)
+        result = train_qgrnn(initial, samples, config, start=seeded_start(2, config))
         assert result.stop_reason == "converged"
         assert len(result.cost_history) < 150
         assert result.final_cost <= -0.9999
 
     def test_a_spent_budget_stops_on_epochs(self):
         _, initial, samples = make_instance(2, 19, batch=5)
-        result = train_qgrnn(initial, samples, TrainConfig(epochs=3, seed=1))
+        config = TrainConfig(epochs=3, seed=1)
+        result = train_qgrnn(initial, samples, config, start=seeded_start(2, config))
         assert result.stop_reason == "epochs"
         assert [epoch for epoch, _ in result.cost_history] == [1, 2, 3]
 
@@ -426,7 +434,8 @@ class TestTrainQgrnn:
         coefficients = random_complete_graph(np.zeros(3), rng)
         initial = random_state(3, 21)
         samples = sample_evolution(coefficients, initial, draw_times(15, 0.5, rng))
-        result = train_qgrnn(initial, samples, TrainConfig(seed=2))
+        config = TrainConfig(seed=2)
+        result = train_qgrnn(initial, samples, config, start=seeded_start(3, config))
         assert np.max(np.abs(result.learned_params[-3:])) <= 0.1
 
     def test_recovers_scaled_feature_target(self):
