@@ -5,6 +5,9 @@ including all seeds, so any output can be reproduced byte for byte, with one
 exception: ``hide`` stamps the creation time into ``meta.created`` of
 ``archive.json``.
 
+Each command takes only the training options it reads (``TRAIN_OPTIONS``);
+``reveal`` takes ``t_max`` from the archive it reads.
+
 ``classify`` has no dataset options: it takes its dataset from
 ``<reconstructed>/run.json``, the record of the ``reconstruct`` run it
 scores, which stores its dataset paths as absolute paths.
@@ -42,12 +45,20 @@ from .ising import complete_pairs
 from .pipeline import DEFAULT_IRIS_ROWS, reconstruct_sample
 from .training import TrainConfig
 
-# Every TrainConfig field is an option, with its type and default, except the
-# seed, which the commands derive from their master seed. TrainConfig checks
-# their values.
+# Every TrainConfig field but the seed, which the commands derive from their
+# master seed, is an option of some command, with its type and default.
+# TrainConfig checks their values.
 TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 
-COMMON_DEFAULTS = {"seed": 0, **{key: getattr(TrainConfig(), key) for key in TRAIN_KEYS}}
+# The training options of each command: the TrainConfig fields it reads. hide's
+# epochs and reveal's batch_size have no effect; they stay only until
+# benchmarks/selftest.py stops passing them (ROADMAP item 1).
+TRAIN_OPTIONS = {
+    "reconstruct": TRAIN_KEYS,
+    "classify": (),
+    "hide": ("batch_size", "epochs", "t_max"),
+    "reveal": ("batch_size", "epochs", "trotter_delta", "restarts"),
+}
 
 # reconstruct's dataset options, which classify reads from the run it scores
 DATASET_DEFAULTS = {
@@ -150,12 +161,19 @@ def _check_options(cfg: dict) -> None:
         raise ValueError(f"kinds: unknown classifier kind {unknown[0]!r}, choose from {classifiers.KINDS}")
 
 
-def _start(args: argparse.Namespace, defaults: dict) -> tuple[dict, TrainConfig, Path]:
-    """Resolve and check every option; --out is created by the first write, so bad input leaves none."""
-    cfg = _resolve(args, defaults)
+def _start(args: argparse.Namespace, defaults: dict) -> tuple[dict, Path]:
+    """Resolve and check the command's options; --out is created by the first write, so bad input leaves none."""
+    train = {key: getattr(TrainConfig(), key) for key in TRAIN_OPTIONS[args.command]}
+    cfg = _resolve(args, {"seed": 0, **train, **defaults})
     _check_options(cfg)
-    config = TrainConfig(seed=cfg["seed"], **{key: cfg[key] for key in TRAIN_KEYS})
-    return cfg, config, Path(args.out)
+    if cfg["seed"] < 0:
+        raise ValueError("seed must be >= 0")
+    return cfg, Path(args.out)
+
+
+def _train_config(cfg: dict, **archived) -> TrainConfig:
+    """The TrainConfig of the training options in ``cfg`` and ``archived``, which it checks."""
+    return TrainConfig(seed=cfg["seed"], **{key: cfg[key] for key in TRAIN_KEYS if key in cfg}, **archived)
 
 
 def _load_scaled_dataset(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +204,8 @@ def _sample_indices(cfg: dict, sample_count: int) -> list[int]:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    cfg, config, out = _start(args, {**COMMON_DEFAULTS, **DATASET_DEFAULTS, "samples": None})
+    cfg, out = _start(args, {**DATASET_DEFAULTS, "samples": None})
+    config = _train_config(cfg)
     # absolute, so classify opens the same files from any working directory
     for key in ("iris_csv", "mnist_images", "mnist_labels"):
         if cfg[key]:
@@ -265,11 +284,8 @@ def _read_result(path: Path, feature_count: int) -> dict:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {"seed": 0, "kinds": ",".join(classifiers.KINDS)})
-    _check_options(cfg)
-    if cfg["seed"] < 0:
-        raise ValueError("seed must be >= 0")
-    recon_dir, out = Path(args.reconstructed), Path(args.out)
+    cfg, out = _start(args, {"kinds": ",".join(classifiers.KINDS)})
+    recon_dir = Path(args.reconstructed)
     cfg.update(_reconstruct_dataset(recon_dir))
     results = sorted(recon_dir.glob("sample_*/result.json"))
     if not results:
@@ -302,10 +318,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_hide(args: argparse.Namespace) -> int:
-    cfg, config, out = _start(args, COMMON_DEFAULTS)
+    cfg, out = _start(args, {})
     dictionary = load_dictionary(args.dict)
     message = args.message.split()
-    archive = encode_message(message, dictionary, config)
+    archive = encode_message(message, dictionary, _train_config(cfg))
     archive_path = out / "archive.json"
     _json_dump(
         {"command": "hide", "dict": str(args.dict), "word_count": len(message), **cfg},
@@ -318,9 +334,11 @@ def cmd_hide(args: argparse.Namespace) -> int:
 
 
 def cmd_reveal(args: argparse.Namespace) -> int:
-    cfg, config, out = _start(args, COMMON_DEFAULTS)
+    cfg, out = _start(args, {})
     dictionary = load_dictionary(args.dict)
     archive = load_archive(args.archive)
+    # the fit runs to the archive's t_max, so TrainConfig checks the layer limit against it
+    config = _train_config(cfg, t_max=archive.t_max)
     truth = None if args.truth is None else args.truth.split()
     if truth is not None and len(truth) != archive.node_count:
         raise ValueError(f"--truth has {len(truth)} words, the archive hides {archive.node_count}")
@@ -347,15 +365,12 @@ def cmd_reveal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--config", help="JSON file of option defaults (flags win)")
     p.add_argument("--seed", type=int, help="master seed; all streams derive from it")
     p.add_argument("--out", required=True, help="output directory")
-
-
-def _add_training(p: argparse.ArgumentParser) -> None:
     for f in fields(TrainConfig):
-        if f.name in TRAIN_KEYS:
+        if f.name in TRAIN_OPTIONS[command]:
             p.add_argument("--" + f.name.replace("_", "-"), type=int if f.type == "int" else float)
 
 
@@ -385,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(term,target,learned; one row per Hamiltonian coefficient, the ZZ couplings "
         "then the Z node weights).",
     )
-    _add_common(p)
-    _add_training(p)
+    _add_common(p, "reconstruct")
     _add_dataset(p)
     p.set_defaults(func=cmd_reconstruct)
 
@@ -397,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         "<reconstructed>/run.json records it. Writes accuracy.csv (kind,accuracy) and "
         "agreement.csv (sample_index,kind,agreement).",
     )
-    _add_common(p)
+    _add_common(p, "classify")
     p.add_argument("--reconstructed", required=True, help="output dir of a reconstruct run")
     p.add_argument("--kinds", help="comma-separated classifier kinds")
     p.set_defaults(func=cmd_classify)
@@ -405,14 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "hide",
         help="encode a message into a state archive",
-        epilog="Writes archive.json (format version 4): version, node_count, t_max, "
-        "times, states and meta (created). states is the base64 of the deflated byte "
-        "planes of the initial state and then each sample's state as little-endian "
-        "complex64, exact to single precision. reveal also reads versions 1 to 3, "
-        "which stored one field per state.",
+        epilog="Of the training options, --batch-size and --t-max set the evolved states "
+        "and --epochs has no effect. Writes archive.json (format version 4): version, "
+        "node_count, t_max, times, states and meta (created). states is the base64 of "
+        "the deflated byte planes of the initial state and then each sample's state as "
+        "little-endian complex64, exact to single precision. reveal also reads "
+        "versions 1 to 3, which stored one field per state.",
     )
-    _add_common(p)
-    _add_training(p)
+    _add_common(p, "hide")
     p.add_argument("--message", required=True, help="whitespace-separated words")
     p.add_argument("--dict", required=True, help="dictionary file, one word per line")
     p.set_defaults(func=cmd_hide)
@@ -420,13 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reveal",
         help="recover a message from a state archive",
-        epilog="Writes cost_history.csv (epoch,cost; one row per epoch run, which can "
-        "be fewer than --epochs when training converges early, as reveal.json's "
-        "stop_reason then says) and reveal.json; prints the "
-        "message, per-word snap distances, and accuracy when --truth is given.",
+        epilog="Trains to the t_max recorded in the archive, with the training options "
+        "--epochs, --trotter-delta and --restarts; --batch-size has no effect. Writes "
+        "cost_history.csv (epoch,cost; one row per epoch run, which can be fewer than "
+        "--epochs when training converges early, as reveal.json's stop_reason then "
+        "says) and reveal.json; prints the message, per-word snap distances, and "
+        "accuracy when --truth is given.",
     )
-    _add_common(p)
-    _add_training(p)
+    _add_common(p, "reveal")
     p.add_argument("--archive", required=True, help="archive.json path")
     p.add_argument("--dict", required=True, help="dictionary file, one word per line")
     p.add_argument("--truth", help="true message for accuracy reporting")

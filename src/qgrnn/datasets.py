@@ -1,6 +1,8 @@
 """Dataset ingestion (Iris CSV, MNIST IDX), min-max scaling, and PCA."""
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from importlib import resources
@@ -38,11 +40,13 @@ def load_iris_csv(path) -> Dataset:
     """Read a 5-column Iris CSV: four numeric features plus a class label.
 
     A non-numeric first row is treated as a header. Class labels map to
-    integers 0, 1, 2 in first-appearance order.
+    integers 0, 1, 2 in first-appearance order. Features must be finite.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     rows = []
     label_order: dict[str, int] = {}
     labels = []
@@ -63,6 +67,8 @@ def load_iris_csv(path) -> Dataset:
             values = [float(p) for p in parts[:4]]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-numeric feature value: {exc}") from None
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}:{lineno}: non-finite feature value in {values}")
         name = parts[4].strip()
         if name not in label_order:
             label_order[name] = len(label_order)
@@ -73,30 +79,29 @@ def load_iris_csv(path) -> Dataset:
     return Dataset(np.array(rows), np.array(labels))
 
 
-def _read_idx_header(f, path, expected_magic: int, n_dims: int):
+def _read_idx(f, path, expected_magic: int, n_dims: int, what: str):
+    """The header's dimensions and the bytes they claim, read only once the file is known to hold them."""
     head = f.read(4 * (1 + n_dims))
     if len(head) < 4 * (1 + n_dims):
         raise ValueError(f"{path}: truncated IDX header")
     fields = struct.unpack(f">{1 + n_dims}I", head)
     if fields[0] != expected_magic:
         raise ValueError(f"{path}: bad IDX magic {fields[0]}, expected {expected_magic}")
-    return fields[1:]
+    size = math.prod(fields[1:])
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size > left:
+        raise ValueError(f"{path}: expected {size} {what} bytes, got {left}")
+    return fields[1:], f.read(size)
 
 
 def load_mnist_idx(images_path, labels_path) -> Dataset:
     """Read an IDX image/label pair; pixel rows are flattened and scaled to [0, 1]."""
     images_path, labels_path = Path(images_path), Path(labels_path)
     with open(images_path, "rb") as f:
-        count, rows, cols = _read_idx_header(f, images_path, MNIST_IMAGE_MAGIC, 3)
-        raw = f.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise ValueError(f"{images_path}: expected {count * rows * cols} pixel bytes, got {len(raw)}")
+        (count, rows, cols), raw = _read_idx(f, images_path, MNIST_IMAGE_MAGIC, 3, "pixel")
         images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:
-        (label_count,) = _read_idx_header(f, labels_path, MNIST_LABEL_MAGIC, 1)
-        raw = f.read(label_count)
-        if len(raw) != label_count:
-            raise ValueError(f"{labels_path}: expected {label_count} label bytes, got {len(raw)}")
+        (label_count,), raw = _read_idx(f, labels_path, MNIST_LABEL_MAGIC, 1, "label")
         labels = np.frombuffer(raw, dtype=np.uint8)
     if count != label_count:
         raise ValueError(f"image count {count} does not match label count {label_count}")

@@ -240,6 +240,8 @@ def load_archive(path) -> StateArchive:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ArchiveFormatError(f"{path}: not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ArchiveFormatError(f"{path}: not UTF-8: {exc}") from None
     except RecursionError:
         raise ArchiveFormatError(f"{path}: JSON nested too deeply") from None
     version = payload.get("version") if isinstance(payload, dict) else None

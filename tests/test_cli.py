@@ -2,7 +2,9 @@ import csv
 import json
 import re
 import shutil
+import struct
 import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,8 +29,15 @@ def dict_file(tmp_path):
 COMMANDS = ("reconstruct", "classify", "hide", "reveal")
 # the commands that train; classify takes only its seed and kinds
 TRAINING_COMMANDS = ("reconstruct", "hide", "reveal")
-# the TrainConfig fields that are options of every command
+# the TrainConfig fields that are options of some command
 OPTION_FIELDS = [f for f in fields(TrainConfig) if f.name != "seed"]
+# the training options of each command: those it reads (reveal takes t_max from
+# its archive), and hide's epochs and reveal's batch_size, which have no effect
+COMMAND_OPTIONS = {
+    "reconstruct": ("batch_size", "epochs", "trotter_delta", "t_max", "restarts"),
+    "hide": ("batch_size", "epochs", "t_max"),
+    "reveal": ("batch_size", "epochs", "trotter_delta", "restarts"),
+}
 # former options, now constants or taken from the embedding: neither flags nor config keys
 REMOVED_OPTIONS = ("learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon",
                    "init_low", "init_high", "node_init_low", "node_init_high", "fd_step")
@@ -61,6 +70,11 @@ def hide(dict_file, out, *flags):
                      "--out", str(out), *flags])
 
 
+def reconstruct(out, *flags):
+    """A one-row reconstruct: the command that reads every training option."""
+    return cli.main(["reconstruct", "--samples", "18", "--out", str(out), *flags])
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "file_cfg, field",
@@ -77,10 +91,10 @@ class TestConfigValidation:
             ({"t_max": None}, "t_max"),
         ],
     )
-    def test_mistyped_config_value_is_an_error(self, tmp_path, dict_file, capsys, file_cfg, field):
+    def test_mistyped_config_value_is_an_error(self, tmp_path, capsys, file_cfg, field):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(file_cfg))
-        assert hide(dict_file, tmp_path / "out", "--config", str(config)) == 1
+        assert reconstruct(tmp_path / "out", "--config", str(config)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
 
@@ -110,8 +124,8 @@ class TestConfigValidation:
             (["--t-max", "inf"], "t_max"),
         ],
     )
-    def test_out_of_range_flag_is_an_error(self, tmp_path, dict_file, capsys, flags, field):
-        assert hide(dict_file, tmp_path / "out", *flags) == 1
+    def test_out_of_range_flag_is_an_error(self, tmp_path, capsys, flags, field):
+        assert reconstruct(tmp_path / "out", *flags) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
 
@@ -201,6 +215,16 @@ class TestFailFast:
                             "--out", str(tmp_path / "out")], field)
         assert not list((tmp_path / "out").glob("sample_*"))
 
+    def test_reveal_checks_the_layer_limit_against_the_archive_t_max(self, tmp_path, dict_file,
+                                                                    capsys):
+        # 2 / 1.5e-5 is beyond the layer limit, the default t_max's 0.5 / 1.5e-5 within it
+        assert hide(dict_file, tmp_path / "hide", "--t-max", "2") == 0
+        out = tmp_path / "reveal"
+        fails_fast(capsys, ["reveal", "--archive", str(tmp_path / "hide" / "archive.json"),
+                            "--dict", str(dict_file), "--out", str(out), "--trotter-delta", "1.5e-5"],
+                   "t_max 2 needs more than 100000 layers")
+        assert not out.exists()
+
     def test_hide_rejects_a_register_beyond_the_qubit_limit(self, tmp_path, dict_file, capsys):
         message = " ".join(WORDS * 2)
         fails_fast(capsys, ["hide", "--message", message, "--dict", str(dict_file),
@@ -209,13 +233,16 @@ class TestFailFast:
 
 
 class TestOptionsCheckedBeforeOutput:
-    @pytest.mark.parametrize("command", TRAINING_COMMANDS)
+    # the commands that read restarts and trotter_delta
+    @pytest.mark.parametrize("command", ("reconstruct", "reveal"))
     @pytest.mark.parametrize(
         "flags, key",
         [(["--restarts", "0"], "restarts"), (["--trotter-delta", "-1"], "trotter_delta")],
     )
     def test_bad_training_option_leaves_no_output(self, tmp_path, dict_file, capsys,
                                                   command, flags, key):
+        if command == "reveal":  # it checks its training options once it has read the archive
+            assert hide(dict_file, tmp_path) == 0
         out = tmp_path / "out"
         fails_fast(capsys, [command, *required_args(command, tmp_path, dict_file),
                             "--out", str(out), *flags], key)
@@ -323,11 +350,59 @@ class TestOptionsCheckedBeforeOutput:
         assert not out.exists()
 
 
+def rejected_file(capsys, argv, out, path, message):
+    """Run a command whose input file at ``path`` is bad: it must name the file and write nothing."""
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+    assert not out.exists()
+
+
+class TestUntrustedDataFiles:
+    def mnist(self, tmp_path, image_header, pixels):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 2051, *image_header) + pixels)
+        labels.write_bytes(struct.pack(">II", 2049, 1) + b"\x00")
+        return images, ["reconstruct", "--dataset", "mnist", "--mnist-images", str(images),
+                        "--mnist-labels", str(labels), "--samples", "0"]
+
+    def test_an_idx_count_beyond_the_file_is_not_read(self, tmp_path, capsys):
+        # 800 bytes whose header claims 250,000 images of 28 x 28
+        images, argv = self.mnist(tmp_path, (250_000, 28, 28), bytes(784))
+        assert images.stat().st_size == 800
+        tracemalloc.start()
+        try:
+            rejected_file(capsys, argv, tmp_path / "out", images,
+                          "expected 196000000 pixel bytes, got 784")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_an_idx_count_beyond_any_size_is_an_error(self, tmp_path, capsys):
+        size = (2**32 - 1) ** 3
+        images, argv = self.mnist(tmp_path, (2**32 - 1,) * 3, bytes(784))
+        rejected_file(capsys, argv, tmp_path / "out", images, f"expected {size} pixel bytes, got 784")
+
+    def test_an_iris_csv_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        iris = tmp_path / "iris.csv"
+        iris.write_bytes(b"5.1,3.5,1.4,0.2,setosa\n4.9,3.0,1.4,0.2,\xff\n")
+        rejected_file(capsys, ["reconstruct", "--iris-csv", str(iris), "--samples", "0"],
+                      tmp_path / "out", iris, "'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_non_finite_iris_feature_is_an_error(self, tmp_path, capsys, value):
+        iris = tmp_path / "iris.csv"
+        iris.write_text(f"5.1,3.5,1.4,0.2,setosa\n4.9,{value},1.4,0.2,setosa\n6.2,2.2,4.5,1.5,b\n")
+        rejected_file(capsys, ["reconstruct", "--iris-csv", str(iris), "--samples", "0"],
+                      tmp_path / "out", f"{iris}:2", "non-finite feature value")
+
+
 class TestTrainingOptionSchema:
     @pytest.mark.parametrize("command", TRAINING_COMMANDS)
     def test_every_training_field_is_a_flag(self, tmp_path, dict_file, command):
+        # every training field the command takes
         parser = cli.build_parser()
-        for f in OPTION_FIELDS:
+        for f in (f for f in OPTION_FIELDS if f.name in COMMAND_OPTIONS[command]):
             args = parser.parse_args([command, *required_args(command, tmp_path, dict_file),
                                       "--out", str(tmp_path), "--" + f.name.replace("_", "-"), "3"])
             value = getattr(args, f.name)
@@ -336,6 +411,34 @@ class TestTrainingOptionSchema:
 
     def test_the_training_flags_are_the_five_options(self):
         assert cli.TRAIN_KEYS == ("batch_size", "epochs", "trotter_delta", "t_max", "restarts")
+
+    @pytest.mark.parametrize("command", TRAINING_COMMANDS)
+    def test_help_lists_only_the_training_options_it_takes(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        training_flags = {"--" + f.name.replace("_", "-") for f in OPTION_FIELDS}
+        assert set(re.findall(r"--[a-z-]+", usage)) & training_flags == {
+            "--" + name.replace("_", "-") for name in COMMAND_OPTIONS[command]
+        }
+
+    @pytest.mark.parametrize(
+        "command, name", [("hide", "trotter_delta"), ("hide", "restarts"), ("reveal", "t_max")]
+    )
+    def test_an_option_the_command_does_not_read_is_rejected(self, tmp_path, dict_file, capsys,
+                                                             command, name):
+        out = tmp_path / "out"
+        argv = [command, *required_args(command, tmp_path, dict_file), "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--" + name.replace("_", "-"), "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --" + name.replace("_", "-") in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({name: 1}))
+        assert cli.main([*argv, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config keys") and repr(name) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_a_removed_option_is_rejected(self, tmp_path, dict_file, capsys, command):
@@ -362,9 +465,16 @@ class TestTrainingOptionSchema:
         for command, argv in runs.items():
             assert cli.main([command, *argv, "--out", str(tmp_path / command)]) == 0
             run = json.loads((tmp_path / command / "run.json").read_text())
-            for f in OPTION_FIELDS:
+            for f in (f for f in OPTION_FIELDS if f.name in COMMAND_OPTIONS[command]):
                 assert run[f.name] == f.default and type(run[f.name]) is type(f.default), f.name
             assert not set(REMOVED_OPTIONS) & set(run)
+        run_keys = {
+            "hide": {"command", "dict", "word_count", "seed", "batch_size", "epochs", "t_max"},
+            "reveal": {"command", "archive", "dict", "seed", "batch_size", "epochs",
+                       "trotter_delta", "restarts"},
+        }
+        for command, keys in run_keys.items():
+            assert set(json.loads((tmp_path / command / "run.json").read_text())) == keys, command
 
 
 @pytest.fixture(scope="module")
@@ -575,6 +685,23 @@ class TestDeterminism:
             assert code == 0
         for name in ("reveal.json", "cost_history.csv"):
             assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
+
+    def test_hide_epochs_has_no_effect(self, tmp_path, dict_file):
+        for epochs in ("3", "150"):
+            assert hide(dict_file, tmp_path / epochs, "--epochs", epochs) == 0
+        archives = [json.loads((tmp_path / epochs / "archive.json").read_text()) for epochs in ("3", "150")]
+        for payload in archives:
+            del payload["meta"]["created"]
+        assert archives[0] == archives[1]
+
+    def test_reveal_batch_size_has_no_effect(self, tmp_path, dict_file):
+        assert hide(dict_file, tmp_path / "h") == 0
+        argv = ["reveal", "--seed", "4", "--archive", str(tmp_path / "h" / "archive.json"),
+                "--dict", str(dict_file)]
+        assert cli.main([*argv, "--out", str(tmp_path / "default")]) == 0
+        assert cli.main([*argv, "--out", str(tmp_path / "b3"), "--batch-size", "3"]) == 0
+        for name in ("reveal.json", "cost_history.csv"):
+            assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "b3" / name).read_bytes()
 
     def test_reconstruct_and_classify_repeat(self, tmp_path):
         for run in ("a", "b"):

@@ -388,6 +388,12 @@ class TestLoadArchive:
         with pytest.raises(ArchiveFormatError, match="not valid JSON"):
             load_archive(path)
 
+    def test_rejects_an_archive_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"version": 4, "meta": {"created": "\xe9t\xe9"}}')
+        with pytest.raises(ArchiveFormatError, match=f"^{re.escape(str(path))}: not UTF-8"):
+            load_archive(path)
+
     def test_rejects_deeply_nested_json(self, tmp_path):
         # the parser's RecursionError becomes a format error
         path = tmp_path / "deep.json"
