@@ -16,12 +16,16 @@ layers (Childs et al., PRX 11, 011020, 2021). The outer phases of adjacent
 steps merge into P(2 a1 d), so K steps are 10K layers, each a diagonal
 layer followed by a transverse one, plus one more diagonal layer of a1 d:
 the same gates as 10K layers of the paper's circuit.
+
+The diagonal of each coefficient's term, ``coupling_columns``, is built in
+``ising``, which owns the coefficient layout. This module still binds the
+name, because ``benchmarks/trace_layers.py`` and the tests look it up here.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .ising import complete_pairs, _z_columns
+from .ising import coupling_columns  # noqa: F401
 
 # Blanes & Moan's S10 weights a1..a5 and b1..b4, from the paper cited above.
 _A = (0.0502627644003922, 0.413514300428344, 0.0450798897943977, -0.188054853819569,
@@ -40,19 +44,6 @@ def layer_count(t: float, delta: float) -> int:
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     return max(1, int(round(t / delta)))
-
-
-def coupling_columns(node_count: int) -> np.ndarray:
-    """(2^n, P) diagonal patterns of the Hamiltonian term of each coefficient.
-
-    Column k holds the basis-diagonal of the k-th term in the coefficient
-    layout of ``ising`` (Z_i Z_j for the couplings, then Z_i for the node
-    weights), so the diagonal part of the Hamiltonian is ``columns @ p``.
-    """
-    z = _z_columns(node_count)
-    cols = [z[:, i] * z[:, j] for i, j in complete_pairs(node_count)]
-    cols.extend(z[:, i] for i in range(node_count))
-    return np.column_stack(cols)
 
 
 def transverse_layer_matrix(node_count: int, delta) -> np.ndarray:

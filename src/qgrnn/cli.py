@@ -42,7 +42,7 @@ from .hiding import (
     save_archive,
 )
 from .ising import complete_pairs
-from .pipeline import DEFAULT_IRIS_ROWS, reconstruct_sample
+from .pipeline import DEFAULT_IRIS_ROWS, MAX_QUBITS, reconstruct_sample
 from .training import TrainConfig
 
 # Every TrainConfig field but the seed, which the commands derive from their
@@ -153,6 +153,9 @@ def _check_options(cfg: dict) -> None:
         for key, low in (("pca_components", 1), ("pca_fit_count", 2)):
             if cfg[key] < low:
                 raise ValueError(f"{key} must be >= {low}, got {cfg[key]!r}")
+        # each component becomes the weight of one qubit
+        if cfg["pca_components"] > MAX_QUBITS:
+            raise ValueError(f"pca_components must be <= {MAX_QUBITS}, got {cfg['pca_components']!r}")
     for key in ("samples", "kinds"):
         if cfg.get(key) is not None and not _split(cfg[key]):
             raise ValueError(f"{key} must list at least one entry, got {cfg[key]!r}")
@@ -189,7 +192,7 @@ def _load_scaled_dataset(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sample_indices(cfg: dict, sample_count: int) -> list[int]:
-    """The rows to reconstruct, each checked against the dataset's ``sample_count`` rows."""
+    """The rows to reconstruct, each checked against the dataset's ``sample_count`` rows and unique."""
     if cfg["samples"] is None:
         indices = list(DEFAULT_IRIS_ROWS) if cfg["dataset"] == "iris" else list(range(10))
     else:
@@ -200,6 +203,11 @@ def _sample_indices(cfg: dict, sample_count: int) -> list[int]:
     bad = [i for i in indices if not 0 <= i < sample_count]
     if bad:
         raise ValueError(f"--samples: sample indices out of range: {bad} for {sample_count} rows")
+    seen = set()
+    for i in indices:
+        if i in seen:
+            raise ValueError(f"--samples: sample indices must be unique, {i} repeats")
+        seen.add(i)
     return indices
 
 

@@ -7,6 +7,7 @@ Every module holds its coefficients as one float64 vector of length
 n(n+1)/2 for n nodes: the couplings w_ij of all pairs i < j in
 ``complete_pairs`` order, then the n node weights w_0 .. w_{n-1}. The node
 count is that of the state the coefficients act on.
+``coupling_columns`` is the one map from this layout to the diagonal of H.
 H is never formed as a 2^n x 2^n matrix: its ZZ and Z terms are one real
 diagonal and each X_i swaps amplitude pairs, so H psi costs O(n 2^n).
 exp(-i t H) psi is a scaled truncated Taylor series of such products
@@ -66,13 +67,25 @@ def _z_columns(node_count: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
+def coupling_columns(node_count: int) -> np.ndarray:
+    """(2^n, P) basis-diagonal of each coefficient's term: Z_i Z_j per coupling, then Z_i.
+
+    The ZZ + Z diagonal of the Hamiltonian is ``coupling_columns(n) @ coefficients``.
+    The columns fill one array, the only (2^n, P) array this allocates.
+    """
+    z = _z_columns(node_count)
+    pairs = complete_pairs(node_count)
+    columns = np.empty((z.shape[0], len(pairs) + node_count))
+    for k, (i, j) in enumerate(pairs):
+        columns[:, k] = z[:, i] * z[:, j]
+    columns[:, len(pairs) :] = z
+    return columns
+
+
 def hamiltonian_diagonal(coefficients: np.ndarray, node_count: int) -> np.ndarray:
     """Diagonal of the ZZ + Z part of the Hamiltonian, as a real vector.
 
-    Sums the node terms, then the couplings pair by pair. The product
-    ``coupling_columns(n) @ coefficients`` rounds differently (by up to
-    1e-14 at n = 8); this order keeps generated data, and so archives,
-    bit-identical for a given seed. A vector whose length is not
+    ``coupling_columns(n) @ coefficients``; a vector whose length is not
     n(n+1)/2 is rejected.
     """
     coefficients = np.asarray(coefficients, dtype=np.float64)
@@ -82,11 +95,7 @@ def hamiltonian_diagonal(coefficients: np.ndarray, node_count: int) -> np.ndarra
             f"a {node_count}-qubit Hamiltonian needs {expected} coefficients, "
             f"got shape {coefficients.shape}"
         )
-    z = _z_columns(node_count)
-    diag = z @ coefficients[-node_count:]
-    for (i, j), w in zip(complete_pairs(node_count), coefficients[:-node_count]):
-        diag += w * z[:, i] * z[:, j]
-    return diag
+    return coupling_columns(node_count) @ coefficients
 
 
 def apply_hamiltonian(diag: np.ndarray, psi: np.ndarray) -> np.ndarray:

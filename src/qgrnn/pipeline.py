@@ -12,10 +12,10 @@ from .statevector import random_state
 from .training import TrainConfig, TrainResult, initial_params, linear_inversion_start, train_qgrnn
 
 ACCEPT_COST = -0.99
-# Largest register accepted from user data. At 14 qubits the largest arrays are
-# the least-squares system of linear_inversion_start, 2 * 2^14 x 105 float64
-# (27.5 MB), and its complex design matrix; a training attempt peaks near 70 MB
-# and an epoch takes about 0.8 s on 2 cores. Each further qubit doubles both.
+# Largest register accepted from user data. At 14 qubits, by tracemalloc, the
+# data peak at 17.7 MB and the warm start at 24.4 MB; a training attempt peaks
+# at 94.3 MB, in CostEvaluator and its gradient, and an epoch (one gradient,
+# one cost) takes about 0.8 s on 2 cores. Each further qubit doubles all four.
 MAX_QUBITS = 14
 
 # Rows used by default for the Iris demonstration: two correctly-classified

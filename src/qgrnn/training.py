@@ -23,14 +23,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import seeding
-from .ansatz import (
-    DIAGONAL_WEIGHTS,
-    TRANSVERSE_WEIGHTS,
-    coupling_columns,
-    layer_count,
-    transverse_layer_matrix,
-)
-from .ising import TimeEvolvedSample, apply_hamiltonian
+from .ansatz import DIAGONAL_WEIGHTS, TRANSVERSE_WEIGHTS, layer_count, transverse_layer_matrix
+from .ising import TimeEvolvedSample, apply_hamiltonian, coupling_columns
 from .statevector import apply_cswap, apply_hadamard, checked_state, inner_product, prob_zero
 
 # Most Trotter layers one sample may ask for: 2000 times the 50 layers of the
@@ -374,10 +368,12 @@ def linear_inversion_start(initial, samples: list[TimeEvolvedSample]) -> np.ndar
     psi(t) = psi0 - i t H psi0 + O(t^2), so a polynomial fit of psi(t) - psi0
     in t with no constant term, of degree min(6, batch size), gives
     H psi0 = i c1. Removing the known unit transverse field leaves
-    diag(H) * psi0, which is linear in the coefficients: the real and
-    imaginary parts of ``(coupling_columns * psi0) p = H psi0 - sum_i X_i psi0``
-    are solved together by least squares. Exact for exact samples in the
-    limit of short times; used to start training near the answer.
+    r = (C * psi0) p, with C = ``coupling_columns``. Its real and imaginary
+    parts are fitted by least squares through the P x P normal equations
+    C^T diag(|psi0|^2) C p = C^T Re(conj(psi0) r), which ``lstsq`` solves for
+    the minimum-norm p when psi0 leaves them rank-deficient. Exact for
+    exact samples in the limit of short times; used to start training near
+    the answer.
     """
     psi0, states = _check_batch(initial, samples)
     n = psi0.size.bit_length() - 1
@@ -390,10 +386,11 @@ def linear_inversion_start(initial, samples: list[TimeEvolvedSample]) -> np.ndar
     slope = np.linalg.lstsq(vandermonde, drift, rcond=None)[0][0] / scale
     # a zero diagonal leaves the unit transverse field alone
     rhs = 1j * slope - apply_hamiltonian(np.zeros(psi0.size), psi0)
-    design = coupling_columns(n) * psi0[:, None]
-    return np.linalg.lstsq(
-        np.vstack([design.real, design.imag]), np.concatenate([rhs.real, rhs.imag]), rcond=None
-    )[0]
+    columns = coupling_columns(n)
+    projected = columns.T @ (psi0.conj() * rhs).real
+    # scaled in place, so the Gram matrix is (|psi0| C)^T (|psi0| C)
+    columns *= np.abs(psi0)[:, None]
+    return np.linalg.lstsq(columns.T @ columns, projected, rcond=None)[0]
 
 
 def _bfgs_phase(

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from qgrnn.ansatz import coupling_columns, layer_count, transverse_layer_matrix
-from qgrnn.ising import complete_pairs
+from qgrnn.ising import apply_hamiltonian, complete_pairs
 from qgrnn.statevector import _check_qubit
-from qgrnn.training import fidelity_direct
+from qgrnn.training import _check_batch, fidelity_direct
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -306,6 +306,31 @@ def grad_richardson(coefficients, initial, samples, delta: float, fd_step=1e-3) 
     coarse = grad_central(coefficients, initial, samples, delta, fd_step)
     fine = grad_central(coefficients, initial, samples, delta, fd_step / 2)
     return (4 * fine - coarse) / 3
+
+
+def stacked_inversion_start(initial, samples) -> np.ndarray:
+    """The slope-based warm start solved as one stacked real least-squares problem.
+
+    The same slope estimate as ``training.linear_inversion_start``, but the
+    real and imaginary parts of the complex (2^n, P) design
+    ``coupling_columns * psi0`` are stacked into a (2 * 2^n, P) system and
+    handed to ``lstsq`` directly, with no normal equations.
+    """
+    psi0, states = _check_batch(initial, samples)
+    n = psi0.size.bit_length() - 1
+    times = np.array([s.time for s in samples])
+    scale = times.max()
+    degree = min(6, len(samples))
+    # fit in t / scale so the Vandermonde columns are of order 1
+    vandermonde = (times / scale)[:, None] ** np.arange(1, degree + 1)
+    drift = states - psi0
+    slope = np.linalg.lstsq(vandermonde, drift, rcond=None)[0][0] / scale
+    # a zero diagonal leaves the unit transverse field alone
+    rhs = 1j * slope - apply_hamiltonian(np.zeros(psi0.size), psi0)
+    design = coupling_columns(n) * psi0[:, None]
+    return np.linalg.lstsq(
+        np.vstack([design.real, design.imag]), np.concatenate([rhs.real, rhs.imag]), rcond=None
+    )[0]
 
 
 def random_state_array(rng: np.random.Generator, n: int) -> np.ndarray:

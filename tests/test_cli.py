@@ -269,6 +269,8 @@ class TestOptionsCheckedBeforeOutput:
             ("reconstruct", ["--samples", "18,1000"], "--samples: sample indices out of range: [1000]"),
             ("reconstruct", ["--samples", "-1"], "--samples: sample indices out of range: [-1]"),
             ("classify", ["--kinds", "gaussian-naive-bayes,foo"], "kinds: unknown classifier kind 'foo'"),
+            ("reconstruct", ["--samples", "18,18"], "--samples: sample indices must be unique, 18 repeats"),
+            ("reconstruct", ["--samples", "73,18,018"], "--samples: sample indices must be unique, 18 repeats"),
         ],
     )
     def test_bad_list_entry_is_an_error(self, tmp_path, dict_file, capsys, command, flags, message):
@@ -276,6 +278,15 @@ class TestOptionsCheckedBeforeOutput:
         out = tmp_path / "out"
         argv = [command, *required_args(command, tmp_path, dict_file), "--out", str(out), *flags]
         fails_fast(capsys, argv, message)
+        assert not out.exists()
+
+    def test_more_components_than_qubits_leave_no_output(self, tmp_path, capsys,
+                                                          surrogate_idx_files):
+        images, labels = surrogate_idx_files
+        out = tmp_path / "out"
+        fails_fast(capsys, ["reconstruct", "--dataset", "mnist", "--mnist-images", images,
+                            "--mnist-labels", labels, "--pca-components", "15", "--samples", "0",
+                            "--out", str(out)], "pca_components must be <= 14, got 15")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
