@@ -1,12 +1,13 @@
 """Command-line pipeline: reconstruct features, check classifier agreement, hide and reveal messages.
 
 Every run writes ``run.json`` with the fully resolved configuration,
-including all seeds, so any output can be reproduced byte for byte, with one
-exception: ``hide`` stamps the creation time into ``meta.created`` of
-``archive.json``.
+including all seeds. Rerunning the same command line reproduces every
+output byte for byte, except ``meta.created``, the creation time that
+``hide`` stamps into ``archive.json``. A command cannot yet read a
+``run.json`` back as its ``--config`` (ROADMAP item 8).
 
-Each command takes only the training options it reads (``TRAIN_OPTIONS``);
-``reveal`` takes ``t_max`` from the archive it reads.
+``OPTIONS`` declares each command's options and their defaults; ``reveal``
+takes ``t_max`` from the archive it reads.
 
 ``classify`` has no dataset options: it takes its dataset from
 ``<reconstructed>/run.json``, the record of the ``reconstruct`` run it
@@ -45,32 +46,26 @@ from .ising import complete_pairs
 from .pipeline import DEFAULT_IRIS_ROWS, MAX_QUBITS, reconstruct_sample
 from .training import TrainConfig
 
-# Every TrainConfig field but the seed, which the commands derive from their
-# master seed, is an option of some command, with its type and default.
-# TrainConfig checks their values.
-TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
-
-# The training options of each command: the TrainConfig fields it reads. hide's
-# epochs and reveal's batch_size have no effect; they stay only until
-# benchmarks/selftest.py stops passing them (ROADMAP item 1).
-TRAIN_OPTIONS = {
-    "reconstruct": TRAIN_KEYS,
-    "classify": (),
-    "hide": ("batch_size", "epochs", "t_max"),
-    "reveal": ("batch_size", "epochs", "trotter_delta", "restarts"),
+# TrainConfig's fields and defaults; its seed is a command's master seed
+_TRAIN = {f.name: f.default for f in fields(TrainConfig)}
+# Every option of every command, with its default: a flag --<option> and a
+# --config key of the default's type, or str where the default is None.
+# TrainConfig range-checks the training options. hide's epochs and reveal's
+# batch_size have no effect but stay until benchmarks/selftest.py stops
+# passing them (ROADMAP item 1).
+OPTIONS = {
+    "reconstruct": {
+        **_TRAIN,
+        # the dataset options, which classify reads from the run it scores
+        "dataset": "iris", "iris_csv": None, "mnist_images": None, "mnist_labels": None,
+        "pca_components": 6, "pca_fit_count": 10000, "scale_lo": 0.0, "scale_hi": 5.0,
+        "samples": None,
+    },
+    "classify": {"seed": 0, "kinds": ",".join(classifiers.KINDS)},
+    "hide": {key: _TRAIN[key] for key in ("seed", "batch_size", "epochs", "t_max")},
+    "reveal": {key: _TRAIN[key] for key in ("seed", "batch_size", "epochs", "trotter_delta", "restarts")},
 }
-
-# reconstruct's dataset options, which classify reads from the run it scores
-DATASET_DEFAULTS = {
-    "dataset": "iris",
-    "iris_csv": None,
-    "mnist_images": None,
-    "mnist_labels": None,
-    "pca_components": 6,
-    "pca_fit_count": 10000,
-    "scale_lo": 0.0,
-    "scale_hi": 5.0,
-}
+DATASET_KEYS = [key for key in OPTIONS["reconstruct"] if key not in _TRAIN and key != "samples"]
 
 
 def _json_dump(obj, path: Path) -> None:
@@ -94,6 +89,15 @@ def _split(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
+def _check_unique(items: list, what: str) -> None:
+    """Raise naming the first of ``items`` that repeats; ``what`` names the list."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ValueError(f"{what} must be unique, {item!r} repeats")
+        seen.add(item)
+
+
 def _read_object(path) -> dict:
     """The JSON object in the file at ``path``; every error names the file."""
     try:
@@ -111,11 +115,10 @@ def _check_types(values: dict, defaults: dict, path) -> None:
     """Check that each value read from ``path`` has its option's JSON type.
 
     That is the default's type, or a string or null where the default is
-    None (paths and sample lists). TrainConfig checks the training options
-    itself.
+    None (paths and sample lists).
     """
     for key, value in values.items():
-        if key in TRAIN_KEYS or (value is None and defaults[key] is None):
+        if value is None and defaults[key] is None:
             continue
         expected = str if defaults[key] is None else type(defaults[key])
         accepted = (int, float) if expected is float else expected
@@ -134,7 +137,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         _check_types(file_cfg, defaults, args.config)
         cfg.update(file_cfg)
     for key in defaults:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
     return cfg
@@ -159,15 +162,16 @@ def _check_options(cfg: dict) -> None:
     for key in ("samples", "kinds"):
         if cfg.get(key) is not None and not _split(cfg[key]):
             raise ValueError(f"{key} must list at least one entry, got {cfg[key]!r}")
-    unknown = [kind for kind in _split(cfg.get("kinds") or "") if kind not in classifiers.KINDS]
+    kinds = _split(cfg.get("kinds") or "")
+    unknown = [kind for kind in kinds if kind not in classifiers.KINDS]
     if unknown:
         raise ValueError(f"kinds: unknown classifier kind {unknown[0]!r}, choose from {classifiers.KINDS}")
+    _check_unique(kinds, "kinds: classifier kinds")
 
 
-def _start(args: argparse.Namespace, defaults: dict) -> tuple[dict, Path]:
+def _start(args: argparse.Namespace) -> tuple[dict, Path]:
     """Resolve and check the command's options; --out is created by the first write, so bad input leaves none."""
-    train = {key: getattr(TrainConfig(), key) for key in TRAIN_OPTIONS[args.command]}
-    cfg = _resolve(args, {"seed": 0, **train, **defaults})
+    cfg = _resolve(args, OPTIONS[args.command])
     _check_options(cfg)
     if cfg["seed"] < 0:
         raise ValueError("seed must be >= 0")
@@ -176,7 +180,7 @@ def _start(args: argparse.Namespace, defaults: dict) -> tuple[dict, Path]:
 
 def _train_config(cfg: dict, **archived) -> TrainConfig:
     """The TrainConfig of the training options in ``cfg`` and ``archived``, which it checks."""
-    return TrainConfig(seed=cfg["seed"], **{key: cfg[key] for key in TRAIN_KEYS if key in cfg}, **archived)
+    return TrainConfig(**{key: cfg[key] for key in _TRAIN if key in cfg}, **archived)
 
 
 def _load_scaled_dataset(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -203,16 +207,12 @@ def _sample_indices(cfg: dict, sample_count: int) -> list[int]:
     bad = [i for i in indices if not 0 <= i < sample_count]
     if bad:
         raise ValueError(f"--samples: sample indices out of range: {bad} for {sample_count} rows")
-    seen = set()
-    for i in indices:
-        if i in seen:
-            raise ValueError(f"--samples: sample indices must be unique, {i} repeats")
-        seen.add(i)
+    _check_unique(indices, "--samples: sample indices")
     return indices
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    cfg, out = _start(args, {**DATASET_DEFAULTS, "samples": None})
+    cfg, out = _start(args)
     config = _train_config(cfg)
     # absolute, so classify opens the same files from any working directory
     for key in ("iris_csv", "mnist_images", "mnist_labels"):
@@ -262,10 +262,10 @@ def _reconstruct_dataset(recon_dir: Path) -> dict:
     """The dataset options recorded by the reconstruct run in ``recon_dir``, checked as a config file's are."""
     path = recon_dir / "run.json"
     run = _read_object(path)
-    if run.get("command") != "reconstruct" or not DATASET_DEFAULTS.keys() <= run.keys():
+    if run.get("command") != "reconstruct" or not set(DATASET_KEYS) <= run.keys():
         raise ValueError(f"{path}: not the run.json of a reconstruct run")
-    dataset = {key: run[key] for key in DATASET_DEFAULTS}
-    _check_types(dataset, DATASET_DEFAULTS, path)
+    dataset = {key: run[key] for key in DATASET_KEYS}
+    _check_types(dataset, OPTIONS["reconstruct"], path)
     try:
         _check_options(dataset)
     except ValueError as exc:
@@ -292,7 +292,7 @@ def _read_result(path: Path, feature_count: int) -> dict:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    cfg, out = _start(args, {"kinds": ",".join(classifiers.KINDS)})
+    cfg, out = _start(args)
     recon_dir = Path(args.reconstructed)
     cfg.update(_reconstruct_dataset(recon_dir))
     results = sorted(recon_dir.glob("sample_*/result.json"))
@@ -326,7 +326,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_hide(args: argparse.Namespace) -> int:
-    cfg, out = _start(args, {})
+    cfg, out = _start(args)
     dictionary = load_dictionary(args.dict)
     message = args.message.split()
     archive = encode_message(message, dictionary, _train_config(cfg))
@@ -342,7 +342,7 @@ def cmd_hide(args: argparse.Namespace) -> int:
 
 
 def cmd_reveal(args: argparse.Namespace) -> int:
-    cfg, out = _start(args, {})
+    cfg, out = _start(args)
     dictionary = load_dictionary(args.dict)
     archive = load_archive(args.archive)
     # the fit runs to the archive's t_max, so TrainConfig checks the layer limit against it
@@ -373,59 +373,51 @@ def cmd_reveal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, command: str) -> None:
-    p.add_argument("--config", help="JSON file of option defaults (flags win)")
-    p.add_argument("--seed", type=int, help="master seed; all streams derive from it")
+def _add_command(sub, command: str, func, **texts) -> argparse.ArgumentParser:
+    """The parser of ``command``, which runs ``func``: --config, --out and a flag per option."""
+    p = sub.add_parser(command, **texts)
+    p.set_defaults(func=func)
+    p.add_argument("--config", help="JSON file of option values (flags win)")
     p.add_argument("--out", required=True, help="output directory")
-    for f in fields(TrainConfig):
-        if f.name in TRAIN_OPTIONS[command]:
-            p.add_argument("--" + f.name.replace("_", "-"), type=int if f.type == "int" else float)
-
-
-def _add_dataset(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", choices=["iris", "mnist"])
-    p.add_argument("--iris-csv", help="Iris CSV path (default: bundled copy)")
-    p.add_argument("--mnist-images", help="IDX image file")
-    p.add_argument("--mnist-labels", help="IDX label file")
-    p.add_argument("--samples", help="comma-separated sample indices")
-    p.add_argument("--pca-components", type=int)
-    p.add_argument("--pca-fit-count", type=int)
+    for key, default in OPTIONS[command].items():
+        p.add_argument("--" + key.replace("_", "-"), type=str if default is None else type(default))
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgrnn",
-        description="Embed data in graph dynamics, recover it by training, and hide messages.",
+        description="Embed data in graph dynamics, recover it by training, and hide messages. "
+        "Every random stream of a command derives from its master seed, --seed.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "reconstruct",
+    _add_command(
+        sub, "reconstruct", cmd_reconstruct,
         help="embed dataset features and learn them back",
-        epilog="Writes per sample: result.json, cost_history.csv (epoch,cost; one row "
+        epilog="--iris-csv defaults to the bundled Iris copy; --mnist-images and "
+        "--mnist-labels are IDX files. --samples is a comma-separated list of row "
+        "indices. Each feature is min-max scaled to [--scale-lo, --scale-hi] and "
+        "becomes a node weight. "
+        "Writes per sample: result.json, cost_history.csv (epoch,cost; one row "
         "per epoch run, which can be fewer than --epochs when training converges "
         "early, as result.json's stop_reason then says), coefficients.csv "
         "(term,target,learned; one row per Hamiltonian coefficient, the ZZ couplings "
         "then the Z node weights).",
     )
-    _add_common(p, "reconstruct")
-    _add_dataset(p)
-    p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser(
-        "classify",
+    p = _add_command(
+        sub, "classify", cmd_classify,
         help="agreement between original and reconstructed features",
         epilog="Scores the dataset of the reconstruct run it reads, as that run's "
-        "<reconstructed>/run.json records it. Writes accuracy.csv (kind,accuracy) and "
+        "<reconstructed>/run.json records it. --kinds is a comma-separated list of "
+        "classifier kinds. Writes accuracy.csv (kind,accuracy) and "
         "agreement.csv (sample_index,kind,agreement).",
     )
-    _add_common(p, "classify")
     p.add_argument("--reconstructed", required=True, help="output dir of a reconstruct run")
-    p.add_argument("--kinds", help="comma-separated classifier kinds")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser(
-        "hide",
+    p = _add_command(
+        sub, "hide", cmd_hide,
         help="encode a message into a state archive",
         epilog="Of the training options, --batch-size and --t-max set the evolved states "
         "and --epochs has no effect. Writes archive.json (format version 4): version, "
@@ -434,13 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
         "little-endian complex64, exact to single precision. reveal also reads "
         "versions 1 to 3, which stored one field per state.",
     )
-    _add_common(p, "hide")
     p.add_argument("--message", required=True, help="whitespace-separated words")
     p.add_argument("--dict", required=True, help="dictionary file, one word per line")
-    p.set_defaults(func=cmd_hide)
 
-    p = sub.add_parser(
-        "reveal",
+    p = _add_command(
+        sub, "reveal", cmd_reveal,
         help="recover a message from a state archive",
         epilog="Trains to the t_max recorded in the archive, with the training options "
         "--epochs, --trotter-delta and --restarts; --batch-size has no effect. Writes "
@@ -449,11 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
         "says) and reveal.json; prints the message, per-word snap distances, and "
         "accuracy when --truth is given.",
     )
-    _add_common(p, "reveal")
     p.add_argument("--archive", required=True, help="archive.json path")
     p.add_argument("--dict", required=True, help="dictionary file, one word per line")
     p.add_argument("--truth", help="true message for accuracy reporting")
-    p.set_defaults(func=cmd_reveal)
     return parser
 
 

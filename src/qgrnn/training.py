@@ -31,6 +31,10 @@ from .statevector import apply_cswap, apply_hadamard, checked_state, inner_produ
 # default t_max (0.5) and trotter_delta (0.01). A larger count comes only
 # from an archive or config with a huge t, whose training would not finish.
 MAX_LAYERS = 100_000
+# Most samples one fit may take. By tracemalloc, the data, a CostEvaluator and
+# one gradient take about 32 KB per sample at n = 4, 350 KB at n = 10 and
+# 4.8 MB at n = 14, where 64 samples peak at 351 MB.
+MAX_BATCH = 64
 # The transverse layer is applied in qubit blocks of at most this size. Of
 # sizes 2 to 6, 4 (16 x 16 matmuls) was the fastest or within 10 % of it at
 # n = 4 to 10: smaller blocks pay for more calls, larger ones for more flops.
@@ -52,9 +56,10 @@ LEARNING_RATE = 0.5
 class TrainConfig:
     """The training options a caller sets, plus the seed of every stream.
 
-    Every field is type- and range-checked on construction, and ``t_max``
-    may need at most ``MAX_LAYERS`` layers of ``trotter_delta``, so a run
-    that could not finish fails before any data is generated.
+    Every field is type- and range-checked on construction: ``batch_size``
+    is at most ``MAX_BATCH``, and ``t_max`` may need at most ``MAX_LAYERS``
+    layers of ``trotter_delta``, so a run that could not finish fails before
+    any data is generated.
 
     ``trotter_delta`` is the mean step of a layer: a sample at time t runs
     K = ``layer_count(t, 10 trotter_delta)`` sixth-order steps of t/K, each
@@ -103,6 +108,8 @@ class TrainConfig:
         for name in ("trotter_delta", "t_max"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        if self.batch_size > MAX_BATCH:
+            raise ValueError(f"batch_size must be <= {MAX_BATCH}, got {self.batch_size}")
         # t_max / trotter_delta can overflow to inf, which layer_count cannot round
         if math.isinf(self.t_max / self.trotter_delta) or (
             layer_count(self.t_max, self.trotter_delta) > MAX_LAYERS

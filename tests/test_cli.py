@@ -58,11 +58,9 @@ CLASSIFY_REMOVED_FLAGS = {
     "--dataset": "iris", "--iris-csv": "iris.csv", "--mnist-images": "images.idx",
     "--mnist-labels": "labels.idx", "--samples": "18", "--pca-components": "6",
     "--pca-fit-count": "100", "--batch-size": "3", "--epochs": "3", "--trotter-delta": "0.01",
-    "--t-max": "0.5", "--restarts": "1",
+    "--t-max": "0.5", "--restarts": "1", "--scale-lo": "2", "--scale-hi": "3",
 }
-CLASSIFY_REMOVED_KEYS = [flag[2:].replace("-", "_") for flag in CLASSIFY_REMOVED_FLAGS] + [
-    "scale_lo", "scale_hi"
-]
+CLASSIFY_REMOVED_KEYS = [flag[2:].replace("-", "_") for flag in CLASSIFY_REMOVED_FLAGS]
 
 
 def hide(dict_file, out, *flags):
@@ -122,6 +120,7 @@ class TestConfigValidation:
             (["--t-max", "0"], "t_max"),
             (["--t-max", "-0.5"], "t_max"),
             (["--t-max", "inf"], "t_max"),
+            (["--batch-size", "65"], "batch_size must be <= 64, got 65"),
         ],
     )
     def test_out_of_range_flag_is_an_error(self, tmp_path, capsys, flags, field):
@@ -205,6 +204,8 @@ class TestFailFast:
             ('{"pca_components": 0}', "pca_components"),
             ('{"pca_fit_count": -3}', "pca_fit_count"),
             ('{"pca_fit_count": 1}', "pca_fit_count"),
+            # a training option from the same file, whose data would need about 8 GB
+            ('{"batch_size": 1000000000}', "batch_size must be <= 64, got 1000000000"),
         ],
     )
     def test_reconstruct_rejects_an_out_of_range_dataset_option(self, tmp_path, capsys,
@@ -213,7 +214,7 @@ class TestFailFast:
         config.write_text(file_text)
         fails_fast(capsys, ["reconstruct", "--samples", "18", "--config", str(config),
                             "--out", str(tmp_path / "out")], field)
-        assert not list((tmp_path / "out").glob("sample_*"))
+        assert not (tmp_path / "out").exists()
 
     def test_reveal_checks_the_layer_limit_against_the_archive_t_max(self, tmp_path, dict_file,
                                                                     capsys):
@@ -271,6 +272,8 @@ class TestOptionsCheckedBeforeOutput:
             ("classify", ["--kinds", "gaussian-naive-bayes,foo"], "kinds: unknown classifier kind 'foo'"),
             ("reconstruct", ["--samples", "18,18"], "--samples: sample indices must be unique, 18 repeats"),
             ("reconstruct", ["--samples", "73,18,018"], "--samples: sample indices must be unique, 18 repeats"),
+            ("classify", ["--kinds", "k-nearest-neighbors, k-nearest-neighbors"],
+             "kinds: classifier kinds must be unique, 'k-nearest-neighbors' repeats"),
         ],
     )
     def test_bad_list_entry_is_an_error(self, tmp_path, dict_file, capsys, command, flags, message):
@@ -409,19 +412,25 @@ class TestUntrustedDataFiles:
 
 
 class TestTrainingOptionSchema:
-    @pytest.mark.parametrize("command", TRAINING_COMMANDS)
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_every_training_field_is_a_flag(self, tmp_path, dict_file, command):
-        # every training field the command takes
+        # the training fields the command takes are among its options, and every
+        # option is a flag of its default's type, or str where the default is None
+        options = cli.OPTIONS[command]
+        assert [f.name for f in OPTION_FIELDS if f.name in options] == list(
+            COMMAND_OPTIONS.get(command, ()))
         parser = cli.build_parser()
-        for f in (f for f in OPTION_FIELDS if f.name in COMMAND_OPTIONS[command]):
+        for name, default in options.items():
             args = parser.parse_args([command, *required_args(command, tmp_path, dict_file),
-                                      "--out", str(tmp_path), "--" + f.name.replace("_", "-"), "3"])
-            value = getattr(args, f.name)
-            assert value == 3
-            assert type(value) is type(f.default), f.name
+                                      "--out", str(tmp_path), "--" + name.replace("_", "-"), "3"])
+            value = getattr(args, name)
+            assert value == ("3" if default is None or isinstance(default, str) else 3), name
+            assert type(value) is (str if default is None else type(default)), name
 
     def test_the_training_flags_are_the_five_options(self):
-        assert cli.TRAIN_KEYS == ("batch_size", "epochs", "trotter_delta", "t_max", "restarts")
+        names = [f.name for f in OPTION_FIELDS]
+        assert names == ["batch_size", "epochs", "trotter_delta", "t_max", "restarts"]
+        assert set(names) <= set(cli.OPTIONS["reconstruct"])
 
     @pytest.mark.parametrize("command", TRAINING_COMMANDS)
     def test_help_lists_only_the_training_options_it_takes(self, capsys, command):
@@ -469,6 +478,7 @@ class TestTrainingOptionSchema:
     def test_run_json_records_every_training_default(self, tmp_path, dict_file):
         runs = {
             "reconstruct": ["--samples", "18"],
+            "classify": ["--reconstructed", str(tmp_path / "reconstruct")],
             "hide": ["--message", "golf charlie", "--dict", str(dict_file)],
             "reveal": ["--archive", str(tmp_path / "hide" / "archive.json"),
                        "--dict", str(dict_file)],
@@ -476,8 +486,12 @@ class TestTrainingOptionSchema:
         for command, argv in runs.items():
             assert cli.main([command, *argv, "--out", str(tmp_path / command)]) == 0
             run = json.loads((tmp_path / command / "run.json").read_text())
-            for f in (f for f in OPTION_FIELDS if f.name in COMMAND_OPTIONS[command]):
+            for f in (f for f in OPTION_FIELDS if f.name in COMMAND_OPTIONS.get(command, ())):
                 assert run[f.name] == f.default and type(run[f.name]) is type(f.default), f.name
+            # every option not given on the command line, at its default
+            for name, default in cli.OPTIONS[command].items():
+                if name != "samples":
+                    assert run[name] == default and type(run[name]) is type(default), name
             assert not set(REMOVED_OPTIONS) & set(run)
         run_keys = {
             "hide": {"command", "dict", "word_count", "seed", "batch_size", "epochs", "t_max"},
@@ -523,7 +537,7 @@ class TestClassify:
                 cli.main([*argv, flag, value])
             assert exit_info.value.code == 2
             assert "unrecognized arguments: " + flag in capsys.readouterr().err
-        assert len(CLASSIFY_REMOVED_FLAGS) == 12 and len(CLASSIFY_REMOVED_KEYS) == 14
+        assert len(CLASSIFY_REMOVED_FLAGS) == 14 and len(CLASSIFY_REMOVED_KEYS) == 14
         for key in CLASSIFY_REMOVED_KEYS:
             config = tmp_path / "config.json"
             config.write_text(json.dumps({key: 1}))
@@ -532,7 +546,7 @@ class TestClassify:
             assert err.startswith("error: unknown config keys") and repr(key) in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("case", ["scale", "iris csv"])
+    @pytest.mark.parametrize("case", ["scale", "scale flags", "iris csv"])
     def test_scores_the_dataset_of_its_reconstruct_run(self, tmp_path, monkeypatch, case):
         # the run is made in one directory and scored from another
         (tmp_path / "made").mkdir()
@@ -543,6 +557,9 @@ class TestClassify:
         if case == "scale":
             Path("config.json").write_text(json.dumps({"scale_lo": 2, "scale_hi": 3}))
             argv += ["--config", "config.json"]
+            lo, hi = 2, 3
+        elif case == "scale flags":  # the same scaling as the config file's
+            argv += ["--scale-lo", "2", "--scale-hi", "3"]
             lo, hi = 2, 3
         else:
             shutil.copy(bundled_iris_path(), "iris_copy.csv")
@@ -555,12 +572,12 @@ class TestClassify:
 
         run = json.loads((Path("out") / "run.json").read_text())
         recorded = json.loads((recon_dir / "run.json").read_text())
-        assert run["iris_csv"] == (None if case == "scale" else str(iris_csv.resolve()))
+        assert run["iris_csv"] == (str(iris_csv.resolve()) if case == "iris csv" else None)
         assert (run["scale_lo"], run["scale_hi"]) == (lo, hi)
-        assert {key: run[key] for key in cli.DATASET_DEFAULTS} == {
-            key: recorded[key] for key in cli.DATASET_DEFAULTS
+        assert {key: run[key] for key in cli.DATASET_KEYS} == {
+            key: recorded[key] for key in cli.DATASET_KEYS
         }
-        assert not set(cli.TRAIN_KEYS) & set(run)
+        assert not {f.name for f in OPTION_FIELDS} & set(run)
 
         ds = load_iris_csv(iris_csv)
         features = minmax_scale(ds.features, lo, hi)

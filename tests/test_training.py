@@ -8,6 +8,7 @@ from qgrnn import training
 from qgrnn.ising import draw_times, random_complete_graph, sample_evolution, TimeEvolvedSample
 from qgrnn.statevector import basis_state, random_state
 from qgrnn.training import (
+    MAX_BATCH,
     MAX_LAYERS,
     AdamState,
     CostEvaluator,
@@ -340,6 +341,9 @@ class TestTrainConfig:
             TrainConfig(restarts=0)
         with pytest.raises(ValueError, match="trotter_delta must be a finite number"):
             TrainConfig(trotter_delta=float("nan"))
+        assert TrainConfig(batch_size=MAX_BATCH).batch_size == MAX_BATCH == 64
+        with pytest.raises(ValueError, match="batch_size must be <= 64, got 65"):
+            TrainConfig(batch_size=MAX_BATCH + 1)
 
     def test_rejects_a_negative_seed(self):
         assert TrainConfig(seed=0).seed == 0
