@@ -9,9 +9,11 @@ output byte for byte, except ``meta.created``, the creation time that
 ``OPTIONS`` declares each command's options and their defaults; ``reveal``
 takes ``t_max`` from the archive it reads.
 
+``reconstruct`` reads one dataset, a CSV table of numeric features and a
+label (``datasets.load_iris_csv``), by default the bundled Iris copy.
 ``classify`` has no dataset options: it takes its dataset from
 ``<reconstructed>/run.json``, the record of the ``reconstruct`` run it
-scores, which stores its dataset paths as absolute paths.
+scores, which stores the CSV path as an absolute path.
 """
 from __future__ import annotations
 
@@ -25,14 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classifiers, seeding
-from .datasets import (
-    bundled_iris_path,
-    load_iris_csv,
-    load_mnist_idx,
-    minmax_scale,
-    pca_fit,
-    pca_transform,
-)
+from .datasets import bundled_iris_path, load_iris_csv, minmax_scale
 from .hiding import (
     ArchiveFormatError,
     encode_message,
@@ -57,9 +52,7 @@ OPTIONS = {
     "reconstruct": {
         **_TRAIN,
         # the dataset options, which classify reads from the run it scores
-        "dataset": "iris", "iris_csv": None, "mnist_images": None, "mnist_labels": None,
-        "pca_components": 6, "pca_fit_count": 10000, "scale_lo": 0.0, "scale_hi": 5.0,
-        "samples": None,
+        "csv": None, "scale_lo": 0.0, "scale_hi": 5.0, "samples": None,
     },
     "classify": {"seed": 0, "kinds": ",".join(classifiers.KINDS)},
     "hide": {key: _TRAIN[key] for key in ("seed", "batch_size", "epochs", "t_max")},
@@ -146,19 +139,11 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 def _check_options(cfg: dict) -> None:
     """Range-check the options that are not TrainConfig's; _check_types checks only their types."""
     if "scale_lo" in cfg:
-        if cfg["dataset"] not in ("iris", "mnist"):
-            raise ValueError(f"unknown dataset {cfg['dataset']!r}")
-        if cfg["dataset"] == "mnist" and not (cfg["mnist_images"] and cfg["mnist_labels"]):
-            raise ValueError("mnist dataset needs --mnist-images and --mnist-labels")
         lo, hi = cfg["scale_lo"], cfg["scale_hi"]
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"need finite scale_lo < scale_hi, got {lo!r} and {hi!r}")
-        for key, low in (("pca_components", 1), ("pca_fit_count", 2)):
-            if cfg[key] < low:
-                raise ValueError(f"{key} must be >= {low}, got {cfg[key]!r}")
-        # each component becomes the weight of one qubit
-        if cfg["pca_components"] > MAX_QUBITS:
-            raise ValueError(f"pca_components must be <= {MAX_QUBITS}, got {cfg['pca_components']!r}")
+        # a finite width also makes both ends finite; minmax_scale multiplies by it
+        if not (math.isfinite(hi - lo) and lo < hi):
+            raise ValueError(f"need finite scale_lo < scale_hi and a finite scale_hi - scale_lo, "
+                             f"got {lo!r} and {hi!r}")
     for key in ("samples", "kinds"):
         if cfg.get(key) is not None and not _split(cfg[key]):
             raise ValueError(f"{key} must list at least one entry, got {cfg[key]!r}")
@@ -185,20 +170,14 @@ def _train_config(cfg: dict, **archived) -> TrainConfig:
 
 def _load_scaled_dataset(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     """Scaled feature matrix (and labels) in the frame used for embedding."""
-    if cfg["dataset"] == "iris":
-        ds = load_iris_csv(cfg["iris_csv"] or bundled_iris_path())
-        return minmax_scale(ds.features, cfg["scale_lo"], cfg["scale_hi"]), ds.labels
-    ds = load_mnist_idx(cfg["mnist_images"], cfg["mnist_labels"])
-    fit_rows = ds.features[: cfg["pca_fit_count"]]
-    model = pca_fit(fit_rows, cfg["pca_components"])
-    projected = pca_transform(model, ds.features)
-    return minmax_scale(projected, cfg["scale_lo"], cfg["scale_hi"]), ds.labels
+    ds = load_iris_csv(cfg["csv"] or bundled_iris_path())
+    return minmax_scale(ds.features, cfg["scale_lo"], cfg["scale_hi"]), ds.labels
 
 
 def _sample_indices(cfg: dict, sample_count: int) -> list[int]:
     """The rows to reconstruct, each checked against the dataset's ``sample_count`` rows and unique."""
     if cfg["samples"] is None:
-        indices = list(DEFAULT_IRIS_ROWS) if cfg["dataset"] == "iris" else list(range(10))
+        indices = list(DEFAULT_IRIS_ROWS)
     else:
         try:
             indices = [int(s) for s in _split(cfg["samples"])]
@@ -214,10 +193,9 @@ def _sample_indices(cfg: dict, sample_count: int) -> list[int]:
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     cfg, out = _start(args)
     config = _train_config(cfg)
-    # absolute, so classify opens the same files from any working directory
-    for key in ("iris_csv", "mnist_images", "mnist_labels"):
-        if cfg[key]:
-            cfg[key] = str(Path(cfg[key]).resolve())
+    # absolute, so classify opens the same file from any working directory
+    if cfg["csv"]:
+        cfg["csv"] = str(Path(cfg["csv"]).resolve())
     features, _ = _load_scaled_dataset(cfg)
     indices = _sample_indices(cfg, features.shape[0])
     # node weights live in the scaling range; the restarts search there
@@ -395,9 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(
         sub, "reconstruct", cmd_reconstruct,
         help="embed dataset features and learn them back",
-        epilog="--iris-csv defaults to the bundled Iris copy; --mnist-images and "
-        "--mnist-labels are IDX files. --samples is a comma-separated list of row "
-        "indices. Each feature is min-max scaled to [--scale-lo, --scale-hi] and "
+        epilog="--csv is a table of k numeric features and then a class label per row, "
+        f"2 <= k <= {MAX_QUBITS}, after an optional header row; it defaults to the bundled "
+        "Iris copy (150 rows, 4 features). --samples is a comma-separated list of row "
+        "indices, by default " + ",".join(map(str, DEFAULT_IRIS_ROWS)) + ", which the "
+        "table must hold. Each feature is min-max scaled to [--scale-lo, --scale-hi] and "
         "becomes a node weight. "
         "Writes per sample: result.json, cost_history.csv (epoch,cost; one row "
         "per epoch run, which can be fewer than --epochs when training converges "

@@ -1,4 +1,8 @@
-"""Dataset ingestion (Iris CSV, MNIST IDX), min-max scaling, and PCA."""
+"""Dataset ingestion and min-max scaling.
+
+``load_iris_csv`` reads any CSV table of numeric features and a class label,
+the bundled Iris copy among them; each feature becomes one qubit's weight.
+"""
 from __future__ import annotations
 
 import math
@@ -10,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .pipeline import MAX_QUBITS
 
 MNIST_IMAGE_MAGIC = 2051
 MNIST_LABEL_MAGIC = 2049
@@ -37,10 +42,12 @@ def bundled_iris_path() -> Path:
 
 
 def load_iris_csv(path) -> Dataset:
-    """Read a 5-column Iris CSV: four numeric features plus a class label.
+    """Read a CSV table of k numeric features and then a class label, 2 <= k <= MAX_QUBITS.
 
-    A non-numeric first row is treated as a header. Class labels map to
-    integers 0, 1, 2 in first-appearance order. Features must be finite.
+    The first data row sets k, and every row must have k + 1 fields. A
+    non-numeric first row is treated as a header. Class labels map to
+    integers 0, 1, ... in first-appearance order. Features must be finite.
+    Every error names ``<path>`` or ``<path>:<line>``.
     """
     path = Path(path)
     try:
@@ -52,24 +59,28 @@ def load_iris_csv(path) -> Dataset:
     labels = []
     start = 0
     if lines:
-        first = lines[0].split(",")
         try:
-            float(first[0])
+            float(lines[0].split(",")[0])
         except ValueError:
             start = 1
+    width = None
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 comma-separated fields, got {len(parts)}")
+        if width is None:
+            width = len(parts)
+            if not 2 <= width - 1 <= MAX_QUBITS:
+                raise ValueError(f"{path}:{lineno}: expected 2 to {MAX_QUBITS} features, got {width - 1}")
+        if len(parts) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} comma-separated fields, got {len(parts)}")
         try:
-            values = [float(p) for p in parts[:4]]
+            values = [float(p) for p in parts[:-1]]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-numeric feature value: {exc}") from None
         if not np.isfinite(values).all():
             raise ValueError(f"{path}:{lineno}: non-finite feature value in {values}")
-        name = parts[4].strip()
+        name = parts[-1].strip()
         if name not in label_order:
             label_order[name] = len(label_order)
         rows.append(values)
@@ -79,6 +90,9 @@ def load_iris_csv(path) -> Dataset:
     return Dataset(np.array(rows), np.array(labels))
 
 
+# The IDX reader is a library function only. It stays while
+# benchmarks/trace_layers.py binds it by name, since the tracer's tier-1
+# self-test fails on a missing binding (ROADMAP item 1 lifts that).
 def _read_idx(f, path, expected_magic: int, n_dims: int, what: str):
     """The header's dimensions and the bytes they claim, read only once the file is known to hold them."""
     head = f.read(4 * (1 + n_dims))
@@ -118,46 +132,3 @@ def minmax_scale(features, lo: float = 0.0, hi: float = 5.0) -> np.ndarray:
     safe = np.where(span == 0, 1.0, span)
     out = (x - col_min) / safe * (hi - lo) + lo
     return np.where(span == 0, lo, out)
-
-
-@dataclass(frozen=True)
-class PcaModel:
-    mean: np.ndarray
-    components: np.ndarray  # (k, input_dim), rows orthonormal
-    explained_variance: np.ndarray  # descending
-
-
-def pca_fit(features, k: int) -> PcaModel:
-    """Principal components from the sample covariance (divisor N - 1).
-
-    The covariance is symmetric by construction, so ``np.linalg.eigh``
-    decomposes it directly.
-
-    Components are ordered by descending eigenvalue; each component's
-    largest-magnitude entry is made positive so the fit is deterministic.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("pca_fit needs a 2-D matrix with at least 2 samples")
-    if not 1 <= k <= x.shape[1]:
-        raise ValueError(f"k={k} out of range for {x.shape[1]} features")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = (centered.T @ centered) / (x.shape[0] - 1)
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    order = np.argsort(eigenvalues)[::-1][:k]
-    components = eigenvectors[:, order].T.copy()
-    for row in components:
-        if row[np.argmax(np.abs(row))] < 0:
-            row *= -1.0
-    return PcaModel(mean, components, np.maximum(eigenvalues[order], 0.0))
-
-
-def pca_transform(model: PcaModel, features) -> np.ndarray:
-    """(features - mean) @ components.T"""
-    x = np.asarray(features, dtype=np.float64)
-    if x.shape[-1] != model.mean.shape[0]:
-        raise ValueError(
-            f"feature dimension {x.shape[-1]} does not match model dimension {model.mean.shape[0]}"
-        )
-    return (x - model.mean) @ model.components.T

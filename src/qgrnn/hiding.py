@@ -45,20 +45,19 @@ class ArchiveFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Ordered words with evenly spaced code values over [lo, hi].
+    """Ordered words with evenly spaced code values over [DICTIONARY_LO, DICTIONARY_HI].
 
-    values[k] = lo + k * spacing with spacing = (hi - lo) / (word_count - 1),
-    so the endpoints always carry the first and last word.
+    values[k] = DICTIONARY_LO + k * spacing with spacing =
+    (DICTIONARY_HI - DICTIONARY_LO) / (word_count - 1), so the endpoints
+    always carry the first and last word.
     """
 
     words: tuple[str, ...]
-    lo: float
-    hi: float
     values: np.ndarray
 
     @property
     def spacing(self) -> float:
-        return (self.hi - self.lo) / (len(self.words) - 1)
+        return (DICTIONARY_HI - DICTIONARY_LO) / (len(self.words) - 1)
 
     def value_of(self, word: str) -> float:
         try:
@@ -84,7 +83,7 @@ def build_dictionary(words) -> Dictionary:
             raise ValueError(f"dictionary words must be unique, {word!r} repeats")
         seen.add(word)
     values = np.linspace(DICTIONARY_LO, DICTIONARY_HI, len(words))
-    return Dictionary(words, DICTIONARY_LO, DICTIONARY_HI, values)
+    return Dictionary(words, values)
 
 
 def load_dictionary(path) -> Dictionary:
@@ -310,7 +309,7 @@ def reveal_message(archive: StateArchive, dictionary: Dictionary, config: TrainC
     weights over the dictionary's range, which the hidden values span.
     """
     result, attempts = learn_from_states(
-        archive.initial_state, list(archive.samples), config, (dictionary.lo, dictionary.hi)
+        archive.initial_state, list(archive.samples), config, (DICTIONARY_LO, DICTIONARY_HI)
     )
     learned = result.learned_params[-archive.node_count :]
     snapped = [dictionary.snap(v) for v in learned]

@@ -6,7 +6,6 @@ import struct
 from functools import reduce
 
 import numpy as np
-import pytest
 
 from qgrnn.ansatz import coupling_columns, layer_count, transverse_layer_matrix
 from qgrnn.ising import apply_hamiltonian, complete_pairs
@@ -355,36 +354,3 @@ def write_idx_pair(directory, images: np.ndarray, labels: np.ndarray) -> tuple[s
         f.write(labels.astype(np.uint8).tobytes())
     return images_path, labels_path
 
-
-def make_surrogate_digits(n_samples: int = 4000, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic 28x28 digit-like dataset: 10 structured, overlapping classes.
-
-    Stands in for handwritten-digit data where the real files are not
-    available; class identity controls blob position/size and stroke angle.
-    """
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(0, 10, n_samples)
-    images = np.zeros((n_samples, 28, 28))
-    yy, xx = np.mgrid[0:28, 0:28]
-    for i, c in enumerate(labels):
-        angle = 2 * np.pi * c / 10
-        cx = 14 + 6 * np.cos(angle) + rng.normal(0, 1.4)
-        cy = 14 + 6 * np.sin(angle) + rng.normal(0, 1.4)
-        sx = 2.0 + 0.35 * (c % 4) + rng.normal(0, 0.35)
-        sy = 2.0 + 0.35 * ((c // 2) % 3) + rng.normal(0, 0.35)
-        blob = np.exp(-((xx - cx) ** 2 / (2 * sx**2) + (yy - cy) ** 2 / (2 * sy**2)))
-        theta = angle / 2 + rng.normal(0, 0.25)
-        dist = np.abs((xx - 14) * np.sin(theta) - (yy - 14) * np.cos(theta))
-        stroke = np.exp(-(dist**2) / (2 * (1.2 + 0.1 * c) ** 2))
-        stroke = stroke * (np.hypot(xx - 14, yy - 14) < 10 + c % 3)
-        img = 0.75 * blob + 0.55 * stroke + rng.normal(0, 0.16, (28, 28))
-        images[i] = np.clip(img, 0, 1)
-    return (images * 255).astype(np.uint8), labels.astype(np.uint8)
-
-
-@pytest.fixture(scope="session")
-def surrogate_idx_files(tmp_path_factory):
-    """IDX image/label pair of the surrogate digit dataset."""
-    directory = tmp_path_factory.mktemp("idx")
-    images, labels = make_surrogate_digits()
-    return write_idx_pair(directory, images.reshape(-1, 28, 28), labels)

@@ -2,9 +2,7 @@ import csv
 import json
 import re
 import shutil
-import struct
 import time
-import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -38,9 +36,12 @@ COMMAND_OPTIONS = {
     "hide": ("batch_size", "epochs", "t_max"),
     "reveal": ("batch_size", "epochs", "trotter_delta", "restarts"),
 }
-# former options, now constants or taken from the embedding: neither flags nor config keys
+# former options, now constants or taken from the embedding, and the MNIST and PCA
+# dataset options, gone with that path (iris_csv is now csv): neither flags nor config keys
 REMOVED_OPTIONS = ("learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon",
-                   "init_low", "init_high", "node_init_low", "node_init_high", "fd_step")
+                   "init_low", "init_high", "node_init_low", "node_init_high", "fd_step",
+                   "dataset", "iris_csv", "mnist_images", "mnist_labels", "pca_components",
+                   "pca_fit_count")
 
 
 def required_args(command, tmp_path, dict_file):
@@ -53,12 +54,13 @@ def required_args(command, tmp_path, dict_file):
     }[command]
 
 
-# classify's former options, flag and value: it now reads them from the reconstruct run
+# classify's former options, flag and value, and reconstruct's --csv: it reads
+# its dataset from the reconstruct run
 CLASSIFY_REMOVED_FLAGS = {
     "--dataset": "iris", "--iris-csv": "iris.csv", "--mnist-images": "images.idx",
     "--mnist-labels": "labels.idx", "--samples": "18", "--pca-components": "6",
     "--pca-fit-count": "100", "--batch-size": "3", "--epochs": "3", "--trotter-delta": "0.01",
-    "--t-max": "0.5", "--restarts": "1", "--scale-lo": "2", "--scale-hi": "3",
+    "--t-max": "0.5", "--restarts": "1", "--scale-lo": "2", "--scale-hi": "3", "--csv": "iris.csv",
 }
 CLASSIFY_REMOVED_KEYS = [flag[2:].replace("-", "_") for flag in CLASSIFY_REMOVED_FLAGS]
 
@@ -201,9 +203,6 @@ class TestFailFast:
             ('{"scale_hi": NaN}', "scale_hi"),
             ('{"scale_lo": 5.0}', "scale_lo < scale_hi"),
             ('{"scale_lo": 3.0, "scale_hi": 1.0}', "scale_lo < scale_hi"),
-            ('{"pca_components": 0}', "pca_components"),
-            ('{"pca_fit_count": -3}', "pca_fit_count"),
-            ('{"pca_fit_count": 1}', "pca_fit_count"),
             # a training option from the same file, whose data would need about 8 GB
             ('{"batch_size": 1000000000}', "batch_size must be <= 64, got 1000000000"),
         ],
@@ -215,6 +214,15 @@ class TestFailFast:
         fails_fast(capsys, ["reconstruct", "--samples", "18", "--config", str(config),
                             "--out", str(tmp_path / "out")], field)
         assert not (tmp_path / "out").exists()
+
+    def test_reconstruct_rejects_a_scale_range_whose_width_overflows(self, tmp_path, capsys):
+        # both ends are finite, but hi - lo is inf: min-max scaling would give NaN weights
+        out = tmp_path / "out"
+        fails_fast(capsys, ["reconstruct", "--samples", "18", "--scale-lo=-1e308",
+                            "--scale-hi=1e308", "--out", str(out)],
+                   "need finite scale_lo < scale_hi and a finite scale_hi - scale_lo, "
+                   "got -1e+308 and 1e+308")
+        assert not out.exists()
 
     def test_reveal_checks_the_layer_limit_against_the_archive_t_max(self, tmp_path, dict_file,
                                                                     capsys):
@@ -283,15 +291,6 @@ class TestOptionsCheckedBeforeOutput:
         fails_fast(capsys, argv, message)
         assert not out.exists()
 
-    def test_more_components_than_qubits_leave_no_output(self, tmp_path, capsys,
-                                                          surrogate_idx_files):
-        images, labels = surrogate_idx_files
-        out = tmp_path / "out"
-        fails_fast(capsys, ["reconstruct", "--dataset", "mnist", "--mnist-images", images,
-                            "--mnist-labels", labels, "--pca-components", "15", "--samples", "0",
-                            "--out", str(out)], "pca_components must be <= 14, got 15")
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", COMMANDS)
     def test_negative_seed_leaves_no_output(self, tmp_path, dict_file, capsys, command):
         out = tmp_path / "out"
@@ -330,7 +329,7 @@ class TestOptionsCheckedBeforeOutput:
         short = tmp_path / "iris59.csv"
         short.write_text("\n".join(bundled_iris_path().read_text().splitlines()[:60]) + "\n")
         out = tmp_path / "out"
-        fails_fast(capsys, ["reconstruct", "--iris-csv", str(short), "--out", str(out)],
+        fails_fast(capsys, ["reconstruct", "--csv", str(short), "--out", str(out)],
                    "sample indices out of range: [73, 82, 118, 141] for 59 rows")
         assert not out.exists()
 
@@ -372,43 +371,25 @@ def rejected_file(capsys, argv, out, path, message):
 
 
 class TestUntrustedDataFiles:
-    def mnist(self, tmp_path, image_header, pixels):
-        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
-        images.write_bytes(struct.pack(">IIII", 2051, *image_header) + pixels)
-        labels.write_bytes(struct.pack(">II", 2049, 1) + b"\x00")
-        return images, ["reconstruct", "--dataset", "mnist", "--mnist-images", str(images),
-                        "--mnist-labels", str(labels), "--samples", "0"]
-
-    def test_an_idx_count_beyond_the_file_is_not_read(self, tmp_path, capsys):
-        # 800 bytes whose header claims 250,000 images of 28 x 28
-        images, argv = self.mnist(tmp_path, (250_000, 28, 28), bytes(784))
-        assert images.stat().st_size == 800
-        tracemalloc.start()
-        try:
-            rejected_file(capsys, argv, tmp_path / "out", images,
-                          "expected 196000000 pixel bytes, got 784")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * 2**20
-
-    def test_an_idx_count_beyond_any_size_is_an_error(self, tmp_path, capsys):
-        size = (2**32 - 1) ** 3
-        images, argv = self.mnist(tmp_path, (2**32 - 1,) * 3, bytes(784))
-        rejected_file(capsys, argv, tmp_path / "out", images, f"expected {size} pixel bytes, got 784")
-
     def test_an_iris_csv_that_is_not_utf8_is_named(self, tmp_path, capsys):
         iris = tmp_path / "iris.csv"
         iris.write_bytes(b"5.1,3.5,1.4,0.2,setosa\n4.9,3.0,1.4,0.2,\xff\n")
-        rejected_file(capsys, ["reconstruct", "--iris-csv", str(iris), "--samples", "0"],
+        rejected_file(capsys, ["reconstruct", "--csv", str(iris), "--samples", "0"],
                       tmp_path / "out", iris, "'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_a_non_finite_iris_feature_is_an_error(self, tmp_path, capsys, value):
         iris = tmp_path / "iris.csv"
         iris.write_text(f"5.1,3.5,1.4,0.2,setosa\n4.9,{value},1.4,0.2,setosa\n6.2,2.2,4.5,1.5,b\n")
-        rejected_file(capsys, ["reconstruct", "--iris-csv", str(iris), "--samples", "0"],
+        rejected_file(capsys, ["reconstruct", "--csv", str(iris), "--samples", "0"],
                       tmp_path / "out", f"{iris}:2", "non-finite feature value")
+
+    @pytest.mark.parametrize("k", [1, 15])
+    def test_a_table_of_too_few_or_too_many_features_is_named(self, tmp_path, capsys, k):
+        table = tmp_path / "table.csv"
+        table.write_text("".join(",".join(["1.5"] * k) + f",{c}\n" for c in "abab"))
+        rejected_file(capsys, ["reconstruct", "--csv", str(table), "--samples", "0"],
+                      tmp_path / "out", f"{table}:1", f"expected 2 to 14 features, got {k}")
 
 
 class TestTrainingOptionSchema:
@@ -537,7 +518,7 @@ class TestClassify:
                 cli.main([*argv, flag, value])
             assert exit_info.value.code == 2
             assert "unrecognized arguments: " + flag in capsys.readouterr().err
-        assert len(CLASSIFY_REMOVED_FLAGS) == 14 and len(CLASSIFY_REMOVED_KEYS) == 14
+        assert len(CLASSIFY_REMOVED_FLAGS) == 15 and len(CLASSIFY_REMOVED_KEYS) == 15
         for key in CLASSIFY_REMOVED_KEYS:
             config = tmp_path / "config.json"
             config.write_text(json.dumps({key: 1}))
@@ -546,14 +527,16 @@ class TestClassify:
             assert err.startswith("error: unknown config keys") and repr(key) in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("case", ["scale", "scale flags", "iris csv"])
+    @pytest.mark.parametrize("case", ["scale", "scale flags", "iris csv", "3-feature csv"])
     def test_scores_the_dataset_of_its_reconstruct_run(self, tmp_path, monkeypatch, case):
         # the run is made in one directory and scored from another
         (tmp_path / "made").mkdir()
         (tmp_path / "scored").mkdir()
         monkeypatch.chdir(tmp_path / "made")
-        argv = ["reconstruct", "--samples", "18,73", "--epochs", "3", "--restarts", "1", "--out", "rec"]
-        iris_csv, lo, hi = bundled_iris_path(), 0.0, 5.0
+        rows = (3, 16) if case == "3-feature csv" else (18, 73)
+        argv = ["reconstruct", "--samples", ",".join(map(str, rows)), "--epochs", "3",
+                "--restarts", "1", "--out", "rec"]
+        csv_path, lo, hi = bundled_iris_path(), 0.0, 5.0
         if case == "scale":
             Path("config.json").write_text(json.dumps({"scale_lo": 2, "scale_hi": 3}))
             argv += ["--config", "config.json"]
@@ -561,10 +544,19 @@ class TestClassify:
         elif case == "scale flags":  # the same scaling as the config file's
             argv += ["--scale-lo", "2", "--scale-hi", "3"]
             lo, hi = 2, 3
-        else:
+        elif case == "iris csv":
             shutil.copy(bundled_iris_path(), "iris_copy.csv")
-            argv += ["--iris-csv", "iris_copy.csv"]
-            iris_csv = tmp_path / "made" / "iris_copy.csv"
+            argv += ["--csv", "iris_copy.csv"]
+            csv_path = tmp_path / "made" / "iris_copy.csv"
+        else:  # 20 rows of 3 features, 2 classes that alternate
+            lines = ["x,y,z,class"] + [
+                f"{1 + 3 * (i % 2) + 0.1 * i},{2 - (i % 2) + 0.05 * i},{0.5 + 0.02 * i * i},"
+                + ("even" if i % 2 == 0 else "odd")
+                for i in range(20)
+            ]
+            Path("table.csv").write_text("\n".join(lines) + "\n")
+            argv += ["--csv", "table.csv"]
+            csv_path = tmp_path / "made" / "table.csv"
         assert cli.main(argv) == 0
         monkeypatch.chdir(tmp_path / "scored")
         recon_dir = tmp_path / "made" / "rec"
@@ -572,18 +564,20 @@ class TestClassify:
 
         run = json.loads((Path("out") / "run.json").read_text())
         recorded = json.loads((recon_dir / "run.json").read_text())
-        assert run["iris_csv"] == (str(iris_csv.resolve()) if case == "iris csv" else None)
+        assert run["csv"] == (None if case.startswith("scale") else str(csv_path.resolve()))
         assert (run["scale_lo"], run["scale_hi"]) == (lo, hi)
+        assert cli.DATASET_KEYS == ["csv", "scale_lo", "scale_hi"]
         assert {key: run[key] for key in cli.DATASET_KEYS} == {
             key: recorded[key] for key in cli.DATASET_KEYS
         }
         assert not {f.name for f in OPTION_FIELDS} & set(run)
 
-        ds = load_iris_csv(iris_csv)
+        ds = load_iris_csv(csv_path)
+        assert ds.features.shape == ((20, 3) if case == "3-feature csv" else (150, 4))
         features = minmax_scale(ds.features, lo, hi)
         train, test = classifiers.stratified_split(ds.labels, seed=0)
         records = [json.loads((recon_dir / f"sample_{i:05d}" / "result.json").read_text())
-                   for i in (18, 73)]
+                   for i in rows]
         accuracy, agreement = [], []
         for kind in classifiers.KINDS:
             model = classifiers.fit(kind, features[train], ds.labels[train])
@@ -608,16 +602,16 @@ class TestClassify:
             ('{"command": "reconstruct"}', "not the run.json of a reconstruct run"),
             ({"command": "classify"}, "not the run.json of a reconstruct run"),
             ({"scale_hi": "3"}, "key 'scale_hi' must be of type float, got '3'"),
-            ({"iris_csv": 5}, "key 'iris_csv' must be of type str, got 5"),
-            ({"pca_fit_count": 2.5}, "key 'pca_fit_count' must be of type int, got 2.5"),
-            ({"dataset": "cifar"}, "unknown dataset 'cifar'"),
-            ({"dataset": "mnist"}, "mnist dataset needs"),
+            ({"csv": 5}, "key 'csv' must be of type str, got 5"),
             ({"scale_lo": 5.0}, "need finite scale_lo < scale_hi"),
-            ({"pca_components": 0}, "pca_components must be >= 1"),
+            ({"scale_lo": -1e308, "scale_hi": 1e308}, "a finite scale_hi - scale_lo"),
+            # the dataset keys of a run made while reconstruct read iris_csv
+            ('{"command": "reconstruct", "dataset": "iris", "iris_csv": null, "scale_lo": 0.0, '
+             '"scale_hi": 5.0}', "not the run.json of a reconstruct run"),
         ],
         ids=["missing", "not JSON", "too deep", "not an object", "no dataset keys",
-             "another command", "scale type", "path type", "count type", "unknown dataset",
-             "mnist without files", "empty scale", "no components"],
+             "another command", "scale type", "path type", "empty scale", "overflowing scale",
+             "iris_csv run"],
     )
     def test_a_bad_run_json_leaves_no_output(self, tmp_path, capsys, reconstruct_run,
                                              content, message):

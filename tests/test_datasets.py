@@ -1,17 +1,13 @@
+import re
+import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qgrnn.datasets import (
-    Dataset,
-    bundled_iris_path,
-    load_iris_csv,
-    load_mnist_idx,
-    minmax_scale,
-    pca_fit,
-    pca_transform,
-)
+from qgrnn.datasets import Dataset, bundled_iris_path, load_iris_csv, load_mnist_idx, minmax_scale
+from qgrnn.pipeline import MAX_QUBITS
 
 from conftest import write_idx_pair
 
@@ -53,6 +49,31 @@ class TestLoadIris:
         with pytest.raises(OSError):
             load_iris_csv(tmp_path / "nope.csv")
 
+    def test_any_feature_count_from_two_to_the_qubit_limit(self, tmp_path):
+        path = tmp_path / "table.csv"
+        for k in (2, 3, MAX_QUBITS):
+            rows = [[float(i + j) for j in range(k)] + [f"c{i % 2}"] for i in range(4)]
+            path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+            ds = load_iris_csv(path)
+            assert ds.features.shape == (4, k)
+            assert np.array_equal(ds.features, np.array([row[:-1] for row in rows]))
+            assert ds.labels.tolist() == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("k", [1, MAX_QUBITS + 1])
+    def test_a_feature_count_beyond_the_limits_names_the_first_row(self, tmp_path, k):
+        path = tmp_path / "table.csv"
+        path.write_text("x,label\n" + ",".join(["1.0"] * k) + ",a\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: expected 2 to {MAX_QUBITS} "
+                                             rf"features, got {k}$"):
+            load_iris_csv(path)
+
+    def test_a_row_of_another_width_names_its_line(self, tmp_path):
+        # the first data row sets three features; line 4 has four
+        path = tmp_path / "table.csv"
+        path.write_text("a,b,c,label\n1,2,3,x\n4,5,6,y\n7,8,9,1,y\n")
+        with pytest.raises(ValueError, match=r":4: expected 4 comma-separated fields, got 5$"):
+            load_iris_csv(path)
+
 
 class TestLoadMnistIdx:
     def test_round_trip(self, tmp_path):
@@ -66,8 +87,6 @@ class TestLoadMnistIdx:
         assert np.array_equal(ds.labels, labels)
 
     def test_bad_image_magic(self, tmp_path):
-        import struct
-
         images = np.zeros((2, 4, 4), dtype=np.uint8)
         labels = np.zeros(2, dtype=np.uint8)
         imgs_path, labels_path = write_idx_pair(tmp_path, images, labels)
@@ -81,8 +100,6 @@ class TestLoadMnistIdx:
         labels = np.zeros(9, dtype=np.uint8)
         imgs_path, _ = write_idx_pair(tmp_path / ".." / tmp_path.name, images, np.zeros(10, np.uint8))
         # separate label file declaring 9 entries
-        import struct
-
         labels_path = tmp_path / "labels9.idx"
         with open(labels_path, "wb") as f:
             f.write(struct.pack(">II", 2049, 9))
@@ -91,8 +108,6 @@ class TestLoadMnistIdx:
             load_mnist_idx(imgs_path, labels_path)
 
     def test_truncated_pixels(self, tmp_path):
-        import struct
-
         path = tmp_path / "trunc.idx"
         with open(path, "wb") as f:
             f.write(struct.pack(">IIII", 2051, 5, 4, 4))
@@ -103,6 +118,35 @@ class TestLoadMnistIdx:
             f.write(b"\x00" * 5)
         with pytest.raises(ValueError, match="pixel"):
             load_mnist_idx(path, labels_path)
+
+    @staticmethod
+    def claimed_images(tmp_path, image_header, pixels):
+        """An image file whose header claims ``image_header``, and a one-label file."""
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 2051, *image_header) + pixels)
+        labels.write_bytes(struct.pack(">II", 2049, 1) + b"\x00")
+        return images, labels
+
+    def test_an_idx_count_beyond_the_file_is_not_read(self, tmp_path):
+        # 800 bytes whose header claims 250,000 images of 28 x 28
+        images, labels = self.claimed_images(tmp_path, (250_000, 28, 28), bytes(784))
+        assert images.stat().st_size == 800
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as error:
+                load_mnist_idx(images, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(error.value) == f"{images}: expected 196000000 pixel bytes, got 784"
+        assert peak < 10 * 2**20
+
+    def test_an_idx_count_beyond_any_size_is_an_error(self, tmp_path):
+        size = (2**32 - 1) ** 3
+        images, labels = self.claimed_images(tmp_path, (2**32 - 1,) * 3, bytes(784))
+        with pytest.raises(ValueError) as error:
+            load_mnist_idx(images, labels)
+        assert str(error.value) == f"{images}: expected {size} pixel bytes, got 784"
 
 
 class TestMinMaxScale:
@@ -131,72 +175,6 @@ class TestMinMaxScale:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             minmax_scale(np.zeros((2, 2)), lo=1.0, hi=1.0)
-
-
-class TestPca:
-    def test_line_structure(self):
-        rng = np.random.default_rng(2)
-        t = rng.normal(0, 2, 40)
-        points = np.column_stack([t, t + rng.normal(0, 1e-6, 40)])
-        model = pca_fit(points, 2)
-        assert np.allclose(np.abs(model.components[0]), [1, 1] / np.sqrt(2), atol=1e-4)
-        assert model.explained_variance[1] <= 1e-8
-
-    def test_total_variance_preserved(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(0, 1, (30, 5))
-        model = pca_fit(x, 5)
-        total = np.var(x, axis=0, ddof=1).sum()
-        assert abs(model.explained_variance.sum() - total) <= 1e-8
-
-    def test_matches_svd_oracle(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(0, 1, (20, 8))
-        model = pca_fit(x, 3)
-        centered = x - x.mean(axis=0)
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        for row, oracle in zip(model.components, vt[:3]):
-            assert abs(abs(np.dot(row, oracle)) - 1.0) <= 1e-6
-
-    def test_orthonormal_components(self):
-        rng = np.random.default_rng(5)
-        model = pca_fit(rng.normal(0, 1, (25, 6)), 4)
-        gram = model.components @ model.components.T
-        assert np.max(np.abs(gram - np.eye(4))) <= 1e-8
-        assert np.all(np.diff(model.explained_variance) <= 1e-12)
-
-    def test_deterministic_sign_convention(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(0, 1, (30, 4))
-        a = pca_fit(x, 4)
-        b = pca_fit(x.copy(), 4)
-        assert np.array_equal(a.components, b.components)
-        for row in a.components:
-            assert row[np.argmax(np.abs(row))] > 0
-
-    def test_transform_of_mean_is_zero(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(3, 1, (20, 4))
-        model = pca_fit(x, 2)
-        assert np.allclose(pca_transform(model, x.mean(axis=0)[None, :]), 0.0, atol=1e-12)
-
-    def test_full_rank_round_trip(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(0, 1, (30, 5))
-        model = pca_fit(x, 5)
-        projected = pca_transform(model, x)
-        reconstructed = projected @ model.components + x.mean(axis=0)
-        assert np.max(np.abs(reconstructed - x)) <= 1e-8
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            pca_fit(np.zeros((5, 3)), 4)
-
-    def test_transform_dimension_mismatch(self):
-        rng = np.random.default_rng(9)
-        model = pca_fit(rng.normal(0, 1, (10, 4)), 2)
-        with pytest.raises(ValueError):
-            pca_transform(model, np.zeros((3, 5)))
 
 
 class TestDataset:
