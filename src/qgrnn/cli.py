@@ -1,19 +1,18 @@
 """Command-line pipeline: reconstruct features, check classifier agreement, hide and reveal messages.
 
-Every run writes ``run.json`` with the fully resolved configuration,
-including all seeds. Rerunning the same command line reproduces every
-output byte for byte, except ``meta.created``, the creation time that
-``hide`` stamps into ``archive.json``. A command cannot yet read a
-``run.json`` back as its ``--config`` (ROADMAP item 8).
-
-``OPTIONS`` declares each command's options and their defaults; ``reveal``
-takes ``t_max`` from the archive it reads.
+Every run writes ``run.json``: ``{"command": <command>, **options}``, each
+option of ``OPTIONS`` resolved. ``--config <out>/run.json`` replays the run
+and writes the same bytes, except ``meta.created``, the creation time that
+``hide`` stamps into ``archive.json``; ``hide`` also needs ``--message``,
+which is never recorded. Paths are recorded as typed, so a replay runs from
+the same directory; reconstruct's CSV is recorded absolute, for ``classify``.
+``reveal`` takes ``t_max`` from the archive it reads.
 
 ``reconstruct`` reads one dataset, a CSV table of numeric features and a
 label (``datasets.load_iris_csv``), by default the bundled Iris copy.
 ``classify`` has no dataset options: it takes its dataset from
 ``<reconstructed>/run.json``, the record of the ``reconstruct`` run it
-scores, which stores the CSV path as an absolute path.
+scores.
 """
 from __future__ import annotations
 
@@ -37,12 +36,14 @@ from .hiding import (
     reveal_message,
     save_archive,
 )
-from .ising import complete_pairs
+from .ising import check_taylor_steps, complete_pairs
 from .pipeline import DEFAULT_IRIS_ROWS, MAX_QUBITS, reconstruct_sample
 from .training import TrainConfig
 
 # TrainConfig's fields and defaults; its seed is a command's master seed
 _TRAIN = {f.name: f.default for f in fields(TrainConfig)}
+# The default of an input path that has none: a run fails without one
+REQUIRED = ""
 # Every option of every command, with its default: a flag --<option> and a
 # --config key of the default's type, or str where the default is None.
 # TrainConfig range-checks the training options. hide's epochs and reveal's
@@ -54,11 +55,11 @@ OPTIONS = {
         # the dataset options, which classify reads from the run it scores
         "csv": None, "scale_lo": 0.0, "scale_hi": 5.0, "samples": None,
     },
-    "classify": {"seed": 0, "kinds": ",".join(classifiers.KINDS)},
-    "hide": {key: _TRAIN[key] for key in ("seed", "batch_size", "epochs", "t_max")},
-    "reveal": {key: _TRAIN[key] for key in ("seed", "batch_size", "epochs", "trotter_delta", "restarts")},
+    "classify": {"reconstructed": REQUIRED, "seed": 0, "kinds": ",".join(classifiers.KINDS)},
+    "hide": {"dict": REQUIRED, **{key: _TRAIN[key] for key in ("seed", "batch_size", "epochs", "t_max")}},
+    "reveal": {"archive": REQUIRED, "dict": REQUIRED,
+               **{key: _TRAIN[key] for key in ("seed", "batch_size", "epochs", "trotter_delta", "restarts")}},
 }
-DATASET_KEYS = [key for key in OPTIONS["reconstruct"] if key not in _TRAIN and key != "samples"]
 
 
 def _json_dump(obj, path: Path) -> None:
@@ -119,17 +120,35 @@ def _check_types(values: dict, defaults: dict, path) -> None:
             raise ValueError(f"{path}: key {key!r} must be of type {expected.__name__}, got {value!r}")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Defaults < config-file values < explicit command-line flags."""
-    cfg = dict(defaults)
+def _read_run(path, command: str, complete: bool = False) -> dict:
+    """The options in ``path``, a --config file or, if ``complete``, the run.json of a ``command`` run.
+
+    A config file may leave out the command and any option; every error names the file.
+    """
+    values = _read_object(path)
+    options = OPTIONS[command]
+    # a record names its command and holds every option
+    if (values.pop("command", None if complete else command) != command
+            or complete and values.keys() < options.keys()):
+        raise ValueError(f"{path}: not the run.json of a {command} run")
+    unknown = values.keys() - options.keys()
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+    _check_types(values, options, path)
+    if complete:
+        try:
+            _check_options(values)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return values
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """Defaults < --config values < explicit command-line flags."""
+    cfg = dict(OPTIONS[args.command])
     if args.config:
-        file_cfg = _read_object(args.config)
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        _check_types(file_cfg, defaults, args.config)
-        cfg.update(file_cfg)
-    for key in defaults:
+        cfg.update(_read_run(args.config, args.command))
+    for key in cfg:
         value = getattr(args, key)
         if value is not None:
             cfg[key] = value
@@ -156,7 +175,10 @@ def _check_options(cfg: dict) -> None:
 
 def _start(args: argparse.Namespace) -> tuple[dict, Path]:
     """Resolve and check the command's options; --out is created by the first write, so bad input leaves none."""
-    cfg = _resolve(args, OPTIONS[args.command])
+    cfg = _resolve(args)
+    missing = [key for key, default in OPTIONS[args.command].items() if cfg[key] == default == REQUIRED]
+    if missing:
+        raise ValueError(f"--{missing[0]} is required, as a flag or a --config key")
     _check_options(cfg)
     if cfg["seed"] < 0:
         raise ValueError("seed must be >= 0")
@@ -198,16 +220,15 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         cfg["csv"] = str(Path(cfg["csv"]).resolve())
     features, _ = _load_scaled_dataset(cfg)
     indices = _sample_indices(cfg, features.shape[0])
+    for i in indices:
+        check_taylor_steps(features[i], config.t_max)
     # node weights live in the scaling range; the restarts search there
     node_range = (cfg["scale_lo"], cfg["scale_hi"])
     cfg["samples"] = ",".join(str(i) for i in indices)
-    cfg["sample_seeds"] = {
-        str(i): seeding.derive_seed(cfg["seed"], seeding.RECONSTRUCT_SAMPLE, i) for i in indices
-    }
     _json_dump({"command": "reconstruct", **cfg}, out / "run.json")
 
     for i in indices:
-        sample_seed = cfg["sample_seeds"][str(i)]
+        sample_seed = seeding.derive_seed(cfg["seed"], seeding.RECONSTRUCT_SAMPLE, i)
         outcome = reconstruct_sample(features[i], replace(config, seed=sample_seed), node_range)
         sample_dir = out / f"sample_{i:05d}"
         sample_dir.mkdir(exist_ok=True)
@@ -229,26 +250,12 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             "term,target,learned",
             zip(terms, outcome.target.tolist(), outcome.train_result.learned_params.tolist()),
         )
+        cosine = "n/a" if outcome.report.cosine is None else f"{outcome.report.cosine:.6f}"
         print(
-            f"sample {i}: mse={outcome.report.mse:.6f} cosine={outcome.report.cosine:.6f} "
+            f"sample {i}: mse={outcome.report.mse:.6f} cosine={cosine} "
             f"final_cost={outcome.train_result.final_cost:.6f} attempts={outcome.attempts}"
         )
     return 0
-
-
-def _reconstruct_dataset(recon_dir: Path) -> dict:
-    """The dataset options recorded by the reconstruct run in ``recon_dir``, checked as a config file's are."""
-    path = recon_dir / "run.json"
-    run = _read_object(path)
-    if run.get("command") != "reconstruct" or not set(DATASET_KEYS) <= run.keys():
-        raise ValueError(f"{path}: not the run.json of a reconstruct run")
-    dataset = {key: run[key] for key in DATASET_KEYS}
-    _check_types(dataset, OPTIONS["reconstruct"], path)
-    try:
-        _check_options(dataset)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return dataset
 
 
 def _read_result(path: Path, feature_count: int) -> dict:
@@ -271,20 +278,19 @@ def _read_result(path: Path, feature_count: int) -> dict:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     cfg, out = _start(args)
-    recon_dir = Path(args.reconstructed)
-    cfg.update(_reconstruct_dataset(recon_dir))
+    recon_dir = Path(cfg["reconstructed"])
+    recon = _read_run(recon_dir / "run.json", "reconstruct", complete=True)
     results = sorted(recon_dir.glob("sample_*/result.json"))
     if not results:
         raise ValueError(f"no samples found under {recon_dir}")
-    features, labels = _load_scaled_dataset(cfg)
+    features, labels = _load_scaled_dataset(recon)
     records = [_read_result(p, features.shape[1]) for p in results]
     original = np.array([r["actual"] for r in records])
     reconstructed = np.array([r["predicted"] for r in records])
 
     train_idx, test_idx = classifiers.stratified_split(labels, seed=cfg["seed"])
     kinds = _split(cfg["kinds"])
-    cfg["samples"] = ",".join(str(r["sample_index"]) for r in records)
-    _json_dump({"command": "classify", "reconstructed": str(recon_dir), **cfg}, out / "run.json")
+    _json_dump({"command": "classify", **cfg}, out / "run.json")
 
     accuracy_rows, agreement_rows = [], []
     for kind in kinds:
@@ -293,11 +299,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
             np.mean(classifiers.predict(model, features[test_idx]) == labels[test_idx])
         )
         accuracy_rows.append((kind, accuracy))
-        for record, orig, recon in zip(records, original, reconstructed):
-            agreement = classifiers.agreement_eval(model, orig[None, :], recon[None, :])
-            agreement_rows.append((record["sample_index"], kind, agreement))
-        overall = classifiers.agreement_eval(model, original, reconstructed)
-        print(f"{kind}: accuracy={accuracy:.4f} agreement={overall:.4f}")
+        # whether each row keeps its predicted label through reconstruction
+        agrees = classifiers.predict(model, original) == classifiers.predict(model, reconstructed)
+        agreement_rows += [(r["sample_index"], kind, float(a)) for r, a in zip(records, agrees)]
+        print(f"{kind}: accuracy={accuracy:.4f} agreement={np.mean(agrees):.4f}")
     _write_csv(out / "accuracy.csv", "kind,accuracy", accuracy_rows)
     _write_csv(out / "agreement.csv", "sample_index,kind,agreement", agreement_rows)
     return 0
@@ -305,14 +310,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_hide(args: argparse.Namespace) -> int:
     cfg, out = _start(args)
-    dictionary = load_dictionary(args.dict)
+    dictionary = load_dictionary(cfg["dict"])
     message = args.message.split()
     archive = encode_message(message, dictionary, _train_config(cfg))
     archive_path = out / "archive.json"
-    _json_dump(
-        {"command": "hide", "dict": str(args.dict), "word_count": len(message), **cfg},
-        out / "run.json",
-    )
+    _json_dump({"command": "hide", **cfg}, out / "run.json")
     save_archive(archive, archive_path)
     print(f"hidden {len(message)} words in {archive_path} ({archive.node_count} nodes, "
           f"{len(archive.samples)} evolved states)")
@@ -321,18 +323,15 @@ def cmd_hide(args: argparse.Namespace) -> int:
 
 def cmd_reveal(args: argparse.Namespace) -> int:
     cfg, out = _start(args)
-    dictionary = load_dictionary(args.dict)
-    archive = load_archive(args.archive)
+    dictionary = load_dictionary(cfg["dict"])
+    archive = load_archive(cfg["archive"])
     # the fit runs to the archive's t_max, so TrainConfig checks the layer limit against it
     config = _train_config(cfg, t_max=archive.t_max)
     truth = None if args.truth is None else args.truth.split()
     if truth is not None and len(truth) != archive.node_count:
         raise ValueError(f"--truth has {len(truth)} words, the archive hides {archive.node_count}")
     # written before the fit, so an --out that cannot be made fails at once
-    _json_dump(
-        {"command": "reveal", "archive": str(args.archive), "dict": str(args.dict), **cfg},
-        out / "run.json",
-    )
+    _json_dump({"command": "reveal", **cfg}, out / "run.json")
     result = reveal_message(archive, dictionary, config)
     payload = {
         "words": list(result.words),
@@ -355,7 +354,7 @@ def _add_command(sub, command: str, func, **texts) -> argparse.ArgumentParser:
     """The parser of ``command``, which runs ``func``: --config, --out and a flag per option."""
     p = sub.add_parser(command, **texts)
     p.set_defaults(func=func)
-    p.add_argument("--config", help="JSON file of option values (flags win)")
+    p.add_argument("--config", help="JSON file of option values, such as a run's run.json (flags win)")
     p.add_argument("--out", required=True, help="output directory")
     for key, default in OPTIONS[command].items():
         p.add_argument("--" + key.replace("_", "-"), type=str if default is None else type(default))
@@ -378,10 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
         "Iris copy (150 rows, 4 features). --samples is a comma-separated list of row "
         "indices, by default " + ",".join(map(str, DEFAULT_IRIS_ROWS)) + ", which the "
         "table must hold. Each feature is min-max scaled to [--scale-lo, --scale-hi] and "
-        "becomes a node weight. "
-        "Writes per sample: result.json, cost_history.csv (epoch,cost; one row "
-        "per epoch run, which can be fewer than --epochs when training converges "
-        "early, as result.json's stop_reason then says), coefficients.csv "
+        "becomes a node weight. Writes per sample: result.json (with the row's seed), "
+        "cost_history.csv (epoch,cost; one row per epoch run, which can be fewer than "
+        "--epochs when training converges early, as result.json's stop_reason then "
+        "says), coefficients.csv "
         "(term,target,learned; one row per Hamiltonian coefficient, the ZZ couplings "
         "then the Z node weights).",
     )
@@ -389,38 +388,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(
         sub, "classify", cmd_classify,
         help="agreement between original and reconstructed features",
-        epilog="Scores the dataset of the reconstruct run it reads, as that run's "
-        "<reconstructed>/run.json records it. --kinds is a comma-separated list of "
-        "classifier kinds. Writes accuracy.csv (kind,accuracy) and "
-        "agreement.csv (sample_index,kind,agreement).",
+        epilog="--reconstructed is the output directory of a reconstruct run; classify "
+        "scores that run's dataset, as its <reconstructed>/run.json records it. --kinds is "
+        "a comma-separated list of classifier kinds. Writes accuracy.csv (kind,accuracy) "
+        "and agreement.csv (sample_index,kind,agreement).",
     )
-    p.add_argument("--reconstructed", required=True, help="output dir of a reconstruct run")
 
     p = _add_command(
         sub, "hide", cmd_hide,
         help="encode a message into a state archive",
-        epilog="Of the training options, --batch-size and --t-max set the evolved states "
-        "and --epochs has no effect. Writes archive.json (format version 4): version, "
+        epilog="--dict is a dictionary file, one word per line. Of the training options, "
+        "--batch-size and --t-max set the evolved states and --epochs has no effect. The "
+        "message is never recorded, so a replay with --config <out>/run.json needs "
+        "--message too. Writes archive.json (format version 4): version, "
         "node_count, t_max, times, states and meta (created). states is the base64 of "
         "the deflated byte planes of the initial state and then each sample's state as "
         "little-endian complex64, exact to single precision. reveal also reads "
         "versions 1 to 3, which stored one field per state.",
     )
     p.add_argument("--message", required=True, help="whitespace-separated words")
-    p.add_argument("--dict", required=True, help="dictionary file, one word per line")
 
     p = _add_command(
         sub, "reveal", cmd_reveal,
         help="recover a message from a state archive",
-        epilog="Trains to the t_max recorded in the archive, with the training options "
+        epilog="--archive is the archive.json of a hide run and --dict its dictionary "
+        "file. Trains to the t_max recorded in the archive, with the training options "
         "--epochs, --trotter-delta and --restarts; --batch-size has no effect. Writes "
         "cost_history.csv (epoch,cost; one row per epoch run, which can be fewer than "
         "--epochs when training converges early, as reveal.json's stop_reason then "
         "says) and reveal.json; prints the message, per-word snap distances, and "
         "accuracy when --truth is given.",
     )
-    p.add_argument("--archive", required=True, help="archive.json path")
-    p.add_argument("--dict", required=True, help="dictionary file, one word per line")
     p.add_argument("--truth", help="true message for accuracy reporting")
     return parser
 

@@ -27,7 +27,8 @@ from .statevector import checked_state
 # dropped is at most 1/19! (about 8e-18), below double rounding.
 TAYLOR_ORDER = 18
 # Most Taylor steps one evolution may take: about 30 s at n = 4 on 2 cores.
-# Default data (t_max 0.5, weights in [-4, 5], 15 times) need at most 103 at 14 qubits.
+# Default data (t_max 0.5, weights in [-5, 5]) need at most 88 at 14 qubits,
+# by the worst case of check_taylor_steps.
 MAX_TAYLOR_STEPS = 100_000
 
 
@@ -111,6 +112,35 @@ def apply_hamiltonian(diag: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return out
 
 
+def taylor_steps(end: float, norm: float) -> int:
+    """The Taylor steps of an evolution to ``end`` under a Hamiltonian of norm bound ``norm``.
+
+    ceil(end * norm), so that tau ||H|| <= 1; more than ``MAX_TAYLOR_STEPS``
+    steps, or an inf or nan count, are rejected. Python floats overflow to
+    inf without a numpy warning.
+    """
+    count = np.ceil(end * norm)
+    # written so that an inf or nan count is rejected too
+    if not count <= MAX_TAYLOR_STEPS:
+        raise ValueError(
+            f"evolving to t = {end:g} with Hamiltonian norm bound {norm:g} needs "
+            f"{count:g} Taylor steps, more than the limit of {MAX_TAYLOR_STEPS}"
+        )
+    return int(count)
+
+
+def check_taylor_steps(node_weights, t_max: float) -> None:
+    """Reject node weights whose evolution to ``t_max`` may need more than ``MAX_TAYLOR_STEPS`` steps.
+
+    The worst case over the couplings of ``random_complete_graph``, which lie
+    in [-1, 1): the norm bound of ``sample_evolution`` is then at most
+    n(n-1)/2 + sum |w_i| + n.
+    """
+    weights = [abs(float(w)) for w in np.ravel(node_weights)]
+    n = len(weights)
+    taylor_steps(t_max, n * (n - 1) / 2 + sum(weights) + n)
+
+
 def sample_evolution(coefficients, initial, times) -> list[TimeEvolvedSample]:
     """Evolve one initial state to every requested time under the Hamiltonian of ``coefficients``.
 
@@ -131,16 +161,8 @@ def sample_evolution(coefficients, initial, times) -> list[TimeEvolvedSample]:
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("times must be >= 0")
-    norm = np.max(np.abs(diag)) + n
     end = max(times, default=0.0)
-    count = np.ceil(end * norm)
-    # written so that an inf or nan count is rejected too
-    if not count <= MAX_TAYLOR_STEPS:
-        raise ValueError(
-            f"evolving to t = {end:g} with Hamiltonian norm bound {norm:g} needs "
-            f"{count:g} Taylor steps, more than the limit of {MAX_TAYLOR_STEPS}"
-        )
-    steps = int(count)
+    steps = taylor_steps(end, float(np.max(np.abs(diag))) + n)
     states = {0.0: initial}
     # the sample times inside each step, as fractions of it
     inside: dict[int, list[tuple[float, float]]] = {}

@@ -12,16 +12,17 @@ class MetricReport:
     mse: float
     rmse: float
     mae: float
-    cosine: float
+    cosine: float | None
 
-    def to_dict(self) -> dict[str, float]:
+    def to_dict(self) -> dict[str, float | None]:
         return asdict(self)
 
 
 def evaluate(actual, predicted) -> MetricReport:
     """MSE, RMSE, MAE, and cosine similarity between two equal-length vectors.
 
-    Cosine similarity requires both vectors to be nonzero.
+    The cosine similarity is None when either vector is zero: a row that is
+    every column's minimum scales to all-zero weights at a scale_lo of 0.
     """
     y = np.asarray(actual, dtype=np.float64)
     y_hat = np.asarray(predicted, dtype=np.float64)
@@ -30,11 +31,10 @@ def evaluate(actual, predicted) -> MetricReport:
     err = y - y_hat
     mse = float(np.mean(err**2))
     norm_y, norm_y_hat = np.linalg.norm(y), np.linalg.norm(y_hat)
-    if norm_y == 0.0 or norm_y_hat == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
+    zero = norm_y == 0.0 or norm_y_hat == 0.0
     return MetricReport(
         mse=mse,
         rmse=math.sqrt(mse),
         mae=float(np.mean(np.abs(err))),
-        cosine=float(np.dot(y, y_hat) / (norm_y * norm_y_hat)),
+        cosine=None if zero else float(np.dot(y, y_hat) / (norm_y * norm_y_hat)),
     )

@@ -139,7 +139,7 @@ class TestConfigValidation:
         config.write_text(json.dumps({"fd_step": 1e-3}))
         assert hide(dict_file, tmp_path / "file", "--config", str(config)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: unknown config keys") and "fd_step" in err
+        assert err.startswith(f"error: {config}: unknown config keys") and "fd_step" in err
 
     def test_huge_archive_time_fails_fast(self, tmp_path, dict_file, capsys):
         assert hide(dict_file, tmp_path / "hide") == 0
@@ -193,7 +193,14 @@ class TestFailFast:
         config.write_text(json.dumps({"scale_hi": 1e9}))
         fails_fast(capsys, ["reconstruct", "--samples", "18", "--config", str(config),
                             "--out", str(tmp_path / "out")], "Taylor steps")
-        assert not list((tmp_path / "out").glob("sample_*"))
+        assert not (tmp_path / "out").exists()
+
+    def test_reconstruct_rejects_weights_whose_norm_bound_overflows(self, tmp_path, capsys):
+        # the worst-case norm bound is inf; no numpy overflow warning, which is an error here
+        out = tmp_path / "out"
+        fails_fast(capsys, ["reconstruct", "--samples", "18", "--scale-hi", "1.7e308",
+                            "--out", str(out)], "needs inf Taylor steps")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "file_text, field",
@@ -438,7 +445,7 @@ class TestTrainingOptionSchema:
         config.write_text(json.dumps({name: 1}))
         assert cli.main([*argv, "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: unknown config keys") and repr(name) in err
+        assert err.startswith(f"error: {config}: unknown config keys") and repr(name) in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
@@ -453,7 +460,7 @@ class TestTrainingOptionSchema:
             config.write_text(json.dumps({name: 1.0}))
             assert cli.main([*argv, "--config", str(config)]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error: unknown config keys") and repr(name) in err
+            assert err.startswith(f"error: {config}: unknown config keys") and repr(name) in err
         assert not (tmp_path / "out").exists()
 
     def test_run_json_records_every_training_default(self, tmp_path, dict_file):
@@ -469,18 +476,28 @@ class TestTrainingOptionSchema:
             run = json.loads((tmp_path / command / "run.json").read_text())
             for f in (f for f in OPTION_FIELDS if f.name in COMMAND_OPTIONS.get(command, ())):
                 assert run[f.name] == f.default and type(run[f.name]) is type(f.default), f.name
-            # every option not given on the command line, at its default
+            # every option given on the command line as typed, every other at its default
+            given = dict(zip(argv[::2], argv[1::2]))
             for name, default in cli.OPTIONS[command].items():
-                if name != "samples":
+                flag = "--" + name.replace("_", "-")
+                if flag in given:
+                    assert run[name] == given[flag], name
+                else:
                     assert run[name] == default and type(run[name]) is type(default), name
             assert not set(REMOVED_OPTIONS) & set(run)
+        training = {"seed", "batch_size", "epochs", "trotter_delta", "t_max", "restarts"}
         run_keys = {
-            "hide": {"command", "dict", "word_count", "seed", "batch_size", "epochs", "t_max"},
+            "reconstruct": {"command", *training, "csv", "scale_lo", "scale_hi", "samples"},
+            "classify": {"command", "reconstructed", "seed", "kinds"},
+            "hide": {"command", "dict", "seed", "batch_size", "epochs", "t_max"},
             "reveal": {"command", "archive", "dict", "seed", "batch_size", "epochs",
                        "trotter_delta", "restarts"},
         }
         for command, keys in run_keys.items():
-            assert set(json.loads((tmp_path / command / "run.json").read_text())) == keys, command
+            text = (tmp_path / command / "run.json").read_text()
+            assert set(json.loads(text)) == keys, command
+            # the message is the secret: no record holds it
+            assert "golf" not in text, command
 
 
 @pytest.fixture(scope="module")
@@ -524,7 +541,7 @@ class TestClassify:
             config.write_text(json.dumps({key: 1}))
             assert cli.main([*argv, "--config", str(config)]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error: unknown config keys") and repr(key) in err
+            assert err.startswith(f"error: {config}: unknown config keys") and repr(key) in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", ["scale", "scale flags", "iris csv", "3-feature csv"])
@@ -564,13 +581,13 @@ class TestClassify:
 
         run = json.loads((Path("out") / "run.json").read_text())
         recorded = json.loads((recon_dir / "run.json").read_text())
-        assert run["csv"] == (None if case.startswith("scale") else str(csv_path.resolve()))
-        assert (run["scale_lo"], run["scale_hi"]) == (lo, hi)
-        assert cli.DATASET_KEYS == ["csv", "scale_lo", "scale_hi"]
-        assert {key: run[key] for key in cli.DATASET_KEYS} == {
-            key: recorded[key] for key in cli.DATASET_KEYS
-        }
-        assert not {f.name for f in OPTION_FIELDS} & set(run)
+        # the reconstruct record holds the dataset, with its CSV absolute; classify's
+        # record holds only its own options, the directory as typed
+        assert recorded["csv"] == (None if case.startswith("scale") else str(csv_path.resolve()))
+        assert (recorded["scale_lo"], recorded["scale_hi"]) == (lo, hi)
+        assert recorded["samples"] == ",".join(map(str, rows))
+        assert run == {"command": "classify", "reconstructed": str(recon_dir), "seed": 0,
+                       "kinds": ",".join(classifiers.KINDS)}
 
         ds = load_iris_csv(csv_path)
         assert ds.features.shape == ((20, 3) if case == "3-feature csv" else (150, 4))
@@ -592,6 +609,17 @@ class TestClassify:
             assert [[int(r["sample_index"]), r["kind"], float(r["agreement"])]
                     for r in csv.DictReader(f)] == agreement
 
+    def test_predicts_once_per_array_and_classifier(self, tmp_path, monkeypatch, reconstruct_run):
+        # the test split, the original rows and the reconstructed rows
+        calls = []
+        predict = classifiers.predict
+        monkeypatch.setattr(classifiers, "predict",
+                            lambda model, x: calls.append(len(x)) or predict(model, x))
+        monkeypatch.setattr(classifiers, "agreement_eval", lambda *args: pytest.fail("per-row eval"))
+        assert cli.main(["classify", "--reconstructed", str(reconstruct_run),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert calls == [30, 2, 2] * len(classifiers.KINDS)
+
     @pytest.mark.parametrize(
         "content, message",
         [
@@ -607,11 +635,16 @@ class TestClassify:
             ({"scale_lo": -1e308, "scale_hi": 1e308}, "a finite scale_hi - scale_lo"),
             # the dataset keys of a run made while reconstruct read iris_csv
             ('{"command": "reconstruct", "dataset": "iris", "iris_csv": null, "scale_lo": 0.0, '
-             '"scale_hi": 5.0}', "not the run.json of a reconstruct run"),
+             '"scale_hi": 5.0}', "unknown config keys: ['dataset', 'iris_csv']"),
+            # a record made while reconstruct recorded each row's seed
+            ({"sample_seeds": {"18": 1, "73": 2}}, "unknown config keys: ['sample_seeds']"),
+            ({"command": None}, "not the run.json of a reconstruct run"),
+            ('{"command": "reconstruct", "scale_lo": 0.0, "scale_hi": 5.0, "csv": null}',
+             "not the run.json of a reconstruct run"),
         ],
         ids=["missing", "not JSON", "too deep", "not an object", "no dataset keys",
              "another command", "scale type", "path type", "empty scale", "overflowing scale",
-             "iris_csv run"],
+             "iris_csv run", "sample_seeds run", "no command", "dataset keys only"],
     )
     def test_a_bad_run_json_leaves_no_output(self, tmp_path, capsys, reconstruct_run,
                                              content, message):
@@ -672,6 +705,20 @@ class TestReconstructOutput:
         assert [float(r["learned"]) for r in rows[6:]] == result["predicted"]
         # two epochs leave the BFGS phase one step, too few to converge
         assert result["stop_reason"] == "epochs"
+
+
+    def test_a_row_at_every_column_minimum_has_no_cosine(self, tmp_path, capsys):
+        # row 0 scales to all-zero node weights, a vector with no direction
+        table = tmp_path / "table.csv"
+        table.write_text("1,1,a\n2,2,b\n3,1,a\n")
+        out = tmp_path / "out"
+        assert cli.main(["reconstruct", "--csv", str(table), "--samples", "0", "--epochs", "3",
+                         "--restarts", "1", "--out", str(out)]) == 0
+        result = json.loads((out / "sample_00000" / "result.json").read_text())
+        assert result["actual"] == [0.0, 0.0]
+        assert result["metrics"]["cosine"] is None
+        assert result["metrics"]["mse"] >= 0.0
+        assert "cosine=n/a" in capsys.readouterr().out
 
 
 class TestStopReason:
@@ -744,3 +791,76 @@ class TestDeterminism:
         runs = [json.loads((tmp_path / run / "c" / "run.json").read_text()) for run in "ab"]
         assert runs[0].pop("reconstructed") != runs[1].pop("reconstructed")
         assert runs[0] == runs[1]
+
+
+# one run of each command, with the relative paths it was typed with
+RECORDED_RUNS = {
+    "reconstruct": ["--samples", "18", "--restarts", "1", "--epochs", "3"],
+    "classify": ["--reconstructed", "reconstruct"],
+    "hide": ["--message", "golf charlie", "--dict", "words.txt", "--epochs", "3"],
+    "reveal": ["--archive", "hide/archive.json", "--dict", "words.txt", "--restarts", "1",
+               "--epochs", "3"],
+}
+
+
+@pytest.fixture(scope="module")
+def recorded_runs(tmp_path_factory):
+    """A directory with one run of each command, each under the command's name."""
+    root = tmp_path_factory.mktemp("runs")
+    (root / "words.txt").write_text("\n".join(WORDS) + "\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for command, argv in RECORDED_RUNS.items():
+            assert cli.main([command, *argv, "--out", command]) == 0
+    return root
+
+
+def output_files(directory: Path) -> dict:
+    """Each file under ``directory`` by relative path: its bytes, or an archive without its creation time."""
+    files = {}
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        content = path.read_bytes()
+        if path.name == "archive.json":
+            content = json.loads(content)
+            del content["meta"]["created"]
+        files[path.relative_to(directory)] = content
+    return files
+
+
+class TestReplay:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_run_json_holds_the_command_and_its_options(self, recorded_runs, command):
+        run = json.loads((recorded_runs / command / "run.json").read_text())
+        assert set(run) == {"command", *cli.OPTIONS[command]}
+        assert run["command"] == command
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_replay_writes_the_same_bytes(self, recorded_runs, monkeypatch, command):
+        # from the same directory, since paths are recorded as typed; the message is never recorded
+        monkeypatch.chdir(recorded_runs)
+        message = ["--message", "golf charlie"] if command == "hide" else []
+        replay = f"{command}-replay"
+        assert cli.main([command, "--config", f"{command}/run.json", *message, "--out", replay]) == 0
+        original, replayed = output_files(Path(command)), output_files(Path(replay))
+        assert len(original) == {"reconstruct": 4, "classify": 3, "hide": 2, "reveal": 3}[command]
+        assert replayed == original
+
+    @pytest.mark.parametrize("recorded", COMMANDS)
+    def test_a_record_of_another_command_is_refused(self, recorded_runs, tmp_path, capsys, recorded):
+        record = recorded_runs / recorded / "run.json"
+        for command in (c for c in COMMANDS if c != recorded):
+            message = ["--message", "golf charlie"] if command == "hide" else []
+            out = tmp_path / command
+            fails_fast(capsys, [command, "--config", str(record), *message, "--out", str(out)],
+                       f"error: {record}: not the run.json of a {command} run")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [("classify", "reconstructed"), ("hide", "dict"),
+                                              ("reveal", "archive"), ("reveal", "dict")])
+    def test_a_missing_input_path_leaves_no_output(self, tmp_path, dict_file, capsys, command, key):
+        argv = required_args(command, tmp_path, dict_file)
+        flag = "--" + key
+        del argv[argv.index(flag):argv.index(flag) + 2]
+        out = tmp_path / "out"
+        fails_fast(capsys, [command, *argv, "--out", str(out)], f"error: {flag} is required")
+        assert not out.exists()

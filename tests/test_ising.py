@@ -7,6 +7,7 @@ import pytest
 from qgrnn import ising
 from qgrnn.ising import (
     apply_hamiltonian,
+    check_taylor_steps,
     complete_pairs,
     draw_times,
     hamiltonian_diagonal,
@@ -259,6 +260,40 @@ class TestSampleEvolution:
         expected = rf"needs {n * (n + 1) // 2} coefficients, got shape \({length},\)"
         with pytest.raises(ValueError, match=expected):
             sample_evolution(np.zeros(length), random_state(n, 1), [0.1])
+
+
+class TestCheckTaylorSteps:
+    def test_the_defaults_need_at_most_88_steps_at_the_qubit_limit(self):
+        # t_max 0.5 and 14 weights at the top of the default scale [0, 5]
+        check_taylor_steps([5.0] * 14, 0.5)
+        assert ising.taylor_steps(0.5, 91 + 14 * 5.0 + 14) == 88
+
+    def test_bounds_the_steps_of_every_coupling_draw(self):
+        # with every coupling at its extreme, the signs aligned, the bound is reached
+        weights = np.array([2.0, -3.0, 0.5])
+        t = 0.75
+        bound = t * (3 + np.abs(weights).sum() + 3)
+        for seed in range(20):
+            coefficients = random_complete_graph(weights, np.random.default_rng(seed))
+            diag = hamiltonian_diagonal(coefficients, 3)
+            assert t * (np.max(np.abs(diag)) + 3) <= bound
+        extreme = np.concatenate([np.ones(3), np.abs(weights)])
+        assert t * (np.max(np.abs(hamiltonian_diagonal(extreme, 3))) + 3) == bound
+
+    @pytest.mark.parametrize("weight, rejected", [(99_997.0, False), (99_997.5, True)])
+    def test_rejects_a_worst_case_beyond_the_limit(self, weight, rejected):
+        # n = 2 and t = 1: 1 coupling + |w| + 2 steps against the limit of 100000
+        if rejected:
+            with pytest.raises(ValueError, match="100001 Taylor steps, more than the limit of 100000"):
+                check_taylor_steps([weight, 0.0], 1.0)
+        else:
+            check_taylor_steps([weight, 0.0], 1.0)
+
+    @pytest.mark.parametrize("weight", [1.7e308, np.inf, np.nan])
+    def test_a_norm_beyond_the_float_range_is_rejected_without_a_warning(self, weight):
+        # warnings are errors in this suite, so a numpy overflow warning would fail it
+        with pytest.raises(ValueError, match="Taylor steps"):
+            check_taylor_steps([weight] * 4, 0.5)
 
 
 class TestEvolutionProperties:

@@ -33,9 +33,17 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([1.0, 2.0], [1.0])
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate([0.0, 0.0], [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "actual, predicted",
+        [([0.0, 0.0], [1.0, 2.0]), ([1.0, 2.0], [0.0, 0.0]), ([0.0, 0.0], [0.0, 0.0])],
+        ids=["zero actual", "zero predicted", "both zero"],
+    )
+    def test_zero_vector_has_no_cosine(self, actual, predicted):
+        # the other metrics stay defined; the report stays JSON-serializable
+        report = evaluate(actual, predicted)
+        assert report.cosine is None
+        assert report.mse == float(np.mean((np.array(actual) - predicted) ** 2))
+        assert json.loads(json.dumps(report.to_dict()))["cosine"] is None
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
