@@ -2,11 +2,11 @@
 
 Every run writes ``run.json``: ``{"command": <command>, **options}``, each
 option of ``OPTIONS`` resolved. ``--config <out>/run.json`` replays the run
-and writes the same bytes, except ``meta.created``, the creation time that
-``hide`` stamps into ``archive.json``; ``hide`` also needs ``--message``,
-which is never recorded. Paths are recorded as typed, so a replay runs from
-the same directory; reconstruct's CSV is recorded absolute, for ``classify``.
-``reveal`` takes ``t_max`` from the archive it reads.
+and writes the same bytes, every file of every command alike; ``hide`` also
+needs ``--message``, which is never recorded. Paths are recorded as typed,
+so a replay runs from the same directory; reconstruct's CSV is recorded
+absolute, for ``classify``. ``reveal`` fits to the deepest time of the
+archive it reads, which is its ``t_max``.
 
 ``reconstruct`` reads one dataset, a CSV table of numeric features and a
 label (``datasets.load_iris_csv``), by default the bundled Iris copy.
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classifiers, seeding
-from .datasets import bundled_iris_path, load_iris_csv, minmax_scale
+from .datasets import bundled_iris_path, check_scale_range, load_iris_csv, minmax_scale
 from .hiding import (
     ArchiveFormatError,
     encode_message,
@@ -158,11 +158,7 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _check_options(cfg: dict) -> None:
     """Range-check the options that are not TrainConfig's; _check_types checks only their types."""
     if "scale_lo" in cfg:
-        lo, hi = cfg["scale_lo"], cfg["scale_hi"]
-        # a finite width also makes both ends finite; minmax_scale multiplies by it
-        if not (math.isfinite(hi - lo) and lo < hi):
-            raise ValueError(f"need finite scale_lo < scale_hi and a finite scale_hi - scale_lo, "
-                             f"got {lo!r} and {hi!r}")
+        check_scale_range(cfg["scale_lo"], cfg["scale_hi"])
     for key in ("samples", "kinds"):
         if cfg.get(key) is not None and not _split(cfg[key]):
             raise ValueError(f"{key} must list at least one entry, got {cfg[key]!r}")
@@ -325,8 +321,8 @@ def cmd_reveal(args: argparse.Namespace) -> int:
     cfg, out = _start(args)
     dictionary = load_dictionary(cfg["dict"])
     archive = load_archive(cfg["archive"])
-    # the fit runs to the archive's t_max, so TrainConfig checks the layer limit against it
-    config = _train_config(cfg, t_max=archive.t_max)
+    # the fit runs to the deepest archived time, so TrainConfig checks the layer limit against it
+    config = _train_config(cfg, t_max=max(s.time for s in archive.samples))
     truth = None if args.truth is None else args.truth.split()
     if truth is not None and len(truth) != archive.node_count:
         raise ValueError(f"--truth has {len(truth)} words, the archive hides {archive.node_count}")
@@ -400,11 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="--dict is a dictionary file, one word per line. Of the training options, "
         "--batch-size and --t-max set the evolved states and --epochs has no effect. The "
         "message is never recorded, so a replay with --config <out>/run.json needs "
-        "--message too. Writes archive.json (format version 4): version, "
-        "node_count, t_max, times, states and meta (created). states is the base64 of "
-        "the deflated byte planes of the initial state and then each sample's state as "
-        "little-endian complex64, exact to single precision. reveal also reads "
-        "versions 1 to 3, which stored one field per state.",
+        "--message too. Writes archive.json (format version 5): version, "
+        "node_count, times and states, so a replay writes the same bytes. states is "
+        "the base64 of the deflated byte planes of the initial state and then each "
+        "sample's state as little-endian complex64, exact to single precision. reveal "
+        "also reads version 4, which held t_max and meta too, and versions 1 to 3, "
+        "which stored one field per state.",
     )
     p.add_argument("--message", required=True, help="whitespace-separated words")
 
@@ -412,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "reveal", cmd_reveal,
         help="recover a message from a state archive",
         epilog="--archive is the archive.json of a hide run and --dict its dictionary "
-        "file. Trains to the t_max recorded in the archive, with the training options "
+        "file. Trains to the deepest time in the archive, with the training options "
         "--epochs, --trotter-delta and --restarts; --batch-size has no effect. Writes "
         "cost_history.csv (epoch,cost; one row per epoch run, which can be fewer than "
         "--epochs when training converges early, as reveal.json's stop_reason then "

@@ -15,7 +15,6 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +24,15 @@ from .pipeline import MAX_QUBITS, embed_and_sample, learn_from_states
 from .statevector import NORM_TOL
 from .training import TrainConfig, TrainResult
 
-ARCHIVE_VERSION = 4
+ARCHIVE_VERSION = 5
 # Versions 1 to 3 stored one field per state: [re, im] pairs of decimal
-# floats (1), base64 complex128 (2) or base64 complex64 (3). All are still
-# read: an old file is the only copy of its hidden message.
-READABLE_VERSIONS = (1, 2, 3, ARCHIVE_VERSION)
+# floats (1), base64 complex128 (2) or base64 complex64 (3). Version 4 is
+# version 5 plus the hider's t_max and a creation time. All are still read:
+# an old file is the only copy of its hidden message.
+READABLE_VERSIONS = (1, 2, 3, 4, ARCHIVE_VERSION)
 # the amplitude type of each version; version 1's [re, im] float64 pairs are complex128
-AMPLITUDE_DTYPES = {1: np.dtype("<c16"), 2: np.dtype("<c16"), 3: np.dtype("<c8"), 4: np.dtype("<c8")}
+AMPLITUDE_DTYPES = {1: np.dtype("<c16"), 2: np.dtype("<c16"), 3: np.dtype("<c8"), 4: np.dtype("<c8"),
+                    5: np.dtype("<c8")}
 # Rounding to complex64 moves a unit norm by at most the unit roundoff 2^-24;
 # eps = 2^-23 leaves a factor of 2 to spare.
 CARRIER_NORM_TOL = float(np.finfo(np.float32).eps)
@@ -103,16 +104,9 @@ class StateArchive:
     # 2^node_count amplitudes; load_archive returns every state as a row of one read-only array
     initial_state: np.ndarray
     samples: tuple[TimeEvolvedSample, ...]
-    t_max: float
-    created: str
 
 
-def encode_message(
-    message,
-    dictionary: Dictionary,
-    config: TrainConfig,
-    created: str | None = None,
-) -> StateArchive:
+def encode_message(message, dictionary: Dictionary, config: TrainConfig) -> StateArchive:
     """Embed a message as node weights and return the archive of evolved states.
 
     The embedding graph exists only inside this call. Unknown words raise
@@ -124,13 +118,7 @@ def encode_message(
         raise ValueError("message must contain at least 2 words")
     values = np.array([dictionary.value_of(w) for w in words])
     _, initial, samples = embed_and_sample(values, config)
-    return StateArchive(
-        node_count=len(words),
-        initial_state=initial,
-        samples=tuple(samples),
-        t_max=config.t_max,
-        created=created or datetime.now(timezone.utc).isoformat(),
-    )
+    return StateArchive(node_count=len(words), initial_state=initial, samples=tuple(samples))
 
 
 def encoded_state_length(node_count: int, version: int = 3) -> int:
@@ -139,7 +127,7 @@ def encoded_state_length(node_count: int, version: int = 3) -> int:
 
 
 def save_archive(archive: StateArchive, path) -> None:
-    """Write the archive as JSON in format version 4.
+    """Write the archive as JSON in format version 5: ``version``, ``node_count``, ``times`` and ``states``.
 
     ``times`` lists the sample times. ``states`` is one ASCII string: the
     initial state, then each sample's, as 2^node_count little-endian complex64
@@ -148,17 +136,15 @@ def save_archive(archive: StateArchive, path) -> None:
     ``load_archive`` returns each state rounded to single precision and
     renormalised, far below the Trotter model's error; it refuses states that
     deflate below a quarter of their bytes, as random ones never do, but basis
-    states would. ``meta`` holds the creation time only.
+    states would. The same archive always writes the same bytes.
     """
     rows = np.array([archive.initial_state, *(s.state for s in archive.samples)])
     planes = rows.astype(AMPLITUDE_DTYPES[ARCHIVE_VERSION]).view(np.uint8).reshape(-1, 4).T
     payload = {
         "version": ARCHIVE_VERSION,
         "node_count": archive.node_count,
-        "t_max": archive.t_max,
         "times": [s.time for s in archive.samples],
         "states": base64.b64encode(zlib.compress(planes.tobytes())).decode("ascii"),
-        "meta": {"created": archive.created},
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
@@ -209,30 +195,32 @@ def _is_json_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _checked_time(t, t_max: float, path) -> float:
+def _checked_time(t, path) -> float:
     if not _is_json_number(t):
         raise ArchiveFormatError(f"{path}: sample time t must be a JSON number, got {t!r}")
-    if not (math.isfinite(t) and 0 < t <= t_max):
-        raise ArchiveFormatError(f"{path}: sample time t must lie in (0, t_max={t_max}], got {t}")
+    if not (math.isfinite(t) and t > 0):
+        raise ArchiveFormatError(f"{path}: sample time t must be finite and > 0, got {t}")
     return float(t)
 
 
 def load_archive(path) -> StateArchive:
-    """Read and validate an archive: node_count (up to MAX_QUBITS), shapes, norms, t_max, times.
+    """Read and validate an archive: version, node_count (up to MAX_QUBITS), times, shapes and norms.
 
-    ``version`` and ``node_count`` must be JSON integers, and ``t_max`` and
-    each sample time JSON numbers; a boolean or a string is rejected
-    rather than coerced.
+    Format version 5 holds ``version``, ``node_count``, ``times`` and
+    ``states`` (see ``save_archive``). ``version`` and ``node_count`` must be
+    JSON integers, and each sample time a finite JSON number > 0; a boolean
+    or a string is rejected rather than coerced.
 
-    Reads format version 4 (see ``save_archive``) and versions 1 to 3, with
-    one field per state: [re, im] decimal pairs (1) or base64 complex128 (2)
-    or complex64 (3); versions 1 and 2 load bit-exactly. Before decoding, a
-    version-2 or -3 state string must have the length node_count implies, and
-    version 4's ``states`` at least a third of, and at most the base64 of zlib's
-    worst case for, the 8 * (len(times) + 1) * 2^node_count bytes it must
-    inflate to exactly, where inflation stops. A version-3 or -4 state must have unit norm to single
-    precision (``CARRIER_NORM_TOL``) and is renormalised; older versions must
-    meet ``NORM_TOL``. A version-1 ``meta.note`` is ignored.
+    Also reads version 4, which is version 5 plus ``t_max`` and ``meta``, and
+    versions 1 to 3, with one field per state: [re, im] decimal pairs (1) or
+    base64 complex128 (2) or complex64 (3); versions 1 and 2 load bit-exactly.
+    Their ``t_max`` and ``meta`` are ignored. Before decoding, a version-2 or
+    -3 state string must have the length node_count implies, and the
+    ``states`` of version 4 or 5 at least a third of, and at most the base64
+    of zlib's worst case for, the 8 * (len(times) + 1) * 2^node_count bytes
+    it must inflate to exactly, where inflation stops. A state of version 3
+    or later must have unit norm to single precision (``CARRIER_NORM_TOL``)
+    and is renormalised; older versions must meet ``NORM_TOL``.
     """
     path = Path(path)
     try:
@@ -256,15 +244,9 @@ def load_archive(path) -> StateArchive:
             raise ArchiveFormatError(
                 f"{path}: node_count must lie in [1, {MAX_QUBITS}], got {node_count}"
             )
-        t_max = payload["t_max"]
-        if not _is_json_number(t_max):
-            raise ArchiveFormatError(f"{path}: t_max must be a JSON number, got {t_max!r}")
-        t_max = float(t_max)
-        if not (math.isfinite(t_max) and t_max > 0):
-            raise ArchiveFormatError(f"{path}: t_max must be finite and > 0, got {t_max}")
-        entries = None if version == ARCHIVE_VERSION else payload["samples"]
+        entries = None if version >= 4 else payload["samples"]
         times = payload["times"] if entries is None else [s["t"] for s in entries]
-        times = [_checked_time(t, t_max, path) for t in times]
+        times = [_checked_time(t, path) for t in times]
         if not times:
             raise ArchiveFormatError(f"{path}: samples is empty")
         if entries is None:
@@ -284,12 +266,11 @@ def load_archive(path) -> StateArchive:
             rows = np.array([amps / norm for amps, norm in zip(rows, norms)])
         rows.setflags(write=False)
         samples = tuple(map(TimeEvolvedSample, times, rows[1:]))
-        created = str(payload["meta"]["created"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ArchiveFormatError):
             raise
         raise ArchiveFormatError(f"{path}: malformed archive: {exc}") from None
-    return StateArchive(node_count, rows[0], samples, t_max, created)
+    return StateArchive(node_count, rows[0], samples)
 
 
 @dataclass(frozen=True)

@@ -151,13 +151,16 @@ def sample_evolution(coefficients, initial, times) -> list[TimeEvolvedSample]:
     sum_k f^k u_k, whose truncation drops at most 1/19! (about 8e-18) of
     the state; that gives every sample time inside the step and the step's
     end. Samples come back in the order of ``times``. More than
-    ``MAX_TAYLOR_STEPS`` steps are rejected before the first one. The
+    ``MAX_TAYLOR_STEPS`` steps, or a diagonal that overflows, are rejected
+    before the first one, without a numpy warning. The
     samples' states are the rows of one read-only array; ``initial`` is
     checked with ``checked_state``.
     """
     initial = checked_state(initial)
     n = initial.size.bit_length() - 1
-    diag = hamiltonian_diagonal(coefficients, n)
+    # a diagonal beyond the float range makes the norm bound inf or nan, which taylor_steps rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = hamiltonian_diagonal(coefficients, n)
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("times must be >= 0")

@@ -263,12 +263,12 @@ class CostEvaluator:
         return x.reshape(shape)
 
     def _phases(self, diag: np.ndarray) -> dict:
-        """Per-row diagonal layers exp(-i c d_b diag) for diag of shape (..., 2^n), keyed by c.
+        """Per-row diagonal layers exp(-i c d_b diag) for one diagonal of 2^n entries, keyed by c.
 
         The keys are the phase weights of the layers and the outer weight a_1.
-        Each value has shape (B, ..., 2^n).
+        Each value has shape (B, 2^n).
         """
-        angles = self.steps.reshape((-1,) + (1,) * diag.ndim) * diag
+        angles = self.steps[:, None] * diag
         phases = {}
         for c in dict.fromkeys(DIAGONAL_WEIGHTS):
             # cos and sin of the real angle, which is faster than a complex exp
@@ -290,12 +290,17 @@ class CostEvaluator:
                 )
         return psi
 
+    def _forward(self, flat: np.ndarray) -> tuple:
+        """Phases, last states before the outer phase, psi after it and overlaps <phi_b|psi_b> of ``flat``."""
+        phases = self._phases(self.columns @ np.asarray(flat, dtype=np.float64))
+        last = self._evolve(phases)
+        psi = phases[DIAGONAL_WEIGHTS[0]] * last
+        return phases, last, psi, np.einsum("bn,bn->b", self.bras, psi)
+
     def costs(self, flat_matrix: np.ndarray) -> np.ndarray:
         """Costs for each column of a (param_count, M) matrix of coefficient vectors."""
-        phases = self._phases((self.columns @ flat_matrix).T)
-        psi = phases[DIAGONAL_WEIGHTS[0]] * self._evolve(phases)
-        overlaps = np.einsum("bn,bmn->bm", self.bras, psi)
-        return -np.minimum(np.abs(overlaps) ** 2, 1.0).sum(axis=0) / self.batch_size
+        overlaps = np.array([self._forward(flat)[3] for flat in np.asarray(flat_matrix).T])
+        return -np.minimum(np.abs(overlaps) ** 2, 1.0).sum(axis=1) / self.batch_size
 
     def cost(self, flat: np.ndarray) -> float:
         return float(self.costs(np.asarray(flat, dtype=np.float64)[:, None])[0])
@@ -315,10 +320,7 @@ class CostEvaluator:
         ``TrainConfig.fd_step``.
         """
         outer = DIAGONAL_WEIGHTS[0]
-        phases = self._phases(self.columns @ np.asarray(flat, dtype=np.float64))
-        last = self._evolve(phases)
-        psi = phases[outer] * last
-        overlaps = np.einsum("bn,bn->b", self.bras, psi)
+        phases, last, psi, overlaps = self._forward(flat)
         g = outer * self.bras * psi
         # row b holds the conjugates of [state, bra as a ket], walked back one layer at a time
         pair = np.stack([last.conj(), phases[outer] * self.bras], axis=1)

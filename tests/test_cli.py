@@ -15,6 +15,7 @@ from qgrnn.pipeline import embed_and_sample
 from qgrnn.training import TrainConfig
 
 WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet")
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -30,7 +31,7 @@ TRAINING_COMMANDS = ("reconstruct", "hide", "reveal")
 # the TrainConfig fields that are options of some command
 OPTION_FIELDS = [f for f in fields(TrainConfig) if f.name != "seed"]
 # the training options of each command: those it reads (reveal takes t_max from
-# its archive), and hide's epochs and reveal's batch_size, which have no effect
+# its archive's deepest time), and hide's epochs and reveal's batch_size, which have no effect
 COMMAND_OPTIONS = {
     "reconstruct": ("batch_size", "epochs", "trotter_delta", "t_max", "restarts"),
     "hide": ("batch_size", "epochs", "t_max"),
@@ -145,7 +146,7 @@ class TestConfigValidation:
         assert hide(dict_file, tmp_path / "hide") == 0
         archive = tmp_path / "hide" / "archive.json"
         payload = json.loads(archive.read_text())
-        payload["t_max"] = payload["times"][0] = 1e9
+        payload["times"][0] = 1e9
         archive.write_text(json.dumps(payload))
         start = time.perf_counter()
         code = cli.main(["reveal", "--archive", str(archive), "--dict", str(dict_file),
@@ -154,6 +155,7 @@ class TestConfigValidation:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "layers" in err
+        assert not (tmp_path / "reveal").exists()
 
     def test_bad_archive_time_is_an_error(self, tmp_path, dict_file, capsys):
         assert hide(dict_file, tmp_path / "hide") == 0
@@ -233,11 +235,28 @@ class TestFailFast:
 
     def test_reveal_checks_the_layer_limit_against_the_archive_t_max(self, tmp_path, dict_file,
                                                                     capsys):
-        # 2 / 1.5e-5 is beyond the layer limit, the default t_max's 0.5 / 1.5e-5 within it
+        # the archive's t_max is its deepest time, 1.9924 of hide's --t-max 2: 1.9924 / 1.5e-5
+        # is beyond the layer limit, the default t_max's 0.5 / 1.5e-5 within it
         assert hide(dict_file, tmp_path / "hide", "--t-max", "2") == 0
+        archive = tmp_path / "hide" / "archive.json"
+        assert f"{max(json.loads(archive.read_text())['times']):g}" == "1.9924"
         out = tmp_path / "reveal"
-        fails_fast(capsys, ["reveal", "--archive", str(tmp_path / "hide" / "archive.json"),
-                            "--dict", str(dict_file), "--out", str(out), "--trotter-delta", "1.5e-5"],
+        fails_fast(capsys, ["reveal", "--archive", str(archive), "--dict", str(dict_file),
+                            "--out", str(out), "--trotter-delta", "1.5e-5"],
+                   "t_max 1.9924 needs more than 100000 layers")
+        assert not out.exists()
+
+    def test_reveal_checks_the_layer_limit_on_the_deepest_time_of_a_version_4_archive(
+            self, tmp_path, dict_file, capsys):
+        # not on the t_max of 0.5 that version 4 also stored, which the deepest time now exceeds;
+        # test_huge_archive_time_fails_fast covers version 5
+        payload = json.loads((DATA / "archive_v4.json").read_text())
+        payload["times"][-1] = 2.0
+        archive = tmp_path / "archive.json"
+        archive.write_text(json.dumps(payload))
+        out = tmp_path / "reveal"
+        fails_fast(capsys, ["reveal", "--archive", str(archive), "--dict", str(dict_file),
+                            "--out", str(out), "--trotter-delta", "1.5e-5"],
                    "t_max 2 needs more than 100000 layers")
         assert not out.exists()
 
@@ -739,13 +758,11 @@ class TestStopReason:
 
 
 class TestDeterminism:
-    def test_outputs_repeat_except_the_creation_time(self, tmp_path, dict_file):
+    def test_outputs_repeat(self, tmp_path, dict_file):
         for run in ("a", "b"):
             assert hide(dict_file, tmp_path / run) == 0
-        archives = [json.loads((tmp_path / run / "archive.json").read_text()) for run in "ab"]
-        for payload in archives:
-            del payload["meta"]["created"]
-        assert archives[0] == archives[1]
+        for name in ("archive.json", "run.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
         archive = tmp_path / "a" / "archive.json"
         for run in ("x", "y"):
@@ -758,9 +775,7 @@ class TestDeterminism:
     def test_hide_epochs_has_no_effect(self, tmp_path, dict_file):
         for epochs in ("3", "150"):
             assert hide(dict_file, tmp_path / epochs, "--epochs", epochs) == 0
-        archives = [json.loads((tmp_path / epochs / "archive.json").read_text()) for epochs in ("3", "150")]
-        for payload in archives:
-            del payload["meta"]["created"]
+        archives = [(tmp_path / epochs / "archive.json").read_bytes() for epochs in ("3", "150")]
         assert archives[0] == archives[1]
 
     def test_reveal_batch_size_has_no_effect(self, tmp_path, dict_file):
@@ -816,15 +831,9 @@ def recorded_runs(tmp_path_factory):
 
 
 def output_files(directory: Path) -> dict:
-    """Each file under ``directory`` by relative path: its bytes, or an archive without its creation time."""
-    files = {}
-    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
-        content = path.read_bytes()
-        if path.name == "archive.json":
-            content = json.loads(content)
-            del content["meta"]["created"]
-        files[path.relative_to(directory)] = content
-    return files
+    """The bytes of each file under ``directory``, by relative path."""
+    return {path.relative_to(directory): path.read_bytes()
+            for path in sorted(p for p in directory.rglob("*") if p.is_file())}
 
 
 class TestReplay:

@@ -1,3 +1,4 @@
+import math
 import re
 import struct
 import tracemalloc
@@ -175,6 +176,18 @@ class TestMinMaxScale:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             minmax_scale(np.zeros((2, 2)), lo=1.0, hi=1.0)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-1e308, 1e308), (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (1.0, 1.0), (2.0, 1.0),
+         (np.float64(-1e308), np.float64(1e308))],
+        ids=["width-overflows", "inf-hi", "inf-lo", "nan-hi", "empty", "reversed", "numpy-width-overflows"],
+    )
+    def test_rejects_a_range_without_a_finite_width(self, lo, hi):
+        # both ends of the first are finite, but the width is inf: scaling gave NaN
+        with pytest.raises(ValueError, match="need finite scale_lo < scale_hi and a finite "
+                                             "scale_hi - scale_lo"):
+            minmax_scale(np.array([[0.0], [1.0]]), lo, hi)
 
 
 class TestDataset:

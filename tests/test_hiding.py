@@ -29,6 +29,9 @@ V1_ARCHIVE = Path(__file__).parent / "data" / "archive_v1.json"
 V2_ARCHIVE = Path(__file__).parent / "data" / "archive_v2.json"
 V3_ARCHIVE = Path(__file__).parent / "data" / "archive_v3.json"
 V4_ARCHIVE = Path(__file__).parent / "data" / "archive_v4.json"
+V5_ARCHIVE = Path(__file__).parent / "data" / "archive_v5.json"
+# the message every fixture hides, under seed 3 with batch_size 4
+FIXTURE_WORDS = ("alpha", "juliet")
 WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet")
 
 
@@ -53,7 +56,7 @@ class TestRoundTrip:
     def test_reveal_returns_every_word_on_the_first_attempt(self, dictionary, seed, message):
         words = message.split()
         config = TrainConfig(seed=seed)
-        archive = encode_message(words, dictionary, config, created="fixed")
+        archive = encode_message(words, dictionary, config)
         result = reveal_message(archive, dictionary, config)
         assert result.attempts == 1
         assert retrieval_accuracy(words, result.words) == 100.0
@@ -66,7 +69,7 @@ class TestWideRegister:
         # Trotter-bias floor of 1.7e-9; the fourth-order circuit reached 2.4e-12
         # and the sixth-order one reaches 4.6e-15
         words = "juliet india hotel golf foxtrot echo delta charlie".split()
-        archive = encode_message(words, dictionary, TrainConfig(seed=1), created="fixed")
+        archive = encode_message(words, dictionary, TrainConfig(seed=1))
         result = reveal_message(archive, dictionary, TrainConfig(seed=1, epochs=60, restarts=1))
         truth = np.array([dictionary.value_of(w) for w in words])
         assert result.words == tuple(words)
@@ -76,7 +79,7 @@ class TestWideRegister:
         # the same reveal through save_archive and load_archive: the complex64
         # carrier's rounding keeps the MSE near the in-memory 4.6e-15 (5.2e-15)
         words = "juliet india hotel golf foxtrot echo delta charlie".split()
-        save_archive(encode_message(words, dictionary, TrainConfig(seed=1), created="fixed"),
+        save_archive(encode_message(words, dictionary, TrainConfig(seed=1)),
                      tmp_path / "archive.json")
         archive = load_archive(tmp_path / "archive.json")
         result = reveal_message(archive, dictionary, TrainConfig(seed=1, epochs=60, restarts=1))
@@ -95,7 +98,7 @@ class TestNodeErrorThroughTheArchive:
         # circuit's Trotter bias left 6.9e-6, 4.6e-6 and 9.3e-6 here, the
         # sixth-order one 1.0e-7, 7.6e-9 and 3.3e-7
         words = message.split()
-        save_archive(encode_message(words, dictionary, TrainConfig(seed=seed), created="fixed"),
+        save_archive(encode_message(words, dictionary, TrainConfig(seed=seed)),
                      tmp_path / "archive.json")
         result = reveal_message(load_archive(tmp_path / "archive.json"), dictionary,
                                 TrainConfig(seed=seed))
@@ -105,9 +108,10 @@ class TestNodeErrorThroughTheArchive:
 
 
 def valid_payload(dictionary, tmp_path):
+    """The version-5 payload of the fixtures' message."""
     config = TrainConfig(seed=3, batch_size=4)
     path = tmp_path / "archive.json"
-    save_archive(encode_message(["alpha", "juliet"], dictionary, config, created="fixed"), path)
+    save_archive(encode_message(FIXTURE_WORDS, dictionary, config), path)
     return json.loads(path.read_text())
 
 
@@ -146,11 +150,13 @@ def stored_rows(archive):
 
 
 def as_version_3(archive):
-    """The version-3 payload of an archive: one complex64 base64 string per state."""
-    return {"version": 3, "node_count": archive.node_count, "t_max": archive.t_max,
+    """The version-3 payload of an archive: one complex64 base64 string per state.
+
+    A version-3 file also held ``t_max`` and ``meta``, which are ignored.
+    """
+    return {"version": 3, "node_count": archive.node_count,
             "initial": b64_state(archive.initial_state),
-            "samples": [{"t": s.time, "state": b64_state(s.state)} for s in archive.samples],
-            "meta": {"created": archive.created}}
+            "samples": [{"t": s.time, "state": b64_state(s.state)} for s in archive.samples]}
 
 
 def single_precision(amplitudes):
@@ -167,6 +173,10 @@ def v3_payload():
     return json.loads(V3_ARCHIVE.read_text())
 
 
+def v4_payload():
+    return json.loads(V4_ARCHIVE.read_text())
+
+
 def assert_single_precision_copy(loaded, archive):
     """Same times, and every state exactly the rounded, renormalised original."""
     assert np.array_equal(loaded.initial_state, single_precision(archive.initial_state))
@@ -176,13 +186,11 @@ def assert_single_precision_copy(loaded, archive):
         assert np.max(np.abs(a.state - b.state)) <= CARRIER_NORM_TOL
 
 
-def assert_resaved_as_version_4(path, tmp_path):
+def assert_resaved_as_version_5(path, tmp_path):
     archive = load_archive(path)
-    save_archive(archive, tmp_path / "v4.json")
-    assert json.loads((tmp_path / "v4.json").read_text())["version"] == 4
-    again = load_archive(tmp_path / "v4.json")
-    assert again.created == archive.created and again.t_max == archive.t_max
-    assert_single_precision_copy(again, archive)
+    save_archive(archive, tmp_path / "v5.json")
+    assert json.loads((tmp_path / "v5.json").read_text())["version"] == 5
+    assert_single_precision_copy(load_archive(tmp_path / "v5.json"), archive)
 
 
 def replace_padding(text):
@@ -204,22 +212,20 @@ class TestLoadArchive:
         payload = valid_payload(dictionary, tmp_path)
         archive = load_payload(payload, tmp_path)
         assert archive.node_count == 2
-        assert archive.t_max == payload["t_max"]
         assert [s.time for s in archive.samples] == payload["times"]
-        assert archive.created == "fixed"
 
-    def test_writes_version_4_without_a_seed_fingerprint(self, dictionary, tmp_path):
+    def test_writes_version_5_with_only_the_states_and_their_times(self, dictionary, tmp_path):
+        # no seed fingerprint, t_max or creation time
         payload = valid_payload(dictionary, tmp_path)
-        assert payload["version"] == 4
-        assert sorted(payload) == ["meta", "node_count", "states", "t_max", "times", "version"]
-        assert payload["meta"] == {"created": "fixed"}
+        assert payload["version"] == 5
+        assert sorted(payload) == ["node_count", "states", "times", "version"]
         assert len(payload["times"]) == 4 and isinstance(payload["states"], str)
         # the 5 states of 4 amplitudes, as complex64 byte planes
         rows = stored_rows(load_payload(payload, tmp_path))
         assert zlib.decompress(base64.b64decode(payload["states"])) == planed_bytes(rows)
 
     def test_round_trip_equals_the_rounded_renormalised_state(self, dictionary, tmp_path):
-        archive = encode_message(["alpha", "juliet"], dictionary, TrainConfig(seed=3, batch_size=4))
+        archive = encode_message(FIXTURE_WORDS, dictionary, TrainConfig(seed=3, batch_size=4))
         save_archive(archive, tmp_path / "archive.json")
         assert_single_precision_copy(load_archive(tmp_path / "archive.json"), archive)
 
@@ -245,13 +251,6 @@ class TestLoadArchive:
         with pytest.raises(ArchiveFormatError, match="state norm deviates from 1"):
             load_payload(payload, tmp_path)
 
-    @pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan, 0.0, -0.5])
-    def test_rejects_bad_t_max(self, dictionary, tmp_path, t_max):
-        payload = valid_payload(dictionary, tmp_path)
-        payload["t_max"] = t_max
-        with pytest.raises(ArchiveFormatError, match="t_max must be finite and > 0"):
-            load_payload(payload, tmp_path)
-
     @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -0.1, "late"])
     def test_rejects_bad_sample_time(self, dictionary, tmp_path, t):
         payload = valid_payload(dictionary, tmp_path)
@@ -259,16 +258,23 @@ class TestLoadArchive:
         with pytest.raises(ArchiveFormatError):
             load_payload(payload, tmp_path)
 
-    def test_rejects_sample_time_above_t_max(self, dictionary, tmp_path):
-        payload = valid_payload(dictionary, tmp_path)
-        payload["times"][0] = np.nextafter(payload["t_max"], np.inf)
-        with pytest.raises(ArchiveFormatError, match="sample time t"):
-            load_payload(payload, tmp_path)
-
-    def test_sample_time_at_t_max_is_accepted(self, dictionary, tmp_path):
-        payload = valid_payload(dictionary, tmp_path)
-        payload["times"][0] = payload["t_max"]
-        assert load_payload(payload, tmp_path).samples[0].time == payload["t_max"]
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda p: p.pop("t_max"), lambda p: p.pop("meta"),
+         *(lambda p, v=v: p.__setitem__("t_max", v)
+           for v in (math.inf, math.nan, -0.5, 1, True, "0.5", 10**400, None)),
+         # below the sample times it once bounded
+         lambda p: p.__setitem__("t_max", min(p["times"]) / 2),
+         lambda p: p.__setitem__("meta", {"created": 7})],
+        ids=["no-t-max", "no-meta", "inf-t-max", "nan-t-max", "negative-t-max", "int-t-max",
+             "bool-t-max", "str-t-max", "huge-t-max", "null-t-max", "low-t-max", "int-created"],
+    )
+    def test_ignores_the_t_max_and_meta_of_version_4(self, tmp_path, edit):
+        payload = v4_payload()
+        edit(payload)
+        archive = load_payload(payload, tmp_path)
+        assert [s.time for s in archive.samples] == v4_payload()["times"]
+        assert np.array_equal(stored_rows(archive), stored_rows(load_archive(V4_ARCHIVE)))
 
     @pytest.mark.parametrize("node_count", [0, -3, MAX_QUBITS + 1, 10**9])
     def test_rejects_node_count_outside_the_register_limit(self, dictionary, tmp_path, node_count):
@@ -292,7 +298,7 @@ class TestLoadArchive:
         "edit, match",
         [
             (lambda p: p.pop("samples"), "malformed archive"),
-            (lambda p: p.__setitem__("version", 5), "unsupported archive version 5"),
+            (lambda p: p.__setitem__("version", 6), "unsupported archive version 6"),
             (lambda p: p.__setitem__("initial", p["initial"][:-1]), "base64 string of 44 characters"),
             (lambda p: p.__setitem__("initial", "*" + p["initial"][1:]), "not valid base64"),
             (lambda p: p["samples"][0].__setitem__("state", [[0.5, 0.0]] * 4),
@@ -320,18 +326,15 @@ class TestLoadArchive:
             (lambda p: p.__setitem__("node_count", 2.9), "node_count must be a JSON integer, got 2.9"),
             (lambda p: p.__setitem__("node_count", "2"), "node_count must be a JSON integer, got '2'"),
             (lambda p: p.__setitem__("node_count", True), "node_count must be a JSON integer, got True"),
-            (lambda p: p.__setitem__("t_max", True), "t_max must be a JSON number, got True"),
-            (lambda p: p.__setitem__("t_max", "0.5"), "t_max must be a JSON number, got '0.5'"),
             (lambda p: p["times"].__setitem__(0, str(p["times"][0])),
              "sample time t must be a JSON number, got '0."),
             (lambda p: p["times"].__setitem__(0, True),
              "sample time t must be a JSON number, got True"),
             # a JSON integer too large for a float
-            (lambda p: p.__setitem__("t_max", 10**400), "malformed archive: int too large"),
             (lambda p: p["times"].__setitem__(0, 10**400), "malformed archive: int too large"),
         ],
         ids=["bool-version", "float-node-count", "str-node-count", "bool-node-count",
-             "bool-t-max", "str-t-max", "str-t", "bool-t", "huge-t-max", "huge-t"],
+             "str-t", "bool-t", "huge-t"],
     )
     def test_rejects_header_values_of_the_wrong_json_type(self, dictionary, tmp_path, edit, match):
         payload = valid_payload(dictionary, tmp_path)
@@ -339,15 +342,9 @@ class TestLoadArchive:
         with pytest.raises(ArchiveFormatError, match=re.escape(match)):
             load_payload(payload, tmp_path)
 
-    def test_accepts_an_integer_t_max(self, dictionary, tmp_path):
-        payload = valid_payload(dictionary, tmp_path)
-        payload["t_max"] = 1
-        archive = load_payload(payload, tmp_path)
-        assert archive.t_max == 1.0 and isinstance(archive.t_max, float)
-
     def test_accepts_an_integer_sample_time(self, dictionary, tmp_path):
         payload = valid_payload(dictionary, tmp_path)
-        payload["t_max"] = payload["times"][0] = 1
+        payload["times"][0] = 1
         time = load_payload(payload, tmp_path).samples[0].time
         assert time == 1.0 and isinstance(time, float)
 
@@ -401,7 +398,7 @@ class TestLoadArchive:
         with pytest.raises(ArchiveFormatError, match="nested too deeply"):
             load_archive(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_states_are_read_only(self, version):
         archive = load_archive(Path(__file__).parent / "data" / f"archive_v{version}.json")
         for state in [archive.initial_state] + [s.state for s in archive.samples]:
@@ -430,7 +427,10 @@ def record_inflation(monkeypatch):
 
 
 class TestVersion4Input:
-    """Untrusted version-4 ``states`` and ``times``: n = 2 and 4 samples, so 8 * 5 * 4 = 160 bytes."""
+    """Untrusted ``states`` and ``times`` of tests/data/archive_v4.json: n = 2 and 4 samples, so 8 * 5 * 4 = 160 bytes.
+
+    Version 5 stores them as version 4 does, and is read by the same code.
+    """
 
     EXPECTED = 160
 
@@ -454,7 +454,7 @@ class TestVersion4Input:
              "not valid deflated base64"),
             (lambda p, raw: p.__setitem__("states", "*" + p["states"][1:]),
              "not valid deflated base64"),
-            (lambda p, raw: p["times"].append(p["t_max"]), "do not inflate to exactly 6 states"),
+            (lambda p, raw: p["times"].append(0.5), "do not inflate to exactly 6 states"),
             # five half-zero rows deflate to within the bounds for four
             (lambda p, raw: (p["times"].pop(), p.__setitem__(
                 "states", b64_deflated(planed_bytes(random_rows(nonzero=2))))),
@@ -470,8 +470,8 @@ class TestVersion4Input:
              "non-base64", "one-time-more", "one-time-fewer", "one-time-fewer-over-bound",
              "nan-row", "bad-norm"],
     )
-    def test_rejects_within_the_expected_bytes(self, dictionary, tmp_path, monkeypatch, edit, match):
-        payload = valid_payload(dictionary, tmp_path)
+    def test_rejects_within_the_expected_bytes(self, tmp_path, monkeypatch, edit, match):
+        payload = v4_payload()
         raw = planed_bytes(stored_rows(load_payload(payload, tmp_path)))
         assert len(raw) == self.EXPECTED
         edit(payload, raw)
@@ -481,10 +481,10 @@ class TestVersion4Input:
         expected = 8 * (len(payload["times"]) + 1) * 4
         assert all(limit == expected and produced <= expected for limit, produced in calls)
 
-    def test_rejects_a_string_outside_the_length_bounds_before_decoding(self, dictionary, tmp_path,
+    def test_rejects_a_string_outside_the_length_bounds_before_decoding(self, tmp_path,
                                                                           monkeypatch):
         # zlib's compressBound(160) is 173 bytes, whose base64 has 232 characters; 3 * 54 >= 160
-        payload = valid_payload(dictionary, tmp_path)
+        payload = v4_payload()
         decoded = []
         monkeypatch.setattr(hiding.base64, "b64decode", lambda *a, **k: decoded.append(a))
         calls = record_inflation(monkeypatch)
@@ -494,12 +494,12 @@ class TestVersion4Input:
                 load_payload(payload, tmp_path)
         assert decoded == [] and calls == []
 
-    def test_rejects_a_widest_register_bomb_before_decoding(self, dictionary, tmp_path, monkeypatch):
+    def test_rejects_a_widest_register_bomb_before_decoding(self, tmp_path, monkeypatch):
         """n = MAX_QUBITS and 100,000 times claim 13 GB; 64 MB of zeros deflate to 87 K characters."""
-        payload = valid_payload(dictionary, tmp_path)
+        payload = v4_payload()
         deflater = zlib.compressobj()
         blob = b"".join(deflater.compress(bytes(1 << 20)) for _ in range(64)) + deflater.flush()
-        payload.update(node_count=MAX_QUBITS, times=[payload["t_max"]] * 100_000,
+        payload.update(node_count=MAX_QUBITS, times=[0.5] * 100_000,
                        states=base64.b64encode(blob).decode("ascii"))
         decoded = []
         monkeypatch.setattr(hiding.base64, "b64decode", lambda *a, **k: decoded.append(a))
@@ -508,9 +508,9 @@ class TestVersion4Input:
             load_payload(payload, tmp_path)
         assert decoded == [] and calls == []
 
-    def test_accepts_an_incompressible_string_at_the_bound(self, dictionary, tmp_path):
+    def test_accepts_an_incompressible_string_at_the_bound(self, tmp_path):
         # stored blocks: random bytes do not deflate, so zlib's output is near its bound
-        payload = valid_payload(dictionary, tmp_path)
+        payload = v4_payload()
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -520,8 +520,8 @@ class TestVersion4Input:
         assert all(np.array_equal(a, single_precision(b)) for a, b in zip(loaded, rows))
 
     @pytest.mark.parametrize("bad", sorted(BAD_AMPLITUDES) + ["signalling-nan"])
-    def test_rejects_non_finite_amplitudes_in_version_4(self, dictionary, tmp_path, bad):
-        payload = valid_payload(dictionary, tmp_path)
+    def test_rejects_non_finite_amplitudes_in_version_4(self, tmp_path, bad):
+        payload = v4_payload()
         rows = stored_rows(load_payload(payload, tmp_path)).astype("<c8")
         rows[2] = bad_amplitudes(bad)
         payload["states"] = b64_deflated(planed_bytes(rows))
@@ -538,11 +538,10 @@ def test_random_messages_load_as_their_single_precision_copy(dictionary, tmp_pat
     words = [WORDS[i] for i in rng.integers(0, len(WORDS), rng.integers(2, 9))]
     config = TrainConfig(seed=int(rng.integers(10**6)), batch_size=int(rng.integers(1, 16)),
                          t_max=float(rng.uniform(0.1, 1.0)))
-    archive = encode_message(words, dictionary, config, created="fixed")
-    save_archive(archive, tmp_path / "v4.json")
-    loaded = load_archive(tmp_path / "v4.json")
+    archive = encode_message(words, dictionary, config)
+    save_archive(archive, tmp_path / "v5.json")
+    loaded = load_archive(tmp_path / "v5.json")
     assert_single_precision_copy(loaded, archive)
-    assert loaded.t_max == archive.t_max and loaded.created == "fixed"
     (tmp_path / "v3.json").write_text(json.dumps(as_version_3(archive)))
     assert np.array_equal(stored_rows(loaded), stored_rows(load_archive(tmp_path / "v3.json")))
 
@@ -554,7 +553,6 @@ class TestVersion1Archive:
         payload = json.loads(V1_ARCHIVE.read_text())
         archive = load_archive(V1_ARCHIVE)
         assert payload["version"] == 1 and archive.node_count == 2
-        assert archive.created == "fixed"
         states = [archive.initial_state] + [s.state for s in archive.samples]
         pairs = [payload["initial"]] + [s["state"] for s in payload["samples"]]
         assert len(states) == 5
@@ -564,8 +562,8 @@ class TestVersion1Archive:
             assert np.array_equal(state.imag, rows[:, 1])
         assert [s.time for s in archive.samples] == [s["t"] for s in payload["samples"]]
 
-    def test_resaved_as_version_4_round_trips_to_single_precision(self, tmp_path):
-        assert_resaved_as_version_4(V1_ARCHIVE, tmp_path)
+    def test_resaved_as_version_5_round_trips_to_single_precision(self, tmp_path):
+        assert_resaved_as_version_5(V1_ARCHIVE, tmp_path)
 
 
 class TestVersion2Archive:
@@ -575,7 +573,6 @@ class TestVersion2Archive:
         payload = v2_payload()
         archive = load_archive(V2_ARCHIVE)
         assert payload["version"] == 2 and archive.node_count == 2
-        assert archive.created == "fixed"
         states = [archive.initial_state] + [s.state for s in archive.samples]
         strings = [payload["initial"]] + [s["state"] for s in payload["samples"]]
         assert len(states) == 5
@@ -608,8 +605,8 @@ class TestVersion2Archive:
         with pytest.raises(ArchiveFormatError, match=match):
             load_payload(payload, tmp_path)
 
-    def test_resaved_as_version_4_round_trips_to_single_precision(self, tmp_path):
-        assert_resaved_as_version_4(V2_ARCHIVE, tmp_path)
+    def test_resaved_as_version_5_round_trips_to_single_precision(self, tmp_path):
+        assert_resaved_as_version_5(V2_ARCHIVE, tmp_path)
 
 
 class TestVersion3Archive:
@@ -619,7 +616,6 @@ class TestVersion3Archive:
         payload = v3_payload()
         archive = load_archive(V3_ARCHIVE)
         assert payload["version"] == 3 and archive.node_count == 2
-        assert archive.created == "fixed"
         strings = [payload["initial"]] + [s["state"] for s in payload["samples"]]
         rows = stored_rows(archive)
         assert len(rows) == 5
@@ -627,8 +623,8 @@ class TestVersion3Archive:
             assert np.array_equal(amps, single_precision(np.frombuffer(base64.b64decode(text), "<c8")))
         assert [s.time for s in archive.samples] == [s["t"] for s in payload["samples"]]
 
-    def test_resaved_as_version_4_round_trips_to_single_precision(self, tmp_path):
-        assert_resaved_as_version_4(V3_ARCHIVE, tmp_path)
+    def test_resaved_as_version_5_round_trips_to_single_precision(self, tmp_path):
+        assert_resaved_as_version_5(V3_ARCHIVE, tmp_path)
 
 
 class TestVersion4Archive:
@@ -638,7 +634,8 @@ class TestVersion4Archive:
         payload = json.loads(V4_ARCHIVE.read_text())
         archive = load_archive(V4_ARCHIVE)
         assert payload["version"] == 4 and archive.node_count == 2
-        assert archive.created == "fixed"
+        # the t_max and creation time version 4 also stored, which are ignored
+        assert payload["t_max"] == 0.5 and payload["meta"] == {"created": "fixed"}
         planes = np.frombuffer(zlib.decompress(base64.b64decode(payload["states"])), np.uint8)
         amplitudes = np.frombuffer(planes.reshape(4, -1).T.tobytes(), "<c8").reshape(5, 4)
         assert np.array_equal(planed_bytes(amplitudes), planes.tobytes())
@@ -652,9 +649,36 @@ class TestVersion4Archive:
         # both fixtures carry the same message and seed, and both store complex64
         assert np.array_equal(stored_rows(load_archive(V4_ARCHIVE)), stored_rows(load_archive(V3_ARCHIVE)))
 
+    def test_resaved_is_the_version_5_fixture(self, tmp_path):
+        # both fixtures carry the same message and seed, and store the times and states alike
+        save_archive(load_archive(V4_ARCHIVE), tmp_path / "v5.json")
+        assert (tmp_path / "v5.json").read_bytes() == V5_ARCHIVE.read_bytes()
+
+
+class TestVersion5Archive:
+    """tests/data/archive_v5.json: n = 2, batch_size 4, written by the version-5 save_archive."""
+
+    def test_holds_only_the_states_and_their_times(self):
+        payload = json.loads(V5_ARCHIVE.read_text())
+        assert sorted(payload) == ["node_count", "states", "times", "version"]
+        assert payload["version"] == 5 and payload["node_count"] == 2
+
+    def test_is_what_hiding_the_message_writes(self, dictionary, tmp_path):
+        # every byte follows from the message, the dictionary and the options
+        archive = encode_message(FIXTURE_WORDS, dictionary, TrainConfig(seed=3, batch_size=4))
+        save_archive(archive, tmp_path / "v5.json")
+        assert (tmp_path / "v5.json").read_bytes() == V5_ARCHIVE.read_bytes()
+
     def test_resaved_is_the_same_file(self, tmp_path):
-        save_archive(load_archive(V4_ARCHIVE), tmp_path / "v4.json")
-        assert (tmp_path / "v4.json").read_bytes() == V4_ARCHIVE.read_bytes()
+        save_archive(load_archive(V5_ARCHIVE), tmp_path / "v5.json")
+        assert (tmp_path / "v5.json").read_bytes() == V5_ARCHIVE.read_bytes()
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+def test_every_fixture_reveals_its_message(dictionary, version):
+    archive = load_archive(Path(__file__).parent / "data" / f"archive_v{version}.json")
+    result = reveal_message(archive, dictionary, TrainConfig(seed=3))
+    assert result.words == FIXTURE_WORDS and result.attempts == 1
 
 
 def test_archive_size_stays_binary(dictionary, tmp_path):
@@ -667,7 +691,7 @@ def test_archive_size_stays_binary(dictionary, tmp_path):
     words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
     config = TrainConfig(seed=5, batch_size=15)
     path = tmp_path / "archive.json"
-    save_archive(encode_message(words, dictionary, config, created="fixed"), path)
+    save_archive(encode_message(words, dictionary, config), path)
     limit = (config.batch_size + 1) * encoded_state_length(len(words)) * 7 // 8 + 1024
     assert encoded_state_length(8) == 4 * math.ceil(8 * 2**8 / 3) == 2732
     assert path.stat().st_size <= limit

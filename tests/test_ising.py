@@ -250,6 +250,13 @@ class TestSampleEvolution:
         with pytest.raises(ValueError, match="Taylor steps"):
             sample_evolution(coefficients, random_state(2, 19), [0.5])
 
+    @pytest.mark.parametrize("coefficients", [[1.0, 1.7e308, 1.7e308], [1.0, 1.7e308, -1.7e308]])
+    def test_rejects_a_diagonal_beyond_the_float_range_without_a_warning(self, coefficients):
+        # finite coefficients whose diagonal overflows; warnings are errors in this suite,
+        # so a numpy overflow warning from forming the diagonal would fail it
+        with pytest.raises(ValueError, match="needs inf Taylor steps"):
+            sample_evolution(np.array(coefficients), random_state(2, 1), [0.5])
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             sample_evolution(random_graph(2, 1), random_state(2, 1), [-0.1])

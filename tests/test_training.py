@@ -255,6 +255,8 @@ class TestAdjointKernel:
         for column, cost in zip(flat_matrix.T, costs):
             reference = batch_cost(column, initial, samples, 0.01)
             assert abs(cost - reference) <= 1e-12
+            # one forward pass per column, so a column's cost is its cost() bit for bit
+            assert cost == evaluator.cost(column)
 
     def test_retains_no_dense_matrix(self):
         # a dense transverse matrix per sample would hold 15 x 4^8 entries, 15.7 MB
