@@ -1,0 +1,131 @@
+"""Gate sets for the sample-time design: every Iris row, and seeded random messages.
+
+    python3 experiments/sample_times.py --iris-seed 0 --messages 40 --generator-seed 20261019 --t-max 0.5,1.0
+
+Run from the root of a source checkout; the package is imported from that
+checkout's ``src/``, so the same script measures any commit it is copied
+into. It uses numpy and the package only, and writes nothing but temporary
+archives.
+
+Each item runs as the CLI would run it, with every option at the
+package's default:
+
+- **Iris.** The first ``--rows`` rows of the bundled Iris table (all 150
+  by default), scaled onto [0, 5], each reconstructed with the seed that
+  ``reconstruct --seed <iris-seed>`` derives for it.
+- **Messages.** The 8-word message ``juliet india alpha golf foxtrot india
+  alpha india`` at seed 7703, then ``--messages`` random ones of 2 to 8
+  words from the 10-word dictionary, with seeds below 10^6, both drawn from
+  ``--generator-seed``. Each is hidden at every ``--t-max``, its archive
+  saved and loaded, and revealed as ``reveal`` does: fitted to the deepest
+  archived time.
+
+For each set it prints the attempts, the wrong words (for Iris, the rows
+not solved on their first attempt and the largest MSE), the archive bytes
+and the wall time, then every item that needed a restart or lost a word.
+"""
+from __future__ import annotations
+
+import argparse
+import sys
+import tempfile
+import time
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from qgrnn import seeding  # noqa: E402
+from qgrnn.datasets import bundled_iris_path, load_iris_csv, minmax_scale  # noqa: E402
+from qgrnn.hiding import build_dictionary, encode_message, load_archive, reveal_message, save_archive  # noqa: E402
+from qgrnn.pipeline import reconstruct_sample  # noqa: E402
+from qgrnn.training import TrainConfig  # noqa: E402
+
+WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet")
+# (seed, message): the message that missed with 15 random sample times
+KNOWN_MESSAGES = ((7703, "juliet india alpha golf foxtrot india alpha india"),)
+SCALE = (0.0, 5.0)
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--iris-seed", type=int, default=0, help="master seed of the Iris rows")
+    parser.add_argument("--rows", type=int, default=150, help="first Iris rows to reconstruct")
+    parser.add_argument("--messages", type=int, default=40, help="random messages besides the known one")
+    parser.add_argument("--generator-seed", type=int, default=20261019,
+                        help="seed of the random messages and of their seeds")
+    parser.add_argument("--t-max", default="0.5,1.0", help="comma-separated t_max values of the messages")
+    return parser.parse_args(argv)
+
+
+def random_messages(count: int, generator_seed: int) -> list[tuple[int, str]]:
+    """The known messages, then ``count`` random (seed, message) pairs of 2 to 8 words."""
+    rng = np.random.default_rng(generator_seed)
+    drawn = []
+    for _ in range(count):
+        words = rng.choice(WORDS, int(rng.integers(2, 9)))
+        drawn.append((int(rng.integers(10**6)), " ".join(words)))
+    return [*KNOWN_MESSAGES, *drawn]
+
+
+def iris_set(master_seed: int, rows: int) -> None:
+    dataset = load_iris_csv(bundled_iris_path())
+    features = minmax_scale(dataset.features, *SCALE)
+    start = time.perf_counter()
+    attempts, worst, missed = [], 0.0, []
+    for i in range(min(rows, features.shape[0])):
+        seed = seeding.derive_seed(master_seed, seeding.RECONSTRUCT_SAMPLE, i)
+        outcome = reconstruct_sample(features[i], TrainConfig(seed=seed), SCALE)
+        attempts.append(outcome.attempts)
+        worst = max(worst, outcome.report.mse)
+        if outcome.attempts > 1:
+            missed.append(f"row {i}: {outcome.attempts} attempts, MSE {outcome.report.mse:.3g}")
+    print(f"iris master seed {master_seed}: {len(attempts)} rows, {sum(attempts)} attempts, "
+          f"largest MSE {worst:.3g}, {time.perf_counter() - start:.1f} s")
+    for line in missed:
+        print("  " + line)
+
+
+def message_set(messages: list[tuple[int, str]], t_max: float, work: Path) -> None:
+    dictionary = build_dictionary(WORDS)
+    start = time.perf_counter()
+    attempts = wrong = total_words = archive_bytes = 0
+    notes = []
+    for k, (seed, message) in enumerate(messages):
+        words = message.split()
+        config = TrainConfig(seed=seed, t_max=t_max)
+        path = work / f"archive_{k}.json"
+        save_archive(encode_message(words, dictionary, config), path)
+        archive_bytes += path.stat().st_size
+        archive = load_archive(path)
+        deepest = max(s.time for s in archive.samples)
+        result = reveal_message(archive, dictionary, replace(config, t_max=deepest))
+        misses = sum(a != b for a, b in zip(words, result.words))
+        attempts += result.attempts
+        wrong += misses
+        total_words += len(words)
+        if result.attempts > 1 or misses:
+            notes.append(f"seed {seed} ({len(words)} words): {result.attempts} attempts, "
+                         f"{misses} wrong, final cost {result.train_result.final_cost:.6g}")
+    print(f"messages at t_max {t_max:g}: {len(messages)} messages, {attempts} attempts, "
+          f"{wrong} wrong words of {total_words}, archives {archive_bytes:,} B, "
+          f"{time.perf_counter() - start:.1f} s")
+    for line in notes:
+        print("  " + line)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    if args.rows > 0:
+        iris_set(args.iris_seed, args.rows)
+    messages = random_messages(args.messages, args.generator_seed)
+    with tempfile.TemporaryDirectory() as work:
+        for t_max in (float(t) for t in args.t_max.split(",") if t.strip()):
+            message_set(messages, t_max, Path(work))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,8 +5,11 @@ option of ``OPTIONS`` resolved. ``--config <out>/run.json`` replays the run
 and writes the same bytes, every file of every command alike; ``hide`` also
 needs ``--message``, which is never recorded. Paths are recorded as typed,
 so a replay runs from the same directory; reconstruct's CSV is recorded
-absolute, for ``classify``. ``reveal`` fits to the deepest time of the
-archive it reads, which is its ``t_max``.
+absolute, for ``classify``. The same bytes need the same numpy, the same
+BLAS build and the same BLAS thread count: under 1 and 2 OpenBLAS threads an
+n = 8 ``reveal`` gives the same words, attempts and final cost to 1e-12,
+but its cost history can differ in the last bit. ``reveal`` fits to the
+deepest time of the archive it reads, which is its ``t_max``.
 
 ``reconstruct`` reads one dataset, a CSV table of numeric features and a
 label (``datasets.load_iris_csv``), by default the bundled Iris copy.
@@ -109,7 +112,8 @@ def _check_types(values: dict, defaults: dict, path) -> None:
     """Check that each value read from ``path`` has its option's JSON type.
 
     That is the default's type, or a string or null where the default is
-    None (paths and sample lists).
+    None (paths and sample lists). A float option also takes a JSON integer,
+    but only one that ``float()`` can convert.
     """
     for key, value in values.items():
         if value is None and defaults[key] is None:
@@ -118,6 +122,11 @@ def _check_types(values: dict, defaults: dict, path) -> None:
         accepted = (int, float) if expected is float else expected
         if not isinstance(value, accepted) or isinstance(value, bool):
             raise ValueError(f"{path}: key {key!r} must be of type {expected.__name__}, got {value!r}")
+        if expected is float:
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{path}: key {key!r} is an integer too large for a float") from None
 
 
 def _read_run(path, command: str, complete: bool = False) -> dict:
@@ -394,7 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "hide", cmd_hide,
         help="encode a message into a state archive",
         epilog="--dict is a dictionary file, one word per line. Of the training options, "
-        "--batch-size and --t-max set the evolved states and --epochs has no effect. The "
+        "--batch-size and --t-max set the evolved states, --batch-size of them (8 by "
+        "default) at the Chebyshev points of (0, --t-max), not at random times, and "
+        "--epochs has no effect. The "
         "message is never recorded, so a replay with --config <out>/run.json needs "
         "--message too. Writes archive.json (format version 5): version, "
         "node_count, times and states, so a replay writes the same bytes. states is "

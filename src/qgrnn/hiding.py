@@ -2,7 +2,8 @@
 
 Encoding maps each word of a message to a code value from a shared
 dictionary, embeds the values as node weights of a graph, evolves a random
-initial state under the graph Hamiltonian, and keeps only the initial and
+initial state under the graph Hamiltonian to the Chebyshev sample times of
+``ising.draw_times`` (8 by default), and keeps only the initial and
 time-evolved states, deflated at single precision (``save_archive``). The
 graph itself is discarded; retrieval must relearn the node weights from the
 states and snap them back to dictionary values.

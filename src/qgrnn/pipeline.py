@@ -12,10 +12,11 @@ from .statevector import random_state
 from .training import TrainConfig, TrainResult, initial_params, linear_inversion_start, train_qgrnn
 
 ACCEPT_COST = -0.99
-# Largest register accepted from user data. At 14 qubits, by tracemalloc, the
-# data peak at 17.7 MB and the warm start at 24.4 MB; a training attempt peaks
-# at 94.3 MB, in CostEvaluator and its gradient, and an epoch (one gradient,
-# one cost) takes about 0.8 s on 2 cores. Each further qubit doubles all four.
+# Largest register accepted from user data. At 14 qubits and the default 8
+# samples, by tracemalloc, the data peak at 17.0 MB and the warm start at
+# 20.7 MB; a training attempt peaks at 70.3 MB, in CostEvaluator and its
+# gradient, and an epoch (one gradient, one cost) takes about 0.5 s on 2
+# cores. Each further qubit doubles all four.
 MAX_QUBITS = 14
 
 # Rows used by default for the Iris demonstration: two correctly-classified
@@ -28,9 +29,11 @@ def embed_and_sample(
 ) -> tuple[np.ndarray, np.ndarray, list[TimeEvolvedSample]]:
     """Embed weights into a complete graph; return its coefficients, initial state and samples.
 
-    The couplings, the initial state, and the evolution times come from
-    independent streams derived from ``config.seed``. More than
-    ``MAX_QUBITS`` weights are rejected before any 2^n array exists.
+    The couplings and the initial state come from independent streams
+    derived from ``config.seed``. The ``config.batch_size`` sample times are
+    not random: they are the Chebyshev points of (0, ``config.t_max``)
+    (``draw_times``), 8 by default. More than ``MAX_QUBITS`` weights are
+    rejected before any 2^n array exists.
     """
     weights = np.asarray(node_weights, dtype=np.float64)
     if weights.size > MAX_QUBITS:
@@ -42,9 +45,7 @@ def embed_and_sample(
         weights, seeding.derive_rng(config.seed, seeding.EDGE_WEIGHTS)
     )
     initial = random_state(weights.size, seeding.derive_seed(config.seed, seeding.INITIAL_STATE))
-    times = draw_times(
-        config.batch_size, config.t_max, seeding.derive_rng(config.seed, seeding.EVOLUTION_TIMES)
-    )
+    times = draw_times(config.batch_size, config.t_max)
     return coefficients, initial, sample_evolution(coefficients, initial, times)
 
 

@@ -7,6 +7,8 @@ import numpy as np
 # e.g. edge-weight draws never collide with state-preparation draws.
 EDGE_WEIGHTS = 1
 INITIAL_STATE = 2
+# reserved: the sample times were drawn from this stream until they became
+# the Chebyshev points of ising.draw_times
 EVOLUTION_TIMES = 3
 PARAM_INIT = 4
 RESTART = 5

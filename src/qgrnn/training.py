@@ -61,6 +61,10 @@ class TrainConfig:
     layers of ``trotter_delta``, so a run that could not finish fails before
     any data is generated.
 
+    ``batch_size`` is B, the number of evolved states generated and fitted:
+    8 by default, at the B Chebyshev points of (0, ``t_max``)
+    (``ising.draw_times``), not at random times.
+
     ``trotter_delta`` is the mean step of a layer: a sample at time t runs
     K = ``layer_count(t, 10 trotter_delta)`` sixth-order steps of t/K, each
     ten layers whose steps are ``ansatz.DIAGONAL_WEIGHTS`` and
@@ -85,7 +89,7 @@ class TrainConfig:
     init_high: ClassVar[float] = 1.0
     fd_step: ClassVar[float] = 1e-3
 
-    batch_size: int = 15
+    batch_size: int = 8
     epochs: int = 150
     trotter_delta: float = 0.01
     t_max: float = 0.5

@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -16,6 +19,7 @@ from qgrnn.training import TrainConfig
 
 WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet")
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 @pytest.fixture
@@ -98,6 +102,17 @@ class TestConfigValidation:
         assert reconstruct(tmp_path / "out", "--config", str(config)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize("key", ["t_max", "scale_hi"])
+    def test_integer_too_large_for_a_float_names_the_file_and_key(self, tmp_path, capsys, key):
+        # json reads 10**400 as an int, which float() cannot convert
+        config = tmp_path / "big.json"
+        config.write_text(f'{{"{key}": {10**400}}}')
+        out = tmp_path / "out"
+        fails_fast(capsys, ["reconstruct", "--samples", "18", "--config", str(config),
+                            "--out", str(out)],
+                   f"{config}: key {key!r} is an integer too large for a float")
+        assert not out.exists()
 
     def test_config_must_be_an_object(self, tmp_path, dict_file, capsys):
         config = tmp_path / "config.json"
@@ -235,15 +250,16 @@ class TestFailFast:
 
     def test_reveal_checks_the_layer_limit_against_the_archive_t_max(self, tmp_path, dict_file,
                                                                     capsys):
-        # the archive's t_max is its deepest time, 1.9924 of hide's --t-max 2: 1.9924 / 1.5e-5
-        # is beyond the layer limit, the default t_max's 0.5 / 1.5e-5 within it
+        # the archive's t_max is its deepest time, the last Chebyshev point 1.98079 of hide's
+        # --t-max 2: 1.98079 / 1.5e-5 is beyond the layer limit, the default t_max's 0.5 / 1.5e-5
+        # within it
         assert hide(dict_file, tmp_path / "hide", "--t-max", "2") == 0
         archive = tmp_path / "hide" / "archive.json"
-        assert f"{max(json.loads(archive.read_text())['times']):g}" == "1.9924"
+        assert f"{max(json.loads(archive.read_text())['times']):g}" == "1.98079"
         out = tmp_path / "reveal"
         fails_fast(capsys, ["reveal", "--archive", str(archive), "--dict", str(dict_file),
                             "--out", str(out), "--trotter-delta", "1.5e-5"],
-                   "t_max 1.9924 needs more than 100000 layers")
+                   "t_max 1.98079 needs more than 100000 layers")
         assert not out.exists()
 
     def test_reveal_checks_the_layer_limit_on_the_deepest_time_of_a_version_4_archive(
@@ -806,6 +822,52 @@ class TestDeterminism:
         runs = [json.loads((tmp_path / run / "c" / "run.json").read_text()) for run in "ab"]
         assert runs[0].pop("reconstructed") != runs[1].pop("reconstructed")
         assert runs[0] == runs[1]
+
+
+    def test_reveal_across_blas_thread_counts(self, tmp_path, dict_file):
+        # the n = 8 benchmark message: its cost_history.csv can differ in the last bit between
+        # one and two BLAS threads, so assert only what holds across thread counts
+        message = "juliet india hotel golf foxtrot echo delta charlie"
+        assert cli.main(["hide", "--seed", "1", "--message", message, "--dict", str(dict_file),
+                         "--out", str(tmp_path / "hide")]) == 0
+        results = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-m", "qgrnn.cli", "reveal", "--seed", "1",
+                            "--restarts", "1", "--epochs", "60",
+                            "--archive", str(tmp_path / "hide" / "archive.json"),
+                            "--dict", str(dict_file), "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=60)
+            results.append(json.loads((out / "reveal.json").read_text()))
+        one, two = results
+        assert one["words"] == two["words"] == message.split()
+        assert one["attempts"] == two["attempts"] == 1
+        assert abs(one["final_cost"] - two["final_cost"]) <= 1e-12
+
+
+class TestFormerMisses:
+    """Two instances that missed on random sample times and solve on the Chebyshev ones."""
+
+    def test_iris_row_100_solves_on_the_first_attempt(self, tmp_path):
+        # took 4 attempts
+        assert cli.main(["reconstruct", "--seed", "0", "--samples", "100", "--out", str(tmp_path)]) == 0
+        result = json.loads((tmp_path / "sample_00100" / "result.json").read_text())
+        assert result["attempts"] == 1
+        assert result["metrics"]["mse"] <= 1e-12
+
+    def test_seed_7703_message_reveals_every_word_on_the_first_attempt(self, tmp_path, dict_file):
+        # ran all 10 attempts and got 6 of 8 words
+        message = "juliet india alpha golf foxtrot india alpha india"
+        assert cli.main(["hide", "--seed", "7703", "--message", message, "--dict", str(dict_file),
+                         "--out", str(tmp_path / "hide")]) == 0
+        assert cli.main(["reveal", "--seed", "7703", "--archive", str(tmp_path / "hide" / "archive.json"),
+                         "--dict", str(dict_file), "--truth", message,
+                         "--out", str(tmp_path / "reveal")]) == 0
+        result = json.loads((tmp_path / "reveal" / "reveal.json").read_text())
+        assert result["words"] == message.split()
+        assert result["accuracy"] == 100.0 and result["attempts"] == 1
 
 
 # one run of each command, with the relative paths it was typed with

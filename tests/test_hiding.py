@@ -21,6 +21,7 @@ from qgrnn.hiding import (
     reveal_message,
     save_archive,
 )
+from qgrnn.ising import draw_times
 from qgrnn.pipeline import MAX_QUBITS
 from qgrnn.statevector import NORM_TOL
 from qgrnn.training import TrainConfig
@@ -30,6 +31,9 @@ V2_ARCHIVE = Path(__file__).parent / "data" / "archive_v2.json"
 V3_ARCHIVE = Path(__file__).parent / "data" / "archive_v3.json"
 V4_ARCHIVE = Path(__file__).parent / "data" / "archive_v4.json"
 V5_ARCHIVE = Path(__file__).parent / "data" / "archive_v5.json"
+# version 5 as hide writes it since the sample times became Chebyshev points;
+# the five archive_v<k>.json fixtures hold random times
+V5_CHEBYSHEV_ARCHIVE = Path(__file__).parent / "data" / "archive_v5_chebyshev.json"
 # the message every fixture hides, under seed 3 with batch_size 4
 FIXTURE_WORDS = ("alpha", "juliet")
 WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet")
@@ -656,7 +660,12 @@ class TestVersion4Archive:
 
 
 class TestVersion5Archive:
-    """tests/data/archive_v5.json: n = 2, batch_size 4, written by the version-5 save_archive."""
+    """tests/data/archive_v5.json: n = 2, batch_size 4, written by the version-5 save_archive.
+
+    It holds random sample times, as hide drew them before they became
+    Chebyshev points; tests/data/archive_v5_chebyshev.json is what hide
+    writes now.
+    """
 
     def test_holds_only_the_states_and_their_times(self):
         payload = json.loads(V5_ARCHIVE.read_text())
@@ -667,14 +676,21 @@ class TestVersion5Archive:
         # every byte follows from the message, the dictionary and the options
         archive = encode_message(FIXTURE_WORDS, dictionary, TrainConfig(seed=3, batch_size=4))
         save_archive(archive, tmp_path / "v5.json")
-        assert (tmp_path / "v5.json").read_bytes() == V5_ARCHIVE.read_bytes()
+        assert (tmp_path / "v5.json").read_bytes() == V5_CHEBYSHEV_ARCHIVE.read_bytes()
+
+    def test_times_are_chebyshev_points_and_the_old_fixture_is_not(self):
+        new = json.loads(V5_CHEBYSHEV_ARCHIVE.read_text())
+        assert sorted(new) == ["node_count", "states", "times", "version"]
+        assert new["version"] == 5 and new["node_count"] == 2
+        assert new["times"] == draw_times(4, 0.5).tolist()
+        assert json.loads(V5_ARCHIVE.read_text())["times"] != new["times"]
 
     def test_resaved_is_the_same_file(self, tmp_path):
         save_archive(load_archive(V5_ARCHIVE), tmp_path / "v5.json")
         assert (tmp_path / "v5.json").read_bytes() == V5_ARCHIVE.read_bytes()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, "5_chebyshev"])
 def test_every_fixture_reveals_its_message(dictionary, version):
     archive = load_archive(Path(__file__).parent / "data" / f"archive_v{version}.json")
     result = reveal_message(archive, dictionary, TrainConfig(seed=3))

@@ -164,7 +164,7 @@ class TestSampleEvolution:
     def test_batch_of_fifteen(self):
         coefficients = random_graph(3, 6)
         state = random_state(3, 7)
-        times = draw_times(15, 0.5, np.random.default_rng(8))
+        times = 0.5 * (1.0 - np.random.default_rng(8).random(15))
         samples = sample_evolution(coefficients, state, times)
         assert len(samples) == 15
         for s in samples:
@@ -189,7 +189,7 @@ class TestSampleEvolution:
         rng = np.random.default_rng(50 + n)
         coefficients = random_complete_graph(rng.uniform(-4.0, 5.0, n), rng)
         state = random_state(n, 60 + n)
-        times = draw_times(15, 2.0, rng)
+        times = 2.0 * (1.0 - rng.random(15))
         for s in sample_evolution(coefficients, state, times):
             oracle = eigh_evolve(coefficients, state, s.time)
             assert np.max(np.abs(s.state - oracle)) <= 1e-12
@@ -211,7 +211,7 @@ class TestSampleEvolution:
         rng = np.random.default_rng(16)
         coefficients = random_complete_graph(rng.uniform(-4.0, 5.0, 10), rng)
         state = random_state(10, 17)
-        times = draw_times(15, 0.5, rng)
+        times = 0.5 * (1.0 - rng.random(15))
         tracemalloc.start()
         try:
             sample_evolution(coefficients, state, times)
@@ -331,13 +331,25 @@ class TestEvolutionProperties:
 
 class TestDrawTimes:
     def test_range_and_count(self):
-        times = draw_times(100, 0.5, np.random.default_rng(0))
-        assert times.shape == (100,)
-        assert np.all(times > 0) and np.all(times <= 0.5)
+        for count in (1, 2, 8, 15, 64, 100):
+            times = draw_times(count, 0.5)
+            assert times.shape == (count,)
+            assert np.all(times > 0) and np.all(times < 0.5)
+            assert np.all(np.diff(times) > 0)
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 8])
+    def test_symmetric_about_the_middle(self, count):
+        times = draw_times(count, 2.0)
+        assert np.allclose(times + times[::-1], 2.0, rtol=0, atol=1e-15)
+
+    def test_chebyshev_points_of_the_default_batch(self):
+        # t_k = 0.25 (1 - cos(pi (2k + 1) / 16)), k = 0 .. 7
+        expected = [0.0048037, 0.0421326, 0.1111074, 0.2012274,
+                    0.2987726, 0.3888926, 0.4578674, 0.4951963]
+        assert np.allclose(draw_times(8, 0.5), expected, rtol=0, atol=5e-8)
 
     def test_invalid_arguments(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            draw_times(0, 0.5, rng)
+            draw_times(0, 0.5)
         with pytest.raises(ValueError):
-            draw_times(5, 0.0, rng)
+            draw_times(5, 0.0)

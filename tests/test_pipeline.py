@@ -18,7 +18,7 @@ def exact_archive(n, seed, t_max=0.1, batch=15):
     rng = np.random.default_rng(seed)
     coefficients = random_complete_graph(rng.uniform(-1, 1, n), rng)
     initial = random_state(n, seed + 500)
-    times = draw_times(batch, t_max, rng)
+    times = draw_times(batch, t_max)
     return coefficients, initial, sample_evolution(coefficients, initial, times)
 
 
@@ -51,7 +51,7 @@ class TestLinearInversionStart:
         # |psi0|^2 is one-hot, so the normal equations have rank 1
         coefficients = random_complete_graph(np.linspace(-1.0, 1.0, 4), np.random.default_rng(5))
         initial = basis_state(4, 6)
-        samples = sample_evolution(coefficients, initial, draw_times(15, 0.1, np.random.default_rng(6)))
+        samples = sample_evolution(coefficients, initial, draw_times(15, 0.1))
         expected = stacked_inversion_start(initial, samples)
         assert np.max(np.abs(linear_inversion_start(initial, samples) - expected)) <= 1e-10
 
@@ -74,6 +74,17 @@ class TestLinearInversionStart:
         assert a.cost_history == b.cost_history
         with pytest.raises(ValueError):
             train_qgrnn(initial, samples, TrainConfig(epochs=3), start=start[:-1])
+
+
+def test_embed_and_sample_times_are_the_chebyshev_points_whatever_the_seed():
+    weights = [1.0, -2.0, 3.5]
+    runs = [embed_and_sample(weights, TrainConfig(seed=seed, t_max=0.7)) for seed in (0, 1, 7703)]
+    for _, _, samples in runs:
+        assert [s.time for s in samples] == draw_times(TrainConfig.batch_size, 0.7).tolist()
+        assert len(samples) == 8
+    # the couplings and the initial state still follow the seed
+    assert not np.array_equal(runs[0][0], runs[1][0])
+    assert not np.array_equal(runs[0][1], runs[1][1])
 
 
 def test_embed_and_sample_peak_memory_at_14_qubits():

@@ -42,7 +42,7 @@ def make_instance(n, seed, node_scale=5.0, batch=15, t_max=0.5):
     rng = np.random.default_rng(seed)
     coefficients = random_complete_graph(rng.uniform(0, node_scale, n), rng)
     initial = random_state(n, seed + 1000)
-    times = draw_times(batch, t_max, rng)
+    times = draw_times(batch, t_max)
     return coefficients, initial, sample_evolution(coefficients, initial, times)
 
 
@@ -421,9 +421,11 @@ class TestTrainQgrnn:
         assert calls[-1] < 1e-3 * calls[0]
 
     def test_stops_early_once_converged(self):
+        # from the start every command uses: on the instance's Chebyshev times
+        # the seeded random start lands in a basin at cost -0.677
         _, initial, samples = make_instance(2, 19, batch=5)
         config = TrainConfig(seed=1)
-        result = train_qgrnn(initial, samples, config, start=seeded_start(2, config))
+        result = train_qgrnn(initial, samples, config, start=linear_inversion_start(initial, samples))
         assert result.stop_reason == "converged"
         assert len(result.cost_history) < 150
         assert result.final_cost <= -0.9999
@@ -439,7 +441,7 @@ class TestTrainQgrnn:
         rng = np.random.default_rng(20)
         coefficients = random_complete_graph(np.zeros(3), rng)
         initial = random_state(3, 21)
-        samples = sample_evolution(coefficients, initial, draw_times(15, 0.5, rng))
+        samples = sample_evolution(coefficients, initial, draw_times(15, 0.5))
         config = TrainConfig(seed=2)
         result = train_qgrnn(initial, samples, config, start=seeded_start(3, config))
         assert np.max(np.abs(result.learned_params[-3:])) <= 0.1
@@ -450,7 +452,7 @@ class TestTrainQgrnn:
         rng = np.random.default_rng(1)
         coefficients = random_complete_graph(target, rng)
         initial = random_state(4, 1001)
-        samples = sample_evolution(coefficients, initial, draw_times(15, 0.5, rng))
+        samples = sample_evolution(coefficients, initial, draw_times(15, 0.5))
         start = initial_params(4, 3, (0.0, 5.0))
         result = train_qgrnn(initial, samples, TrainConfig(seed=3), start=start)
         mse = np.mean((result.learned_params[-4:] - target) ** 2)
