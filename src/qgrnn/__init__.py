@@ -2,7 +2,7 @@
 
 from .statevector import basis_state, random_state
 from .ising import TimeEvolvedSample, sample_evolution
-from .training import TrainConfig, TrainResult, fidelity_direct, fidelity_swap_test, train_qgrnn
+from .training import TrainConfig, TrainResult, train_qgrnn
 from .metrics import MetricReport, evaluate
 
 __version__ = "0.1.0"
@@ -14,8 +14,6 @@ __all__ = [
     "sample_evolution",
     "TrainConfig",
     "TrainResult",
-    "fidelity_direct",
-    "fidelity_swap_test",
     "train_qgrnn",
     "MetricReport",
     "evaluate",

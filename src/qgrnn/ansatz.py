@@ -19,7 +19,7 @@ the same gates as 10K layers of the paper's circuit.
 
 The diagonal of each coefficient's term, ``coupling_columns``, is built in
 ``ising``, which owns the coefficient layout. This module still binds the
-name, because ``benchmarks/trace_layers.py`` and the tests look it up here.
+name, because ``benchmarks/trace_layers.py`` looks it up here.
 """
 from __future__ import annotations
 

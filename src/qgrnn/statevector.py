@@ -1,4 +1,4 @@
-"""States as plain arrays, with the gates of the SWAP test.
+"""States as plain arrays: a caller's state checked once, basis states and random states.
 
 A state of n qubits is a 1-D complex128 array of 2^n amplitudes with unit
 norm. ``checked_state`` checks a caller's state once, where it enters the
@@ -9,8 +9,6 @@ Basis convention: basis index b assigns qubit q the bit ``(b >> q) & 1``,
 i.e. qubit 0 is the least significant bit of the amplitude index.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -53,48 +51,3 @@ def random_state(qubit_count: int, seed: int) -> np.ndarray:
     amps.setflags(write=False)
     return amps
 
-
-def _check_qubit(state: np.ndarray, qubit: int) -> None:
-    n = state.size.bit_length() - 1
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
-
-
-def _bits(dim: int, qubit: int) -> np.ndarray:
-    return (np.arange(dim) >> qubit) & 1
-
-
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-
-
-def apply_hadamard(state: np.ndarray, qubit: int) -> np.ndarray:
-    """H on one qubit; the reshape puts that qubit's bit on axis 1."""
-    _check_qubit(state, qubit)
-    return (HADAMARD @ state.reshape(-1, 2, 1 << qubit)).reshape(-1)
-
-
-def apply_cswap(state: np.ndarray, control: int, a: int, b: int) -> np.ndarray:
-    """Swap qubits a and b on the subspace where the control bit is 1."""
-    if len({control, a, b}) != 3:
-        raise ValueError("apply_cswap requires three pairwise distinct qubits")
-    for q in (control, a, b):
-        _check_qubit(state, q)
-    idx = np.arange(state.size)
-    sel = (_bits(state.size, control) == 1) & (_bits(state.size, a) != _bits(state.size, b))
-    out = state.copy()
-    out[sel] = state[idx[sel] ^ ((1 << a) | (1 << b))]
-    return out
-
-
-def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b> = sum conj(a_k) b_k."""
-    if a.size != b.size:
-        raise ValueError(f"state sizes differ: {a.size} vs {b.size} amplitudes")
-    return complex(np.vdot(a, b))
-
-
-def prob_zero(state: np.ndarray, qubit: int) -> float:
-    """Probability of measuring 0 on the given qubit."""
-    _check_qubit(state, qubit)
-    mask = _bits(state.size, qubit) == 0
-    return float(np.sum(np.abs(state[mask]) ** 2))

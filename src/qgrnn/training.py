@@ -1,15 +1,17 @@
-"""Fidelity cost, SWAP-test verification, exact adjoint gradients, Adam, BFGS, and the training loop.
+"""Fidelity cost, exact adjoint gradients, Adam, BFGS, and the training loop.
 
 Training recovers the node and edge coefficients of a hidden graph
 Hamiltonian from one initial state plus a batch of time-evolved states, by
 minimizing the average negative fidelity between each evolved state and the
 sixth-order Trotterized circuit output at the matching time: Blanes &
 Moan's ten-stage splitting with the diagonal outer, some of its steps
-negative, built from the paper's gates (see ``ansatz``). Each attempt has
-two phases: Adam on a cosine-annealed step size for the first third of the
-epochs, to reach a basin, then BFGS with a backtracking line search, which
-converges superlinearly inside it and stops early once no step can lower
-the cost (Nocedal & Wright, Numerical Optimization, Alg. 6.1). The first
+negative, built from the paper's gates (see ``ansatz``). Each fidelity is
+read exactly from the amplitudes, where the paper measures it with a SWAP
+test; the tests pin the two equal. Each attempt has two phases: Adam on a
+cosine-annealed step size for the first third of the epochs, to reach a
+basin, then BFGS with a backtracking line search, which converges
+superlinearly inside it and stops early once no step can lower the cost
+(Nocedal & Wright, Numerical Optimization, Alg. 6.1). The first
 attempt can start from ``linear_inversion_start``, a closed-form estimate
 of the coefficients from the short-time slope of the same states.
 """
@@ -25,7 +27,7 @@ import numpy as np
 from . import seeding
 from .ansatz import DIAGONAL_WEIGHTS, TRANSVERSE_WEIGHTS, layer_count, transverse_layer_matrix
 from .ising import TimeEvolvedSample, apply_hamiltonian, coupling_columns
-from .statevector import apply_cswap, apply_hadamard, checked_state, inner_product, prob_zero
+from .statevector import checked_state
 
 # Most Trotter layers one sample may ask for: 2000 times the 50 layers of the
 # default t_max (0.5) and trotter_delta (0.01). A larger count comes only
@@ -35,6 +37,12 @@ MAX_LAYERS = 100_000
 # one gradient take about 32 KB per sample at n = 4, 350 KB at n = 10 and
 # 4.8 MB at n = 14, where 64 samples peak at 351 MB.
 MAX_BATCH = 64
+# Most epochs one attempt may run. At n = 14 an epoch takes about 0.5 s on 2
+# cores, so 10,000 epochs are about 1.4 h per attempt. No test, benchmark or
+# experiment uses more than 150 epochs or 10 restarts.
+MAX_EPOCHS = 10_000
+# Most attempts one fit may make: 100 attempts of 150 epochs take about 2 h at n = 14.
+MAX_RESTARTS = 100
 # The transverse layer is applied in qubit blocks of at most this size. Of
 # sizes 2 to 6, 4 (16 x 16 matmuls) was the fastest or within 10 % of it at
 # n = 4 to 10: smaller blocks pay for more calls, larger ones for more flops.
@@ -57,7 +65,8 @@ class TrainConfig:
     """The training options a caller sets, plus the seed of every stream.
 
     Every field is type- and range-checked on construction: ``batch_size``
-    is at most ``MAX_BATCH``, and ``t_max`` may need at most ``MAX_LAYERS``
+    is at most ``MAX_BATCH``, ``epochs`` at most ``MAX_EPOCHS``, ``restarts``
+    at most ``MAX_RESTARTS``, and ``t_max`` may need at most ``MAX_LAYERS``
     layers of ``trotter_delta``, so a run that could not finish fails before
     any data is generated.
 
@@ -112,8 +121,10 @@ class TrainConfig:
         for name in ("trotter_delta", "t_max"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.batch_size > MAX_BATCH:
-            raise ValueError(f"batch_size must be <= {MAX_BATCH}, got {self.batch_size}")
+        for name, bound in (("batch_size", MAX_BATCH), ("epochs", MAX_EPOCHS),
+                            ("restarts", MAX_RESTARTS)):
+            if getattr(self, name) > bound:
+                raise ValueError(f"{name} must be <= {bound}, got {getattr(self, name)}")
         # t_max / trotter_delta can overflow to inf, which layer_count cannot round
         if math.isinf(self.t_max / self.trotter_delta) or (
             layer_count(self.t_max, self.trotter_delta) > MAX_LAYERS
@@ -132,30 +143,6 @@ class TrainResult:
     final_cost: float
     # "converged" when the BFGS phase could lower the cost no further, else "epochs"
     stop_reason: str
-
-
-def fidelity_direct(a, b) -> float:
-    """|<a|b>|^2 of two states, each checked by ``checked_state``, clamped to the unit interval."""
-    return min(abs(inner_product(checked_state(a), checked_state(b))) ** 2, 1.0)
-
-
-def fidelity_swap_test(a, b) -> float:
-    """Fidelity via the ancilla-assisted SWAP test on a 2n+1 qubit register.
-
-    Register layout: qubits 0..n-1 hold ``a``, qubits n..2n-1 hold ``b``,
-    qubit 2n is the ancilla. The ancilla-zero probability equals (1 + F) / 2.
-    Both states are checked by ``checked_state``.
-    """
-    a, b = checked_state(a), checked_state(b)
-    if a.size != b.size:
-        raise ValueError(f"state sizes differ: {a.size} vs {b.size} amplitudes")
-    n = a.size.bit_length() - 1
-    ancilla = 2 * n
-    state = apply_hadamard(np.kron([1.0 + 0j, 0.0], np.kron(b, a)), ancilla)
-    for q in range(n):
-        state = apply_cswap(state, ancilla, q, n + q)
-    state = apply_hadamard(state, ancilla)
-    return min(max(2.0 * prob_zero(state, ancilla) - 1.0, 0.0), 1.0)
 
 
 def _check_batch(initial, samples) -> tuple[np.ndarray, np.ndarray]:

@@ -7,10 +7,9 @@ from functools import reduce
 
 import numpy as np
 
-from qgrnn.ansatz import coupling_columns, layer_count, transverse_layer_matrix
-from qgrnn.ising import apply_hamiltonian, complete_pairs
-from qgrnn.statevector import _check_qubit
-from qgrnn.training import _check_batch, fidelity_direct
+from qgrnn.ansatz import layer_count, transverse_layer_matrix
+from qgrnn.ising import apply_hamiltonian, complete_pairs, coupling_columns
+from qgrnn.training import _check_batch
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -107,6 +106,15 @@ def _qubits(psi: np.ndarray) -> int:
     return psi.size.bit_length() - 1
 
 
+def _check_qubit(state: np.ndarray, qubit: int) -> None:
+    if not 0 <= qubit < _qubits(state):
+        raise ValueError(f"qubit {qubit} out of range for {_qubits(state)}-qubit state")
+
+
+def _bits(dim: int, qubit: int) -> np.ndarray:
+    return (np.arange(dim) >> qubit) & 1
+
+
 def _rx(psi: np.ndarray, qubit: int, theta: float) -> np.ndarray:
     return (rx_matrix(theta) @ psi.reshape(-1, 2, 1 << qubit)).reshape(-1)
 
@@ -141,6 +149,63 @@ def apply_zz(state: np.ndarray, qubit_i: int, qubit_j: int, phi: float) -> np.nd
     _check_qubit(state, qubit_i)
     _check_qubit(state, qubit_j)
     return _zz(state, qubit_i, qubit_j, phi)
+
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+
+
+def apply_hadamard(state: np.ndarray, qubit: int) -> np.ndarray:
+    _check_qubit(state, qubit)
+    return (HADAMARD @ state.reshape(-1, 2, 1 << qubit)).reshape(-1)
+
+
+def apply_cswap(state: np.ndarray, control: int, a: int, b: int) -> np.ndarray:
+    """Swap qubits a and b on the subspace where the control bit is 1."""
+    if len({control, a, b}) != 3:
+        raise ValueError("apply_cswap requires three pairwise distinct qubits")
+    for q in (control, a, b):
+        _check_qubit(state, q)
+    idx = np.arange(state.size)
+    sel = (_bits(state.size, control) == 1) & (_bits(state.size, a) != _bits(state.size, b))
+    out = state.copy()
+    out[sel] = state[idx[sel] ^ ((1 << a) | (1 << b))]
+    return out
+
+
+def prob_zero(state: np.ndarray, qubit: int) -> float:
+    """Probability of measuring 0 on the given qubit."""
+    _check_qubit(state, qubit)
+    return float(np.sum(np.abs(state[_bits(state.size, qubit) == 0]) ** 2))
+
+
+def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a|b> = sum conj(a_k) b_k."""
+    if np.size(a) != np.size(b):
+        raise ValueError(f"state sizes differ: {np.size(a)} vs {np.size(b)} amplitudes")
+    return complex(np.vdot(a, b))
+
+
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|^2 from the amplitudes."""
+    return abs(inner_product(a, b)) ** 2
+
+
+def swap_test_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|^2 as the paper measures it: 2 P0 - 1 of the SWAP test's ancilla.
+
+    On 2n + 1 qubits, qubits 0..n-1 hold ``a``, n..2n-1 hold ``b`` and qubit
+    2n is the ancilla: H on the ancilla, a controlled SWAP of each pair
+    (q, n + q), H again; the ancilla then reads 0 with probability
+    P0 = (1 + F) / 2 (Buhrman, Cleve, Watrous & de Wolf, PRL 87, 167902, 2001).
+    """
+    if np.size(a) != np.size(b):
+        raise ValueError(f"state sizes differ: {np.size(a)} vs {np.size(b)} amplitudes")
+    n = _qubits(a)
+    ancilla = 2 * n
+    state = apply_hadamard(np.kron([1.0 + 0j, 0.0], np.kron(b, a)), ancilla)
+    for q in range(n):
+        state = apply_cswap(state, ancilla, q, n + q)
+    return 2.0 * prob_zero(apply_hadamard(state, ancilla), ancilla) - 1.0
 
 
 def _diagonal_gates(psi: np.ndarray, coefficients: np.ndarray, delta: float) -> np.ndarray:
@@ -280,7 +345,7 @@ def batch_cost(coefficients, initial, samples, delta: float, circuit=apply_s10_q
         raise ValueError("sample batch is empty")
     total = 0.0
     for s in samples:
-        total += fidelity_direct(s.state, circuit(initial, coefficients, s.time, delta))
+        total += fidelity(s.state, circuit(initial, coefficients, s.time, delta))
     return -total / len(samples)
 
 
@@ -335,10 +400,6 @@ def stacked_inversion_start(initial, samples) -> np.ndarray:
 def random_state_array(rng: np.random.Generator, n: int) -> np.ndarray:
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return amps / np.linalg.norm(amps)
-
-
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    return abs(np.vdot(a, b)) ** 2
 
 
 def write_idx_pair(directory, images: np.ndarray, labels: np.ndarray) -> tuple[str, str]:

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qgrnn.ansatz import (
-    DIAGONAL_WEIGHTS,
-    TRANSVERSE_WEIGHTS,
-    coupling_columns,
-    layer_count,
-    transverse_layer_matrix,
-)
-from qgrnn.ising import hamiltonian_diagonal, random_complete_graph, sample_evolution
+from qgrnn.ansatz import DIAGONAL_WEIGHTS, TRANSVERSE_WEIGHTS, layer_count, transverse_layer_matrix
+from qgrnn.ising import coupling_columns, hamiltonian_diagonal, random_complete_graph, sample_evolution
 from qgrnn.statevector import random_state
 from qgrnn.training import TrainConfig, train_qgrnn
 

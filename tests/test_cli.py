@@ -114,6 +114,26 @@ class TestConfigValidation:
                    f"{config}: key {key!r} is an integer too large for a float")
         assert not out.exists()
 
+    # a 401-digit count: the cosine schedule cannot turn it into a float, and restarts that
+    # large would never end on a fit that keeps missing
+    @pytest.mark.parametrize("command", ("reconstruct", "reveal"))
+    @pytest.mark.parametrize("key", ("epochs", "restarts"))
+    @pytest.mark.parametrize("source", ("flag", "config"))
+    def test_huge_epochs_or_restarts_fail_before_output(self, tmp_path, dict_file, capsys,
+                                                        command, key, source):
+        if command == "reveal":
+            assert hide(dict_file, tmp_path) == 0
+        if source == "flag":
+            given = ["--" + key, str(10**400)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(f'{{"{key}": {10**400}}}')
+            given = ["--config", str(config)]
+        out = tmp_path / "out"
+        fails_fast(capsys, [command, *required_args(command, tmp_path, dict_file),
+                            "--out", str(out), *given], f"{key} must be <= ")
+        assert not out.exists()
+
     def test_config_must_be_an_object(self, tmp_path, dict_file, capsys):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]")

@@ -44,6 +44,39 @@ def dictionary():
     return build_dictionary(WORDS)
 
 
+class TestDictionary:
+    """Code values and snapping; the 10 words of ``WORDS`` carry -4, -3, ..., 5."""
+
+    @pytest.mark.parametrize(
+        "words, values, spacing",
+        [(WORDS[:2], [-4.0, 5.0], 9.0), (WORDS, np.arange(-4.0, 6.0), 1.0)],
+    )
+    def test_values_and_spacing(self, words, values, spacing):
+        d = build_dictionary(words)
+        assert d.spacing == spacing
+        assert np.array_equal(d.values, values)
+        assert [d.value_of(w) for w in words] == list(values)
+
+    @pytest.mark.parametrize("value, index, distance", [(0.3, 4, 0.3), (0.7, 5, 0.3), (-2.9, 1, 0.1)])
+    def test_the_nearest_word_wins(self, dictionary, value, index, distance):
+        snapped, off = dictionary.snap(value)
+        assert snapped == index and off == pytest.approx(distance)
+
+    def test_an_exact_tie_takes_the_lower_value(self, dictionary):
+        assert dictionary.snap(0.5) == (4, 0.5)
+        assert build_dictionary(WORDS[:2]).snap(0.5) == (0, 4.5)
+
+    @pytest.mark.parametrize("value, index, distance", [(-100.0, 0, 96.0), (-4.25, 0, 0.25),
+                                                        (5.5, 9, 0.5), (1e6, 9, 1e6 - 5)])
+    def test_values_outside_the_range_snap_to_the_end_words(self, dictionary, value, index, distance):
+        assert dictionary.snap(value) == (index, distance)
+
+    def test_an_unknown_word_is_a_key_error_naming_it(self, dictionary):
+        with pytest.raises(KeyError) as info:
+            dictionary.value_of("zulu")
+        assert info.value.args == ("word not in dictionary: 'zulu'",)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "seed, message",

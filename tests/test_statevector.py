@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from qgrnn.statevector import (
+from qgrnn.statevector import basis_state, checked_state, random_state
+
+from conftest import (
     apply_cswap,
     apply_hadamard,
-    basis_state,
-    checked_state,
+    apply_rx,
+    apply_rz,
+    apply_zz,
+    fidelity,
     inner_product,
     prob_zero,
-    random_state,
+    random_state_array,
 )
-
-from conftest import apply_rx, apply_rz, apply_zz, random_state_array
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -121,7 +123,7 @@ class TestRz:
 
     def test_global_phase_on_basis_state(self):
         out = apply_rz(basis_state(1), 0, 1.3)
-        assert abs(abs(inner_product(basis_state(1), out)) ** 2 - 1.0) < 1e-12
+        assert abs(fidelity(basis_state(1), out) - 1.0) < 1e-12
 
 
 class TestZz:

@@ -9,13 +9,13 @@ from qgrnn.ising import draw_times, random_complete_graph, sample_evolution, Tim
 from qgrnn.statevector import basis_state, random_state
 from qgrnn.training import (
     MAX_BATCH,
+    MAX_EPOCHS,
     MAX_LAYERS,
+    MAX_RESTARTS,
     AdamState,
     CostEvaluator,
     TrainConfig,
     adam_step,
-    fidelity_direct,
-    fidelity_swap_test,
     initial_params,
     linear_inversion_start,
     train_qgrnn,
@@ -25,9 +25,11 @@ from conftest import (
     apply_qgrnn,
     apply_s10_qgrnn,
     batch_cost,
+    fidelity,
     grad_central,
     grad_richardson,
     random_state_array,
+    swap_test_fidelity,
 )
 
 
@@ -47,29 +49,33 @@ def make_instance(n, seed, node_scale=5.0, batch=15, t_max=0.5):
 
 
 class TestFidelityDirect:
+    """``fidelity``, the oracle's |<a|b>|^2 from the amplitudes."""
+
     def test_self_fidelity(self):
         state = random_state(3, 1)
-        assert abs(fidelity_direct(state, state) - 1.0) < 1e-9
+        assert abs(fidelity(state, state) - 1.0) < 1e-9
 
     def test_orthogonal(self):
-        assert fidelity_direct(basis_state(1, 0), basis_state(1, 1)) == 0.0
+        assert fidelity(basis_state(1, 0), basis_state(1, 1)) == 0.0
 
     def test_half(self):
         plus = np.array([1, 1]) / np.sqrt(2)
-        assert abs(fidelity_direct(basis_state(1), plus) - 0.5) < 1e-12
+        assert abs(fidelity(basis_state(1), plus) - 0.5) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            fidelity_direct(basis_state(1), basis_state(2))
+            fidelity(basis_state(1), basis_state(2))
 
 
 class TestFidelitySwapTest:
+    """The paper's SWAP test on the 2n+1-qubit register, against the fidelity training computes."""
+
     def test_identical_states(self):
         state = random_state(2, 2)
-        assert abs(fidelity_swap_test(state, state) - 1.0) <= 1e-10
+        assert abs(swap_test_fidelity(state, state) - 1.0) <= 1e-10
 
     def test_orthogonal_states(self):
-        assert abs(fidelity_swap_test(basis_state(2, 0), basis_state(2, 3))) <= 1e-10
+        assert abs(swap_test_fidelity(basis_state(2, 0), basis_state(2, 3))) <= 1e-10
 
     def test_matches_direct_on_random_pairs(self):
         rng = np.random.default_rng(3)
@@ -77,11 +83,22 @@ class TestFidelitySwapTest:
             n = (2, 3, 4)[trial % 3]
             a = random_state_array(rng, n)
             b = random_state_array(rng, n)
-            assert abs(fidelity_swap_test(a, b) - fidelity_direct(a, b)) <= 1e-10
+            assert abs(swap_test_fidelity(a, b) - fidelity(a, b)) <= 1e-10
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            fidelity_swap_test(basis_state(1), basis_state(2))
+        with pytest.raises(ValueError, match="state sizes differ: 2 vs 4 amplitudes"):
+            swap_test_fidelity(basis_state(1), basis_state(2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_measures_the_cost_training_minimizes(self, n):
+        # one sample of a random graph, against the circuit of other random coefficients
+        _, initial, (sample,) = make_instance(n, seed=60 + n, batch=1)
+        coefficients = random_params(np.random.default_rng(n), n)
+        evolved = apply_s10_qgrnn(initial, coefficients, sample.time, 0.01)
+        measured = swap_test_fidelity(sample.state, evolved)
+        cost = CostEvaluator(initial, [sample], 0.01).cost(coefficients)
+        assert 0.01 < measured < 0.99
+        assert abs(measured + cost) <= 1e-10
 
 
 BAD_STATES = {
@@ -105,8 +122,6 @@ def state_entries():
         "linear_inversion_start sample": lambda s: linear_inversion_start(good, as_sample(s)),
         "CostEvaluator initial": lambda s: CostEvaluator(s, samples, 0.01),
         "CostEvaluator sample": lambda s: CostEvaluator(good, as_sample(s), 0.01),
-        "fidelity_direct": lambda s: fidelity_direct(good, s),
-        "fidelity_swap_test": lambda s: fidelity_swap_test(s, good),
     }
 
 
@@ -119,12 +134,10 @@ class TestStateChecks:
         with pytest.raises(ValueError, match=r"state norm|a state needs 2\^n"):
             state_entries()[entry](BAD_STATES[bad])
 
-    @pytest.mark.parametrize(
-        "entry", [e for e in state_entries() if e.endswith("sample") or e.startswith("fidelity")]
-    )
+    @pytest.mark.parametrize("entry", [e for e in state_entries() if e.endswith("sample")])
     def test_rejects_a_state_of_another_size(self, entry):
         # the 2-qubit entries given a 3-qubit state: a clear message, not numpy's
-        with pytest.raises(ValueError, match=r"has 8 amplitudes, initial has 4|(4 vs 8|8 vs 4) amplitudes"):
+        with pytest.raises(ValueError, match="has 8 amplitudes, initial has 4"):
             state_entries()[entry](random_state(3, 1))
 
 
@@ -346,6 +359,13 @@ class TestTrainConfig:
         assert TrainConfig(batch_size=MAX_BATCH).batch_size == MAX_BATCH == 64
         with pytest.raises(ValueError, match="batch_size must be <= 64, got 65"):
             TrainConfig(batch_size=MAX_BATCH + 1)
+
+    @pytest.mark.parametrize("name, bound", [("epochs", MAX_EPOCHS), ("restarts", MAX_RESTARTS)])
+    def test_bounds_the_epochs_and_restarts(self, name, bound):
+        assert (MAX_EPOCHS, MAX_RESTARTS) == (10_000, 100)
+        assert getattr(TrainConfig(**{name: bound}), name) == bound
+        with pytest.raises(ValueError, match=f"{name} must be <= {bound}, got {bound + 1}"):
+            TrainConfig(**{name: bound + 1})
 
     def test_rejects_a_negative_seed(self):
         assert TrainConfig(seed=0).seed == 0
