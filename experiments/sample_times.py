@@ -22,7 +22,13 @@ package's default:
 
 For each set it prints the attempts, the wrong words (for Iris, the rows
 not solved on their first attempt and the largest MSE), the archive bytes
-and the wall time, then every item that needed a restart or lost a word.
+and the wall time. A second line gives the training kernel's work: the
+layer-rows (one sample row through one layer) of its forward passes and of
+the backward passes of its gradients, which the script counts by wrapping
+``CostEvaluator._evolve`` and ``CostEvaluator.gradient``. Unlike the wall
+time, these counts do not drift with the host's load, so work can be
+compared between commits. Every item that needed a restart or lost a word
+follows.
 """
 from __future__ import annotations
 
@@ -41,12 +47,14 @@ from qgrnn import seeding  # noqa: E402
 from qgrnn.datasets import bundled_iris_path, load_iris_csv, minmax_scale  # noqa: E402
 from qgrnn.hiding import build_dictionary, encode_message, load_archive, reveal_message, save_archive  # noqa: E402
 from qgrnn.pipeline import reconstruct_sample  # noqa: E402
-from qgrnn.training import TrainConfig  # noqa: E402
+from qgrnn.training import CostEvaluator, TrainConfig  # noqa: E402
 
 WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet")
 # (seed, message): the message that missed with 15 random sample times
 KNOWN_MESSAGES = ((7703, "juliet india alpha golf foxtrot india alpha india"),)
 SCALE = (0.0, 5.0)
+# Layer-rows run so far by forward passes and by the backward passes of gradients
+WORK = {"forward": 0, "backward": 0}
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -70,9 +78,32 @@ def random_messages(count: int, generator_seed: int) -> list[tuple[int, str]]:
     return [*KNOWN_MESSAGES, *drawn]
 
 
+def count_work() -> None:
+    """Wrap the kernel so each forward pass and each gradient adds its layer-rows to ``WORK``.
+
+    Every row runs its whole depth in a forward pass, and a gradient's
+    backward pass walks every row back through the same layers.
+    """
+    def counted(kind, method):
+        def wrapper(self, *args, **kwargs):
+            WORK[kind] += int(self.depths.sum())
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    CostEvaluator._evolve = counted("forward", CostEvaluator._evolve)
+    CostEvaluator.gradient = counted("backward", CostEvaluator.gradient)
+
+
+def print_work(before: dict) -> None:
+    forward, backward = (WORK[kind] - before[kind] for kind in ("forward", "backward"))
+    print(f"  work: {forward:,} forward and {backward:,} backward layer-rows, "
+          f"{forward + 2 * backward:,} as forward + 2 x backward")
+
+
 def iris_set(master_seed: int, rows: int) -> None:
     dataset = load_iris_csv(bundled_iris_path())
     features = minmax_scale(dataset.features, *SCALE)
+    before = dict(WORK)
     start = time.perf_counter()
     attempts, worst, missed = [], 0.0, []
     for i in range(min(rows, features.shape[0])):
@@ -84,12 +115,14 @@ def iris_set(master_seed: int, rows: int) -> None:
             missed.append(f"row {i}: {outcome.attempts} attempts, MSE {outcome.report.mse:.3g}")
     print(f"iris master seed {master_seed}: {len(attempts)} rows, {sum(attempts)} attempts, "
           f"largest MSE {worst:.3g}, {time.perf_counter() - start:.1f} s")
+    print_work(before)
     for line in missed:
         print("  " + line)
 
 
 def message_set(messages: list[tuple[int, str]], t_max: float, work: Path) -> None:
     dictionary = build_dictionary(WORDS)
+    before = dict(WORK)
     start = time.perf_counter()
     attempts = wrong = total_words = archive_bytes = 0
     notes = []
@@ -112,12 +145,14 @@ def message_set(messages: list[tuple[int, str]], t_max: float, work: Path) -> No
     print(f"messages at t_max {t_max:g}: {len(messages)} messages, {attempts} attempts, "
           f"{wrong} wrong words of {total_words}, archives {archive_bytes:,} B, "
           f"{time.perf_counter() - start:.1f} s")
+    print_work(before)
     for line in notes:
         print("  " + line)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    count_work()
     if args.rows > 0:
         iris_set(args.iris_seed, args.rows)
     messages = random_messages(args.messages, args.generator_seed)

@@ -362,7 +362,13 @@ def _add_command(sub, command: str, func, **texts) -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file of option values, such as a run's run.json (flags win)")
     p.add_argument("--out", required=True, help="output directory")
     for key, default in OPTIONS[command].items():
-        p.add_argument("--" + key.replace("_", "-"), type=str if default is None else type(default))
+        if default == REQUIRED:
+            shown = "required"
+        else:
+            # the epilog says what a None default stands for
+            shown = "default: " + ("see below" if default is None else str(default))
+        p.add_argument("--" + key.replace("_", "-"), type=str if default is None else type(default),
+                       help=shown)
     return p
 
 

@@ -15,8 +15,9 @@ ACCEPT_COST = -0.99
 # Largest register accepted from user data. At 14 qubits and the default 8
 # samples, by tracemalloc, the data peak at 17.0 MB and the warm start at
 # 20.7 MB; a training attempt peaks at 70.3 MB, in CostEvaluator and its
-# gradient, and an epoch (one gradient, one cost) takes about 0.5 s on 2
-# cores. Each further qubit doubles all four.
+# gradient, and its evaluator holds 35.2 MB between calls, its last forward
+# pass included. An epoch (one gradient, one cost) takes about 0.5 s on 2
+# cores. Each further qubit doubles all five.
 MAX_QUBITS = 14
 
 # Rows used by default for the Iris demonstration: two correctly-classified

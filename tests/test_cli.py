@@ -485,6 +485,15 @@ class TestTrainingOptionSchema:
             "--" + name.replace("_", "-") for name in COMMAND_OPTIONS[command]
         }
 
+    def test_help_shows_each_default(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["reveal", "--help"])
+        # argparse wraps the help column; compare with the whitespace collapsed
+        text = " ".join(capsys.readouterr().out.split())
+        for line in ("--archive ARCHIVE required", "--trotter-delta TROTTER_DELTA default: 0.008",
+                     "--restarts RESTARTS default: 10"):
+            assert line in text
+
     @pytest.mark.parametrize(
         "command, name", [("hide", "trotter_delta"), ("hide", "restarts"), ("reveal", "t_max")]
     )

@@ -14,7 +14,14 @@ def test_sample_times_runs_two_items():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 2, done.stdout
+    assert len(lines) == 4, done.stdout
     assert re.fullmatch(r"iris master seed 0: 1 rows, 1 attempts, largest MSE \S+, [\d.]+ s", lines[0])
     assert re.fullmatch(r"messages at t_max 0\.5: 1 messages, 1 attempts, 0 wrong words of 8, "
-                        r"archives [\d,]+ B, [\d.]+ s", lines[1])
+                        r"archives [\d,]+ B, [\d.]+ s", lines[2])
+    # each set's kernel work, a count that does not depend on the host's load
+    for line in lines[1], lines[3]:
+        match = re.fullmatch(r"  work: ([\d,]+) forward and ([\d,]+) backward layer-rows, "
+                             r"([\d,]+) as forward \+ 2 x backward", line)
+        assert match, line
+        forward, backward, work = (int(g.replace(",", "")) for g in match.groups())
+        assert 0 < backward <= forward and work == forward + 2 * backward

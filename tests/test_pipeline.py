@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qgrnn import pipeline, seeding
+from qgrnn.datasets import bundled_iris_path, load_iris_csv, minmax_scale
 from qgrnn.ising import draw_times, random_complete_graph, sample_evolution
 from qgrnn.pipeline import embed_and_sample, learn_from_states
 from qgrnn.statevector import basis_state, random_state
@@ -92,6 +93,22 @@ def test_embed_and_sample_peak_memory_at_14_qubits():
     # columns stacked into it would hold two at once, a 28 MB peak
     weights = np.linspace(0.0, 5.0, 14)
     assert traced_peak(lambda: embed_and_sample(weights, TrainConfig(seed=0))) < 20e6
+
+
+def test_default_iris_rows_reconstruct_to_the_trotter_error():
+    # as `reconstruct` runs them, with every option at its default; at a
+    # Trotter step of 0.01 the largest MSE was 1.16e-14, at 0.008 it is 1.43e-15
+    features = minmax_scale(load_iris_csv(bundled_iris_path()).features, 0.0, 5.0)
+    outcomes = [
+        pipeline.reconstruct_sample(
+            features[i],
+            TrainConfig(seed=seeding.derive_seed(0, seeding.RECONSTRUCT_SAMPLE, i)),
+            (0.0, 5.0),
+        )
+        for i in pipeline.DEFAULT_IRIS_ROWS
+    ]
+    assert [o.attempts for o in outcomes] == [1] * 6
+    assert max(o.report.mse for o in outcomes) <= 3e-15
 
 
 class TestLearnFromStates:

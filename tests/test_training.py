@@ -274,8 +274,17 @@ class TestAdjointKernel:
     def test_retains_no_dense_matrix(self):
         # a dense transverse matrix per sample would hold 15 x 4^8 entries, 15.7 MB
         _, initial, samples = make_instance(8, 28, batch=15)
-        arrays = retained_arrays(CostEvaluator(initial, samples, 0.01))
+        evaluator = CostEvaluator(initial, samples, 0.01)
+        arrays = retained_arrays(evaluator)
         assert sum(a.nbytes for a in arrays) <= 500_000
+        assert max(a.size for a in arrays) < 4**8
+        # the kept forward pass adds nine (15, 2^8) complex tables (seven phase
+        # tables, the last states and psi) and 15 overlaps: 553,200 B
+        flat = np.random.default_rng(28).uniform(-1, 1, evaluator.param_count)
+        evaluator.cost(flat)
+        evaluator.gradient(flat)
+        arrays = retained_arrays(evaluator)
+        assert sum(a.nbytes for a in arrays) == 999_904
         assert max(a.size for a in arrays) < 4**8
 
     def test_bounds_the_layer_count(self):
@@ -285,6 +294,75 @@ class TestAdjointKernel:
         for t in ((MAX_LAYERS + 1) * 0.01, 1e9):
             with pytest.raises(ValueError, match="layers"):
                 CostEvaluator(initial, [TimeEvolvedSample(t, state)], 0.01)
+
+
+def count_forward_passes(monkeypatch) -> list:
+    """A list that gains one entry per forward pass, that is per ``CostEvaluator._evolve`` call."""
+    passes = []
+    evolve = CostEvaluator._evolve
+
+    def counted(self, phases):
+        passes.append(self)
+        return evolve(self, phases)
+
+    monkeypatch.setattr(CostEvaluator, "_evolve", counted)
+    return passes
+
+
+class TestForwardReuse:
+    def test_gradient_after_cost_is_bit_for_bit_a_fresh_one(self):
+        _, initial, samples = make_instance(3, 32, batch=5)
+        flat = random_params(np.random.default_rng(33), 3)
+        evaluator = CostEvaluator(initial, samples, 0.01)
+        evaluator.cost(flat)
+        fresh = CostEvaluator(initial, samples, 0.01).gradient(flat)
+        assert np.array_equal(evaluator.gradient(flat), fresh)
+
+    def test_a_gradient_at_the_scored_point_runs_no_forward_pass(self, monkeypatch):
+        passes = count_forward_passes(monkeypatch)
+        _, initial, samples = make_instance(3, 34, batch=5)
+        x, y = (random_params(np.random.default_rng(seed), 3) for seed in (35, 36))
+        evaluator = CostEvaluator(initial, samples, 0.01)
+        evaluator.cost(x)
+        evaluator.gradient(x.copy())
+        assert len(passes) == 1
+        evaluator.cost(x)
+        evaluator.gradient(y)
+        assert len(passes) == 2
+
+    def test_an_array_changed_in_place_gets_a_fresh_pass(self, monkeypatch):
+        passes = count_forward_passes(monkeypatch)
+        _, initial, samples = make_instance(3, 37, batch=5)
+        flat = random_params(np.random.default_rng(38), 3)
+        evaluator = CostEvaluator(initial, samples, 0.01)
+        evaluator.cost(flat)
+        flat[-1] += 0.25
+        grad = evaluator.gradient(flat)
+        assert len(passes) == 2
+        assert np.array_equal(grad, CostEvaluator(initial, samples, 0.01).gradient(flat))
+
+    def test_the_kept_pass_is_read_only(self):
+        _, initial, samples = make_instance(2, 39, batch=3)
+        evaluator = CostEvaluator(initial, samples, 0.01)
+        phases, last, psi, overlaps = evaluator._forward(np.zeros(3))
+        kept = [*phases.values(), last, psi, overlaps]
+        assert len(kept) == 10 and not any(a.flags.writeable for a in kept)
+        with pytest.raises(ValueError, match="read-only"):
+            psi[0, 0] = 0.0
+
+    def test_an_attempt_runs_one_pass_per_cost_and_one_more(self, monkeypatch):
+        # every gradient but the first is taken where the last cost was scored:
+        # after an Adam step's cost, and in BFGS after the accepted trial's
+        passes = count_forward_passes(monkeypatch)
+        costs = []
+        cost = CostEvaluator.cost
+        monkeypatch.setattr(CostEvaluator, "cost", lambda self, flat: costs.append(1) or cost(self, flat))
+        _, initial, samples = make_instance(2, 19, batch=5)
+        config = TrainConfig(seed=1)
+        result = train_qgrnn(initial, samples, config, start=seeded_start(2, config))
+        # both phases ran: 50 Adam epochs, then BFGS until it converged
+        assert len(result.cost_history) > 50 and result.stop_reason == "converged"
+        assert len(passes) == len(costs) + 1
 
 
 class TestAdamStep:
@@ -373,9 +451,10 @@ class TestTrainConfig:
             TrainConfig(seed=-1)
 
     def test_bounds_the_layers_of_t_max(self):
-        assert TrainConfig(t_max=MAX_LAYERS * 0.01).t_max == MAX_LAYERS * 0.01
+        delta = TrainConfig().trotter_delta
+        assert TrainConfig(t_max=MAX_LAYERS * delta).t_max == MAX_LAYERS * delta
         with pytest.raises(ValueError, match="t_max"):
-            TrainConfig(t_max=(MAX_LAYERS + 1) * 0.01)
+            TrainConfig(t_max=(MAX_LAYERS + 1) * delta)
         with pytest.raises(ValueError, match="t_max"):
             TrainConfig(t_max=1e9)
         # 0.5 / 1e-320 overflows to inf
