@@ -1,6 +1,7 @@
 """Gate sets for the sample-time design: every Iris row, and seeded random messages.
 
     python3 experiments/sample_times.py --iris-seed 0 --messages 40 --generator-seed 20261019 --t-max 0.5,1.0
+    python3 experiments/sample_times.py --rows 0 --messages 20 --generator-seed 20261021 --noise 0.01,0.1
 
 Run from the root of a source checkout; the package is imported from that
 checkout's ``src/``, so the same script measures any commit it is copied
@@ -19,16 +20,22 @@ package's default:
   ``--generator-seed``. Each is hidden at every ``--t-max``, its archive
   saved and loaded, and revealed as ``reveal`` does: fitted to the deepest
   archived time.
+- **Noise.** With ``--noise EPS[,EPS]``, the message sets run once per
+  noise norm instead of noise-free. Each loaded state, the initial one and
+  every sample, gains complex Gaussian noise of norm EPS and is then
+  renormalised. The noise direction of each message is drawn from a stream
+  seeded by the message's seed, so a set repeats exactly and every EPS
+  scales the same directions.
 
-For each set it prints the attempts, the wrong words (for Iris, the rows
-not solved on their first attempt and the largest MSE), the archive bytes
-and the wall time. A second line gives the training kernel's work: the
-layer-rows (one sample row through one layer) of its forward passes and of
-the backward passes of its gradients, which the script counts by wrapping
-``CostEvaluator._evolve`` and ``CostEvaluator.gradient``. Unlike the wall
-time, these counts do not drift with the host's load, so work can be
-compared between commits. Every item that needed a restart or lost a word
-follows.
+For each set (one per ``--t-max`` and noise norm) it prints the attempts,
+the wrong words (for Iris, the rows not solved on their first attempt and
+the largest MSE), the archive bytes and the wall time. A second line gives
+the training kernel's work: the layer-rows (one sample row through one
+layer) of its forward passes and of the backward passes of its gradients,
+which the script counts by wrapping ``CostEvaluator._evolve`` and
+``CostEvaluator.gradient``. Unlike the wall time, these counts do not
+drift with the host's load, so work can be compared between commits.
+Every item that needed a restart or lost a word follows.
 """
 from __future__ import annotations
 
@@ -45,7 +52,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qgrnn import seeding  # noqa: E402
 from qgrnn.datasets import bundled_iris_path, load_iris_csv, minmax_scale  # noqa: E402
-from qgrnn.hiding import build_dictionary, encode_message, load_archive, reveal_message, save_archive  # noqa: E402
+from qgrnn.hiding import (  # noqa: E402
+    StateArchive, build_dictionary, encode_message, load_archive, reveal_message, save_archive,
+)
+from qgrnn.ising import TimeEvolvedSample  # noqa: E402
 from qgrnn.pipeline import reconstruct_sample  # noqa: E402
 from qgrnn.training import CostEvaluator, TrainConfig  # noqa: E402
 
@@ -65,7 +75,13 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--generator-seed", type=int, default=20261019,
                         help="seed of the random messages and of their seeds")
     parser.add_argument("--t-max", default="0.5,1.0", help="comma-separated t_max values of the messages")
+    parser.add_argument("--noise", default="0",
+                        help="comma-separated norms of the noise added to every archived state; 0 adds none")
     return parser.parse_args(argv)
+
+
+def floats(text: str) -> list[float]:
+    return [float(t) for t in text.split(",") if t.strip()]
 
 
 def random_messages(count: int, generator_seed: int) -> list[tuple[int, str]]:
@@ -76,6 +92,22 @@ def random_messages(count: int, generator_seed: int) -> list[tuple[int, str]]:
         words = rng.choice(WORDS, int(rng.integers(2, 9)))
         drawn.append((int(rng.integers(10**6)), " ".join(words)))
     return [*KNOWN_MESSAGES, *drawn]
+
+
+def noisy(archive: StateArchive, norm: float, seed: int) -> StateArchive:
+    """The archive with complex Gaussian noise of norm ``norm`` added to every state, renormalised."""
+    rng = np.random.default_rng(seed)
+
+    def perturbed(state):
+        noise = rng.standard_normal(state.size) + 1j * rng.standard_normal(state.size)
+        state = state + norm * noise / np.linalg.norm(noise)
+        return state / np.linalg.norm(state)
+
+    return StateArchive(
+        archive.node_count,
+        perturbed(archive.initial_state),
+        tuple(TimeEvolvedSample(s.time, perturbed(s.state)) for s in archive.samples),
+    )
 
 
 def count_work() -> None:
@@ -120,7 +152,7 @@ def iris_set(master_seed: int, rows: int) -> None:
         print("  " + line)
 
 
-def message_set(messages: list[tuple[int, str]], t_max: float, work: Path) -> None:
+def message_set(messages: list[tuple[int, str]], t_max: float, noise: float, work: Path) -> None:
     dictionary = build_dictionary(WORDS)
     before = dict(WORK)
     start = time.perf_counter()
@@ -133,6 +165,8 @@ def message_set(messages: list[tuple[int, str]], t_max: float, work: Path) -> No
         save_archive(encode_message(words, dictionary, config), path)
         archive_bytes += path.stat().st_size
         archive = load_archive(path)
+        if noise:
+            archive = noisy(archive, noise, seed)
         deepest = max(s.time for s in archive.samples)
         result = reveal_message(archive, dictionary, replace(config, t_max=deepest))
         misses = sum(a != b for a, b in zip(words, result.words))
@@ -142,7 +176,8 @@ def message_set(messages: list[tuple[int, str]], t_max: float, work: Path) -> No
         if result.attempts > 1 or misses:
             notes.append(f"seed {seed} ({len(words)} words): {result.attempts} attempts, "
                          f"{misses} wrong, final cost {result.train_result.final_cost:.6g}")
-    print(f"messages at t_max {t_max:g}: {len(messages)} messages, {attempts} attempts, "
+    label = f"t_max {t_max:g}" + (f", noise {noise:g}" if noise else "")
+    print(f"messages at {label}: {len(messages)} messages, {attempts} attempts, "
           f"{wrong} wrong words of {total_words}, archives {archive_bytes:,} B, "
           f"{time.perf_counter() - start:.1f} s")
     print_work(before)
@@ -157,8 +192,9 @@ def main(argv=None) -> int:
         iris_set(args.iris_seed, args.rows)
     messages = random_messages(args.messages, args.generator_seed)
     with tempfile.TemporaryDirectory() as work:
-        for t_max in (float(t) for t in args.t_max.split(",") if t.strip()):
-            message_set(messages, t_max, Path(work))
+        for t_max in floats(args.t_max):
+            for noise in floats(args.noise):
+                message_set(messages, t_max, noise, Path(work))
     return 0
 
 

@@ -257,8 +257,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         )
         cosine = "n/a" if outcome.report.cosine is None else f"{outcome.report.cosine:.6f}"
         print(
-            f"sample {i}: mse={outcome.report.mse:.6f} cosine={cosine} "
-            f"final_cost={outcome.train_result.final_cost:.6f} attempts={outcome.attempts}"
+            f"sample {i}: mse={outcome.report.mse:.3g} cosine={cosine} "
+            f"infidelity={1.0 + outcome.train_result.final_cost:.3g} attempts={outcome.attempts}"
         )
     return 0
 
@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         "becomes a node weight. Writes per sample: result.json (with the row's seed), "
         "cost_history.csv (epoch,cost; one row per epoch run, which can be fewer than "
         "--epochs when training converges early, as result.json's stop_reason then "
-        "says), coefficients.csv "
+        "says; cost is -fidelity, as is result.json's final_cost), coefficients.csv "
         "(term,target,learned; one row per Hamiltonian coefficient, the ZZ couplings "
         "then the Z node weights).",
     )
@@ -430,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--epochs, --trotter-delta and --restarts; --batch-size has no effect. Writes "
         "cost_history.csv (epoch,cost; one row per epoch run, which can be fewer than "
         "--epochs when training converges early, as reveal.json's stop_reason then "
-        "says) and reveal.json; prints the message, per-word snap distances, and "
-        "accuracy when --truth is given.",
+        "says; cost is -fidelity, as is reveal.json's final_cost) and reveal.json; "
+        "prints the message, per-word snap distances, and accuracy when --truth is given.",
     )
     p.add_argument("--truth", help="true message for accuracy reporting")
     return parser

@@ -286,7 +286,8 @@ class RevealResult:
 def reveal_message(archive: StateArchive, dictionary: Dictionary, config: TrainConfig) -> RevealResult:
     """Relearn the node weights from the archived states and snap them to words.
 
-    Training starts from the linear inversion of the archived states. The
+    Training starts from the linear inversion of the early archived states,
+    continued over the later ones (``pipeline.learn_from_states``). The
     fallback attempts of ``pipeline.learn_from_states`` draw the node
     weights over the dictionary's range, which the hidden values span.
     """

@@ -13,11 +13,12 @@ from .training import TrainConfig, TrainResult, initial_params, linear_inversion
 
 ACCEPT_COST = -0.99
 # Largest register accepted from user data. At 14 qubits and the default 8
-# samples, by tracemalloc, the data peak at 17.0 MB and the warm start at
-# 20.7 MB; a training attempt peaks at 70.3 MB, in CostEvaluator and its
-# gradient, and its evaluator holds 35.2 MB between calls, its last forward
-# pass included. An epoch (one gradient, one cost) takes about 0.5 s on 2
-# cores. Each further qubit doubles all five.
+# samples, by tracemalloc, the data peak at 17.0 MB and the slope start of
+# the 4 early samples at 18.6 MB (20.7 MB for all 8); a training run peaks
+# at 70.3 MB, in CostEvaluator and its gradient, and its evaluator holds
+# 35.2 MB between calls, its last forward pass included. An epoch (one
+# gradient, one cost) takes about 0.55 s on 2 cores at the default Trotter
+# step. Each further qubit doubles all five.
 MAX_QUBITS = 14
 
 # Rows used by default for the Iris demonstration: two correctly-classified
@@ -57,16 +58,31 @@ def learn_from_states(
     node_range: tuple[float, float],
     accept_cost: float = ACCEPT_COST,
 ) -> tuple[TrainResult, int]:
-    """Train from the linear-inversion warm start, then from random draws until the fit converges.
+    """Train from a time-continued start, then from random draws until the fit converges.
 
-    The first attempt starts from ``linear_inversion_start`` of the samples.
-    Fallback attempt r = 1 .. config.restarts - 1 starts from
-    ``initial_params`` seeded by (config.seed, r), with the node weights
-    drawn over ``node_range``, where the caller's embedding puts them. The
-    first result whose final cost reaches ``accept_cost`` wins, otherwise
-    the lowest-cost attempt is returned. Returns (result, attempts used).
+    The first attempt is time continuation (Wiebe et al., PRL 112, 190501,
+    2014) over the samples' own times. The samples at t <= (deepest t) / 2,
+    4 of the default 8, are a short archive, where ``linear_inversion_start``
+    lands in the right basin; they are fitted from it first, and all the
+    samples then from that result. When no sample is that early, the
+    attempt fits all samples from their ``linear_inversion_start``. Either
+    way it is one attempt, and its result, ``cost_history`` and
+    ``stop_reason`` are those of its last fit. Fallback attempt
+    r = 1 .. config.restarts - 1 starts from ``initial_params`` seeded by
+    (config.seed, r), with the node weights drawn over ``node_range``, where
+    the caller's embedding puts them. The first result whose final cost
+    reaches ``accept_cost`` wins, otherwise the lowest-cost attempt is
+    returned. Returns (result, attempts used).
     """
-    best = train_qgrnn(initial, samples, config, start=linear_inversion_start(initial, samples))
+    deepest = max((s.time for s in samples), default=0.0)
+    early = [s for s in samples if s.time <= deepest / 2]
+    if early:
+        start = train_qgrnn(
+            initial, early, config, start=linear_inversion_start(initial, early)
+        ).learned_params
+    else:
+        start = linear_inversion_start(initial, samples)
+    best = train_qgrnn(initial, samples, config, start=start)
     node_count = np.size(initial).bit_length() - 1
     for attempt in range(1, config.restarts):
         if best.final_cost <= accept_cost:

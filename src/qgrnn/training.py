@@ -2,18 +2,23 @@
 
 Training recovers the node and edge coefficients of a hidden graph
 Hamiltonian from one initial state plus a batch of time-evolved states, by
-minimizing the average negative fidelity between each evolved state and the
+minimizing the mean infidelity between each evolved state and the
 sixth-order Trotterized circuit output at the matching time: Blanes &
 Moan's ten-stage splitting with the diagonal outer, some of its steps
 negative, built from the paper's gates (see ``ansatz``). Each fidelity is
 read exactly from the amplitudes, where the paper measures it with a SWAP
-test; the tests pin the two equal. Each attempt has two phases: Adam on a
-cosine-annealed step size for the first third of the epochs, to reach a
-basin, then BFGS with a backtracking line search, which converges
-superlinearly inside it and stops early once no step can lower the cost
-(Nocedal & Wright, Numerical Optimization, Alg. 6.1). The first
-attempt can start from ``linear_inversion_start``, a closed-form estimate
-of the coefficients from the short-time slope of the same states.
+test; the tests pin the two equal. The infidelity is scored in its
+residual form, which resolves it far below the float spacing near 1.
+Each attempt has two phases: Adam on a cosine-annealed step size for the
+first third of the epochs, to reach a basin, then BFGS with a backtracking
+line search, which converges superlinearly inside it and stops early once
+no step can lower the cost (Nocedal & Wright, Numerical Optimization,
+Alg. 6.1). Adam's first step is taken at the full rate; if it does not
+lower the cost of the start, the start is already in its basin, Adam
+stops, and BFGS runs from the start. The first attempt starts near the
+answer (``pipeline.learn_from_states``): from ``linear_inversion_start``,
+a closed-form estimate of the coefficients from the short-time slope of
+the states, continued over the sample times.
 """
 from __future__ import annotations
 
@@ -29,8 +34,8 @@ from .ansatz import DIAGONAL_WEIGHTS, TRANSVERSE_WEIGHTS, layer_count, transvers
 from .ising import TimeEvolvedSample, apply_hamiltonian, coupling_columns
 from .statevector import checked_state
 
-# Most Trotter layers one sample may ask for: about 1600 times the
-# layer_count(0.5, 0.008) = 62 layers of the default t_max and trotter_delta.
+# Most Trotter layers one sample may ask for: about 1200 times the
+# layer_count(0.5, 0.006) = 83 layers of the default t_max and trotter_delta.
 # A larger count comes only from an archive or config with a huge t, whose
 # training would not finish.
 MAX_LAYERS = 100_000
@@ -38,11 +43,14 @@ MAX_LAYERS = 100_000
 # one gradient take about 32 KB per sample at n = 4, 350 KB at n = 10 and
 # 4.8 MB at n = 14, where 64 samples peak at 351 MB.
 MAX_BATCH = 64
-# Most epochs one attempt may run. At n = 14 an epoch takes about 0.5 s on 2
-# cores, so 10,000 epochs are about 1.4 h per attempt. No test, benchmark or
-# experiment uses more than 150 epochs or 10 restarts.
+# Most epochs one training run may take. The first attempt of a fit runs two
+# (its early stage and its last stage, see pipeline.learn_from_states), each
+# within this budget. At n = 14 an epoch takes about 0.55 s on 2 cores, so
+# 10,000 epochs are about 1.5 h per run. No test, benchmark or experiment
+# uses more than 150 epochs or 10 restarts.
 MAX_EPOCHS = 10_000
-# Most attempts one fit may make: 100 attempts of 150 epochs take about 2 h at n = 14.
+# Most attempts one fit may make: 100 attempts of 150 epochs, the first of them
+# two stages, take about 2.3 h at n = 14.
 MAX_RESTARTS = 100
 # The transverse layer is applied in qubit blocks of at most this size. Of
 # sizes 2 to 6, 4 (16 x 16 matmuls) was the fastest or within 10 % of it at
@@ -75,17 +83,20 @@ class TrainConfig:
     8 by default, at the B Chebyshev points of (0, ``t_max``)
     (``ising.draw_times``), not at random times.
 
-    ``trotter_delta`` is the mean step of a layer: a sample at time t runs
-    K = ``layer_count(t, 10 trotter_delta)`` sixth-order steps of t/K, each
-    ten layers whose steps are ``ansatz.DIAGONAL_WEIGHTS`` and
-    ``ansatz.TRANSVERSE_WEIGHTS`` times t/K.
+    ``trotter_delta`` is the mean step of a layer, 0.006 by default: a
+    sample at time t runs K = ``layer_count(t, 10 trotter_delta)``
+    sixth-order steps of t/K, each ten layers whose steps are
+    ``ansatz.DIAGONAL_WEIGHTS`` and ``ansatz.TRANSVERSE_WEIGHTS`` times t/K.
 
     ``epochs`` is a budget: ``train_qgrnn`` runs Adam for the first
     ceil(epochs / 3) of them and BFGS for at most the rest, and it stops
-    early once BFGS can lower the cost no further.
+    early once BFGS can lower the cost no further. If Adam's first step
+    does not lower the cost of the start, that step is undone and BFGS
+    runs from the start for at most all ``epochs``.
 
     ``restarts`` caps the attempts of ``pipeline.learn_from_states``: the
-    warm-started one, then random draws until a fit is accepted.
+    warm-started one, which fits twice (its early samples, then all), then
+    random draws until a fit is accepted.
 
     ``seed`` must be >= 0, as every stream derives from it.
 
@@ -101,7 +112,7 @@ class TrainConfig:
 
     batch_size: int = 8
     epochs: int = 150
-    trotter_delta: float = 0.008
+    trotter_delta: float = 0.006
     t_max: float = 0.5
     seed: int = 0
     restarts: int = 10
@@ -140,10 +151,17 @@ class TrainConfig:
 class TrainResult:
     # the learned coefficients, in the layout of ``ising``: couplings, then node weights
     learned_params: np.ndarray
+    # (epoch, cost) rows, and the last cost; each cost is -fidelity, the
+    # evaluator's infidelity minus 1
     cost_history: tuple[tuple[int, float], ...]
     final_cost: float
     # "converged" when the BFGS phase could lower the cost no further, else "epochs"
     stop_reason: str
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """||row||^2 of each row of a complex array."""
+    return (rows.real**2 + rows.imag**2).sum(axis=1)
 
 
 def _check_batch(initial, samples) -> tuple[np.ndarray, np.ndarray]:
@@ -160,6 +178,15 @@ def _check_batch(initial, samples) -> tuple[np.ndarray, np.ndarray]:
 
 class CostEvaluator:
     """Cost and exact adjoint gradient for one (initial state, sample set, delta).
+
+    The cost is the mean infidelity of the rows, in its residual form: with
+    psi_b the circuit's last state of row b, phi_b its sample and
+    a_b = <phi_b|psi_b>, row b scores ||psi_b - a_b phi_b||^2 / ||psi_b||^2,
+    which is 1 - |a_b|^2 for unit states. The form 1 - |a_b|^2 cancels near
+    a fit: |a_b|^2 is within 1.1e-16 of 1, so the cost resolves nothing
+    finer, and BFGS stops at coefficient errors of about sqrt(eps) wherever
+    its path ends. The residual is small there and keeps its relative
+    precision, so fits from different starts end at the same optimum.
 
     The B samples are the rows of one ``(B, 2^n)`` array, sorted by depth,
     deepest first. Sample b runs K_b = ``layer_count(t_b, 10 delta)``
@@ -191,13 +218,13 @@ class CostEvaluator:
 
     The evaluator keeps its last forward pass, read-only, under the exact
     bytes of the float64 coefficients, so a gradient at the point the last
-    ``cost`` scored runs only its backward pass. Training asks for exactly
-    that after every Adam step and every accepted BFGS step, so an attempt
-    runs one forward pass per cost and one more. The kept pass is seven
-    phase tables, the last states and psi, nine (B, 2^n) complex arrays: at
-    n = 14 and B = 8, by tracemalloc, the evaluator holds 35.2 MB between
-    calls, 18.9 MB of it the kept pass, and a run of gradients and costs
-    peaks at 70.3 MB, inside a gradient.
+    ``cost`` scored runs only its backward pass. Training scores its start
+    first and asks for exactly that after every Adam step and every
+    accepted BFGS step, so a training run makes one forward pass per cost.
+    The kept pass is seven phase tables, the last states and psi, nine
+    (B, 2^n) complex arrays: at n = 14 and B = 8, by tracemalloc, the
+    evaluator holds 35.2 MB between calls, 18.9 MB of it the kept pass, and
+    a run of gradients and costs peaks at 70.3 MB, inside a gradient.
     """
 
     def __init__(self, initial, samples: list[TimeEvolvedSample], delta: float):
@@ -313,15 +340,22 @@ class CostEvaluator:
         return self._last[1]
 
     def costs(self, flat_matrix: np.ndarray) -> np.ndarray:
-        """Costs for each column of a (param_count, M) matrix of coefficient vectors."""
-        overlaps = np.array([self._forward(flat)[3] for flat in np.asarray(flat_matrix).T])
-        return -np.minimum(np.abs(overlaps) ** 2, 1.0).sum(axis=1) / self.batch_size
+        """Mean infidelity for each column of a (param_count, M) matrix of coefficient vectors."""
+        rows = []
+        for flat in np.asarray(flat_matrix).T:
+            psi, overlaps = self._forward(flat)[2:]
+            residual = psi - overlaps[:, None] * self.bras.conj()
+            rows.append(_squared_norms(residual) / _squared_norms(psi))
+        return np.array(rows).sum(axis=1) / self.batch_size
 
     def cost(self, flat: np.ndarray) -> float:
         return float(self.costs(np.asarray(flat, dtype=np.float64)[:, None])[0])
 
     def gradient(self, flat: np.ndarray, fd_step: float | None = None) -> np.ndarray:
         """Exact gradient of ``cost`` by one forward and one backward pass.
+
+        The circuit is unitary, so ||psi_b|| is constant and the gradient of
+        the infidelity is that of -(1/B) sum_b |a_b|^2.
 
         With a_b = <phi_b|psi_L> the overlap of row b, chi the state right
         after a diagonal layer of weight c, lambda the bra carried back to
@@ -423,12 +457,14 @@ def _bfgs_phase(
     cost: float,
     epochs: int,
     history: list[tuple[int, float]],
+    grads: np.ndarray | None = None,
 ) -> tuple[np.ndarray, str]:
     """Up to ``epochs`` BFGS steps from ``params`` at ``cost``; returns (params, stop reason).
 
-    Each epoch takes the gradient, a direction from the dense inverse
-    Hessian (``-g`` until the first curvature pair, which scales the
-    identity by s.y / y.y, Nocedal & Wright eq. 6.20), and an Armijo
+    Each epoch takes the gradient (the first takes ``grads``, the gradient
+    at ``params``, when the caller has it), a direction from the dense
+    inverse Hessian (``-g`` until the first curvature pair, which scales
+    the identity by s.y / y.y, Nocedal & Wright eq. 6.20), and an Armijo
     backtracking search from the unit step. A step is taken only if it
     lowers the cost strictly; each one appends its (epoch, cost) row to
     ``history``. A pair with s.y <= 0 is skipped, and a direction that does
@@ -440,7 +476,8 @@ def _bfgs_phase(
     inverse = None
     previous = None  # (step taken, gradient it was taken from)
     for epoch in range(len(history) + 1, len(history) + epochs + 1):
-        grads = evaluator.gradient(params)
+        if grads is None:
+            grads = evaluator.gradient(params)
         if previous is not None:
             step, change = previous[0], grads - previous[1]
             curvature = step @ change
@@ -464,7 +501,7 @@ def _bfgs_phase(
         else:
             return params, "converged"
         previous = (trial - params, grads)
-        params, cost = trial, trial_cost
+        params, cost, grads = trial, trial_cost, None
         history.append((epoch, cost))
     return params, "epochs"
 
@@ -477,39 +514,53 @@ def train_qgrnn(
 ) -> TrainResult:
     """Full-batch training in two phases within a budget of ``config.epochs`` epochs.
 
-    The Adam phase runs the first A = ceil(E / 3) of the E epochs: epoch e
-    takes a gradient and an Adam step of size
+    Training starts from the flat vector ``start``, whose cost is scored
+    first, so the first gradient reuses that forward pass. The Adam phase
+    runs the first A = ceil(E / 3) of the E epochs: epoch e takes a
+    gradient and an Adam step of size
     ``LEARNING_RATE * (1 + cos(pi (e - 1) / A)) / 2``, the full
     ``LEARNING_RATE`` first, then a half cosine towards 0. It carries a
-    random start into a basin. The BFGS phase (``_bfgs_phase``) then runs
-    for at most E - A epochs and converges superlinearly inside the basin;
-    it stops early, with ``stop_reason`` ``"converged"``, once no step can
-    lower the cost any further, and otherwise ``stop_reason`` is
-    ``"epochs"``.
+    random start into a basin. A start already in its basin, such as the
+    continued start of ``pipeline.learn_from_states``, is thrown out of it
+    by a full-rate step, so Adam stops if its first step does not lower the
+    cost; that step is undone and leaves no row. The BFGS phase
+    (``_bfgs_phase``) then runs for the rest of the E epochs, all of them
+    if Adam stopped, and converges superlinearly inside the basin; it stops
+    early, with ``stop_reason`` ``"converged"``, once no step can lower the
+    cost any further, and otherwise ``stop_reason`` is ``"epochs"``.
 
-    Training starts from the flat vector ``start``. The history has one
-    (epoch, cost) row per epoch run, numbered 1..k with k <= E, each cost
-    evaluated at the parameters that epoch produced, so the last row equals
-    ``final_cost`` at the learned parameters. Deterministic given the start.
+    The history has one (epoch, cost) row per epoch run, numbered 1..k
+    with k <= E, each cost evaluated at the parameters that epoch produced,
+    so the last row equals ``final_cost`` at the learned parameters; if no
+    step lowers the cost of the start, the one row is the start's. The
+    costs are -fidelity, the evaluator's infidelity minus 1. Deterministic
+    given the start.
     """
     evaluator = CostEvaluator(initial, samples, config.trotter_delta)
     params = np.array(start, dtype=np.float64)
     if params.shape != (evaluator.param_count,):
         raise ValueError(f"start has shape {params.shape}, expected ({evaluator.param_count},)")
+    cost = evaluator.cost(params)
     adam_epochs = -(-config.epochs // 3)
     opt = AdamState.zeros(params.size)
     history: list[tuple[int, float]] = []
     for epoch in range(1, adam_epochs + 1):
         grads = evaluator.gradient(params)
         rate = LEARNING_RATE * (1 + math.cos(math.pi * (epoch - 1) / adam_epochs)) / 2
-        opt, params = adam_step(opt, params, grads, rate)
-        history.append((epoch, evaluator.cost(params)))
+        opt, trial = adam_step(opt, params, grads, rate)
+        trial_cost = evaluator.cost(trial)
+        if epoch == 1 and not trial_cost < cost:
+            break
+        params, cost, grads = trial, trial_cost, None
+        history.append((epoch, cost))
     params, stop_reason = _bfgs_phase(
-        evaluator, params, history[-1][1], config.epochs - adam_epochs, history
+        evaluator, params, cost, config.epochs - len(history), history, grads
     )
+    if not history:
+        history.append((1, cost))
     return TrainResult(
         learned_params=params,
-        cost_history=tuple(history),
-        final_cost=history[-1][1],
+        cost_history=tuple((epoch, cost - 1.0) for epoch, cost in history),
+        final_cost=history[-1][1] - 1.0,
         stop_reason=stop_reason,
     )

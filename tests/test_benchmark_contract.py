@@ -28,7 +28,7 @@ def test_kernel_scan_calls():
     flat = rng.uniform(config.init_low, config.init_high, n * (n + 1) // 2)
     cost = evaluator.cost(flat)
     grad = evaluator.gradient(flat, config.fd_step)
-    assert -1.0 <= cost <= 0.0
+    assert 0.0 <= cost <= 1.0
     assert grad.shape == flat.shape and np.all(np.isfinite(grad))
 
 

@@ -490,7 +490,7 @@ class TestTrainingOptionSchema:
             cli.main(["reveal", "--help"])
         # argparse wraps the help column; compare with the whitespace collapsed
         text = " ".join(capsys.readouterr().out.split())
-        for line in ("--archive ARCHIVE required", "--trotter-delta TROTTER_DELTA default: 0.008",
+        for line in ("--archive ARCHIVE required", "--trotter-delta TROTTER_DELTA default: 0.006",
                      "--restarts RESTARTS default: 10"):
             assert line in text
 
@@ -784,6 +784,18 @@ class TestReconstructOutput:
         assert result["metrics"]["mse"] >= 0.0
         assert "cosine=n/a" in capsys.readouterr().out
 
+    def test_the_progress_line_shows_the_error_it_reports(self, tmp_path, capsys):
+        # the error of a default row lies far below 5e-7, which six decimals round away
+        assert reconstruct(tmp_path / "out") == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        match = re.fullmatch(r"sample 18: mse=(\S+) cosine=\S+ infidelity=(\S+) attempts=1", line)
+        assert match, line
+        result = json.loads((tmp_path / "out" / "sample_00018" / "result.json").read_text())
+        mse, infidelity = (float(g) for g in match.groups())
+        assert 0.0 < result["metrics"]["mse"] < 1e-12
+        assert mse == float(f"{result['metrics']['mse']:.3g}")
+        assert infidelity == float(f"{1.0 + result['final_cost']:.3g}")
+
 
 class TestStopReason:
     def test_reveal_reports_an_early_stop(self, tmp_path, dict_file):
@@ -877,7 +889,7 @@ class TestDeterminism:
 
 
 class TestFormerMisses:
-    """Two instances that missed on random sample times and solve on the Chebyshev ones."""
+    """Instances that missed on random sample times or on long archives, and now solve at once."""
 
     def test_iris_row_100_solves_on_the_first_attempt(self, tmp_path):
         # took 4 attempts
@@ -892,6 +904,23 @@ class TestFormerMisses:
         assert cli.main(["hide", "--seed", "7703", "--message", message, "--dict", str(dict_file),
                          "--out", str(tmp_path / "hide")]) == 0
         assert cli.main(["reveal", "--seed", "7703", "--archive", str(tmp_path / "hide" / "archive.json"),
+                         "--dict", str(dict_file), "--truth", message,
+                         "--out", str(tmp_path / "reveal")]) == 0
+        result = json.loads((tmp_path / "reveal" / "reveal.json").read_text())
+        assert result["words"] == message.split()
+        assert result["accuracy"] == 100.0 and result["attempts"] == 1
+
+    @pytest.mark.parametrize("seed, message", [
+        # took all 10 attempts from the slope start and got 1 of 4 words
+        (331, "golf foxtrot bravo juliet"),
+        # a message of generator 20261019 in experiments/sample_times.py: took
+        # all 10 attempts and got 1 of 5 words
+        (708717, "juliet delta bravo delta golf"),
+    ])
+    def test_a_long_archive_reveals_every_word_on_the_first_attempt(self, tmp_path, dict_file, seed, message):
+        assert cli.main(["hide", "--seed", str(seed), "--t-max", "1", "--message", message,
+                         "--dict", str(dict_file), "--out", str(tmp_path / "hide")]) == 0
+        assert cli.main(["reveal", "--seed", str(seed), "--archive", str(tmp_path / "hide" / "archive.json"),
                          "--dict", str(dict_file), "--truth", message,
                          "--out", str(tmp_path / "reveal")]) == 0
         result = json.loads((tmp_path / "reveal" / "reveal.json").read_text())

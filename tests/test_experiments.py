@@ -25,3 +25,17 @@ def test_sample_times_runs_two_items():
         assert match, line
         forward, backward, work = (int(g.replace(",", "")) for g in match.groups())
         assert 0 < backward <= forward and work == forward + 2 * backward
+
+
+def test_sample_times_runs_one_noisy_set():
+    # the seed-7703 message, its archived states each moved by noise of norm 0.01
+    done = subprocess.run(
+        [sys.executable, "experiments/sample_times.py", "--rows", "0", "--messages", "0", "--t-max", "0.5",
+         "--noise", "0.01"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert re.fullmatch(r"messages at t_max 0\.5, noise 0\.01: 1 messages, [1-9]\d* attempts, \d+ wrong words "
+                        r"of 8, archives [\d,]+ B, [\d.]+ s", lines[0]), done.stdout
+    assert lines[1].startswith("  work: ")

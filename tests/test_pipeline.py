@@ -97,7 +97,8 @@ def test_embed_and_sample_peak_memory_at_14_qubits():
 
 def test_default_iris_rows_reconstruct_to_the_trotter_error():
     # as `reconstruct` runs them, with every option at its default; at a
-    # Trotter step of 0.01 the largest MSE was 1.16e-14, at 0.008 it is 1.43e-15
+    # Trotter step of 0.01 the largest MSE was 1.16e-14, at 0.008 1.43e-15 with
+    # the -fidelity cost, and at 0.006 with the residual cost it is 4.6e-17
     features = minmax_scale(load_iris_csv(bundled_iris_path()).features, 0.0, 5.0)
     outcomes = [
         pipeline.reconstruct_sample(
@@ -108,35 +109,42 @@ def test_default_iris_rows_reconstruct_to_the_trotter_error():
         for i in pipeline.DEFAULT_IRIS_ROWS
     ]
     assert [o.attempts for o in outcomes] == [1] * 6
-    assert max(o.report.mse for o in outcomes) <= 3e-15
+    assert max(o.report.mse for o in outcomes) <= 2e-16
 
 
 class TestLearnFromStates:
     def test_fallback_runs_every_restart_and_keeps_the_best(self, monkeypatch):
         # a stub with prescribed final costs, so the best attempt is the second
-        # one whatever the kernel or the schedule would give
+        # one whatever the kernel or the schedule would give; the first attempt
+        # is two calls, the early samples' and then all samples'
         _, initial, samples = exact_archive(2, 24, t_max=0.5, batch=5)
-        final_costs = iter([-0.5, -0.9, -0.7, -0.6])
+        final_costs = iter([-0.8, -0.5, -0.9, -0.7, -0.6])
         calls = []
 
         def stub_train(initial, samples, config, start):
-            result = SimpleNamespace(final_cost=next(final_costs))
-            calls.append((start, result))
+            result = SimpleNamespace(final_cost=next(final_costs), learned_params=np.full(3, len(calls)))
+            calls.append((samples, start, result))
             return result
 
         monkeypatch.setattr(pipeline, "train_qgrnn", stub_train)
         config = TrainConfig(epochs=2, seed=8, restarts=4)
         result, attempts = learn_from_states(initial, samples, config, (0.0, 5.0), accept_cost=-0.99)
-        assert attempts == 4
-        assert np.array_equal(calls[0][0], linear_inversion_start(initial, samples))
+        assert attempts == 4 and len(calls) == 5
+        # the Chebyshev times of 5 samples: the first two lie at or below half the deepest
+        early = samples[:2]
+        assert [s.time for s in calls[0][0]] == [s.time for s in early]
+        assert np.array_equal(calls[0][1], linear_inversion_start(initial, early))
+        assert calls[1][0] is samples
+        assert np.array_equal(calls[1][1], calls[0][2].learned_params)
         for attempt in (1, 2, 3):
             # restart r draws the coupling, then the node weights over the given range,
             # from the PARAM_INIT stream of the seed derived from (config seed, RESTART, r)
             seed = seeding.derive_seed(8, seeding.RESTART, attempt)
             rng = seeding.derive_rng(seed, seeding.PARAM_INIT)
             expected = np.concatenate([rng.uniform(-1.0, 1.0, 1), rng.uniform(0.0, 5.0, 2)])
-            assert np.array_equal(calls[attempt][0], expected)
-        assert result is calls[1][1]
+            assert calls[attempt + 1][0] is samples
+            assert np.array_equal(calls[attempt + 1][1], expected)
+        assert result is calls[2][2]
 
     def test_restarts_must_be_positive(self):
         with pytest.raises(ValueError, match="restarts must be >= 1"):

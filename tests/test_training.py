@@ -6,6 +6,7 @@ import scipy.optimize
 
 from qgrnn import training
 from qgrnn.ising import draw_times, random_complete_graph, sample_evolution, TimeEvolvedSample
+from qgrnn.pipeline import learn_from_states
 from qgrnn.statevector import basis_state, random_state
 from qgrnn.training import (
     MAX_BATCH,
@@ -98,7 +99,8 @@ class TestFidelitySwapTest:
         measured = swap_test_fidelity(sample.state, evolved)
         cost = CostEvaluator(initial, [sample], 0.01).cost(coefficients)
         assert 0.01 < measured < 0.99
-        assert abs(measured + cost) <= 1e-10
+        # the cost is the infidelity
+        assert abs((1.0 - measured) - cost) <= 1e-10
 
 
 BAD_STATES = {
@@ -214,7 +216,8 @@ class TestCostEvaluator:
         for _ in range(3):
             params = random_params(rng, 3)
             reference = batch_cost(params, initial, samples, 0.01)
-            assert abs(evaluator.cost(params) - reference) <= 1e-12
+            # the reference is -fidelity, the cost the infidelity
+            assert abs((evaluator.cost(params) - 1.0) - reference) <= 1e-12
 
     def test_matches_reference_gradient(self):
         coefficients, initial, samples = make_instance(2, 16, batch=6)
@@ -254,7 +257,7 @@ class TestAdjointKernel:
         samples = sample_evolution(coefficients, initial, np.array(times))
         evaluator = CostEvaluator(initial, samples, 0.01)
         flat = rng.uniform(-1, 1, n * (n + 1) // 2)
-        assert abs(evaluator.cost(flat) - batch_cost(flat, initial, samples, 0.01)) <= 1e-12
+        assert abs((evaluator.cost(flat) - 1.0) - batch_cost(flat, initial, samples, 0.01)) <= 1e-12
         oracle = grad_richardson(flat, initial, samples, 0.01)
         assert np.max(np.abs(evaluator.gradient(flat) - oracle)) <= 1e-10
 
@@ -267,7 +270,7 @@ class TestAdjointKernel:
         assert costs.shape == (3,)
         for column, cost in zip(flat_matrix.T, costs):
             reference = batch_cost(column, initial, samples, 0.01)
-            assert abs(cost - reference) <= 1e-12
+            assert abs((cost - 1.0) - reference) <= 1e-12
             # one forward pass per column, so a column's cost is its cost() bit for bit
             assert cost == evaluator.cost(column)
 
@@ -350,9 +353,10 @@ class TestForwardReuse:
         with pytest.raises(ValueError, match="read-only"):
             psi[0, 0] = 0.0
 
-    def test_an_attempt_runs_one_pass_per_cost_and_one_more(self, monkeypatch):
-        # every gradient but the first is taken where the last cost was scored:
-        # after an Adam step's cost, and in BFGS after the accepted trial's
+    def test_a_training_run_makes_one_pass_per_cost(self, monkeypatch):
+        # the start is scored first, so every gradient is taken where the last
+        # cost was scored: at the start, after an Adam step's cost, and in BFGS
+        # after the accepted trial's
         passes = count_forward_passes(monkeypatch)
         costs = []
         cost = CostEvaluator.cost
@@ -362,7 +366,23 @@ class TestForwardReuse:
         result = train_qgrnn(initial, samples, config, start=seeded_start(2, config))
         # both phases ran: 50 Adam epochs, then BFGS until it converged
         assert len(result.cost_history) > 50 and result.stop_reason == "converged"
-        assert len(passes) == len(costs) + 1
+        assert len(passes) == len(costs)
+
+    def test_bfgs_from_the_start_takes_the_gradient_adam_took_there(self, monkeypatch):
+        # Adam's first step from a slope start is undone; BFGS starts with the
+        # gradient at the start, so no gradient runs a forward pass. The last
+        # line search can halve its step below the spacing of the coefficients
+        # and score the kept point again, so count the points scored
+        passes = count_forward_passes(monkeypatch)
+        points, steps = [], []
+        cost = CostEvaluator.cost
+        monkeypatch.setattr(CostEvaluator, "cost",
+                            lambda self, flat: points.append(flat.tobytes()) or cost(self, flat))
+        monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(1) or adam_step(*args))
+        _, initial, samples = make_instance(3, 41, batch=8, t_max=0.1)
+        train_qgrnn(initial, samples, TrainConfig(), start=linear_inversion_start(initial, samples))
+        assert len(steps) == 1
+        assert len(passes) == 1 + sum(a != b for a, b in zip(points, points[1:]))
 
 
 class TestAdamStep:
@@ -529,6 +549,42 @@ class TestTrainQgrnn:
         assert len(result.cost_history) < 150
         assert result.final_cost <= -0.9999
 
+    def test_a_start_in_its_basin_skips_adam(self, monkeypatch):
+        # the slope start of a short exact archive: Adam's full-rate first step
+        # raises the cost, so it is undone and BFGS runs from the start
+        steps = []
+
+        def recording_step(state, params_flat, grads, rate):
+            steps.append(rate)
+            return adam_step(state, params_flat, grads, rate)
+
+        monkeypatch.setattr(training, "adam_step", recording_step)
+        _, initial, samples = make_instance(3, 41, batch=8, t_max=0.1)
+        start = linear_inversion_start(initial, samples)
+        result = train_qgrnn(initial, samples, TrainConfig(), start=start)
+        assert steps == [training.LEARNING_RATE]
+        # BFGS rows only: numbered from 1, none above the last or the start (the
+        # rows hold -fidelity, which can round two lower infidelities to one value)
+        epochs = [epoch for epoch, _ in result.cost_history]
+        costs = [CostEvaluator(initial, samples, TrainConfig.trotter_delta).cost(start) - 1.0]
+        costs += [cost for _, cost in result.cost_history]
+        assert epochs == list(range(1, len(epochs) + 1))
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+        assert result.stop_reason == "converged" and result.final_cost <= -0.9999
+
+    def test_a_start_no_step_can_improve_is_the_one_row(self):
+        # refitting from a refit: neither Adam's first step nor any BFGS step
+        # lowers the cost, so the start is the result and its cost the one row
+        _, initial, samples = make_instance(3, 41, batch=8, t_max=0.1)
+        start = linear_inversion_start(initial, samples)
+        for _ in range(2):
+            start = train_qgrnn(initial, samples, TrainConfig(), start=start).learned_params
+        result = train_qgrnn(initial, samples, TrainConfig(), start=start)
+        assert np.array_equal(result.learned_params, start)
+        cost = CostEvaluator(initial, samples, TrainConfig.trotter_delta).cost(start)
+        assert result.cost_history == ((1, cost - 1.0),) and result.final_cost == cost - 1.0
+        assert result.stop_reason == "converged"
+
     def test_a_spent_budget_stops_on_epochs(self):
         _, initial, samples = make_instance(2, 19, batch=5)
         config = TrainConfig(epochs=3, seed=1)
@@ -624,6 +680,40 @@ class TestBfgsPhase:
         params, reason = training._bfgs_phase(evaluator, np.zeros(4), -1.0, 5, history)
         assert reason == "converged" and history == []
         assert np.array_equal(params, np.zeros(4))
+
+
+class TestResidualCost:
+    """The infidelity in its residual form resolves the cost far below the float spacing near 1."""
+
+    def test_fits_from_any_start_end_at_one_optimum(self):
+        truth, initial, samples = make_instance(4, 3, batch=8)
+        config = TrainConfig()
+        continued, attempts = learn_from_states(initial, samples, config, (0.0, 5.0))
+        slope = train_qgrnn(initial, samples, config, start=linear_inversion_start(initial, samples))
+        exact = train_qgrnn(initial, samples, config, start=truth)
+        assert attempts == 1
+        # measured: 2.7e-14 and 8.0e-13
+        for other in (slope, exact):
+            assert np.max(np.abs(other.learned_params - continued.learned_params)) <= 1e-11
+
+    def test_resolves_the_curvature_at_the_learned_point(self):
+        # (cost(x + h v) - cost(x)) / h^2 is half the curvature along v for any
+        # small h; at the learned point, -fidelity is within 1.1e-16 of -1 and
+        # rounds it away at h = 1e-8, where the residual form keeps it
+        _, initial, samples = make_instance(4, 3, batch=8)
+        config = TrainConfig()
+        learned = learn_from_states(initial, samples, config, (0.0, 5.0))[0].learned_params
+        evaluator = CostEvaluator(initial, samples, config.trotter_delta)
+        direction = np.random.default_rng(42).normal(size=learned.size)
+        direction /= np.linalg.norm(direction)
+
+        def minus_fidelity(flat):
+            return -np.mean(np.abs(evaluator._forward(flat)[3]) ** 2)
+
+        for cost, resolves in ((evaluator.cost, True), (minus_fidelity, False)):
+            base = cost(learned)
+            wide, narrow = ((cost(learned + h * direction) - base) / h**2 for h in (1e-6, 1e-8))
+            assert (abs(narrow - wide) <= 1e-4 * abs(wide)) == resolves, (wide, narrow)
 
 
 class TestCostLandscape:
