@@ -30,11 +30,14 @@ package's default:
 For each set (one per ``--t-max`` and noise norm) it prints the attempts,
 the wrong words (for Iris, the rows not solved on their first attempt and
 the largest MSE), the archive bytes and the wall time. A second line gives
-the training kernel's work: the layer-rows (one sample row through one
-layer) of its forward passes and of the backward passes of its gradients,
-which the script counts by wrapping ``CostEvaluator._evolve`` and
-``CostEvaluator.gradient``. Unlike the wall time, these counts do not
-drift with the host's load, so work can be compared between commits.
+the training kernel's work: its forward passes and gradient calls, and the
+layer-rows (one sample row through one layer) of those forward passes and
+of the gradients' backward passes, which the script counts by wrapping
+``CostEvaluator._evolve`` and ``CostEvaluator.gradient``. The calls count
+whole passes, which an optimizer change saves; the layer-rows weigh each
+pass by its depth, which the Trotter step sets. Unlike the wall time,
+these counts do not drift with the host's load, so work can be compared
+between commits.
 Every item that needed a restart or lost a word follows.
 """
 from __future__ import annotations
@@ -63,8 +66,8 @@ WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel
 # (seed, message): the message that missed with 15 random sample times
 KNOWN_MESSAGES = ((7703, "juliet india alpha golf foxtrot india alpha india"),)
 SCALE = (0.0, 5.0)
-# Layer-rows run so far by forward passes and by the backward passes of gradients
-WORK = {"forward": 0, "backward": 0}
+# Forward passes and gradient calls so far, and the layer-rows of each kind of pass
+WORK = {"passes": 0, "gradients": 0, "forward": 0, "backward": 0}
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -111,25 +114,26 @@ def noisy(archive: StateArchive, norm: float, seed: int) -> StateArchive:
 
 
 def count_work() -> None:
-    """Wrap the kernel so each forward pass and each gradient adds its layer-rows to ``WORK``.
+    """Wrap the kernel so each forward pass and each gradient counts itself and its layer-rows in ``WORK``.
 
     Every row runs its whole depth in a forward pass, and a gradient's
     backward pass walks every row back through the same layers.
     """
-    def counted(kind, method):
+    def counted(calls, kind, method):
         def wrapper(self, *args, **kwargs):
+            WORK[calls] += 1
             WORK[kind] += int(self.depths.sum())
             return method(self, *args, **kwargs)
         return wrapper
 
-    CostEvaluator._evolve = counted("forward", CostEvaluator._evolve)
-    CostEvaluator.gradient = counted("backward", CostEvaluator.gradient)
+    CostEvaluator._evolve = counted("passes", "forward", CostEvaluator._evolve)
+    CostEvaluator.gradient = counted("gradients", "backward", CostEvaluator.gradient)
 
 
 def print_work(before: dict) -> None:
-    forward, backward = (WORK[kind] - before[kind] for kind in ("forward", "backward"))
-    print(f"  work: {forward:,} forward and {backward:,} backward layer-rows, "
-          f"{forward + 2 * backward:,} as forward + 2 x backward")
+    passes, gradients, forward, backward = (WORK[kind] - before[kind] for kind in WORK)
+    print(f"  work: {passes:,} forward passes and {gradients:,} gradients; {forward:,} forward and "
+          f"{backward:,} backward layer-rows, {forward + 2 * backward:,} as forward + 2 x backward")
 
 
 def iris_set(master_seed: int, rows: int) -> None:

@@ -17,7 +17,7 @@ ACCEPT_COST = -0.99
 # the 4 early samples at 18.6 MB (20.7 MB for all 8); a training run peaks
 # at 70.3 MB, in CostEvaluator and its gradient, and its evaluator holds
 # 35.2 MB between calls, its last forward pass included. An epoch (one
-# gradient, one cost) takes about 0.55 s on 2 cores at the default Trotter
+# gradient, one cost) takes about 0.9 s on 2 cores at the default Trotter
 # step. Each further qubit doubles all five.
 MAX_QUBITS = 14
 

@@ -13,7 +13,11 @@ Each attempt has two phases: Adam on a cosine-annealed step size for the
 first third of the epochs, to reach a basin, then BFGS with a backtracking
 line search, which converges superlinearly inside it and stops early once
 no step can lower the cost (Nocedal & Wright, Numerical Optimization,
-Alg. 6.1). Adam's first step is taken at the full rate; if it does not
+Alg. 6.1). BFGS stops when the decrease it predicts is below the rounding
+of the cost: the residual r is a difference of unit states, rounded by
+about eps, which moves the cost ||r||^2 by about eps ||r||, so no line
+search can see a decrease below eps sqrt(cost).
+Adam's first step is taken at the full rate; if it does not
 lower the cost of the start, the start is already in its basin, Adam
 stops, and BFGS runs from the start. The first attempt starts near the
 answer (``pipeline.learn_from_states``): from ``linear_inversion_start``,
@@ -34,8 +38,8 @@ from .ansatz import DIAGONAL_WEIGHTS, TRANSVERSE_WEIGHTS, layer_count, transvers
 from .ising import TimeEvolvedSample, apply_hamiltonian, coupling_columns
 from .statevector import checked_state
 
-# Most Trotter layers one sample may ask for: about 1200 times the
-# layer_count(0.5, 0.006) = 83 layers of the default t_max and trotter_delta.
+# Most Trotter layers one sample may ask for: about 600 times the
+# layer_count(0.5, 0.003) = 167 layers of the default t_max and trotter_delta.
 # A larger count comes only from an archive or config with a huge t, whose
 # training would not finish.
 MAX_LAYERS = 100_000
@@ -45,12 +49,13 @@ MAX_LAYERS = 100_000
 MAX_BATCH = 64
 # Most epochs one training run may take. The first attempt of a fit runs two
 # (its early stage and its last stage, see pipeline.learn_from_states), each
-# within this budget. At n = 14 an epoch takes about 0.55 s on 2 cores, so
-# 10,000 epochs are about 1.5 h per run. No test, benchmark or experiment
-# uses more than 150 epochs or 10 restarts.
+# within this budget. At n = 14 an epoch takes about 0.9 s on 2 cores, so
+# 10,000 epochs are about 2.5 h per run, where a default fit of 14 weights
+# stops as converged after about 6 s. No test, benchmark or experiment uses
+# more than 150 epochs or 10 restarts.
 MAX_EPOCHS = 10_000
 # Most attempts one fit may make: 100 attempts of 150 epochs, the first of them
-# two stages, take about 2.3 h at n = 14.
+# two stages, take about 3.8 h at n = 14.
 MAX_RESTARTS = 100
 # The transverse layer is applied in qubit blocks of at most this size. Of
 # sizes 2 to 6, 4 (16 x 16 matmuls) was the fastest or within 10 % of it at
@@ -83,7 +88,7 @@ class TrainConfig:
     8 by default, at the B Chebyshev points of (0, ``t_max``)
     (``ising.draw_times``), not at random times.
 
-    ``trotter_delta`` is the mean step of a layer, 0.006 by default: a
+    ``trotter_delta`` is the mean step of a layer, 0.003 by default: a
     sample at time t runs K = ``layer_count(t, 10 trotter_delta)``
     sixth-order steps of t/K, each ten layers whose steps are
     ``ansatz.DIAGONAL_WEIGHTS`` and ``ansatz.TRANSVERSE_WEIGHTS`` times t/K.
@@ -112,7 +117,7 @@ class TrainConfig:
 
     batch_size: int = 8
     epochs: int = 150
-    trotter_delta: float = 0.006
+    trotter_delta: float = 0.003
     t_max: float = 0.5
     seed: int = 0
     restarts: int = 10
@@ -469,9 +474,15 @@ def _bfgs_phase(
     lowers the cost strictly; each one appends its (epoch, cost) row to
     ``history``. A pair with s.y <= 0 is skipped, and a direction that does
     not descend resets the inverse Hessian. The phase stops as
-    ``"converged"`` when no halving lowers the cost or the predicted
-    decrease |g.d| is at most eps |cost|, which is round-off, and otherwise as
-    ``"epochs"`` when the budget runs out.
+    ``"converged"`` when the predicted decrease |g.d| is at most
+    eps sqrt(cost), or when no halving lowers the cost, and otherwise as
+    ``"epochs"`` when the budget runs out. The cost is ||r||^2 for the
+    residual r = psi - a phi of ``CostEvaluator``, a difference of unit
+    states, so r carries a rounding error of about eps whatever its size,
+    and the cost moves by about eps ||r|| = eps sqrt(cost). A smaller
+    predicted decrease is round-off, and its line search would score all
+    ``MAX_HALVINGS`` halvings for nothing. At a fit of the defaults the
+    cost is near 1e-18 and eps sqrt(cost) near 2e-25.
     """
     inverse = None
     previous = None  # (step taken, gradient it was taken from)
@@ -490,7 +501,7 @@ def _bfgs_phase(
         slope = grads @ direction
         if not slope < 0:
             inverse, direction, slope = None, -grads, -(grads @ grads)
-        if -slope <= FLOAT_EPS * abs(cost):
+        if -slope <= FLOAT_EPS * math.sqrt(cost):
             return params, "converged"
         for halving in range(MAX_HALVINGS + 1):
             rate = 0.5**halving

@@ -490,7 +490,7 @@ class TestTrainingOptionSchema:
             cli.main(["reveal", "--help"])
         # argparse wraps the help column; compare with the whitespace collapsed
         text = " ".join(capsys.readouterr().out.split())
-        for line in ("--archive ARCHIVE required", "--trotter-delta TROTTER_DELTA default: 0.006",
+        for line in ("--archive ARCHIVE required", "--trotter-delta TROTTER_DELTA default: 0.003",
                      "--restarts RESTARTS default: 10"):
             assert line in text
 

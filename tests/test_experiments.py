@@ -20,11 +20,11 @@ def test_sample_times_runs_two_items():
                         r"archives [\d,]+ B, [\d.]+ s", lines[2])
     # each set's kernel work, a count that does not depend on the host's load
     for line in lines[1], lines[3]:
-        match = re.fullmatch(r"  work: ([\d,]+) forward and ([\d,]+) backward layer-rows, "
-                             r"([\d,]+) as forward \+ 2 x backward", line)
+        match = re.fullmatch(r"  work: ([\d,]+) forward passes and ([\d,]+) gradients; ([\d,]+) forward "
+                             r"and ([\d,]+) backward layer-rows, ([\d,]+) as forward \+ 2 x backward", line)
         assert match, line
-        forward, backward, work = (int(g.replace(",", "")) for g in match.groups())
-        assert 0 < backward <= forward and work == forward + 2 * backward
+        passes, gradients, forward, backward, work = (int(g.replace(",", "")) for g in match.groups())
+        assert 0 < gradients <= passes and 0 < backward <= forward and work == forward + 2 * backward
 
 
 def test_sample_times_runs_one_noisy_set():

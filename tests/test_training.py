@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -621,7 +622,10 @@ class TestTrainQgrnn:
 
 
 class QuadraticEvaluator:
-    """Stub with the evaluator's cost and gradient for f(x) = (x - x*)^T A (x - x*) / 2 - 1."""
+    """Stub with the evaluator's cost form, an infidelity: f(x) = FLOOR + (x - x*)^T A (x - x*) / 2."""
+
+    # the cost at the minimum, the size of a fit's residual infidelity
+    FLOOR = 1e-18
 
     def __init__(self, size, condition, seed):
         rng = np.random.default_rng(seed)
@@ -631,7 +635,7 @@ class QuadraticEvaluator:
 
     def cost(self, flat):
         offset = flat - self.minimum
-        return 0.5 * offset @ self.matrix @ offset - 1.0
+        return self.FLOOR + 0.5 * offset @ self.matrix @ offset
 
     def gradient(self, flat):
         return self.matrix @ (flat - self.minimum)
@@ -648,7 +652,7 @@ class TestBfgsPhase:
         costs = [cost for _, cost in history]
         assert all(b < a for a, b in zip(costs, costs[1:]))
         assert history[-1][1] == evaluator.cost(params)
-        assert history[-1][1] - (-1.0) <= 1e-10
+        assert history[-1][1] - evaluator.FLOOR <= 1e-10
         assert [epoch for epoch, _ in history] == list(range(1, len(history) + 1))
 
     def test_stops_on_the_budget(self):
@@ -659,25 +663,48 @@ class TestBfgsPhase:
         assert [epoch for epoch, _ in history] == [1, 2, 3]
 
     def test_stops_before_a_line_search_on_round_off(self):
-        # 1e-9 from the minimum the predicted decrease is ~1e-18, below eps |cost|:
-        # no cost is evaluated, where a line search would spend 21 on round-off
+        # 1e-13 from the minimum the predicted decrease |g.d| is ~1e-26, below
+        # eps sqrt(cost) ~ 2e-25, the rounding of a cost near 1e-18: no cost is
+        # evaluated, where a line search would spend 21 on round-off
         evaluator = QuadraticEvaluator(4, 10.0, seed=52)
+        start = evaluator.minimum + 1e-13
+        cost = evaluator.cost(start)
+        grads = evaluator.gradient(start)
+        assert grads @ grads <= training.FLOAT_EPS * math.sqrt(cost)
         costs = []
-        evaluator.cost = lambda flat: costs.append(flat) or -1.0
-        start = evaluator.minimum + 1e-9
+        evaluator.cost = lambda flat: costs.append(flat) or cost
         history = []
-        params, reason = training._bfgs_phase(evaluator, start, -1.0, 5, history)
+        params, reason = training._bfgs_phase(evaluator, start, cost, 5, history)
         assert reason == "converged" and history == [] and costs == []
         assert np.array_equal(params, start)
 
-    def test_takes_no_step_that_does_not_lower_the_cost(self):
-        # a flat cost beside a gradient of norm 1e-6: the Armijo bound -1 - 1e-16 rounds
-        # to -1, so only the strict decrease refuses every step
-        evaluator = QuadraticEvaluator(4, 10.0, seed=53)
-        evaluator.cost = lambda flat: -1.0
-        evaluator.gradient = lambda flat: np.full(4, 5e-7)
+    @pytest.mark.parametrize("cost", [1e-18, 1e-6])
+    @pytest.mark.parametrize("factor, searches", [(1.01, True), (0.99, False)])
+    def test_the_stop_is_the_rounding_of_the_residual(self, cost, factor, searches):
+        # rounding the residual r by eps moves the cost ||r||^2 by eps sqrt(cost):
+        # a predicted decrease |g.d| = |g|^2 just above that runs the line search,
+        # one just below it stops with no cost evaluated
+        evaluator = QuadraticEvaluator(4, 10.0, seed=54)
+        grads = np.full(4, math.sqrt(factor * training.FLOAT_EPS * math.sqrt(cost) / 4))
+        costs = []
+        evaluator.cost = lambda flat: costs.append(flat) or cost
+        evaluator.gradient = lambda flat: grads
         history = []
-        params, reason = training._bfgs_phase(evaluator, np.zeros(4), -1.0, 5, history)
+        _, reason = training._bfgs_phase(evaluator, np.zeros(4), cost, 5, history)
+        assert reason == "converged" and history == []
+        assert len(costs) == (training.MAX_HALVINGS + 1 if searches else 0)
+
+    def test_takes_no_step_that_does_not_lower_the_cost(self):
+        # a flat infidelity of 1 beside a gradient of norm 5e-7: the Armijo bound
+        # 1 - 2.5e-17 rounds to 1, so only the strict decrease refuses every step
+        evaluator = QuadraticEvaluator(4, 10.0, seed=53)
+        grads = np.full(4, 2.5e-7)
+        evaluator.cost = lambda flat: 1.0
+        evaluator.gradient = lambda flat: grads
+        # the bound of the unit step, the largest, is the cost itself
+        assert 1.0 + training.ARMIJO_C1 * -(grads @ grads) == 1.0
+        history = []
+        params, reason = training._bfgs_phase(evaluator, np.zeros(4), 1.0, 5, history)
         assert reason == "converged" and history == []
         assert np.array_equal(params, np.zeros(4))
 
