@@ -12,8 +12,8 @@ Each item runs as the CLI would run it, with every option at the
 package's default:
 
 - **Iris.** The first ``--rows`` rows of the bundled Iris table (all 150
-  by default), scaled onto [0, 5], each reconstructed with the seed that
-  ``reconstruct --seed <iris-seed>`` derives for it.
+  by default), scaled onto ``pipeline.FEATURE_RANGE``, each reconstructed
+  with the seed that ``reconstruct --seed <iris-seed>`` derives for it.
 - **Messages.** The 8-word message ``juliet india alpha golf foxtrot india
   alpha india`` at seed 7703, then ``--messages`` random ones of 2 to 8
   words from the 10-word dictionary, with seeds below 10^6, both drawn from
@@ -59,13 +59,12 @@ from qgrnn.hiding import (  # noqa: E402
     StateArchive, build_dictionary, encode_message, load_archive, reveal_message, save_archive,
 )
 from qgrnn.ising import TimeEvolvedSample  # noqa: E402
-from qgrnn.pipeline import reconstruct_sample  # noqa: E402
+from qgrnn.pipeline import FEATURE_RANGE, reconstruct_sample  # noqa: E402
 from qgrnn.training import CostEvaluator, TrainConfig  # noqa: E402
 
 WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet")
 # (seed, message): the message that missed with 15 random sample times
 KNOWN_MESSAGES = ((7703, "juliet india alpha golf foxtrot india alpha india"),)
-SCALE = (0.0, 5.0)
 # Forward passes and gradient calls so far, and the layer-rows of each kind of pass
 WORK = {"passes": 0, "gradients": 0, "forward": 0, "backward": 0}
 
@@ -138,13 +137,13 @@ def print_work(before: dict) -> None:
 
 def iris_set(master_seed: int, rows: int) -> None:
     dataset = load_iris_csv(bundled_iris_path())
-    features = minmax_scale(dataset.features, *SCALE)
+    features = minmax_scale(dataset.features, *FEATURE_RANGE)
     before = dict(WORK)
     start = time.perf_counter()
     attempts, worst, missed = [], 0.0, []
     for i in range(min(rows, features.shape[0])):
         seed = seeding.derive_seed(master_seed, seeding.RECONSTRUCT_SAMPLE, i)
-        outcome = reconstruct_sample(features[i], TrainConfig(seed=seed), SCALE)
+        outcome = reconstruct_sample(features[i], TrainConfig(seed=seed))
         attempts.append(outcome.attempts)
         worst = max(worst, outcome.report.mse)
         if outcome.attempts > 1:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classifiers, seeding
-from .datasets import bundled_iris_path, check_scale_range, load_iris_csv, minmax_scale
+from .datasets import bundled_iris_path, load_iris_csv, minmax_scale
 from .hiding import (
     ArchiveFormatError,
     encode_message,
@@ -39,8 +39,8 @@ from .hiding import (
     reveal_message,
     save_archive,
 )
-from .ising import check_taylor_steps, complete_pairs
-from .pipeline import DEFAULT_IRIS_ROWS, MAX_QUBITS, reconstruct_sample
+from .ising import complete_pairs
+from .pipeline import DEFAULT_IRIS_ROWS, FEATURE_RANGE, MAX_QUBITS, reconstruct_sample
 from .training import TrainConfig
 
 # TrainConfig's fields and defaults; its seed is a command's master seed
@@ -55,13 +55,13 @@ REQUIRED = ""
 OPTIONS = {
     "reconstruct": {
         **_TRAIN,
-        # the dataset options, which classify reads from the run it scores
-        "csv": None, "scale_lo": 0.0, "scale_hi": 5.0, "samples": None,
+        # the dataset options; classify reads the csv from the run it scores
+        "csv": None, "samples": None,
     },
-    "classify": {"reconstructed": REQUIRED, "seed": 0, "kinds": ",".join(classifiers.KINDS)},
+    "classify": {"reconstructed": REQUIRED, "seed": 0},
     "hide": {"dict": REQUIRED, **{key: _TRAIN[key] for key in ("seed", "batch_size", "epochs", "t_max")}},
     "reveal": {"archive": REQUIRED, "dict": REQUIRED,
-               **{key: _TRAIN[key] for key in ("seed", "batch_size", "epochs", "trotter_delta", "restarts")}},
+               **{key: _TRAIN[key] for key in ("seed", "batch_size", "epochs", "restarts")}},
 }
 
 
@@ -84,15 +84,6 @@ def _write_fit(directory: Path, result, attempts: int) -> dict:
 
 def _split(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
-
-
-def _check_unique(items: list, what: str) -> None:
-    """Raise naming the first of ``items`` that repeats; ``what`` names the list."""
-    seen = set()
-    for item in items:
-        if item in seen:
-            raise ValueError(f"{what} must be unique, {item!r} repeats")
-        seen.add(item)
 
 
 def _read_object(path) -> dict:
@@ -144,11 +135,6 @@ def _read_run(path, command: str, complete: bool = False) -> dict:
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
     _check_types(values, options, path)
-    if complete:
-        try:
-            _check_options(values)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
     return values
 
 
@@ -164,27 +150,12 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _check_options(cfg: dict) -> None:
-    """Range-check the options that are not TrainConfig's; _check_types checks only their types."""
-    if "scale_lo" in cfg:
-        check_scale_range(cfg["scale_lo"], cfg["scale_hi"])
-    for key in ("samples", "kinds"):
-        if cfg.get(key) is not None and not _split(cfg[key]):
-            raise ValueError(f"{key} must list at least one entry, got {cfg[key]!r}")
-    kinds = _split(cfg.get("kinds") or "")
-    unknown = [kind for kind in kinds if kind not in classifiers.KINDS]
-    if unknown:
-        raise ValueError(f"kinds: unknown classifier kind {unknown[0]!r}, choose from {classifiers.KINDS}")
-    _check_unique(kinds, "kinds: classifier kinds")
-
-
 def _start(args: argparse.Namespace) -> tuple[dict, Path]:
     """Resolve and check the command's options; --out is created by the first write, so bad input leaves none."""
     cfg = _resolve(args)
     missing = [key for key, default in OPTIONS[args.command].items() if cfg[key] == default == REQUIRED]
     if missing:
         raise ValueError(f"--{missing[0]} is required, as a flag or a --config key")
-    _check_options(cfg)
     if cfg["seed"] < 0:
         raise ValueError("seed must be >= 0")
     return cfg, Path(args.out)
@@ -195,14 +166,14 @@ def _train_config(cfg: dict, **archived) -> TrainConfig:
     return TrainConfig(**{key: cfg[key] for key in _TRAIN if key in cfg}, **archived)
 
 
-def _load_scaled_dataset(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled feature matrix (and labels) in the frame used for embedding."""
-    ds = load_iris_csv(cfg["csv"] or bundled_iris_path())
-    return minmax_scale(ds.features, cfg["scale_lo"], cfg["scale_hi"]), ds.labels
+def _load_scaled_dataset(csv_path) -> tuple[np.ndarray, np.ndarray]:
+    """The features of ``csv_path`` (by default the bundled Iris copy) on FEATURE_RANGE, and its labels."""
+    ds = load_iris_csv(csv_path or bundled_iris_path())
+    return minmax_scale(ds.features, *FEATURE_RANGE), ds.labels
 
 
 def _sample_indices(cfg: dict, sample_count: int) -> list[int]:
-    """The rows to reconstruct, each checked against the dataset's ``sample_count`` rows and unique."""
+    """The rows to reconstruct: at least one, each among the dataset's ``sample_count`` rows, none twice."""
     if cfg["samples"] is None:
         indices = list(DEFAULT_IRIS_ROWS)
     else:
@@ -210,10 +181,16 @@ def _sample_indices(cfg: dict, sample_count: int) -> list[int]:
             indices = [int(s) for s in _split(cfg["samples"])]
         except ValueError as exc:
             raise ValueError(f"--samples: {exc}") from None
+        if not indices:
+            raise ValueError(f"--samples must list at least one row index, got {cfg['samples']!r}")
     bad = [i for i in indices if not 0 <= i < sample_count]
     if bad:
         raise ValueError(f"--samples: sample indices out of range: {bad} for {sample_count} rows")
-    _check_unique(indices, "--samples: sample indices")
+    seen = set()
+    for i in indices:
+        if i in seen:
+            raise ValueError(f"--samples: sample indices must be unique, {i} repeats")
+        seen.add(i)
     return indices
 
 
@@ -223,18 +200,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     # absolute, so classify opens the same file from any working directory
     if cfg["csv"]:
         cfg["csv"] = str(Path(cfg["csv"]).resolve())
-    features, _ = _load_scaled_dataset(cfg)
+    features, _ = _load_scaled_dataset(cfg["csv"])
     indices = _sample_indices(cfg, features.shape[0])
-    for i in indices:
-        check_taylor_steps(features[i], config.t_max)
-    # node weights live in the scaling range; the restarts search there
-    node_range = (cfg["scale_lo"], cfg["scale_hi"])
     cfg["samples"] = ",".join(str(i) for i in indices)
     _json_dump({"command": "reconstruct", **cfg}, out / "run.json")
 
     for i in indices:
         sample_seed = seeding.derive_seed(cfg["seed"], seeding.RECONSTRUCT_SAMPLE, i)
-        outcome = reconstruct_sample(features[i], replace(config, seed=sample_seed), node_range)
+        outcome = reconstruct_sample(features[i], replace(config, seed=sample_seed))
         sample_dir = out / f"sample_{i:05d}"
         sample_dir.mkdir(exist_ok=True)
         _json_dump(
@@ -288,17 +261,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
     results = sorted(recon_dir.glob("sample_*/result.json"))
     if not results:
         raise ValueError(f"no samples found under {recon_dir}")
-    features, labels = _load_scaled_dataset(recon)
+    features, labels = _load_scaled_dataset(recon["csv"])
     records = [_read_result(p, features.shape[1]) for p in results]
     original = np.array([r["actual"] for r in records])
     reconstructed = np.array([r["predicted"] for r in records])
 
     train_idx, test_idx = classifiers.stratified_split(labels, seed=cfg["seed"])
-    kinds = _split(cfg["kinds"])
     _json_dump({"command": "classify", **cfg}, out / "run.json")
 
     accuracy_rows, agreement_rows = [], []
-    for kind in kinds:
+    for kind in classifiers.KINDS:
         model = classifiers.fit(kind, features[train_idx], labels[train_idx])
         accuracy = float(
             np.mean(classifiers.predict(model, features[test_idx]) == labels[test_idx])
@@ -387,22 +359,22 @@ def build_parser() -> argparse.ArgumentParser:
         f"2 <= k <= {MAX_QUBITS}, after an optional header row; it defaults to the bundled "
         "Iris copy (150 rows, 4 features). --samples is a comma-separated list of row "
         "indices, by default " + ",".join(map(str, DEFAULT_IRIS_ROWS)) + ", which the "
-        "table must hold. Each feature is min-max scaled to [--scale-lo, --scale-hi] and "
-        "becomes a node weight. Writes per sample: result.json (with the row's seed), "
-        "cost_history.csv (epoch,cost; one row per epoch run, which can be fewer than "
-        "--epochs when training converges early, as result.json's stop_reason then "
-        "says; cost is -fidelity, as is result.json's final_cost), coefficients.csv "
-        "(term,target,learned; one row per Hamiltonian coefficient, the ZZ couplings "
-        "then the Z node weights).",
+        "table must hold. Each feature is min-max scaled to "
+        f"[{FEATURE_RANGE[0]:g}, {FEATURE_RANGE[1]:g}] and becomes a node weight. Writes "
+        "per sample: result.json (with the row's seed), cost_history.csv (epoch,cost; "
+        "one row per epoch run, which can be fewer than --epochs when training converges "
+        "early, as result.json's stop_reason then says; cost is -fidelity, as is "
+        "result.json's final_cost), coefficients.csv (term,target,learned; one row per "
+        "Hamiltonian coefficient, the ZZ couplings then the Z node weights).",
     )
 
     p = _add_command(
         sub, "classify", cmd_classify,
         help="agreement between original and reconstructed features",
         epilog="--reconstructed is the output directory of a reconstruct run; classify "
-        "scores that run's dataset, as its <reconstructed>/run.json records it. --kinds is "
-        "a comma-separated list of classifier kinds. Writes accuracy.csv (kind,accuracy) "
-        "and agreement.csv (sample_index,kind,agreement).",
+        "scores that run's dataset, as its <reconstructed>/run.json records it, with each "
+        f"classifier kind ({', '.join(classifiers.KINDS)}). Writes accuracy.csv "
+        "(kind,accuracy) and agreement.csv (sample_index,kind,agreement).",
     )
 
     p = _add_command(
@@ -427,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="recover a message from a state archive",
         epilog="--archive is the archive.json of a hide run and --dict its dictionary "
         "file. Trains to the deepest time in the archive, with the training options "
-        "--epochs, --trotter-delta and --restarts; --batch-size has no effect. Writes "
+        "--epochs and --restarts; --batch-size has no effect. Writes "
         "cost_history.csv (epoch,cost; one row per epoch run, which can be fewer than "
         "--epochs when training converges early, as reveal.json's stop_reason then "
         "says; cost is -fidelity, as is reveal.json's final_cost) and reveal.json; "

@@ -122,20 +122,14 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
     return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64))
 
 
-def check_scale_range(lo: float, hi: float) -> None:
-    """Reject a scaling range unless lo < hi and hi - lo is finite, which makes both ends finite."""
-    # Python floats overflow to inf without a numpy warning
-    if not (math.isfinite(float(hi) - float(lo)) and lo < hi):
-        raise ValueError(f"need finite scale_lo < scale_hi and a finite scale_hi - scale_lo, "
-                         f"got {lo!r} and {hi!r}")
-
-
 def minmax_scale(features, lo: float = 0.0, hi: float = 5.0) -> np.ndarray:
     """Map each column's observed [min, max] onto [lo, hi]; constant columns map to lo.
 
-    ``check_scale_range`` checks [lo, hi] first.
+    A range is rejected unless lo < hi and hi - lo is finite, which makes both ends finite.
     """
-    check_scale_range(lo, hi)
+    # Python floats overflow to inf without a numpy warning
+    if not (math.isfinite(float(hi) - float(lo)) and lo < hi):
+        raise ValueError(f"need finite lo < hi and a finite hi - lo, got {lo!r} and {hi!r}")
     x = np.asarray(features, dtype=np.float64)
     col_min = x.min(axis=0)
     span = x.max(axis=0) - col_min

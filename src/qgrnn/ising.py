@@ -27,8 +27,9 @@ from .statevector import checked_state
 # dropped is at most 1/19! (about 8e-18), below double rounding.
 TAYLOR_ORDER = 18
 # Most Taylor steps one evolution may take: about 30 s at n = 4 on 2 cores.
-# Default data (t_max 0.5, weights in [-5, 5]) need at most 88 at 14 qubits,
-# by the worst case of check_taylor_steps.
+# No command can reach it: the worst input any command accepts needs at most
+# 52,501, as tests/test_ising.py::TestTaylorStepBound::
+# test_no_command_input_reaches_the_step_limit computes.
 MAX_TAYLOR_STEPS = 100_000
 
 
@@ -57,8 +58,8 @@ class TimeEvolvedSample:
     state: np.ndarray
 
     def __post_init__(self):
-        if self.time < 0:
-            raise ValueError(f"time must be >= 0, got {self.time}")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValueError(f"time must be finite and >= 0, got {self.time}")
 
 
 def _z_columns(node_count: int) -> np.ndarray:
@@ -127,18 +128,6 @@ def taylor_steps(end: float, norm: float) -> int:
             f"{count:g} Taylor steps, more than the limit of {MAX_TAYLOR_STEPS}"
         )
     return int(count)
-
-
-def check_taylor_steps(node_weights, t_max: float) -> None:
-    """Reject node weights whose evolution to ``t_max`` may need more than ``MAX_TAYLOR_STEPS`` steps.
-
-    The worst case over the couplings of ``random_complete_graph``, which lie
-    in [-1, 1): the norm bound of ``sample_evolution`` is then at most
-    n(n-1)/2 + sum |w_i| + n.
-    """
-    weights = [abs(float(w)) for w in np.ravel(node_weights)]
-    n = len(weights)
-    taylor_steps(t_max, n * (n - 1) / 2 + sum(weights) + n)
 
 
 def sample_evolution(coefficients, initial, times) -> list[TimeEvolvedSample]:

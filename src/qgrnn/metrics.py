@@ -22,7 +22,8 @@ def evaluate(actual, predicted) -> MetricReport:
     """MSE, RMSE, MAE, and cosine similarity between two equal-length vectors.
 
     The cosine similarity is None when either vector is zero: a row that is
-    every column's minimum scales to all-zero weights at a scale_lo of 0.
+    every column's minimum scales to all-zero weights, the low end of
+    ``pipeline.FEATURE_RANGE``.
     """
     y = np.asarray(actual, dtype=np.float64)
     y_hat = np.asarray(predicted, dtype=np.float64)

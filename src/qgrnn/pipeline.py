@@ -20,6 +20,9 @@ ACCEPT_COST = -0.99
 # gradient, one cost) takes about 0.9 s on 2 cores at the default Trotter
 # step. Each further qubit doubles all five.
 MAX_QUBITS = 14
+# The range ``reconstruct`` min-max scales each feature onto, so its node
+# weights live there; the random restarts search it.
+FEATURE_RANGE = (0.0, 5.0)
 
 # Rows used by default for the Iris demonstration: two correctly-classified
 # samples per class, spread across the feature range.
@@ -107,17 +110,15 @@ class ReconstructionResult:
     target: np.ndarray
 
 
-def reconstruct_sample(
-    features_row, config: TrainConfig, node_range: tuple[float, float]
-) -> ReconstructionResult:
+def reconstruct_sample(features_row, config: TrainConfig) -> ReconstructionResult:
     """Embed one feature vector as node weights, then recover it from the evolved states.
 
-    ``node_range`` is the range the features were scaled onto; the random
-    restarts of ``learn_from_states`` search the node weights there.
+    The features are expected in ``FEATURE_RANGE``, where the random
+    restarts of ``learn_from_states`` search the node weights.
     """
     actual = np.asarray(features_row, dtype=np.float64)
     target, initial, samples = embed_and_sample(actual, config)
-    result, attempts = learn_from_states(initial, samples, config, node_range)
+    result, attempts = learn_from_states(initial, samples, config, FEATURE_RANGE)
     predicted = result.learned_params[-actual.size :]
     return ReconstructionResult(
         actual=actual,

@@ -39,7 +39,8 @@ from .ising import TimeEvolvedSample, apply_hamiltonian, coupling_columns
 from .statevector import checked_state
 
 # Most Trotter layers one sample may ask for: about 600 times the
-# layer_count(0.5, 0.003) = 167 layers of the default t_max and trotter_delta.
+# layer_count(0.5, 0.003) = 167 layers of the default t_max. At the Trotter
+# step of 0.003 it bounds t_max below 300.0015.
 # A larger count comes only from an archive or config with a huge t, whose
 # training would not finish.
 MAX_LAYERS = 100_000
@@ -88,11 +89,6 @@ class TrainConfig:
     8 by default, at the B Chebyshev points of (0, ``t_max``)
     (``ising.draw_times``), not at random times.
 
-    ``trotter_delta`` is the mean step of a layer, 0.003 by default: a
-    sample at time t runs K = ``layer_count(t, 10 trotter_delta)``
-    sixth-order steps of t/K, each ten layers whose steps are
-    ``ansatz.DIAGONAL_WEIGHTS`` and ``ansatz.TRANSVERSE_WEIGHTS`` times t/K.
-
     ``epochs`` is a budget: ``train_qgrnn`` runs Adam for the first
     ceil(epochs / 3) of them and BFGS for at most the rest, and it stops
     early once BFGS can lower the cost no further. If Adam's first step
@@ -105,19 +101,23 @@ class TrainConfig:
 
     ``seed`` must be >= 0, as every stream derives from it.
 
-    The class constants are not options. ``init_low`` and ``init_high``
-    bound the couplings of a random start (``initial_params``). ``fd_step``
-    is not used by training, whose gradient is exact; the benchmark's
-    kernel scan passes it to ``CostEvaluator.gradient``.
+    The class constants are not options. ``trotter_delta`` is the mean step
+    of a layer, 0.003: a sample at time t runs K = ``layer_count(t, 10
+    trotter_delta)`` sixth-order steps of t/K, each ten layers whose steps
+    are ``ansatz.DIAGONAL_WEIGHTS`` and ``ansatz.TRANSVERSE_WEIGHTS`` times
+    t/K. ``init_low`` and ``init_high`` bound the couplings of a random
+    start (``initial_params``). ``fd_step`` is not used by training, whose
+    gradient is exact; the benchmark's kernel scan passes it to
+    ``CostEvaluator.gradient``.
     """
 
+    trotter_delta: ClassVar[float] = 0.003
     init_low: ClassVar[float] = -1.0
     init_high: ClassVar[float] = 1.0
     fd_step: ClassVar[float] = 1e-3
 
     batch_size: int = 8
     epochs: int = 150
-    trotter_delta: float = 0.003
     t_max: float = 0.5
     seed: int = 0
     restarts: int = 10
@@ -135,9 +135,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        for name in ("trotter_delta", "t_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        if self.t_max <= 0:
+            raise ValueError("t_max must be > 0")
         for name, bound in (("batch_size", MAX_BATCH), ("epochs", MAX_EPOCHS),
                             ("restarts", MAX_RESTARTS)):
             if getattr(self, name) > bound:

@@ -14,7 +14,7 @@ import pytest
 
 from qgrnn import classifiers, cli
 from qgrnn.datasets import bundled_iris_path, load_iris_csv, minmax_scale
-from qgrnn.pipeline import embed_and_sample
+from qgrnn.pipeline import FEATURE_RANGE, embed_and_sample
 from qgrnn.training import TrainConfig
 
 WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet")
@@ -30,23 +30,24 @@ def dict_file(tmp_path):
 
 
 COMMANDS = ("reconstruct", "classify", "hide", "reveal")
-# the commands that train; classify takes only its seed and kinds
+# the commands that train; classify takes only its seed
 TRAINING_COMMANDS = ("reconstruct", "hide", "reveal")
 # the TrainConfig fields that are options of some command
 OPTION_FIELDS = [f for f in fields(TrainConfig) if f.name != "seed"]
 # the training options of each command: those it reads (reveal takes t_max from
 # its archive's deepest time), and hide's epochs and reveal's batch_size, which have no effect
 COMMAND_OPTIONS = {
-    "reconstruct": ("batch_size", "epochs", "trotter_delta", "t_max", "restarts"),
+    "reconstruct": ("batch_size", "epochs", "t_max", "restarts"),
     "hide": ("batch_size", "epochs", "t_max"),
-    "reveal": ("batch_size", "epochs", "trotter_delta", "restarts"),
+    "reveal": ("batch_size", "epochs", "restarts"),
 }
-# former options, now constants or taken from the embedding, and the MNIST and PCA
-# dataset options, gone with that path (iris_csv is now csv): neither flags nor config keys
+# former options, now constants (the Trotter step, the feature range and the classifier
+# list among them) or taken from the embedding, and the MNIST and PCA dataset options,
+# gone with that path (iris_csv is now csv): neither flags nor config keys
 REMOVED_OPTIONS = ("learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon",
                    "init_low", "init_high", "node_init_low", "node_init_high", "fd_step",
                    "dataset", "iris_csv", "mnist_images", "mnist_labels", "pca_components",
-                   "pca_fit_count")
+                   "pca_fit_count", "trotter_delta", "scale_lo", "scale_hi", "kinds")
 
 
 def required_args(command, tmp_path, dict_file):
@@ -90,7 +91,7 @@ class TestConfigValidation:
             ({"learning_rate": "fast"}, "learning_rate"),
             ({"restarts": None}, "restarts"),
             ({"seed": True}, "seed"),
-            # no longer an option either
+            # no longer options either
             ({"node_init_low": "0"}, "node_init_low"),
             ({"trotter_delta": "fast"}, "trotter_delta"),
             ({"t_max": None}, "t_max"),
@@ -103,7 +104,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
 
-    @pytest.mark.parametrize("key", ["t_max", "scale_hi"])
+    @pytest.mark.parametrize("key", ["t_max"])
     def test_integer_too_large_for_a_float_names_the_file_and_key(self, tmp_path, capsys, key):
         # json reads 10**400 as an int, which float() cannot convert
         config = tmp_path / "big.json"
@@ -153,8 +154,8 @@ class TestConfigValidation:
             (["--batch-size", "0"], "batch_size"),
             (["--epochs", "0"], "epochs"),
             (["--restarts", "-2"], "restarts"),
-            (["--trotter-delta", "0"], "trotter_delta"),
-            (["--trotter-delta", "nan"], "trotter_delta"),
+            (["--epochs", "10001"], "epochs must be <= 10000, got 10001"),
+            (["--restarts", "101"], "restarts must be <= 100, got 101"),
             (["--t-max", "0"], "t_max"),
             (["--t-max", "-0.5"], "t_max"),
             (["--t-max", "inf"], "t_max"),
@@ -224,76 +225,48 @@ class TestFailFast:
                             "--t-max", "1e9"], "t_max")
         assert not list(tmp_path.glob("sample_*"))
 
-    def test_reconstruct_rejects_an_evolution_beyond_the_step_limit(self, tmp_path, capsys):
-        # node weights up to 1e9 need about 6.6e8 Taylor steps for t_max 0.5
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"scale_hi": 1e9}))
-        fails_fast(capsys, ["reconstruct", "--samples", "18", "--config", str(config),
-                            "--out", str(tmp_path / "out")], "Taylor steps")
-        assert not (tmp_path / "out").exists()
-
-    def test_reconstruct_rejects_weights_whose_norm_bound_overflows(self, tmp_path, capsys):
-        # the worst-case norm bound is inf; no numpy overflow warning, which is an error here
-        out = tmp_path / "out"
-        fails_fast(capsys, ["reconstruct", "--samples", "18", "--scale-hi", "1.7e308",
-                            "--out", str(out)], "needs inf Taylor steps")
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "file_text, field",
         [
-            ('{"scale_lo": -1e400}', "scale_lo"),
-            ('{"scale_hi": 1e400}', "scale_hi"),
-            ('{"scale_hi": NaN}', "scale_hi"),
-            ('{"scale_lo": 5.0}', "scale_lo < scale_hi"),
-            ('{"scale_lo": 3.0, "scale_hi": 1.0}', "scale_lo < scale_hi"),
+            ('{"samples": " , "}', "--samples must list at least one row index, got ' , '"),
             # a training option from the same file, whose data would need about 8 GB
             ('{"batch_size": 1000000000}', "batch_size must be <= 64, got 1000000000"),
         ],
     )
     def test_reconstruct_rejects_an_out_of_range_dataset_option(self, tmp_path, capsys,
                                                                 file_text, field):
+        # no --samples flag, which would win over the file's
         config = tmp_path / "config.json"
         config.write_text(file_text)
-        fails_fast(capsys, ["reconstruct", "--samples", "18", "--config", str(config),
-                            "--out", str(tmp_path / "out")], field)
+        fails_fast(capsys, ["reconstruct", "--config", str(config), "--out", str(tmp_path / "out")],
+                   field)
         assert not (tmp_path / "out").exists()
-
-    def test_reconstruct_rejects_a_scale_range_whose_width_overflows(self, tmp_path, capsys):
-        # both ends are finite, but hi - lo is inf: min-max scaling would give NaN weights
-        out = tmp_path / "out"
-        fails_fast(capsys, ["reconstruct", "--samples", "18", "--scale-lo=-1e308",
-                            "--scale-hi=1e308", "--out", str(out)],
-                   "need finite scale_lo < scale_hi and a finite scale_hi - scale_lo, "
-                   "got -1e+308 and 1e+308")
-        assert not out.exists()
 
     def test_reveal_checks_the_layer_limit_against_the_archive_t_max(self, tmp_path, dict_file,
                                                                     capsys):
-        # the archive's t_max is its deepest time, the last Chebyshev point 1.98079 of hide's
-        # --t-max 2: 1.98079 / 1.5e-5 is beyond the layer limit, the default t_max's 0.5 / 1.5e-5
-        # within it
-        assert hide(dict_file, tmp_path / "hide", "--t-max", "2") == 0
+        # the archive's t_max is its deepest time: 400 / 0.003 is beyond the layer limit,
+        # the 0.5 that hide was given within it
+        assert hide(dict_file, tmp_path / "hide") == 0
         archive = tmp_path / "hide" / "archive.json"
-        assert f"{max(json.loads(archive.read_text())['times']):g}" == "1.98079"
+        payload = json.loads(archive.read_text())
+        assert payload["version"] == 5
+        payload["times"][-1] = 400.0
+        archive.write_text(json.dumps(payload))
         out = tmp_path / "reveal"
         fails_fast(capsys, ["reveal", "--archive", str(archive), "--dict", str(dict_file),
-                            "--out", str(out), "--trotter-delta", "1.5e-5"],
-                   "t_max 1.98079 needs more than 100000 layers")
+                            "--out", str(out)], "t_max 400 needs more than 100000 layers")
         assert not out.exists()
 
     def test_reveal_checks_the_layer_limit_on_the_deepest_time_of_a_version_4_archive(
             self, tmp_path, dict_file, capsys):
-        # not on the t_max of 0.5 that version 4 also stored, which the deepest time now exceeds;
-        # test_huge_archive_time_fails_fast covers version 5
+        # not on the t_max of 0.5 that version 4 also stored, which the deepest time now exceeds
         payload = json.loads((DATA / "archive_v4.json").read_text())
-        payload["times"][-1] = 2.0
+        payload["times"][-1] = 400.0
         archive = tmp_path / "archive.json"
         archive.write_text(json.dumps(payload))
         out = tmp_path / "reveal"
         fails_fast(capsys, ["reveal", "--archive", str(archive), "--dict", str(dict_file),
-                            "--out", str(out), "--trotter-delta", "1.5e-5"],
-                   "t_max 2 needs more than 100000 layers")
+                            "--out", str(out)], "t_max 400 needs more than 100000 layers")
         assert not out.exists()
 
     def test_hide_rejects_a_register_beyond_the_qubit_limit(self, tmp_path, dict_file, capsys):
@@ -304,12 +277,9 @@ class TestFailFast:
 
 
 class TestOptionsCheckedBeforeOutput:
-    # the commands that read restarts and trotter_delta
+    # the commands that read restarts
     @pytest.mark.parametrize("command", ("reconstruct", "reveal"))
-    @pytest.mark.parametrize(
-        "flags, key",
-        [(["--restarts", "0"], "restarts"), (["--trotter-delta", "-1"], "trotter_delta")],
-    )
+    @pytest.mark.parametrize("flags, key", [(["--restarts", "0"], "restarts")])
     def test_bad_training_option_leaves_no_output(self, tmp_path, dict_file, capsys,
                                                   command, flags, key):
         if command == "reveal":  # it checks its training options once it has read the archive
@@ -324,7 +294,6 @@ class TestOptionsCheckedBeforeOutput:
         [
             ("reconstruct", ["--samples", ""], "samples"),
             ("reconstruct", ["--samples", " , "], "samples"),
-            ("classify", ["--kinds", ","], "kinds"),
         ],
     )
     def test_empty_list_is_an_error(self, tmp_path, dict_file, capsys, command, flags, key):
@@ -339,15 +308,12 @@ class TestOptionsCheckedBeforeOutput:
             ("reconstruct", ["--samples", "abc"], "--samples: invalid literal for int()"),
             ("reconstruct", ["--samples", "18,1000"], "--samples: sample indices out of range: [1000]"),
             ("reconstruct", ["--samples", "-1"], "--samples: sample indices out of range: [-1]"),
-            ("classify", ["--kinds", "gaussian-naive-bayes,foo"], "kinds: unknown classifier kind 'foo'"),
+            ("reconstruct", ["--samples", "150"], "--samples: sample indices out of range: [150] for 150 rows"),
             ("reconstruct", ["--samples", "18,18"], "--samples: sample indices must be unique, 18 repeats"),
             ("reconstruct", ["--samples", "73,18,018"], "--samples: sample indices must be unique, 18 repeats"),
-            ("classify", ["--kinds", "k-nearest-neighbors, k-nearest-neighbors"],
-             "kinds: classifier kinds must be unique, 'k-nearest-neighbors' repeats"),
         ],
     )
     def test_bad_list_entry_is_an_error(self, tmp_path, dict_file, capsys, command, flags, message):
-        # the classify input need not exist: the kinds are checked first
         out = tmp_path / "out"
         argv = [command, *required_args(command, tmp_path, dict_file), "--out", str(out), *flags]
         fails_fast(capsys, argv, message)
@@ -470,9 +436,9 @@ class TestTrainingOptionSchema:
             assert value == ("3" if default is None or isinstance(default, str) else 3), name
             assert type(value) is (str if default is None else type(default)), name
 
-    def test_the_training_flags_are_the_five_options(self):
+    def test_the_training_flags_are_the_four_options(self):
         names = [f.name for f in OPTION_FIELDS]
-        assert names == ["batch_size", "epochs", "trotter_delta", "t_max", "restarts"]
+        assert names == ["batch_size", "epochs", "t_max", "restarts"]
         assert set(names) <= set(cli.OPTIONS["reconstruct"])
 
     @pytest.mark.parametrize("command", TRAINING_COMMANDS)
@@ -490,7 +456,7 @@ class TestTrainingOptionSchema:
             cli.main(["reveal", "--help"])
         # argparse wraps the help column; compare with the whitespace collapsed
         text = " ".join(capsys.readouterr().out.split())
-        for line in ("--archive ARCHIVE required", "--trotter-delta TROTTER_DELTA default: 0.003",
+        for line in ("--archive ARCHIVE required", "--epochs EPOCHS default: 150",
                      "--restarts RESTARTS default: 10"):
             assert line in text
 
@@ -549,13 +515,12 @@ class TestTrainingOptionSchema:
                 else:
                     assert run[name] == default and type(run[name]) is type(default), name
             assert not set(REMOVED_OPTIONS) & set(run)
-        training = {"seed", "batch_size", "epochs", "trotter_delta", "t_max", "restarts"}
+        training = {"seed", "batch_size", "epochs", "t_max", "restarts"}
         run_keys = {
-            "reconstruct": {"command", *training, "csv", "scale_lo", "scale_hi", "samples"},
-            "classify": {"command", "reconstructed", "seed", "kinds"},
+            "reconstruct": {"command", *training, "csv", "samples"},
+            "classify": {"command", "reconstructed", "seed"},
             "hide": {"command", "dict", "seed", "batch_size", "epochs", "t_max"},
-            "reveal": {"command", "archive", "dict", "seed", "batch_size", "epochs",
-                       "trotter_delta", "restarts"},
+            "reveal": {"command", "archive", "dict", "seed", "batch_size", "epochs", "restarts"},
         }
         for command, keys in run_keys.items():
             text = (tmp_path / command / "run.json").read_text()
@@ -589,7 +554,7 @@ class TestClassify:
             cli.main(["classify", "--help"])
         usage = capsys.readouterr().out.split("\n\n")[0]
         assert set(re.findall(r"--[a-z-]+", usage)) == {
-            "--config", "--seed", "--out", "--reconstructed", "--kinds"
+            "--config", "--seed", "--out", "--reconstructed"
         }
 
     def test_a_removed_option_is_rejected(self, tmp_path, capsys):
@@ -608,7 +573,7 @@ class TestClassify:
             assert err.startswith(f"error: {config}: unknown config keys") and repr(key) in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("case", ["scale", "scale flags", "iris csv", "3-feature csv"])
+    @pytest.mark.parametrize("case", ["bundled csv", "iris csv", "3-feature csv"])
     def test_scores_the_dataset_of_its_reconstruct_run(self, tmp_path, monkeypatch, case):
         # the run is made in one directory and scored from another
         (tmp_path / "made").mkdir()
@@ -617,19 +582,12 @@ class TestClassify:
         rows = (3, 16) if case == "3-feature csv" else (18, 73)
         argv = ["reconstruct", "--samples", ",".join(map(str, rows)), "--epochs", "3",
                 "--restarts", "1", "--out", "rec"]
-        csv_path, lo, hi = bundled_iris_path(), 0.0, 5.0
-        if case == "scale":
-            Path("config.json").write_text(json.dumps({"scale_lo": 2, "scale_hi": 3}))
-            argv += ["--config", "config.json"]
-            lo, hi = 2, 3
-        elif case == "scale flags":  # the same scaling as the config file's
-            argv += ["--scale-lo", "2", "--scale-hi", "3"]
-            lo, hi = 2, 3
-        elif case == "iris csv":
+        csv_path = bundled_iris_path()
+        if case == "iris csv":
             shutil.copy(bundled_iris_path(), "iris_copy.csv")
             argv += ["--csv", "iris_copy.csv"]
             csv_path = tmp_path / "made" / "iris_copy.csv"
-        else:  # 20 rows of 3 features, 2 classes that alternate
+        elif case == "3-feature csv":  # 20 rows of 3 features, 2 classes that alternate
             lines = ["x,y,z,class"] + [
                 f"{1 + 3 * (i % 2) + 0.1 * i},{2 - (i % 2) + 0.05 * i},{0.5 + 0.02 * i * i},"
                 + ("even" if i % 2 == 0 else "odd")
@@ -647,15 +605,13 @@ class TestClassify:
         recorded = json.loads((recon_dir / "run.json").read_text())
         # the reconstruct record holds the dataset, with its CSV absolute; classify's
         # record holds only its own options, the directory as typed
-        assert recorded["csv"] == (None if case.startswith("scale") else str(csv_path.resolve()))
-        assert (recorded["scale_lo"], recorded["scale_hi"]) == (lo, hi)
+        assert recorded["csv"] == (None if case == "bundled csv" else str(csv_path.resolve()))
         assert recorded["samples"] == ",".join(map(str, rows))
-        assert run == {"command": "classify", "reconstructed": str(recon_dir), "seed": 0,
-                       "kinds": ",".join(classifiers.KINDS)}
+        assert run == {"command": "classify", "reconstructed": str(recon_dir), "seed": 0}
 
         ds = load_iris_csv(csv_path)
         assert ds.features.shape == ((20, 3) if case == "3-feature csv" else (150, 4))
-        features = minmax_scale(ds.features, lo, hi)
+        features = minmax_scale(ds.features, *FEATURE_RANGE)
         train, test = classifiers.stratified_split(ds.labels, seed=0)
         records = [json.loads((recon_dir / f"sample_{i:05d}" / "result.json").read_text())
                    for i in rows]
@@ -693,21 +649,22 @@ class TestClassify:
             ("[]", "expected a JSON object"),
             ('{"command": "reconstruct"}', "not the run.json of a reconstruct run"),
             ({"command": "classify"}, "not the run.json of a reconstruct run"),
-            ({"scale_hi": "3"}, "key 'scale_hi' must be of type float, got '3'"),
+            ({"t_max": "3"}, "key 't_max' must be of type float, got '3'"),
             ({"csv": 5}, "key 'csv' must be of type str, got 5"),
-            ({"scale_lo": 5.0}, "need finite scale_lo < scale_hi"),
-            ({"scale_lo": -1e308, "scale_hi": 1e308}, "a finite scale_hi - scale_lo"),
+            # a run made while reconstruct took the Trotter step and the feature range
+            ({"trotter_delta": 0.003, "scale_lo": 0.0, "scale_hi": 5.0},
+             "unknown config keys: ['scale_hi', 'scale_lo', 'trotter_delta']"),
             # the dataset keys of a run made while reconstruct read iris_csv
             ('{"command": "reconstruct", "dataset": "iris", "iris_csv": null, "scale_lo": 0.0, '
-             '"scale_hi": 5.0}', "unknown config keys: ['dataset', 'iris_csv']"),
+             '"scale_hi": 5.0}', "unknown config keys: ['dataset', 'iris_csv', 'scale_hi', 'scale_lo']"),
             # a record made while reconstruct recorded each row's seed
             ({"sample_seeds": {"18": 1, "73": 2}}, "unknown config keys: ['sample_seeds']"),
             ({"command": None}, "not the run.json of a reconstruct run"),
-            ('{"command": "reconstruct", "scale_lo": 0.0, "scale_hi": 5.0, "csv": null}',
+            ('{"command": "reconstruct", "csv": null, "samples": "18"}',
              "not the run.json of a reconstruct run"),
         ],
         ids=["missing", "not JSON", "too deep", "not an object", "no dataset keys",
-             "another command", "scale type", "path type", "empty scale", "overflowing scale",
+             "another command", "float type", "path type", "delta and scale run",
              "iris_csv run", "sample_seeds run", "no command", "dataset keys only"],
     )
     def test_a_bad_run_json_leaves_no_output(self, tmp_path, capsys, reconstruct_run,

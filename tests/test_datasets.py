@@ -185,8 +185,7 @@ class TestMinMaxScale:
     )
     def test_rejects_a_range_without_a_finite_width(self, lo, hi):
         # both ends of the first are finite, but the width is inf: scaling gave NaN
-        with pytest.raises(ValueError, match="need finite scale_lo < scale_hi and a finite "
-                                             "scale_hi - scale_lo"):
+        with pytest.raises(ValueError, match="need finite lo < hi and a finite hi - lo"):
             minmax_scale(np.array([[0.0], [1.0]]), lo, hi)
 
 

@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 
 from qgrnn import ising
+from qgrnn.hiding import DICTIONARY_HI, DICTIONARY_LO
 from qgrnn.ising import (
     apply_hamiltonian,
-    check_taylor_steps,
     complete_pairs,
     draw_times,
     hamiltonian_diagonal,
     random_complete_graph,
     sample_evolution,
+    TimeEvolvedSample,
 )
+from qgrnn.pipeline import FEATURE_RANGE, MAX_QUBITS
 from qgrnn.statevector import basis_state, random_state
+from qgrnn.training import MAX_LAYERS, TrainConfig
 
 from conftest import (
     eigh_evolve,
@@ -261,6 +264,12 @@ class TestSampleEvolution:
         with pytest.raises(ValueError):
             sample_evolution(random_graph(2, 1), random_state(2, 1), [-0.1])
 
+    @pytest.mark.parametrize("time", [-0.1, np.nan, np.inf])
+    def test_a_sample_of_a_negative_or_non_finite_time_is_rejected(self, time):
+        # a nan or inf time once reached CostEvaluator, which failed converting it to a layer count
+        with pytest.raises(ValueError, match=f"time must be finite and >= 0, got {time}"):
+            TimeEvolvedSample(time, random_state(2, 1))
+
     @pytest.mark.parametrize("n, length", [(1, 0), (1, 2), (2, 2), (2, 6), (3, 5), (3, 7)])
     def test_rejects_a_wrong_coefficient_count(self, n, length):
         # a 2-qubit state with the 6 coefficients of 3 nodes is among them
@@ -269,12 +278,7 @@ class TestSampleEvolution:
             sample_evolution(np.zeros(length), random_state(n, 1), [0.1])
 
 
-class TestCheckTaylorSteps:
-    def test_the_defaults_need_at_most_88_steps_at_the_qubit_limit(self):
-        # t_max 0.5 and 14 weights at the top of the default scale [0, 5]
-        check_taylor_steps([5.0] * 14, 0.5)
-        assert ising.taylor_steps(0.5, 91 + 14 * 5.0 + 14) == 88
-
+class TestTaylorStepBound:
     def test_bounds_the_steps_of_every_coupling_draw(self):
         # with every coupling at its extreme, the signs aligned, the bound is reached
         weights = np.array([2.0, -3.0, 0.5])
@@ -287,20 +291,20 @@ class TestCheckTaylorSteps:
         extreme = np.concatenate([np.ones(3), np.abs(weights)])
         assert t * (np.max(np.abs(hamiltonian_diagonal(extreme, 3))) + 3) == bound
 
-    @pytest.mark.parametrize("weight, rejected", [(99_997.0, False), (99_997.5, True)])
-    def test_rejects_a_worst_case_beyond_the_limit(self, weight, rejected):
-        # n = 2 and t = 1: 1 coupling + |w| + 2 steps against the limit of 100000
-        if rejected:
-            with pytest.raises(ValueError, match="100001 Taylor steps, more than the limit of 100000"):
-                check_taylor_steps([weight, 0.0], 1.0)
-        else:
-            check_taylor_steps([weight, 0.0], 1.0)
-
-    @pytest.mark.parametrize("weight", [1.7e308, np.inf, np.nan])
-    def test_a_norm_beyond_the_float_range_is_rejected_without_a_warning(self, weight):
-        # warnings are errors in this suite, so a numpy overflow warning would fail it
-        with pytest.raises(ValueError, match="Taylor steps"):
-            check_taylor_steps([weight] * 4, 0.5)
+    def test_no_command_input_reaches_the_step_limit(self):
+        # the worst evolution a command can ask for: MAX_QUBITS nodes, every coupling at 1,
+        # the bound of random_complete_graph's draws, every node weight at the largest
+        # magnitude of reconstruct's FEATURE_RANGE and hide's dictionary range, and a t_max
+        # that TrainConfig refuses, so every t_max it accepts lies below it
+        n = MAX_QUBITS
+        weight = max(abs(v) for v in (*FEATURE_RANGE, DICTIONARY_LO, DICTIONARY_HI))
+        t_max = (MAX_LAYERS + 1) * TrainConfig.trotter_delta
+        with pytest.raises(ValueError, match=f"needs more than {MAX_LAYERS} layers"):
+            TrainConfig(t_max=t_max)
+        coefficients = np.concatenate([np.ones(n * (n - 1) // 2), np.full(n, weight)])
+        norm = float(np.max(np.abs(hamiltonian_diagonal(coefficients, n)))) + n
+        # the count that ising.MAX_TAYLOR_STEPS's comment quotes
+        assert ising.taylor_steps(t_max, norm) == 52_501 < ising.MAX_TAYLOR_STEPS
 
 
 class TestEvolutionProperties:

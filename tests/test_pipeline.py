@@ -105,12 +105,10 @@ def test_default_iris_rows_reconstruct_to_the_trotter_error(monkeypatch):
     monkeypatch.setattr(
         CostEvaluator, "_evolve", lambda self, phases: passes.append(1) or evolve(self, phases)
     )
-    features = minmax_scale(load_iris_csv(bundled_iris_path()).features, 0.0, 5.0)
+    features = minmax_scale(load_iris_csv(bundled_iris_path()).features, *pipeline.FEATURE_RANGE)
     outcomes = [
         pipeline.reconstruct_sample(
-            features[i],
-            TrainConfig(seed=seeding.derive_seed(0, seeding.RECONSTRUCT_SAMPLE, i)),
-            (0.0, 5.0),
+            features[i], TrainConfig(seed=seeding.derive_seed(0, seeding.RECONSTRUCT_SAMPLE, i))
         )
         for i in pipeline.DEFAULT_IRIS_ROWS
     ]

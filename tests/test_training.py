@@ -415,7 +415,7 @@ class TestAdamStep:
 
 
 class TestSplittingOrder:
-    def test_learned_error_falls_with_the_order(self):
+    def test_learned_error_falls_with_the_order(self, monkeypatch):
         # the error of the learned coefficients at delta and delta/2: about 64x
         # lower for the sixth-order circuit training fits, 2x for first order.
         # The times are multiples of 10 delta, so every row's step count doubles
@@ -427,7 +427,8 @@ class TestSplittingOrder:
         samples = sample_evolution(truth, initial, np.resize([0.25, 0.5], 15))
         sixth, first = [], []
         for delta in (0.025, 0.0125):
-            result = train_qgrnn(initial, samples, TrainConfig(trotter_delta=delta), start=truth)
+            monkeypatch.setattr(TrainConfig, "trotter_delta", delta)
+            result = train_qgrnn(initial, samples, TrainConfig(), start=truth)
             sixth.append(np.max(np.abs(result.learned_params - truth)))
 
             def first_order_cost(flat):
@@ -448,13 +449,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
-            TrainConfig(trotter_delta=0.0)
-        with pytest.raises(ValueError):
             TrainConfig(t_max=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(restarts=0)
-        with pytest.raises(ValueError, match="trotter_delta must be a finite number"):
-            TrainConfig(trotter_delta=float("nan"))
+        with pytest.raises(ValueError, match="t_max must be a finite number"):
+            TrainConfig(t_max=float("nan"))
         assert TrainConfig(batch_size=MAX_BATCH).batch_size == MAX_BATCH == 64
         with pytest.raises(ValueError, match="batch_size must be <= 64, got 65"):
             TrainConfig(batch_size=MAX_BATCH + 1)
@@ -478,18 +477,20 @@ class TestTrainConfig:
             TrainConfig(t_max=(MAX_LAYERS + 1) * delta)
         with pytest.raises(ValueError, match="t_max"):
             TrainConfig(t_max=1e9)
-        # 0.5 / 1e-320 overflows to inf
+        # 1.7e308 / 0.003 overflows to inf
         with pytest.raises(ValueError, match="t_max"):
-            TrainConfig(trotter_delta=1e-320)
+            TrainConfig(t_max=1.7e308)
 
     def test_fields_are_the_options_a_caller_sets(self):
         assert [f.name for f in fields(TrainConfig)] == [
-            "batch_size", "epochs", "trotter_delta", "t_max", "seed", "restarts"
+            "batch_size", "epochs", "t_max", "seed", "restarts"
         ]
-        # the start range and fd_step are constants, not options
-        assert (TrainConfig.init_low, TrainConfig.init_high, TrainConfig.fd_step) == (-1.0, 1.0, 1e-3)
-        with pytest.raises(TypeError):
-            TrainConfig(init_low=0.0)
+        # the Trotter step, the start range and fd_step are constants, not options
+        assert (TrainConfig.trotter_delta, TrainConfig.init_low, TrainConfig.init_high,
+                TrainConfig.fd_step) == (0.003, -1.0, 1.0, 1e-3)
+        for name in ("trotter_delta", "init_low"):
+            with pytest.raises(TypeError):
+                TrainConfig(**{name: 0.0})
 
     def test_initial_params_use_ranges(self):
         params = initial_params(4, 3, (0.0, 5.0))
